@@ -6,12 +6,10 @@ nullifier-based entanglement criteria, analytically and by Monte Carlo.
 """
 
 from .gaussian import (
-    CONVENTION,
     GaussianState,
     LossModel,
     ORDERING,
     PHYSICALITY_TOL,
-    QuadratureConvention,
     SYMPLECTIC_TOL,
     SymplecticTransform,
     VACUUM_VARIANCE,
@@ -50,7 +48,6 @@ from .graphs import (
     wire_to_ring_phases,
 )
 from .shaping import (
-    FeedforwardRule,
     FeedforwardTarget,
     FormStats,
     HomodyneOutcome,
@@ -60,7 +57,6 @@ from .shaping import (
     TrajectoryStats,
     execute_conditional,
     execute_ensemble,
-    feedforward,
     homodyne,
     remove_node,
     removal_steps,

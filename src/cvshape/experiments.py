@@ -23,8 +23,8 @@ from .gaussian import (
     GaussianState,
     LossModel,
     VACUUM_VARIANCE,
+    _mix_vacuum,
     apply,
-    apply_loss,
     phase_shift,
     squeezed_variance,
 )
@@ -124,10 +124,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown construction {self.construction!r}; choose from {CONSTRUCTIONS}"
             )
-        if self.squeezing_db < 0:
-            raise ConfigError("squeezing_db must be non-negative")
+        levels = {"squeezing_db": self.squeezing_db}
+        levels.update((f"squeezing_db.{n}", db) for n, db in self.squeezing_overrides.items())
+        for key, db in levels.items():
+            if not (np.isfinite(db) and db >= 0):
+                raise ConfigError(f"{key} must be finite and non-negative, got {db}")
+        for key in ("calibrate_target", "feedforward_gain"):
+            if not np.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.trials < 0:
             raise ConfigError("trials must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        try:
+            LossModel(self.loss)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"loss: {exc}") from None
         if self.format not in (None, "json", "csv"):
             raise ConfigError("format must be json or csv")
         if self.scenario == "custom" and not self.graph_file:
@@ -323,9 +335,10 @@ def _resolve_graph(config: ExperimentConfig):
     if config.scenario != "custom":
         graph = ClusterGraph.linear_wire(4)
         return graph, config.squeezing_map(graph.nodes)
-    if not config.graph_file:
-        raise ConfigError("custom scenario needs graph_file")
-    graph, file_db = parse_graph_text(Path(config.graph_file).read_text())
+    try:
+        graph, file_db = parse_graph_text(Path(config.graph_file).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{config.graph_file}: {exc}") from None
     db = {}
     for node in graph.nodes:
         if node in config.squeezing_overrides:
@@ -377,13 +390,16 @@ def _scenario_steps(config: ExperimentConfig, graph: ClusterGraph):
         a, b = min(pairs)
         steps, new_edge = shorten_steps(graph, a, b, gain=gain)
         return steps, (new_edge,), (a, b)
-    # custom
-    if config.remove_target is not None:
-        return removal_steps(graph, config.remove_target, gain=gain), (), (config.remove_target,)
-    if config.shorten_inner is not None:
-        a, b = config.shorten_inner
-        steps, new_edge = shorten_steps(graph, a, b, gain=gain)
-        return steps, (new_edge,), (a, b)
+    # custom: the nodes come from the config, so a bad choice is a config error
+    try:
+        if config.remove_target is not None:
+            return removal_steps(graph, config.remove_target, gain=gain), (), (config.remove_target,)
+        if config.shorten_inner is not None:
+            a, b = config.shorten_inner
+            steps, new_edge = shorten_steps(graph, a, b, gain=gain)
+            return steps, (new_edge,), (a, b)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return [], (), ()
 
 
@@ -499,11 +515,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     tap_nodes = sorted({t.node for step in steps for t in step.feedforward})
     tap_eff = {n: loss.efficiency("feedforward_tap", n) for n in tap_nodes}
     if any(e < 1.0 for e in tap_eff.values()):
-        for node in tap_nodes:
-            if tap_eff[node] < 1.0:
-                shaped_state = apply_loss(
-                    shaped_state, list(shaped_order).index(node), tap_eff[node]
-                )
+        eta = [tap_eff.get(node, 1.0) for node in shaped_order]
+        shaped_state = GaussianState(*_mix_vacuum(shaped_state.mean, shaped_state.cov, eta))
         transcript.append(
             {
                 "op": "loss",

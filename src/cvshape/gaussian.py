@@ -21,8 +21,6 @@ __all__ = [
     "ORDERING",
     "PHYSICALITY_TOL",
     "SYMPLECTIC_TOL",
-    "QuadratureConvention",
-    "CONVENTION",
     "GaussianState",
     "SymplecticTransform",
     "LossModel",
@@ -58,18 +56,6 @@ PHYSICALITY_TOL = 1e-9
 SYMPLECTIC_TOL = 1e-10
 
 _SYMMETRY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadratureConvention:
-    """Numeric conventions shared by every state and report."""
-
-    ordering: str = ORDERING
-    vacuum_variance: float = VACUUM_VARIANCE
-    hbar: float = 2 * VACUUM_VARIANCE
-
-
-CONVENTION = QuadratureConvention()
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -139,8 +125,7 @@ class GaussianState:
         n = self.n_modes
         modes = list(modes)
         for m in modes:
-            if not 0 <= m < n:
-                raise ValueError(f"mode index {m} out of range for {n} modes")
+            _check_mode(n, m)
         idx = modes + [n + m for m in modes]
         return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
@@ -182,12 +167,6 @@ class SymplecticTransform:
         """Max-norm deviation of S^T J S from J."""
         j = symplectic_form(self.n_modes)
         return float(np.abs(self.matrix.T @ j @ self.matrix - j).max())
-
-    def require_symplectic(self, tol: float = SYMPLECTIC_TOL) -> "SymplecticTransform":
-        defect = self.symplecticity_defect()
-        if defect > tol:
-            raise ValueError(f"matrix is not symplectic: defect {defect:.3e}")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +367,22 @@ def apply(state: GaussianState, transform: SymplecticTransform) -> GaussianState
 # ---------------------------------------------------------------------------
 
 
+def _mix_vacuum(mean: np.ndarray, cov: np.ndarray, eta) -> tuple:
+    """Mix mode k with vacuum at transmission eta[k]; returns new (mean, cov).
+
+    mean may be one mean vector or a trials x 2N batch.  eta = 1 leaves a
+    mode untouched.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((eta > 0.0) & (eta <= 1.0)):
+        raise ValueError("transmission eta must lie in (0, 1]")
+    eta = np.concatenate([eta, eta])
+    root = np.sqrt(eta)
+    cov = cov * np.outer(root, root)
+    cov[np.diag_indices_from(cov)] += (1.0 - eta) * VACUUM_VARIANCE
+    return mean * root, cov
+
+
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """Mix one mode with vacuum at transmission eta.
 
@@ -401,15 +396,9 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
         eta: transmission in (0, 1]; 1 is the identity channel.
     """
     _check_mode(state.n_modes, mode)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("transmission eta must lie in (0, 1]")
-    n = state.n_modes
-    scale = np.ones(2 * n)
-    scale[mode] = scale[n + mode] = np.sqrt(eta)
-    cov = state.cov * np.outer(scale, scale)
-    cov[mode, mode] += (1.0 - eta) * VACUUM_VARIANCE
-    cov[n + mode, n + mode] += (1.0 - eta) * VACUUM_VARIANCE
-    return GaussianState(state.mean * scale, cov)
+    etas = np.ones(state.n_modes)
+    etas[mode] = eta
+    return GaussianState(*_mix_vacuum(state.mean, state.cov, etas))
 
 
 @dataclass(frozen=True)
@@ -469,12 +458,8 @@ class LossModel:
         """Apply one stage's loss to a state whose modes follow node_order."""
         if len(node_order) != state.n_modes:
             raise ValueError("node order length must match the state's mode count")
-        out = state
-        for index, node in enumerate(node_order):
-            eta = self.efficiency(stage, node)
-            if eta < 1.0:
-                out = apply_loss(out, index, eta)
-        return out
+        eta = [self.efficiency(stage, node) for node in node_order]
+        return GaussianState(*_mix_vacuum(state.mean, state.cov, eta))
 
     def to_dict(self) -> dict:
         out = {}

@@ -350,14 +350,6 @@ class NetworkPlan:
             states.append(squeezed_vacuum(db, quad))
         return apply(tensor(*states), self.interferometer_transform())
 
-    def with_squeezing(self, db) -> "NetworkPlan":
-        """Same interferometer with new per-node squeezing levels."""
-        settings = {
-            node: (_db_of(db, node), quad)
-            for node, (_, quad) in self.squeezer_settings
-        }
-        return NetworkPlan(settings, self.interferometer, self.provenance, self.node_order)
-
 
 def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
     """Compile the canonical build into squeezers plus a passive network.
@@ -505,6 +497,8 @@ def parse_graph_text(text: str):
                     if key != "db":
                         raise ValueError(f"unknown node attribute {key!r}")
                     db_map[node] = float(value)
+                    if not np.isfinite(db_map[node]) or db_map[node] < 0:
+                        raise ValueError(f"db must be finite and non-negative, got {value!r}")
             elif kind == "edge":
                 i, j = int(parts[1]), int(parts[2])
                 sign = 1

@@ -13,7 +13,8 @@ import pytest
 from cvshape import (
     ClusterGraph,
     ExperimentConfig,
-    FeedforwardRule,
+    FeedforwardTarget,
+    MeasurementStep,
     Nullifier,
     TrajectoryPlan,
     apply,
@@ -22,8 +23,7 @@ from cvshape import (
     calibrate_loss,
     canonical_transform,
     compile_network,
-    feedforward,
-    homodyne,
+    execute_conditional,
     is_orthogonal,
     is_symplectic,
     nullifiers_of,
@@ -70,13 +70,14 @@ def _shorten_setup():
 
 def test_criterion_01_erasure_identity():
     rng = np.random.default_rng(20260822)
+    # measure x of mode 1, then displace p of mode 0 by minus the outcome
+    erase = [MeasurementStep(node=1, angle=0.0, feedforward=(FeedforwardTarget(0, "p", -1.0),))]
     worst = 0.0
     for _ in range(200):
         st = random_product_state(rng, 2)
         before = st.marginal([0])
         coupled = apply(st, qnd_gate(2, 0, 1, 1.0))
-        conditioned, rec = homodyne(coupled, 1, 0.0, rng=rng)
-        restored = feedforward(conditioned, FeedforwardRule([(0, 0, "p", -1.0)]), [rec])
+        restored, _, _ = execute_conditional(coupled, (0, 1), erase, rng=rng)
         worst = max(
             worst,
             np.abs(restored.cov - before.cov).max(),

@@ -51,6 +51,65 @@ def test_bad_config_value_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "squeezing_db = nan",
+        "squeezing_db = inf",
+        "squeezing_db.2 = nan",
+        "squeezing_db.2 = -inf",
+        "calibrate_target = nan",
+        "feedforward_gain = inf",
+        "loss.source = nan",
+    ],
+)
+def test_non_finite_config_value_exits_two(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = remove-edge\n{line}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _custom_config(tmp_path, graph_text, line):
+    (tmp_path / "g.graph").write_text(graph_text)
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(f"scenario = custom\ngraph_file = {tmp_path / 'g.graph'}\n{line}\n")
+    return str(cfg)
+
+
+WIRE_3 = "node 1\nnode 2\nnode 3\nedge 1 2\nedge 2 3\n"
+WIRE_4 = WIRE_3 + "node 4\nedge 3 4\n"
+
+
+def test_custom_removal_of_absent_node_exits_two(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "--config", _custom_config(tmp_path, WIRE_4, "remove_node = 9"))
+    assert code == 2
+    assert err == "error: node 9 not in graph\n"
+
+
+def test_custom_shortening_without_segment_exits_two(tmp_path, capsys):
+    cfg = _custom_config(tmp_path, WIRE_3, "shorten_inner = 1 2")
+    code, _, err = run_cli(capsys, "--config", cfg)
+    assert code == 2
+    assert err.startswith("error: inner node 1") and err.count("\n") == 1
+
+
+def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
+    cfg = _custom_config(tmp_path, "node 1 db=nan\n" + WIRE_3[len("node 1\n"):], "remove_node = 2")
+    code, _, err = run_cli(capsys, "--config", cfg)
+    assert code == 2
+    assert "graph text line 1" in err and err.count("\n") == 1
+
+
+def test_negative_seed_exits_two(capsys):
+    code, out, err = run_cli(capsys, "--scenario", "shorten-wire", "--trials", "10", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be non-negative\n"
+
+
 def test_analytic_only_overrides_trials(capsys):
     code, out, _ = run_cli(
         capsys, "--scenario", "shorten-wire", "--lossless", "--trials", "500", "--analytic-only"

@@ -133,6 +133,20 @@ def test_config_rejects_bad_values():
         ExperimentConfig(trials=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="custom")  # custom needs a graph file
+    with pytest.raises(ConfigError):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(loss={"source": 1.5})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field", ["squeezing_db", "calibrate_target", "feedforward_gain", "squeezing_overrides"]
+)
+def test_config_rejects_non_finite_floats(field, value):
+    kwargs = {field: {2: value} if field == "squeezing_overrides" else value}
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(**kwargs)
 
 
 # ------------------------------------------------------------------- scenarios

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvshape import (
-    CONVENTION,
     GaussianState,
     LossModel,
     ORDERING,
@@ -42,11 +41,6 @@ def test_vacuum_convention():
     assert VACUUM_VARIANCE == 0.25
     assert ORDERING == "xxpp"
     assert st.is_physical()
-
-
-def test_convention_record():
-    assert CONVENTION.hbar == 0.5
-    assert CONVENTION.vacuum_variance == 0.25
 
 
 def test_symplectic_form_blocks():

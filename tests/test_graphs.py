@@ -287,3 +287,9 @@ def test_parse_graph_text_errors():
         parse_graph_text("wobble 3\n")
     with pytest.raises(ValueError):
         parse_graph_text("node 1\nnode 2\nedge 1 2 sign=0\n")
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf", "-1"])
+def test_parse_graph_text_rejects_bad_db(level):
+    with pytest.raises(ValueError, match="graph text line 1"):
+        parse_graph_text(f"node 1 db={level}\nnode 2\nedge 1 2\n")

@@ -5,12 +5,12 @@ import pytest
 
 from cvshape import (
     ClusterGraph,
-    FeedforwardRule,
+    FeedforwardTarget,
+    MeasurementStep,
     TrajectoryPlan,
     apply,
     apply_loss,
     build_canonical,
-    feedforward,
     homodyne,
     nullifiers_of,
     qnd_gate,
@@ -45,6 +45,9 @@ def test_homodyne_collapses_and_drops_the_mode():
     assert out.cov[1, 1] == pytest.approx(squeezed_variance(60.0), rel=1e-3)
 
 
+ERASE_MODE_1 = [MeasurementStep(node=1, angle=0.0, feedforward=(FeedforwardTarget(0, "p", -1.0),))]
+
+
 def test_erasure_restores_the_marginal():
     """Sum gate, measure the partner's x, displace p back: mode is unchanged."""
     rng = np.random.default_rng(41)
@@ -52,8 +55,7 @@ def test_erasure_restores_the_marginal():
         st = random_product_state(rng, 2)
         before = st.marginal([0])
         coupled = apply(st, qnd_gate(2, 0, 1, 1.0))
-        conditioned, rec = homodyne(coupled, 1, 0.0, rng=rng)
-        restored = feedforward(conditioned, FeedforwardRule([(0, 0, "p", -1.0)]), [rec])
+        restored, _, _ = execute_conditional(coupled, (0, 1), ERASE_MODE_1, rng=rng)
         np.testing.assert_allclose(restored.cov, before.cov, atol=1e-10)
         np.testing.assert_allclose(restored.mean, before.mean, atol=1e-10)
 
@@ -71,13 +73,20 @@ def test_homodyne_floor_rejects_near_eigenstates():
 
 
 def test_feedforward_dangling_references():
-    st, rec = homodyne(build_canonical(ClusterGraph.linear_wire(2), 5.0), 1, 0.0, value=0.5)
+    wire = ClusterGraph.linear_wire(3)
+    st = build_canonical(wire, 5.0)
+    to_absent = MeasurementStep(node=2, angle=0.0, feedforward=(FeedforwardTarget(7, "p", -1.0),))
+    to_measured = MeasurementStep(node=2, angle=0.0, feedforward=(FeedforwardTarget(2, "p", -1.0),))
+    for step in (to_absent, to_measured):
+        with pytest.raises(ValueError):
+            execute_ensemble(st, wire.nodes, [step])
+        with pytest.raises(ValueError):
+            execute_conditional(st, wire.nodes, [step], values=[0.5])
     with pytest.raises(ValueError):
-        feedforward(st, FeedforwardRule([(3, 0, "p", -1.0)]), [rec])
-    with pytest.raises(ValueError):
-        feedforward(st, FeedforwardRule([(0, 5, "p", -1.0)]), [rec])
-    with pytest.raises(ValueError):
-        FeedforwardRule([(0, 0, "y", -1.0)])
+        FeedforwardTarget(1, "y", -1.0)
+    for gain in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FeedforwardTarget(1, "p", gain)
 
 
 # -------------------------------------------------------------- node removal
