@@ -105,7 +105,6 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
         # circuits exactly squeezer-only.
         d = np.diag(np.diag(p))
         o2 = np.eye(2 * n)
-        o1 = np.linalg.inv(d) @ s
     else:
         # Collect a symplectic eigenbasis from the d >= 1 half of the
         # spectrum.  Eigenvalues come in reciprocal pairs, so it suffices to
@@ -163,18 +162,16 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
                 chosen_lambda.append(1.0)
 
         if len(chosen) != n:
-            raise ValueError(
-                f"collected {len(chosen)} squeezer directions, expected {n}"
-            )
+            raise ValueError(f"collected {len(chosen)} squeezer directions, expected {n}")
         order = np.argsort(-np.asarray(chosen_lambda), kind="stable")
         v_cols = np.array([chosen[i] for i in order]).T
         lam = np.asarray([chosen_lambda[i] for i in order])
 
-        w = np.hstack([v_cols, -(j @ v_cols)])
+        o2 = np.hstack([v_cols, -(j @ v_cols)])
         d = np.diag(np.concatenate([lam, 1.0 / lam]))
-        o2 = w
-        o1 = w.T @ np.linalg.inv(p) @ s
 
+    # S = O2 D O1, so O1 = D^-1 O2^T S; no inverse of the ill-conditioned P.
+    o1 = (o2.T @ s) / np.diag(d)[:, None]
     for name, o in (("left", o2), ("right", o1)):
         if not is_orthogonal(o, tol=10 * tol) or not is_symplectic(o, tol=10 * tol):
             raise ValueError(f"{name} factor failed the orthogonal-symplectic check")
@@ -243,20 +240,26 @@ def _two_mode_elements(t: np.ndarray, i: int) -> list:
     return elements
 
 
-def _element_unitary(element, n: int) -> np.ndarray:
-    u = np.eye(n, dtype=complex)
-    if element[0] == "phase":
-        _, mode, theta = element
-        u[mode, mode] = np.exp(1j * theta)
-    else:
+def _elements_to_unitary(elements, n: int) -> np.ndarray:
+    """Product of phase and splitter elements, the last applied leftmost.
+
+    Each element updates only the rows of the modes it touches.
+    """
+    total = np.eye(n, dtype=complex)
+    for element in elements:
+        if element[0] == "phase":
+            _, mode, theta = element
+            total[mode] *= np.exp(1j * theta)
+            continue
         _, i, j, r = element
+        if i == j:
+            raise ValueError("beam splitter couples two distinct modes")
+        if not 0.0 <= r <= 1.0:
+            raise ValueError("reflectivity must lie in [0, 1]")
         c = np.sqrt(r)
         s = np.sqrt(1.0 - r)
-        u[i, i] = c
-        u[i, j] = s
-        u[j, i] = s
-        u[j, j] = -c
-    return u
+        total[[i, j]] = np.array([[c, s], [s, -c]]) @ total[[i, j]]
+    return total
 
 
 def unitary_to_elements(u: np.ndarray, tol: float = 1e-10) -> list:
@@ -275,33 +278,22 @@ def unitary_to_elements(u: np.ndarray, tol: float = 1e-10) -> list:
         raise ValueError("matrix is not unitary")
 
     work = u.copy()
-    rotations: list[np.ndarray] = []
+    rotations: list = []
     for col in range(n):
         for row in range(n - 1, col, -1):
-            if abs(work[row, col]) <= 1e-14:
+            b = work[row, col]
+            if abs(b) <= 1e-14:
                 continue
             a = work[row - 1, col]
-            b = work[row, col]
-            norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            g = np.eye(n, dtype=complex)
-            g[row - 1, row - 1] = a.conj() / norm
-            g[row - 1, row] = b.conj() / norm
-            g[row, row - 1] = b / norm
-            g[row, row] = -a / norm
-            work = g @ work
-            rotations.append(g)
+            g = np.array([[a.conj(), b.conj()], [b, -a]]) / np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            work[row - 1 : row + 1] = g @ work[row - 1 : row + 1]
+            rotations.append((row - 1, g))
 
     elements: list = [("phase", mode, float(np.angle(work[mode, mode]))) for mode in range(n)]
-    for g in reversed(rotations):
-        rows = [k for k in range(n) if abs(g[k, k] - 1) > 1e-15 or np.abs(g[k]).sum() - abs(g[k, k]) > 1e-15]
-        i = min(rows)
-        block = g.conj().T[np.ix_([i, i + 1], [i, i + 1])]
-        elements.extend(_two_mode_elements(block, i))
+    for i, g in reversed(rotations):
+        elements.extend(_two_mode_elements(g.conj().T, i))
 
     elements = [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
-    total = np.eye(n, dtype=complex)
-    for element in elements:
-        total = _element_unitary(element, n) @ total
-    if np.abs(total - u).max() > tol:
+    if np.abs(_elements_to_unitary(elements, n) - u).max() > tol:
         raise ValueError("element reduction failed to recompose the unitary")
     return elements

@@ -354,7 +354,11 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
     if config.construction == "canonical":
         return build_canonical(graph, db)
     if config.construction == "compiled":
-        return compile_network(graph, db).prepare()
+        try:
+            plan = compile_network(graph, db)
+        except ValueError as exc:  # the dense factorization breaks at very high squeezing
+            raise ConfigError(f"compiled construction failed: {exc}") from None
+        return plan.prepare()
     wire = ClusterGraph.linear_wire(4)
     if graph.nodes != wire.nodes or graph.edges() != wire.edges():
         raise ConfigError("preset-wire construction is defined for the plain 4-node wire only")
@@ -414,6 +418,14 @@ def _shaped_graph(graph: ClusterGraph, removed, new_edges) -> ClusterGraph:
 
 def _detection_view(state: GaussianState, loss: LossModel, order) -> GaussianState:
     return loss.apply_stage(state, "detection", order)
+
+
+def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -> CriteriaReport:
+    """Criteria of the detected state; a variance lost to cancellation is an input error."""
+    try:
+        return check_cluster_criteria(_detection_view(state, loss, order), graph, order)
+    except ValueError as exc:
+        raise ConfigError(f"criteria check failed: {exc}") from None
 
 
 def _ring_route_section(config, graph, state_in, loss, steps, order):
@@ -492,7 +504,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
                 }
             )
 
-    initial_criteria = check_cluster_criteria(_detection_view(state_in, loss, order), graph, order)
+    initial_criteria = _verify(state_in, loss, graph, order)
 
     steps, new_edges, removed = _scenario_steps(config, graph)
     for step in steps:
@@ -525,9 +537,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
             }
         )
 
-    final_criteria = check_cluster_criteria(
-        _detection_view(shaped_state, loss, shaped_order), shaped_graph, shaped_order
-    )
+    final_criteria = _verify(shaped_state, loss, shaped_graph, shaped_order)
 
     monte_carlo = None
     if config.trials > 0:

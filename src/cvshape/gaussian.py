@@ -12,7 +12,7 @@ returning a new object, so ensembles parallelize trivially over trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

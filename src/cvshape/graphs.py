@@ -11,25 +11,19 @@ the canonical symplectic by decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .decompositions import bloch_messiah, orthogonal_symplectic_to_unitary, unitary_to_elements
-from .gaussian import (
-    GaussianState,
-    SymplecticTransform,
-    apply,
-    beam_splitter,
-    identity_transform,
-    phase_shift,
-    qnd_gate,
-    squeeze_gate,
-    squeezed_vacuum,
-    tensor,
-    vacuum,
+from .decompositions import (
+    _elements_to_unitary,
+    bloch_messiah,
+    orthogonal_symplectic_to_unitary,
+    unitary_to_elements,
+    unitary_to_orthogonal_symplectic,
 )
+from .gaussian import GaussianState, SymplecticTransform, apply, squeezed_vacuum, tensor, vacuum
 
 __all__ = [
     "ClusterGraph",
@@ -248,35 +242,36 @@ def _db_of(db, node: int) -> float:
 def canonical_transform(graph: ClusterGraph, db) -> SymplecticTransform:
     """Symplectic of the canonical build acting on the all-vacuum input.
 
-    Squeeze each mode in p by its dB level, then apply one sum gate of
-    gain sign(ij) per edge.  Gate order is irrelevant: the gates commute.
+    Squeezing each mode in p by its dB level, then one sum gate of gain
+    sign(ij) per edge, is the single matrix [[X, 0], [A X, P]]: A is the
+    signed adjacency, X and P the squeezers' x and p scales.  The gates
+    commute, so no gate order enters.
     """
-    n = graph.n_nodes
-    t = identity_transform(n)
-    for k, node in enumerate(graph.nodes):
-        level = _db_of(db, node)
-        if level > 0:
-            t = squeeze_gate(n, k, level, quadrature="p") @ t
-    for i, j, sign in graph.edges():
-        t = qnd_gate(n, graph.index_of(i), graph.index_of(j), gain=float(sign)) @ t
-    return t
+    levels = [_db_of(db, node) for node in graph.nodes]
+    if min(levels, default=0.0) < 0:
+        raise ValueError("squeezing level in dB must be non-negative")
+    # Scalar powers as in squeeze_gate; numpy's vector power may differ by an ulp.
+    down = np.array([10.0 ** (-level / 20.0) for level in levels])
+    up = 1.0 / down
+    matrix = np.block(
+        [[np.diag(up), np.zeros((len(up), len(up)))], [graph.adjacency_matrix() * up, np.diag(down)]]
+    )
+    return SymplecticTransform(matrix, np.zeros(2 * len(up)))
 
 
 def build_canonical(graph: ClusterGraph, db) -> GaussianState:
     """Cluster state from p-squeezed inputs and one sum gate per edge.
 
-    Lossless, the nullifier of node i evaluates to the node's input p
-    operator, so its variance equals the input squeezed variance exactly.
+    The covariance is [[Vx, Vx A], [A Vx, A Vx A + Vp]] with Vx, Vp the
+    diagonal input variances.  Lossless, the nullifier of node i
+    evaluates to the node's input p operator, so its variance equals the
+    input squeezed variance.
 
     Args:
         graph: signed cluster graph.
         db: squeezing level in dB, a single number or a node -> dB mapping.
     """
-    state = tensor(*[squeezed_vacuum(_db_of(db, node), "p") for node in graph.nodes])
-    n = graph.n_nodes
-    for i, j, sign in graph.edges():
-        state = apply(state, qnd_gate(n, graph.index_of(i), graph.index_of(j), gain=float(sign)))
-    return state
+    return apply(vacuum(graph.n_nodes), canonical_transform(graph, db))
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +323,17 @@ class NetworkPlan:
 
     def interferometer_transform(self) -> SymplecticTransform:
         """Compose the passive elements into one orthogonal symplectic."""
-        n = len(self.node_order)
-        t = identity_transform(n)
+        elements = []
         for element in self.interferometer:
             if isinstance(element, BeamSplitterElement):
-                t = beam_splitter(
-                    n, self._index(element.node_a), self._index(element.node_b), element.reflectivity
-                ) @ t
+                i, j = self._index(element.node_a), self._index(element.node_b)
+                elements.append(("splitter", i, j, element.reflectivity))
             elif isinstance(element, PhaseShiftElement):
-                t = phase_shift(n, self._index(element.node), element.theta) @ t
+                elements.append(("phase", self._index(element.node), element.theta))
             else:
                 raise ValueError(f"unknown interferometer element {element!r}")
-        return t
+        u = _elements_to_unitary(elements, len(self.node_order))
+        return SymplecticTransform(unitary_to_orthogonal_symplectic(u), np.zeros(2 * len(u)))
 
     def prepare(self) -> GaussianState:
         """Run the plan: squeezed vacua through the interferometer."""
@@ -363,7 +357,8 @@ def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
     Args:
         graph: signed cluster graph.
         db: squeezing level in dB, single number or node -> dB mapping.
-        tol: recomposition tolerance for the element product.
+        tol: recomposition tolerance for the element product, and for the
+            state relative to its largest covariance entry.
     """
     total = canonical_transform(graph, db)
     o2, d, _ = bloch_messiah(total.matrix, tol=tol)
@@ -396,10 +391,11 @@ def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
     # the produced state, not the full circuit, is the contract.
     produced = plan.prepare()
     target = build_canonical(graph, db)
+    # Covariance entries grow as 10^(dB/10), so the deviation is taken relative to them.
     state_err = max(
         float(np.abs(produced.cov - target.cov).max()),
         float(np.abs(produced.mean - target.mean).max()),
-    )
+    ) / max(1.0, float(np.abs(target.cov).max()))
     if state_err > tol:
         raise ValueError(f"compiled plan state deviates from the canonical build by {state_err:.3e}")
     return plan

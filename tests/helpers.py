@@ -11,7 +11,9 @@ from cvshape import (
     GaussianState,
     apply,
     displacement,
+    identity_transform,
     phase_shift,
+    qnd_gate,
     squeeze_gate,
     squeezed_vacuum,
     tensor,
@@ -61,3 +63,30 @@ def random_symplectic_state(rng: np.random.Generator, n: int) -> GaussianState:
         st = apply(st, squeeze_gate(n, mode, float(rng.uniform(0.0, 8.0))))
         st = apply(st, phase_shift(n, mode, float(rng.uniform(0.0, 2 * np.pi))))
     return st
+
+
+def gate_chain_transform(graph, db_map):
+    """Reference canonical symplectic: one p-squeezer per node, one sum gate per edge."""
+    n = graph.n_nodes
+    t = identity_transform(n)
+    for k, node in enumerate(graph.nodes):
+        if db_map[node] > 0:
+            t = squeeze_gate(n, k, db_map[node], quadrature="p") @ t
+    for i, j, sign in graph.edges():
+        t = qnd_gate(n, graph.index_of(i), graph.index_of(j), gain=float(sign)) @ t
+    return t
+
+
+def gate_chain_state(graph, db_map):
+    """Reference canonical state: squeezed vacua, then one sum gate per edge."""
+    st = tensor(*(squeezed_vacuum(db_map[node], "p") for node in graph.nodes))
+    for i, j, sign in graph.edges():
+        st = apply(st, qnd_gate(graph.n_nodes, graph.index_of(i), graph.index_of(j), float(sign)))
+    return st
+
+
+def signed_wire(n: int):
+    """Wire 1-2-...-n whose every third edge has sign -1."""
+    return ClusterGraph.from_edges(
+        [(k, k + 1, -1 if k % 3 == 0 else 1) for k in range(1, n)], nodes=range(1, n + 1)
+    )

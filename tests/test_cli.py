@@ -103,6 +103,35 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
     assert "graph text line 1" in err and err.count("\n") == 1
 
 
+def test_compiled_shortening_at_60_db_passes(tmp_path, capsys):
+    cfg = tmp_path / "hi.cfg"
+    cfg.write_text("scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 60\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 80\n",
+            "error: compiled construction failed: ",
+        ),
+        ("scenario = remove-edge\nsqueezing_db = 200\n", "error: criteria check failed: "),
+    ],
+    ids=["compiled-80db", "remove-edge-200db"],
+)
+def test_numerical_breakdown_exits_two(tmp_path, capsys, body, message):
+    cfg = tmp_path / "hi.cfg"
+    cfg.write_text(body)
+    code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_negative_seed_exits_two(capsys):
     code, out, err = run_cli(capsys, "--scenario", "shorten-wire", "--trials", "10", "--seed", "-1")
     assert code == 2

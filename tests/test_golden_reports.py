@@ -1,0 +1,108 @@
+"""Golden report bytes: fixed CLI runs must keep their exact output.
+
+Each case runs the command-line entry point in a fresh directory and
+compares the sha256 of the emitted report with a recorded value.  A
+mismatch means a change altered report bytes; such a change has to be
+deliberate and recorded with its cause, and the hash updated with it.
+"""
+
+import hashlib
+
+import pytest
+
+from cvshape.cli import main
+
+LOSSY_CFG = """\
+scenario = shorten-wire
+squeezing_db = 6
+squeezing_db.2 = 9
+loss.source.1 = 0.97
+loss.source.3 = 0.93
+loss.propagation = 0.95
+loss.feedforward_tap.1 = 0.9
+loss.feedforward_tap.4 = 0.92
+loss.detection = 0.91
+trials = 3000
+seed = 3
+"""
+
+SIGNED_WIRE_16 = "".join(f"node {k}\n" for k in range(1, 17)) + "".join(
+    f"edge {k} {k + 1}" + (" sign=-1\n" if k % 3 == 0 else "\n") for k in range(1, 16)
+)
+
+FILES = {
+    "lossy.cfg": LOSSY_CFG,
+    "compiled.cfg": "scenario = shorten-wire\nconstruction = compiled\ntrials = 2000\nseed = 11\n",
+    "preset.cfg": "scenario = remove-inner\nconstruction = preset-wire\nsqueezing_db = 7\n",
+    "wire16.graph": SIGNED_WIRE_16,
+    "wire16.cfg": (
+        "scenario = custom\nconstruction = compiled\ngraph_file = wire16.graph\n"
+        "shorten_inner = 8 9\nlossless = true\n"
+    ),
+}
+
+# name -> CLI arguments; every case exits 0
+CASES = {
+    "remove-edge": ["--scenario", "remove-edge"],
+    "remove-edge-lossless": ["--scenario", "remove-edge", "--lossless"],
+    "remove-edge-csv": ["--scenario", "remove-edge", "--format", "csv"],
+    "remove-inner": ["--scenario", "remove-inner"],
+    "remove-inner-lossless": ["--scenario", "remove-inner", "--lossless"],
+    "remove-inner-csv": ["--scenario", "remove-inner", "--format", "csv"],
+    "shorten-wire": ["--scenario", "shorten-wire"],
+    "shorten-wire-lossless": ["--scenario", "shorten-wire", "--lossless"],
+    "shorten-wire-csv": ["--scenario", "shorten-wire", "--format", "csv"],
+    "ring-route-check": ["--scenario", "ring-route-check"],
+    "ring-route-check-lossless": ["--scenario", "ring-route-check", "--lossless"],
+    "ring-route-check-csv": ["--scenario", "ring-route-check", "--format", "csv"],
+    "shorten-wire-mc": ["--scenario", "shorten-wire", "--trials", "100000", "--seed", "7"],
+    "shorten-wire-mc-lossless": [
+        "--scenario", "shorten-wire", "--trials", "100000", "--seed", "7", "--lossless"
+    ],
+    "ring-route-check-mc": ["--scenario", "ring-route-check", "--trials", "2000"],
+    "lossy-config": ["--config", "lossy.cfg"],
+    "compiled": ["--config", "compiled.cfg"],
+    "preset-wire": ["--config", "preset.cfg"],
+    "signed-wire-16-compiled": ["--config", "wire16.cfg"],
+}
+
+# name -> sha256 of the report bytes, recorded on the gate-chain build
+GOLDEN = {
+    "remove-edge": "3bc40fbcb2c02c4063931b20417696b3d0ba4a6d81b1a1fd4f3d7d161c92b66d",
+    "remove-edge-lossless": "cfe9034b583f53d16db08a5e3ba688dceee51ccaf0001370d7aecaa7f80c9b28",
+    "remove-edge-csv": "b9943e47f4a4bf8d98f0be9952bb75c1e2b665a6805010b8ad16e060b9ce388d",
+    "remove-inner": "b125419c76701fc8164f199ed745fa34998e1db75eef6ddecbe44e092a08f6a6",
+    "remove-inner-lossless": "83e8797133c1ccb78b3632f8c856c5ee2b2ed1cf7c4b0c31c3b3c6ccaecf19da",
+    "remove-inner-csv": "c2ceaf11142063e8e6c6af2bbaa50a024404f869b69a20ff348726ea1aa147e4",
+    "shorten-wire": "c031d4a20676ee4cc89ae0a0ad10694947f312e648af871114c41e0612c15704",
+    "shorten-wire-lossless": "0dbdb38b92217a957e8e61192570d51c0fb7062b8bf264ed14be2587ed76c378",
+    "shorten-wire-csv": "869f89d2ad8bbf0219092b30cf260601667668f8d4cd8eb6cc0dd4a07968fdee",
+    "ring-route-check": "ef42b84526a10c173488d278ffd2447496f452aa99d247726d043d3b22d60331",
+    "ring-route-check-lossless": "891490c43a495ef0ddd662f65792321f1ec5a4b7d7f8c7798be5391906c493c1",
+    "ring-route-check-csv": "869f89d2ad8bbf0219092b30cf260601667668f8d4cd8eb6cc0dd4a07968fdee",
+    "shorten-wire-mc": "c387926229b48a1a480bbfb1a00d5dafee047ccb26a21b1b53379396abde5ec0",
+    "shorten-wire-mc-lossless": "00af9a47b99c34b5a88b5583b2bfe9c6269139efeace93b2187a3e1dbbfaf06f",
+    "ring-route-check-mc": "4d498b9eb6aea62073fa3fb85118478b1554c5b5580972cd71e2bfba957c62d0",
+    "lossy-config": "ce4bd3dbb38287eb20867c3729ae9e559265575e6d4fa36207ab2ba8c201516a",
+    "compiled": "b21682828b699dc4b0751398957d02d254ce20414ddb6cb9e0e78a80ba9b2ade",
+    "preset-wire": "50d60e389cbe1720eb7311bc96835db629240f82c7af1b36707d0675b6d7df09",
+    "signed-wire-16-compiled": "5f9c8dbf8174d3578c5e5f77e9bfbe235d718c07cd58760c4ae34342d110afc6",
+}
+
+
+def report_bytes(argv, capsys):
+    """Exit status and stdout bytes of one CLI run in the current directory."""
+    for name, text in FILES.items():
+        with open(name, "w") as handle:
+            handle.write(text)
+    code = main(list(argv))
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CVSHAPE_SEED", raising=False)
+    code, out = report_bytes(CASES[name], capsys)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[name]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cvshape import (
+    PHYSICALITY_TOL,
     ClusterGraph,
+    NetworkPlan,
     apply,
     build_canonical,
     canonical_transform,
@@ -14,6 +16,8 @@ from cvshape import (
     phase_shift,
     preset_wire_network,
     quadrature_variance,
+    remove_node,
+    shorten_wire,
     squeezed_variance,
     wire_to_ring_phases,
 )
@@ -24,7 +28,7 @@ from cvshape.graphs import (
     format_graph_text,
     parse_graph_text,
 )
-from helpers import random_signed_graph
+from helpers import gate_chain_state, gate_chain_transform, random_signed_graph, signed_wire
 
 SQUEEZED_5DB = 0.07905694150420949
 
@@ -156,6 +160,70 @@ def test_canonical_transform_is_symplectic():
     assert t.symplecticity_defect() < 1e-12
 
 
+def _graphs_with_vacuum_nodes(seed, count):
+    """Random signed graphs, a third of whose nodes carry 0 dB."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        graph, db_map = random_signed_graph(rng, n_min=2, n_max=10)
+        for node in graph.nodes[::3]:
+            db_map[node] = 0.0
+        yield graph, db_map
+
+
+def test_canonical_transform_equals_gate_chain_bitwise():
+    for graph, db_map in _graphs_with_vacuum_nodes(33, 40):
+        closed = canonical_transform(graph, db_map)
+        chain = gate_chain_transform(graph, db_map)
+        assert np.array_equal(closed.matrix, chain.matrix)
+        assert np.array_equal(closed.shift, chain.shift)
+
+
+def test_build_canonical_matches_gate_chain():
+    for graph, db_map in _graphs_with_vacuum_nodes(34, 40):
+        st = build_canonical(graph, db_map)
+        ref = gate_chain_state(graph, db_map)
+        assert np.abs(st.cov - ref.cov).max() <= 1e-12 * np.abs(ref.cov).max()
+        assert not st.mean.any()
+
+
+def test_canonical_covariance_closed_form():
+    graph, db_map = next(_graphs_with_vacuum_nodes(35, 1))
+    levels = np.array([db_map[n] for n in graph.nodes])
+    vx = np.diag(0.25 * 10.0 ** (levels / 10.0))
+    vp = np.diag(0.25 * 10.0 ** (-levels / 10.0))
+    a = graph.adjacency_matrix()
+    expected = np.block([[vx, vx @ a], [a @ vx, a @ vx @ a + vp]])
+    cov = build_canonical(graph, db_map).cov
+    assert np.abs(cov - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_canonical_transform_rejects_negative_db():
+    with pytest.raises(ValueError, match="non-negative"):
+        canonical_transform(ClusterGraph.linear_wire(3), {1: 5.0, 2: -1.0, 3: 5.0})
+
+
+def test_256_node_signed_wire_build_remove_shorten():
+    wire = signed_wire(256)
+    st = build_canonical(wire, 8.0)
+    assert st.uncertainty_eigenvalue() >= -PHYSICALITY_TOL
+
+    before = {n.label: quadrature_variance(st, n, wire.nodes) for n in nullifiers_of(wire)}
+    removed = remove_node(st, wire, 100)
+    assert removed.state.uncertainty_eigenvalue() >= -PHYSICALITY_TOL
+    for form in nullifiers_of(removed.graph):
+        after = quadrature_variance(removed.state, form, removed.graph.nodes)
+        assert after == pytest.approx(before[form.label], abs=1e-10)
+
+    shortened = shorten_wire(removed.state, removed.graph, (200, 201))
+    assert shortened.state.uncertainty_eigenvalue() >= -PHYSICALITY_TOL
+    assert shortened.graph.n_nodes == 253
+    assert shortened.graph.has_edge(199, 202)
+    bond = [f for f in nullifiers_of(shortened.graph) if f.label in (199, 202)]
+    for form in bond:
+        value = quadrature_variance(shortened.state, form, shortened.graph.nodes)
+        assert value == pytest.approx(2 * squeezed_variance(8.0), rel=1e-9)
+
+
 # --------------------------------------------------------------- compiled plan
 
 
@@ -176,6 +244,35 @@ def test_compiled_edgeless_graph_has_no_interferometer():
     assert plan.interferometer == ()
     assert dict(plan.squeezer_settings)[1] == (5.0, "p")
     assert dict(plan.squeezer_settings)[2] == (7.0, "p")
+
+
+@pytest.mark.parametrize(
+    "graph", [ClusterGraph.linear_wire(4), signed_wire(16)], ids=["wire4", "signed16"]
+)
+def test_compiled_plan_at_60_db_matches_canonical_state(graph):
+    produced = compile_network(graph, 60.0).prepare()
+    target = build_canonical(graph, 60.0)
+    scale = np.abs(target.cov).max()
+    assert np.abs(produced.cov - target.cov).max() <= 1e-12 * scale
+    assert not produced.mean.any()
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        (BeamSplitterElement(1, 2, 1.5), "reflectivity"),
+        (BeamSplitterElement(1, 2, -0.1), "reflectivity"),
+        (BeamSplitterElement(2, 2, 0.5), "distinct"),
+        ("mirror", "unknown interferometer element"),
+    ],
+)
+def test_interferometer_rejects_bad_elements(element, message):
+    elements = [PhaseShiftElement(1, 0.3), element]
+    plan = NetworkPlan({1: (5.0, "p"), 2: (5.0, "p")}, elements, "preset", (1, 2))
+    with pytest.raises(ValueError, match=message):
+        plan.interferometer_transform()
+    with pytest.raises(ValueError, match=message):
+        plan.prepare()
 
 
 def test_compiled_factors_are_orthogonal_symplectic():
