@@ -38,19 +38,6 @@ def is_orthogonal(matrix: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     return bool(np.abs(matrix.T @ matrix - np.eye(matrix.shape[0])).max() <= tol)
 
 
-def _gram_schmidt(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize columns, dropping near-dependent ones."""
-    kept = []
-    for col in columns.T:
-        v = col.astype(float).copy()
-        for u in kept:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > tol:
-            kept.append(v / norm)
-    return np.array(kept).T if kept else np.zeros((columns.shape[0], 0))
-
-
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     """Deterministic overall sign: first significant entry positive."""
     for entry in vec:
@@ -79,12 +66,13 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
         (o2, d, o1) with matrix = o2 @ d @ o1 up to tol.
 
     Raises:
-        ValueError: if the input is not symplectic or the eigenvalue
-            structure does not pair up as required.
+        numpy.linalg.LinAlgError: (a ValueError) the input is not symplectic
+            to working precision, or the factors lose that precision, as
+            at very high squeezing.
     """
     s = np.asarray(matrix, dtype=float)
     if not is_symplectic(s, tol=max(tol, SYMPLECTIC_TOL)):
-        raise ValueError("input matrix is not symplectic")
+        raise np.linalg.LinAlgError("input matrix is not symplectic")
     n = s.shape[0] // 2
     j = symplectic_form(n)
 
@@ -92,7 +80,7 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
     gram = 0.5 * (gram + gram.T)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] <= 0:
-        raise ValueError("symplectic matrix produced a non-positive Gram spectrum")
+        raise np.linalg.LinAlgError("symplectic matrix produced a non-positive Gram spectrum")
     lambdas = np.sqrt(eigvals)
 
     # Positive square root P of S S^T; always symmetric positive definite.
@@ -117,7 +105,7 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
         lower = [int(i) for i in order_desc if lambdas[i] < 1.0 - eps]
         unit = [int(i) for i in order_desc if abs(lambdas[i] - 1.0) <= eps]
         if len(upper) != len(lower) or len(unit) % 2:
-            raise ValueError("eigenvalues do not pair up as d^2, 1/d^2; cannot factor")
+            raise np.linalg.LinAlgError("eigenvalues do not pair up as d^2, 1/d^2; cannot factor")
 
         groups: list[list[int]] = []
         for i in upper:
@@ -131,10 +119,8 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
         for idxs in groups:
             # The banding only groups; D carries the actual value.
             lam_actual = float(np.mean(lambdas[idxs]))
-            basis = _gram_schmidt(eigvecs[:, idxs])
-            if basis.shape[1] != len(idxs):
-                raise ValueError("degenerate eigenspace lost rank during orthonormalization")
-            for col in basis.T:
+            # eigh returns orthonormal eigenvectors, degenerate ones included.
+            for col in eigvecs[:, idxs].T:
                 chosen.append(_fix_sign(col))
                 chosen_lambda.append(lam_actual)
 
@@ -155,14 +141,16 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
                         candidate = v / norm
                         break
                 if candidate is None:
-                    raise ValueError("failed to build an isotropic basis on the unit block")
+                    raise np.linalg.LinAlgError("failed to build an isotropic basis on the unit block")
                 picked.append(_fix_sign(candidate))
             for v in picked:
                 chosen.append(v)
                 chosen_lambda.append(1.0)
 
         if len(chosen) != n:
-            raise ValueError(f"collected {len(chosen)} squeezer directions, expected {n}")
+            raise np.linalg.LinAlgError(
+                f"collected {len(chosen)} squeezer directions, expected {n}"
+            )
         order = np.argsort(-np.asarray(chosen_lambda), kind="stable")
         v_cols = np.array([chosen[i] for i in order]).T
         lam = np.asarray([chosen_lambda[i] for i in order])
@@ -174,9 +162,9 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
     o1 = (o2.T @ s) / np.diag(d)[:, None]
     for name, o in (("left", o2), ("right", o1)):
         if not is_orthogonal(o, tol=10 * tol) or not is_symplectic(o, tol=10 * tol):
-            raise ValueError(f"{name} factor failed the orthogonal-symplectic check")
+            raise np.linalg.LinAlgError(f"{name} factor failed the orthogonal-symplectic check")
     if float(np.abs(o2 @ d @ o1 - s).max()) > tol:
-        raise ValueError("factorization does not recompose to the input matrix")
+        raise np.linalg.LinAlgError("factorization does not recompose to the input matrix")
     return o2, d, o1
 
 

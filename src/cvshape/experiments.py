@@ -26,6 +26,7 @@ from .gaussian import (
     _mix_vacuum,
     apply,
     phase_shift,
+    quadrature_variance,
     squeezed_variance,
 )
 from .graphs import (
@@ -339,14 +340,11 @@ def _resolve_graph(config: ExperimentConfig):
         graph, file_db = parse_graph_text(Path(config.graph_file).read_text())
     except ValueError as exc:
         raise ConfigError(f"{config.graph_file}: {exc}") from None
-    db = {}
-    for node in graph.nodes:
-        if node in config.squeezing_overrides:
-            db[node] = float(config.squeezing_overrides[node])
-        elif file_db.get(node):
-            db[node] = file_db[node]
-        else:
-            db[node] = float(config.squeezing_db)
+    # Precedence: config override, then a non-zero level from the file, then the default.
+    db = {
+        n: float(config.squeezing_overrides.get(n, file_db.get(n) or config.squeezing_db))
+        for n in graph.nodes
+    }
     return graph, db
 
 
@@ -356,7 +354,7 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
     if config.construction == "compiled":
         try:
             plan = compile_network(graph, db)
-        except ValueError as exc:  # the dense factorization breaks at very high squeezing
+        except np.linalg.LinAlgError as exc:  # precision lost at very high squeezing
             raise ConfigError(f"compiled construction failed: {exc}") from None
         return plan.prepare()
     wire = ClusterGraph.linear_wire(4)
@@ -416,16 +414,15 @@ def _shaped_graph(graph: ClusterGraph, removed, new_edges) -> ClusterGraph:
     return out
 
 
-def _detection_view(state: GaussianState, loss: LossModel, order) -> GaussianState:
-    return loss.apply_stage(state, "detection", order)
-
-
 def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -> CriteriaReport:
-    """Criteria of the detected state; a variance lost to cancellation is an input error."""
+    """Criteria of the detected state; a nullifier variance cancelled to zero is an input error."""
+    view = loss.apply_stage(state, "detection", order)
     try:
-        return check_cluster_criteria(_detection_view(state, loss, order), graph, order)
+        return check_cluster_criteria(view, graph, order)
     except ValueError as exc:
-        raise ConfigError(f"criteria check failed: {exc}") from None
+        if min(quadrature_variance(view, f, order) for f in nullifiers_of(graph)) > 0:
+            raise
+        raise ConfigError(f"criteria check failed: {exc}; lower squeezing_db") from None
 
 
 def _ring_route_section(config, graph, state_in, loss, steps, order):
@@ -447,8 +444,8 @@ def _ring_route_section(config, graph, state_in, loss, steps, order):
     # both routes express the survivors in the same local frame.
     ring_state = apply(ring_state, phase_shift(len(ring_order), list(ring_order).index(1), np.pi))
 
-    direct_view = _detection_view(direct, loss, direct_order)
-    ring_view = _detection_view(ring_state, loss, ring_order)
+    direct_view = loss.apply_stage(direct, "detection", direct_order)
+    ring_view = loss.apply_stage(ring_state, "detection", ring_order)
     discrepancy = float(
         max(
             np.abs(direct_view.cov - ring_view.cov).max(),
@@ -623,11 +620,7 @@ def emit(
         fmt: "json" or "csv"; None infers from the path suffix (json default).
     """
     if fmt is None:
-        fmt = report.config.format
-    if fmt is None and path is not None:
-        fmt = "csv" if str(path).endswith(".csv") else "json"
-    if fmt is None:
-        fmt = "json"
+        fmt = report.config.format or ("csv" if str(path).endswith(".csv") else "json")
     if fmt == "json":
         text = json.dumps(_round_floats(report.to_dict(include_timing=include_timing)), indent=2)
         text += "\n"

@@ -345,20 +345,29 @@ class NetworkPlan:
         return apply(tensor(*states), self.interferometer_transform())
 
 
+#: Largest relative deviation of a compiled plan's nullifier variance from the canonical build's.
+_NULLIFIER_RTOL = 1e-2
+
+
 def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
     """Compile the canonical build into squeezers plus a passive network.
 
     The canonical symplectic factors as O2 D O1 with O1, O2 passive and D
     single-mode squeezers.  Passive transforms fix the vacuum, so running
     "squeeze by D, then O2" prepares the identical state.  O2 is reduced
-    to explicit phase and splitter elements; the recomposition is checked
-    and a failure raises instead of returning a wrong plan.
+    to explicit phase and splitter elements.  The produced state is checked
+    against the canonical build, and a failure raises instead of returning
+    a wrong plan.
 
     Args:
         graph: signed cluster graph.
         db: squeezing level in dB, single number or node -> dB mapping.
-        tol: recomposition tolerance for the element product, and for the
-            state relative to its largest covariance entry.
+        tol: factorization tolerance, and the largest state deviation
+            relative to the largest covariance entry.
+
+    Raises:
+        numpy.linalg.LinAlgError: the factorization or the produced state
+            lost the required precision, as at very high squeezing.
     """
     total = canonical_transform(graph, db)
     o2, d, _ = bloch_messiah(total.matrix, tol=tol)
@@ -377,27 +386,31 @@ def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
     for element in unitary_to_elements(u):
         if element[0] == "phase":
             _, mode, theta = element
-            if abs(theta) > 1e-12:
-                elements.append(PhaseShiftElement(graph.nodes[mode], theta))
+            elements.append(PhaseShiftElement(graph.nodes[mode], theta))
         else:
             _, i, j, r = element
             elements.append(BeamSplitterElement(graph.nodes[i], graph.nodes[j], r))
 
     plan = NetworkPlan(settings, elements, "compiled", graph.nodes)
-    defect = float(np.abs(plan.interferometer_transform().matrix - o2).max())
-    if defect > tol:
-        raise ValueError(f"compiled interferometer recomposition error {defect:.3e}")
     # The plan drops O1, which is passive and therefore fixes the vacuum:
-    # the produced state, not the full circuit, is the contract.
+    # the produced state, not the full circuit, is the contract.  Covariance
+    # entries grow as 10^(dB/10) and nullifier variances shrink as
+    # 10^(-dB/10), so each is compared on its own scale.
     produced = plan.prepare()
-    target = build_canonical(graph, db)
-    # Covariance entries grow as 10^(dB/10), so the deviation is taken relative to them.
+    target = apply(vacuum(graph.n_nodes), total)  # build_canonical, reusing its transform
     state_err = max(
         float(np.abs(produced.cov - target.cov).max()),
         float(np.abs(produced.mean - target.mean).max()),
     ) / max(1.0, float(np.abs(target.cov).max()))
-    if state_err > tol:
-        raise ValueError(f"compiled plan state deviates from the canonical build by {state_err:.3e}")
+    # Lossless, the canonical nullifier variances are the squeezed variances.
+    forms = np.array([f.coefficient_vector(graph.nodes) for f in nullifiers_of(graph)])
+    expected = np.diag(forms @ target.cov @ forms.T)
+    nullifier_err = float(np.abs(np.diag(forms @ produced.cov @ forms.T) / expected - 1.0).max())
+    if state_err > tol or nullifier_err > _NULLIFIER_RTOL:
+        raise np.linalg.LinAlgError(
+            f"compiled plan state deviates from the canonical build by {state_err:.3e} of the "
+            f"covariance scale and {nullifier_err:.3e} of the nullifier variances"
+        )
     return plan
 
 
@@ -409,7 +422,6 @@ def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
 _PRESET_INPUT_PHASES = (-0.75 * np.pi, -0.75 * np.pi, -0.25 * np.pi, 0.75 * np.pi)
 _PRESET_SPLITTERS = ((2, 3, 0.2), (1, 2, 0.5), (3, 4, 0.5))
 _PRESET_OUTPUT_PHASES = (0.75 * np.pi, -0.75 * np.pi, -0.25 * np.pi, 0.25 * np.pi)
-_PRESET_SQUEEZE_QUADS = ("p", "p", "p", "p")
 
 
 def preset_wire_network(db: float = 5.0) -> NetworkPlan:
@@ -423,18 +435,10 @@ def preset_wire_network(db: float = 5.0) -> NetworkPlan:
     Args:
         db: squeezing level applied to every input mode.
     """
-    elements = []
-    for node, theta in enumerate(_PRESET_INPUT_PHASES, start=1):
-        if abs(theta) > 1e-12:
-            elements.append(PhaseShiftElement(node, theta))
-    for a, b, r in _PRESET_SPLITTERS:
-        elements.append(BeamSplitterElement(a, b, r))
-    for node, theta in enumerate(_PRESET_OUTPUT_PHASES, start=1):
-        if abs(theta) > 1e-12:
-            elements.append(PhaseShiftElement(node, theta))
-    settings = {
-        node: (float(db), quad) for node, quad in zip((1, 2, 3, 4), _PRESET_SQUEEZE_QUADS)
-    }
+    elements = [PhaseShiftElement(node, theta) for node, theta in enumerate(_PRESET_INPUT_PHASES, start=1)]
+    elements += [BeamSplitterElement(a, b, r) for a, b, r in _PRESET_SPLITTERS]
+    elements += [PhaseShiftElement(node, theta) for node, theta in enumerate(_PRESET_OUTPUT_PHASES, start=1)]
+    settings = {node: (float(db), "p") for node in (1, 2, 3, 4)}
     return NetworkPlan(settings, elements, "preset", (1, 2, 3, 4))
 
 

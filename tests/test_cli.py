@@ -103,13 +103,25 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
     assert "graph text line 1" in err and err.count("\n") == 1
 
 
-def test_compiled_shortening_at_60_db_passes(tmp_path, capsys):
+@pytest.mark.parametrize("lossless", [False, True], ids=["calibrated", "lossless"])
+def test_compiled_shortening_at_60_db_passes(tmp_path, capsys, lossless):
     cfg = tmp_path / "hi.cfg"
-    cfg.write_text("scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 60\n")
+    cfg.write_text(
+        "scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 60\n"
+        + ("lossless = true\n" if lossless else "")
+    )
     code, out, err = run_cli(capsys, "--config", str(cfg))
     assert code == 0
     assert err == ""
-    assert json.loads(out)["all_pass"] is True
+    report = json.loads(out)
+    assert report["all_pass"] is True
+    if lossless:
+        # Lossless, each wire nullifier carries one squeezed variance s and
+        # each nullifier of the shortened wire two.
+        s = 0.25e-6
+        for stage, expected in (("initial_criteria", s), ("final_criteria", 2 * s)):
+            for check in report[stage]["nullifiers"]:
+                assert check["variance"] == pytest.approx(expected, rel=1e-3)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import cvshape.experiments as experiments
 from cvshape.experiments import (
     DETECTOR_EFFICIENCY,
     HOMODYNE_VISIBILITY,
@@ -234,6 +235,34 @@ def test_feedforward_gain_detuning_degrades_variances():
     # the removed end node's neighbor absorbs the unbalanced correction
     assert v_detuned[3] > v_ideal[3] + 0.01
     assert v_detuned[1] == pytest.approx(v_ideal[1], abs=1e-12)
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    return raise_it
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("compile_network", ExperimentConfig(scenario="shorten-wire", construction="compiled")),
+        ("check_cluster_criteria", ExperimentConfig(scenario="remove-edge")),
+    ],
+)
+def test_only_precision_loss_becomes_a_config_error(monkeypatch, name, config):
+    # Any other ValueError is a defect and must surface unchanged.
+    monkeypatch.setattr(experiments, name, _raiser(ValueError("defect")))
+    with pytest.raises(ValueError, match="defect") as info:
+        run(config)
+    assert not isinstance(info.value, ConfigError)
+
+
+def test_compiled_precision_loss_is_a_config_error(monkeypatch):
+    monkeypatch.setattr(experiments, "compile_network", _raiser(np.linalg.LinAlgError("lost")))
+    with pytest.raises(ConfigError, match="compiled construction failed: lost"):
+        run(ExperimentConfig(scenario="shorten-wire", construction="compiled"))
 
 
 # -------------------------------------------------------------------- emission

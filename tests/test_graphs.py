@@ -255,6 +255,22 @@ def test_compiled_plan_at_60_db_matches_canonical_state(graph):
     scale = np.abs(target.cov).max()
     assert np.abs(produced.cov - target.cov).max() <= 1e-12 * scale
     assert not produced.mean.any()
+    # The nullifier variances sit twelve orders below the covariance scale,
+    # so the check above cannot see them; compare them on their own scale.
+    # Rounding of the dense covariance alone moves them by about 6e-4 here.
+    for form in nullifiers_of(graph):
+        value = quadrature_variance(produced, form, graph.nodes)
+        assert value == pytest.approx(squeezed_variance(60.0), rel=1e-2)
+
+
+@pytest.mark.parametrize(
+    "graph", [ClusterGraph.linear_wire(4), signed_wire(16)], ids=["wire4", "signed16"]
+)
+def test_compiled_plan_refuses_lost_nullifier_precision(graph):
+    # At 70 dB the covariance still agrees to 1e-13 of its scale, but the
+    # compiled nullifier variances are off by several percent.
+    with pytest.raises(np.linalg.LinAlgError, match="nullifier variances"):
+        compile_network(graph, 70.0)
 
 
 @pytest.mark.parametrize(
