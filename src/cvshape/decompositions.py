@@ -46,21 +46,28 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
+#: Singular values within this distance of 1 belong to unsqueezed directions.
+_UNIT_BAND = 1e-9
+
+
+def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8):
     """Factor a symplectic matrix as O2 @ D @ O1.
 
     O1 and O2 are orthogonal symplectic (passive interferometers), D is
-    diagonal with entries (d_1, ..., d_N, 1/d_1, ..., 1/d_N), d_k >= 1
-    sorted descending.  The xxpp ordering is used throughout.
+    diagonal with entries (d_1, ..., d_N, 1/d_1, ..., 1/d_N).  The xxpp
+    ordering is used throughout.  A diagonal input is its own D up to
+    sign, in the input's mode order (so a d_k may lie below 1), with
+    O2 = I; any other input gets d_k >= 1 sorted descending.
 
-    The factors come from the spectral decomposition of S S^T: its
-    eigenvalues pair up as d^2 and 1/d^2, and the eigenvectors of the
-    d^2 >= 1 half fix an orthogonal symplectic basis W = [V | -J V].
+    The factors come from one SVD of S.  J maps a left singular vector of
+    singular value d to one of 1/d, so the left singular vectors V with
+    d > 1 are J-orthogonal to each other, degenerate ones included, and
+    W = [V | -J V] is orthogonal symplectic once the unit singular values
+    contribute an isotropic half.
 
     Args:
         matrix: real 2N x 2N symplectic matrix.
         tol: symplecticity / reconstruction tolerance.
-        rounding: decimal places used to group equal singular values.
 
     Returns:
         (o2, d, o1) with matrix = o2 @ d @ o1 up to tol.
@@ -76,89 +83,49 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8, rounding: int = 9):
     n = s.shape[0] // 2
     j = symplectic_form(n)
 
-    gram = s @ s.T
-    gram = 0.5 * (gram + gram.T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals[0] <= 0:
-        raise np.linalg.LinAlgError("symplectic matrix produced a non-positive Gram spectrum")
-    lambdas = np.sqrt(eigvals)
-
-    # Positive square root P of S S^T; always symmetric positive definite.
-    p = eigvecs @ np.diag(lambdas) @ eigvecs.T
-
-    off_diag = float(np.abs(p - np.diag(np.diag(p))).max())
-    if off_diag <= tol * 1e-2:
-        # Shortcut: P already diagonal, so D is P up to mode reordering and
-        # the second interferometer is trivial.  This keeps squeezer-only
-        # circuits exactly squeezer-only.
-        d = np.diag(np.diag(p))
+    if float(np.abs(s - np.diag(np.diag(s))).max()) <= tol * 1e-2:
+        # Shortcut: S is already a squeezer, so D is |S| and the second
+        # interferometer is trivial.  This keeps squeezer-only circuits
+        # exactly squeezer-only.
+        d = np.diag(np.abs(np.diag(s)))
         o2 = np.eye(2 * n)
     else:
-        # Collect a symplectic eigenbasis from the d >= 1 half of the
-        # spectrum.  Eigenvalues come in reciprocal pairs, so it suffices to
-        # band them around 1 and cluster the upper band by gaps; any
-        # misclustering fails the factor checks below rather than passing
-        # silently.
-        eps = 10.0 ** (-rounding)
-        order_desc = np.argsort(-lambdas, kind="stable")
-        upper = [int(i) for i in order_desc if lambdas[i] > 1.0 + eps]
-        lower = [int(i) for i in order_desc if lambdas[i] < 1.0 - eps]
-        unit = [int(i) for i in order_desc if abs(lambdas[i] - 1.0) <= eps]
-        if len(upper) != len(lower) or len(unit) % 2:
-            raise np.linalg.LinAlgError("eigenvalues do not pair up as d^2, 1/d^2; cannot factor")
+        # Singular values come sorted descending.
+        left, sigma, _ = np.linalg.svd(s)
+        upper = int(np.count_nonzero(sigma > 1.0 + _UNIT_BAND))
+        chosen = [_fix_sign(col) for col in left[:, :upper].T]
 
-        groups: list[list[int]] = []
-        for i in upper:
-            if groups and lambdas[groups[-1][-1]] - lambdas[i] <= eps * lambdas[i]:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-
-        chosen: list[np.ndarray] = []
-        chosen_lambda: list[float] = []
-        for idxs in groups:
-            # The banding only groups; D carries the actual value.
-            lam_actual = float(np.mean(lambdas[idxs]))
-            # eigh returns orthonormal eigenvectors, degenerate ones included.
-            for col in eigvecs[:, idxs].T:
-                chosen.append(_fix_sign(col))
-                chosen_lambda.append(lam_actual)
-
-        if unit:
-            # Unit singular values: the eigenspace contains both a vector
-            # and its J image, so keep only an isotropic half.
-            space = eigvecs[:, unit]
-            picked: list[np.ndarray] = []
-            while 2 * len(picked) < len(unit):
-                blocked = picked + [j @ v for v in picked]
-                candidate = None
-                for col in space.T:
-                    v = col.astype(float).copy()
-                    for u in blocked:
-                        v -= (u @ v) * u
-                    norm = np.linalg.norm(v)
-                    if norm > 1e-8:
-                        candidate = v / norm
-                        break
-                if candidate is None:
-                    raise np.linalg.LinAlgError("failed to build an isotropic basis on the unit block")
-                picked.append(_fix_sign(candidate))
-            for v in picked:
-                chosen.append(v)
-                chosen_lambda.append(1.0)
+        # Unit singular values: their singular space contains both a vector
+        # and its J image, so keep only an isotropic half.
+        unit = np.flatnonzero(np.abs(sigma - 1.0) <= _UNIT_BAND)
+        space = left[:, unit]
+        picked: list[np.ndarray] = []
+        while 2 * len(picked) < len(unit):
+            blocked = picked + [j @ v for v in picked]
+            candidate = None
+            for col in space.T:
+                v = col.astype(float).copy()
+                for u in blocked:
+                    v -= (u @ v) * u
+                norm = np.linalg.norm(v)
+                if norm > 1e-8:
+                    candidate = v / norm
+                    break
+            if candidate is None:
+                raise np.linalg.LinAlgError("failed to build an isotropic basis on the unit block")
+            picked.append(_fix_sign(candidate))
+        chosen.extend(picked)
 
         if len(chosen) != n:
             raise np.linalg.LinAlgError(
                 f"collected {len(chosen)} squeezer directions, expected {n}"
             )
-        order = np.argsort(-np.asarray(chosen_lambda), kind="stable")
-        v_cols = np.array([chosen[i] for i in order]).T
-        lam = np.asarray([chosen_lambda[i] for i in order])
-
+        v_cols = np.array(chosen).T
+        lam = np.concatenate([sigma[:upper], np.ones(n - upper)])
         o2 = np.hstack([v_cols, -(j @ v_cols)])
         d = np.diag(np.concatenate([lam, 1.0 / lam]))
 
-    # S = O2 D O1, so O1 = D^-1 O2^T S; no inverse of the ill-conditioned P.
+    # S = O2 D O1, so O1 = D^-1 O2^T S; no inverse of an ill-conditioned factor.
     o1 = (o2.T @ s) / np.diag(d)[:, None]
     for name, o in (("left", o2), ("right", o1)):
         if not is_orthogonal(o, tol=10 * tol) or not is_symplectic(o, tol=10 * tol):

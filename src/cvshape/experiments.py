@@ -31,8 +31,8 @@ from .gaussian import (
 )
 from .graphs import (
     ClusterGraph,
+    _compile,
     build_canonical,
-    compile_network,
     nullifiers_of,
     parse_graph_text,
     preset_wire_network,
@@ -353,10 +353,9 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
         return build_canonical(graph, db)
     if config.construction == "compiled":
         try:
-            plan = compile_network(graph, db)
+            return _compile(graph, db)[1]  # the state compile_network checked
         except np.linalg.LinAlgError as exc:  # precision lost at very high squeezing
             raise ConfigError(f"compiled construction failed: {exc}") from None
-        return plan.prepare()
     wire = ClusterGraph.linear_wire(4)
     if graph.nodes != wire.nodes or graph.edges() != wire.edges():
         raise ConfigError("preset-wire construction is defined for the plain 4-node wire only")

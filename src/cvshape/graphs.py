@@ -23,7 +23,15 @@ from .decompositions import (
     unitary_to_elements,
     unitary_to_orthogonal_symplectic,
 )
-from .gaussian import GaussianState, SymplecticTransform, apply, squeezed_vacuum, tensor, vacuum
+from .gaussian import (
+    GaussianState,
+    SymplecticTransform,
+    apply,
+    squeezed_vacuum,
+    squeezed_variance,
+    tensor,
+    vacuum,
+)
 
 __all__ = [
     "ClusterGraph",
@@ -345,11 +353,13 @@ class NetworkPlan:
         return apply(tensor(*states), self.interferometer_transform())
 
 
-#: Largest relative deviation of a compiled plan's nullifier variance from the canonical build's.
+#: Largest deviation of a compiled plan's state, relative to its largest covariance entry.
+_STATE_RTOL = 1e-8
+#: Largest relative deviation of a compiled plan's nullifier variance from the squeezed one.
 _NULLIFIER_RTOL = 1e-2
 
 
-def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
+def compile_network(graph: ClusterGraph, db) -> NetworkPlan:
     """Compile the canonical build into squeezers plus a passive network.
 
     The canonical symplectic factors as O2 D O1 with O1, O2 passive and D
@@ -362,15 +372,18 @@ def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
     Args:
         graph: signed cluster graph.
         db: squeezing level in dB, single number or node -> dB mapping.
-        tol: factorization tolerance, and the largest state deviation
-            relative to the largest covariance entry.
 
     Raises:
         numpy.linalg.LinAlgError: the factorization or the produced state
             lost the required precision, as at very high squeezing.
     """
+    return _compile(graph, db)[0]
+
+
+def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
+    """compile_network, also returning the checked state the plan prepares."""
     total = canonical_transform(graph, db)
-    o2, d, _ = bloch_messiah(total.matrix, tol=tol)
+    o2, d, _ = bloch_messiah(total.matrix)
 
     settings = {}
     for k, node in enumerate(graph.nodes):
@@ -402,16 +415,18 @@ def compile_network(graph: ClusterGraph, db, tol: float = 1e-8) -> NetworkPlan:
         float(np.abs(produced.cov - target.cov).max()),
         float(np.abs(produced.mean - target.mean).max()),
     ) / max(1.0, float(np.abs(target.cov).max()))
-    # Lossless, the canonical nullifier variances are the squeezed variances.
+    # Lossless, each canonical nullifier evaluates to its node's squeezed
+    # input p, so the reference is closed-form rather than a dense product
+    # that cancels at high squeezing.
     forms = np.array([f.coefficient_vector(graph.nodes) for f in nullifiers_of(graph)])
-    expected = np.diag(forms @ target.cov @ forms.T)
+    expected = np.array([squeezed_variance(_db_of(db, node)) for node in graph.nodes])
     nullifier_err = float(np.abs(np.diag(forms @ produced.cov @ forms.T) / expected - 1.0).max())
-    if state_err > tol or nullifier_err > _NULLIFIER_RTOL:
+    if state_err > _STATE_RTOL or nullifier_err > _NULLIFIER_RTOL:
         raise np.linalg.LinAlgError(
             f"compiled plan state deviates from the canonical build by {state_err:.3e} of the "
             f"covariance scale and {nullifier_err:.3e} of the nullifier variances"
         )
-    return plan
+    return plan, produced
 
 
 # Interferometer of the stock four-mode wire plan: input phases, one 20:80

@@ -5,7 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from cvshape import bloch_messiah, is_orthogonal, is_symplectic, qnd_gate, symplectic_form
+from cvshape import (
+    beam_splitter,
+    bloch_messiah,
+    is_orthogonal,
+    is_symplectic,
+    qnd_gate,
+    symplectic_form,
+)
 from cvshape.decompositions import (
     orthogonal_symplectic_to_unitary,
     unitary_to_elements,
@@ -55,6 +62,15 @@ def test_sum_gate_squeeze_factors_are_golden():
     assert_valid_factors(s, o2, d, o1, tol=1e-9)
     top = np.sort(np.diag(d))[::-1][:2]
     np.testing.assert_allclose(top, [GOLDEN_RATIO, GOLDEN_RATIO], atol=1e-9)
+
+    # Two gates beside an idle mode: a fourfold golden factor plus a unit
+    # block, bare and mixed by splitters so that no factor is diagonal.
+    pair = qnd_gate(5, 0, 1).matrix @ qnd_gate(5, 2, 3).matrix
+    mixed = beam_splitter(5, 3, 4, 0.3).matrix @ pair @ beam_splitter(5, 0, 4, 0.6).matrix
+    for s in (pair, mixed):
+        o2, d, o1 = bloch_messiah(s)
+        assert_valid_factors(s, o2, d, o1, tol=1e-9)
+        np.testing.assert_allclose(np.diag(d)[:5], [GOLDEN_RATIO] * 4 + [1.0], atol=1e-9)
 
 
 def test_random_graph_symplectics_recompose():

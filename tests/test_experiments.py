@@ -247,7 +247,7 @@ def _raiser(exc):
 @pytest.mark.parametrize(
     "name, config",
     [
-        ("compile_network", ExperimentConfig(scenario="shorten-wire", construction="compiled")),
+        ("_compile", ExperimentConfig(scenario="shorten-wire", construction="compiled")),
         ("check_cluster_criteria", ExperimentConfig(scenario="remove-edge")),
     ],
 )
@@ -260,7 +260,7 @@ def test_only_precision_loss_becomes_a_config_error(monkeypatch, name, config):
 
 
 def test_compiled_precision_loss_is_a_config_error(monkeypatch):
-    monkeypatch.setattr(experiments, "compile_network", _raiser(np.linalg.LinAlgError("lost")))
+    monkeypatch.setattr(experiments, "_compile", _raiser(np.linalg.LinAlgError("lost")))
     with pytest.raises(ConfigError, match="compiled construction failed: lost"):
         run(ExperimentConfig(scenario="shorten-wire", construction="compiled"))
 
