@@ -21,9 +21,9 @@ from .gaussian import (
     identity_transform,
     phase_shift,
     qnd_gate,
-    quadrature_mean,
     quadrature_selector,
     quadrature_variance,
+    quadrature_variances,
     squeeze_gate,
     squeezed_vacuum,
     squeezed_variance,

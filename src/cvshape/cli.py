@@ -77,10 +77,7 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         report = run(config)
         text = emit(report, path=config.output, include_timing=args.timing)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.output is None:

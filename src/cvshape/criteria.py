@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variance
+from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variances
 from .graphs import ClusterGraph, Nullifier, nullifiers_of
 
 __all__ = [
@@ -41,11 +41,11 @@ def nullifier_db(variance: float, form) -> float:
     """Variance in dB relative to the form's vacuum level k/4.
 
     Args:
-        variance: positive variance value.
+        variance: positive, finite variance value.
         form: Nullifier (term count read off) or the term count itself.
     """
-    if variance <= 0:
-        raise ValueError("variance must be positive to convert to dB")
+    if not 0 < variance < np.inf:
+        raise ValueError(f"variance must be positive and finite to convert to dB, got {variance}")
     k = form.n_terms if isinstance(form, Nullifier) else int(form)
     if k < 1:
         raise ValueError("form needs at least one term")
@@ -171,8 +171,7 @@ def check_cluster_criteria(
     forms = nullifiers_of(graph)
     variances = {}
     checks = []
-    for form in forms:
-        var = quadrature_variance(state, form, order)
+    for form, var in zip(forms, quadrature_variances(state, forms, order).tolist()):
         variances[form.label] = var
         checks.append(
             NullifierCheck(
@@ -197,12 +196,12 @@ def check_cluster_criteria(
         )
 
     residuals = []
-    for node in graph.nodes:
-        if not graph.neighbors(node):
-            low_db, high_db, angle = residual_squeezing_db(state, list(order).index(node))
+    for form in forms:
+        if form.n_terms == 1:  # isolated node: its nullifier is the bare p-term
+            low_db, high_db, angle = residual_squeezing_db(state, order.index(form.label))
             residuals.append(
                 ResidualSqueezing(
-                    node=node, squeezed_db=low_db, antisqueezed_db=high_db, angle=angle
+                    node=form.label, squeezed_db=low_db, antisqueezed_db=high_db, angle=angle
                 )
             )
 

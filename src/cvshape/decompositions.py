@@ -48,9 +48,13 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 #: Singular values within this distance of 1 belong to unsqueezed directions.
 _UNIT_BAND = 1e-9
+#: Symplecticity and recomposition tolerance of the Bloch-Messiah factors.
+_FACTOR_TOL = 1e-8
+#: Largest entry error of the element product against the reduced unitary.
+_RECOMPOSE_TOL = 1e-10
 
 
-def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8):
+def bloch_messiah(matrix: np.ndarray):
     """Factor a symplectic matrix as O2 @ D @ O1.
 
     O1 and O2 are orthogonal symplectic (passive interferometers), D is
@@ -67,10 +71,9 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8):
 
     Args:
         matrix: real 2N x 2N symplectic matrix.
-        tol: symplecticity / reconstruction tolerance.
 
     Returns:
-        (o2, d, o1) with matrix = o2 @ d @ o1 up to tol.
+        (o2, d, o1) with matrix = o2 @ d @ o1 up to _FACTOR_TOL.
 
     Raises:
         numpy.linalg.LinAlgError: (a ValueError) the input is not symplectic
@@ -78,12 +81,12 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8):
             at very high squeezing.
     """
     s = np.asarray(matrix, dtype=float)
-    if not is_symplectic(s, tol=max(tol, SYMPLECTIC_TOL)):
+    if not is_symplectic(s, tol=_FACTOR_TOL):
         raise np.linalg.LinAlgError("input matrix is not symplectic")
     n = s.shape[0] // 2
     j = symplectic_form(n)
 
-    if float(np.abs(s - np.diag(np.diag(s))).max()) <= tol * 1e-2:
+    if float(np.abs(s - np.diag(np.diag(s))).max()) <= _FACTOR_TOL * 1e-2:
         # Shortcut: S is already a squeezer, so D is |S| and the second
         # interferometer is trivial.  This keeps squeezer-only circuits
         # exactly squeezer-only.
@@ -128,9 +131,9 @@ def bloch_messiah(matrix: np.ndarray, tol: float = 1e-8):
     # S = O2 D O1, so O1 = D^-1 O2^T S; no inverse of an ill-conditioned factor.
     o1 = (o2.T @ s) / np.diag(d)[:, None]
     for name, o in (("left", o2), ("right", o1)):
-        if not is_orthogonal(o, tol=10 * tol) or not is_symplectic(o, tol=10 * tol):
+        if not (is_orthogonal(o, 10 * _FACTOR_TOL) and is_symplectic(o, 10 * _FACTOR_TOL)):
             raise np.linalg.LinAlgError(f"{name} factor failed the orthogonal-symplectic check")
-    if float(np.abs(o2 @ d @ o1 - s).max()) > tol:
+    if float(np.abs(o2 @ d @ o1 - s).max()) > _FACTOR_TOL:
         raise np.linalg.LinAlgError("factorization does not recompose to the input matrix")
     return o2, d, o1
 
@@ -217,12 +220,12 @@ def _elements_to_unitary(elements, n: int) -> np.ndarray:
     return total
 
 
-def unitary_to_elements(u: np.ndarray, tol: float = 1e-10) -> list:
+def unitary_to_elements(u: np.ndarray) -> list:
     """Reduce a unitary to phase shifters and adjacent-pair beam splitters.
 
     Returns a list of ("phase", mode, theta) and ("splitter", i, j, r)
     tuples in physical application order: the product of the elements,
-    last applied leftmost, reproduces u within tol.
+    last applied leftmost, reproduces u within _RECOMPOSE_TOL.
 
     The reduction sweeps Givens-style rotations over adjacent pairs to
     triangularize u; the leftover diagonal becomes the leading phases.
@@ -249,6 +252,6 @@ def unitary_to_elements(u: np.ndarray, tol: float = 1e-10) -> list:
         elements.extend(_two_mode_elements(g.conj().T, i))
 
     elements = [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
-    if np.abs(_elements_to_unitary(elements, n) - u).max() > tol:
+    if np.abs(_elements_to_unitary(elements, n) - u).max() > _RECOMPOSE_TOL:
         raise ValueError("element reduction failed to recompose the unitary")
     return elements

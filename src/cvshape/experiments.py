@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .gaussian import (
     _mix_vacuum,
     apply,
     phase_shift,
-    quadrature_variance,
+    quadrature_variances,
     squeezed_variance,
 )
 from .graphs import (
@@ -72,6 +72,12 @@ SCENARIOS = ("remove-edge", "remove-inner", "shorten-wire", "ring-route-check", 
 CONSTRUCTIONS = ("canonical", "compiled", "preset-wire")
 
 _PRE_SHAPING_STAGES = ("source", "propagation")
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True}
+_BOOLEANS |= {"0": False, "false": False, "no": False, "off": False}
+
+#: Significant digits of every float in a JSON report.
+_REPORT_DIGITS = 6
 
 
 class ConfigError(ValueError):
@@ -183,8 +189,8 @@ class ExperimentConfig:
                     overrides[int(key.split(".", 1)[1])] = float(value)
                 elif key == "squeezing_db":
                     values["squeezing_db"] = float(value)
-                elif key in ("lossless",):
-                    values[key] = value.lower() in ("1", "true", "yes", "on")
+                elif key == "lossless":
+                    values[key] = _BOOLEANS[value.lower()]
                 elif key in ("trials", "seed"):
                     values[key] = int(value)
                 elif key in ("calibrate_target", "feedforward_gain"):
@@ -198,14 +204,11 @@ class ExperimentConfig:
                     values[key] = value
                 else:
                     raise ConfigError(f"unknown config key {key!r}")
-            except (TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 if isinstance(exc, ConfigError):
                     raise ConfigError(f"config line {lineno}: {exc}") from None
                 raise ConfigError(f"config line {lineno}: bad value for {key!r}: {value!r}") from None
         return cls(squeezing_overrides=overrides, loss=loss, **values)
-
-    def squeezing_map(self, nodes: Sequence[int]) -> dict:
-        return {n: float(self.squeezing_overrides.get(n, self.squeezing_db)) for n in nodes}
 
     def to_dict(self) -> dict:
         out = {
@@ -294,6 +297,7 @@ class ExperimentReport:
         config["composite_efficiency"] = (
             self.loss_model.composite_efficiency(self.node_order[0]) if self.node_order else 1.0
         )
+        final = self.final_criteria.to_dict()
         out = {
             "schema_version": "1",
             "config": config,
@@ -301,8 +305,8 @@ class ExperimentReport:
             "initial_criteria": self.initial_criteria.to_dict(),
             "transcript": [dict(entry) for entry in self.transcript],
             "final_node_order": list(self.final_node_order),
-            "final_criteria": self.final_criteria.to_dict(),
-            "residual_squeezing": self.final_criteria.to_dict()["residual_squeezing"],
+            "final_criteria": final,
+            "residual_squeezing": final["residual_squeezing"],
         }
         if self.monte_carlo is not None:
             out["monte_carlo"] = {
@@ -328,18 +332,19 @@ class ExperimentReport:
         return out
 
 
-def _degree(graph: ClusterGraph, node: int) -> int:
-    return len(graph.neighbors(node))
-
-
 def _resolve_graph(config: ExperimentConfig):
     if config.scenario != "custom":
-        graph = ClusterGraph.linear_wire(4)
-        return graph, config.squeezing_map(graph.nodes)
-    try:
-        graph, file_db = parse_graph_text(Path(config.graph_file).read_text())
-    except ValueError as exc:
-        raise ConfigError(f"{config.graph_file}: {exc}") from None
+        graph, file_db = ClusterGraph.linear_wire(4), {}
+    else:
+        try:
+            graph, file_db = parse_graph_text(Path(config.graph_file).read_text())
+        except ValueError as exc:
+            raise ConfigError(f"{config.graph_file}: {exc}") from None
+        if not graph.nodes:
+            raise ConfigError(f"{config.graph_file}: graph has no nodes")
+    unknown = sorted(set(config.squeezing_overrides) - set(graph.nodes))
+    if unknown:
+        raise ConfigError(f"squeezing_db.{unknown[0]}: node {unknown[0]} is not in the graph")
     # Precedence: config override, then a non-zero level from the file, then the default.
     db = {
         n: float(config.squeezing_overrides.get(n, file_db.get(n) or config.squeezing_db))
@@ -368,24 +373,21 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
 def _scenario_steps(config: ExperimentConfig, graph: ClusterGraph):
     """Return (steps, new_edges, removed) for the configured scenario."""
     gain = -1.0 * config.feedforward_gain
+    degree = Counter(n for i, j, _ in graph.edges() for n in (i, j))
     if config.scenario == "remove-edge":
-        ends = [n for n in graph.nodes if _degree(graph, n) == 1]
+        ends = [n for n in graph.nodes if degree[n] == 1]
         if not ends:
             raise ConfigError("remove-edge needs a degree-1 node")
         target = max(ends)
         return removal_steps(graph, target, gain=gain), (), (target,)
     if config.scenario == "remove-inner":
-        inner = [n for n in graph.nodes if _degree(graph, n) == 2]
+        inner = [n for n in graph.nodes if degree[n] == 2]
         if not inner:
             raise ConfigError("remove-inner needs a degree-2 node")
         target = max(inner)
         return removal_steps(graph, target, gain=gain), (), (target,)
     if config.scenario in ("shorten-wire", "ring-route-check"):
-        pairs = [
-            (i, j)
-            for i, j, _ in graph.edges()
-            if _degree(graph, i) == 2 and _degree(graph, j) == 2
-        ]
+        pairs = [(i, j) for i, j, _ in graph.edges() if degree[i] == degree[j] == 2]
         if not pairs:
             raise ConfigError("shortening needs two adjacent degree-2 nodes")
         a, b = min(pairs)
@@ -419,16 +421,15 @@ def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -
     try:
         return check_cluster_criteria(view, graph, order)
     except ValueError as exc:
-        if min(quadrature_variance(view, f, order) for f in nullifiers_of(graph)) > 0:
+        variances = quadrature_variances(view, nullifiers_of(graph), order)
+        if np.all(np.isfinite(variances) & (variances > 0)):
             raise
         raise ConfigError(f"criteria check failed: {exc}; lower squeezing_db") from None
 
 
-def _ring_route_section(config, graph, state_in, loss, steps, order):
-    """Run the shortening both ways and report the covariance discrepancy."""
+def _ring_route_section(config, graph, state_in, loss, order, direct, direct_order):
+    """Run the shortening the ring way and report its discrepancy from the direct route."""
     gain = -1.0 * config.feedforward_gain
-    direct, direct_order, _ = execute_ensemble(state_in, order, steps)
-
     n = len(order)
     rotated = state_in
     for node, theta in wire_to_ring_phases(graph):
@@ -467,7 +468,20 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     executes the scenario's shaping in the outcome-averaged picture,
     verifies the final criteria the same way, and optionally samples
     Monte Carlo trajectories of the identical pipeline.
+
+    An overflow, division by zero or invalid value anywhere in the run
+    raises ConfigError, so no report carries a non-finite number.
     """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _run(config)
+    except ArithmeticError as exc:  # FloatingPointError, or OverflowError from float powers
+        raise ConfigError(
+            f"numbers out of floating-point range: {exc}; lower squeezing_db or feedforward_gain"
+        ) from None
+
+
+def _run(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     graph, db = _resolve_graph(config)
     order = graph.nodes
@@ -515,7 +529,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
                 ],
             }
         )
-    shaped_state, shaped_order, _ = execute_ensemble(state_in, order, steps)
+    pre_tap, shaped_order, _ = execute_ensemble(state_in, order, steps)
+    shaped_state = pre_tap  # the ring route starts from the shaped state before the tap loss
     shaped_graph = _shaped_graph(graph, removed, new_edges)
     for i, j, sign in new_edges:
         transcript.append({"op": "new_edge", "nodes": [i, j], "sign": sign})
@@ -552,7 +567,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 
     ring_route = None
     if config.scenario == "ring-route-check":
-        ring_route = _ring_route_section(config, graph, state_in, loss, steps, order)
+        ring_route = _ring_route_section(config, graph, state_in, loss, order, pre_tap, shaped_order)
 
     return ExperimentReport(
         config=config,
@@ -573,13 +588,13 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _round_floats(value, digits: int = 6):
+def _round_floats(value):
     if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
+        return float(f"{value:.{_REPORT_DIGITS}g}")
     if isinstance(value, dict):
-        return {k: _round_floats(v, digits) for k, v in value.items()}
+        return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_floats(v, digits) for v in value]
+        return [_round_floats(v) for v in value]
     return value
 
 

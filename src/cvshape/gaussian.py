@@ -40,7 +40,7 @@ __all__ = [
     "quadrature_selector",
     "form_vector",
     "quadrature_variance",
-    "quadrature_mean",
+    "quadrature_variances",
 ]
 
 #: Variance of each quadrature of the vacuum state (hbar = 1/2).
@@ -162,11 +162,6 @@ class SymplecticTransform:
     def inverse(self) -> "SymplecticTransform":
         inv = np.linalg.inv(self.matrix)
         return SymplecticTransform(inv, -inv @ self.shift)
-
-    def symplecticity_defect(self) -> float:
-        """Max-norm deviation of S^T J S from J."""
-        j = symplectic_form(self.n_modes)
-        return float(np.abs(self.matrix.T @ j @ self.matrix - j).max())
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +429,8 @@ class LossModel:
 
     def efficiency(self, stage: str, node: int) -> float:
         """Transmission of one stage for one node; 1.0 when unspecified."""
-        for label, entry in self.stages:
-            if label != stage:
-                continue
-            if isinstance(entry, float):
-                return entry
-            for k, v in entry:
-                if k == node:
-                    return v
-            return 1.0
-        return 1.0
+        entry = dict(self.stages).get(stage, 1.0)
+        return entry if isinstance(entry, float) else dict(entry).get(node, 1.0)
 
     def composite_efficiency(self, node: int) -> float:
         """Product of every stage's transmission for the node."""
@@ -462,13 +449,10 @@ class LossModel:
         return GaussianState(*_mix_vacuum(state.mean, state.cov, eta))
 
     def to_dict(self) -> dict:
-        out = {}
-        for label, entry in self.stages:
-            if isinstance(entry, float):
-                out[label] = entry
-            else:
-                out[label] = {str(k): v for k, v in entry}
-        return out
+        return {
+            label: entry if isinstance(entry, float) else {str(k): v for k, v in entry}
+            for label, entry in self.stages
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +488,21 @@ def form_vector(form, n_modes: int, node_order: Sequence[int] | None = None) -> 
     return vec
 
 
+def quadrature_variances(
+    state: GaussianState, forms, node_order: Sequence[int] | None = None
+) -> np.ndarray:
+    """Variances c^T V c of linear quadrature combinations, one per form.
+
+    Every reported variance is evaluated here: the forms' rows C give one
+    product C V, whose row-wise dot with C is the diagonal of C V C^T.
+    """
+    n = state.n_modes
+    rows = np.reshape([form_vector(f, n, node_order) for f in forms], (-1, 2 * n))
+    return np.einsum("ij,ij->i", rows @ state.cov, rows)
+
+
 def quadrature_variance(
     state: GaussianState, form, node_order: Sequence[int] | None = None
 ) -> float:
-    """Variance of a linear quadrature combination c^T r in the state."""
-    c = form_vector(form, state.n_modes, node_order)
-    return float(c @ state.cov @ c)
-
-
-def quadrature_mean(
-    state: GaussianState, form, node_order: Sequence[int] | None = None
-) -> float:
-    """Mean of a linear quadrature combination c^T r in the state."""
-    c = form_vector(form, state.n_modes, node_order)
-    return float(c @ state.mean)
+    """Variance of one linear quadrature combination c^T r in the state."""
+    return float(quadrature_variances(state, [form], node_order)[0])

@@ -27,6 +27,7 @@ from .gaussian import (
     GaussianState,
     SymplecticTransform,
     apply,
+    quadrature_variances,
     squeezed_vacuum,
     squeezed_variance,
     tensor,
@@ -197,9 +198,6 @@ class Nullifier:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def nodes(self) -> tuple:
-        return tuple(sorted({n for n, _, _ in self.terms}))
-
     def coefficient_vector(self, node_order: Sequence[int]) -> np.ndarray:
         """Length-2N coefficient vector for a state whose modes follow node_order."""
         order = [int(n) for n in node_order]
@@ -230,15 +228,14 @@ class Nullifier:
 def nullifiers_of(graph: ClusterGraph) -> list:
     """One nullifier per node: p_i - sum_j sign(ij) x_j over neighbors j.
 
-    Isolated nodes yield the bare p-term.
+    Isolated nodes yield the bare p-term.  One pass over the sorted edges
+    appends each node's neighbors in ascending order.
     """
-    out = []
-    for node in graph.nodes:
-        terms = [(node, "p", 1.0)]
-        for nbr in graph.neighbors(node):
-            terms.append((nbr, "x", -float(graph.sign(node, nbr))))
-        out.append(Nullifier(tuple(terms), label=node))
-    return out
+    terms = {node: [(node, "p", 1.0)] for node in graph.nodes}
+    for i, j, sign in graph.edges():
+        terms[i].append((j, "x", -float(sign)))
+        terms[j].append((i, "x", -float(sign)))
+    return [Nullifier(tuple(terms[node]), label=node) for node in graph.nodes]
 
 
 def _db_of(db, node: int) -> float:
@@ -418,9 +415,9 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     # Lossless, each canonical nullifier evaluates to its node's squeezed
     # input p, so the reference is closed-form rather than a dense product
     # that cancels at high squeezing.
-    forms = np.array([f.coefficient_vector(graph.nodes) for f in nullifiers_of(graph)])
+    variances = quadrature_variances(produced, nullifiers_of(graph), graph.nodes)
     expected = np.array([squeezed_variance(_db_of(db, node)) for node in graph.nodes])
-    nullifier_err = float(np.abs(np.diag(forms @ produced.cov @ forms.T) / expected - 1.0).max())
+    nullifier_err = float(np.abs(variances / expected - 1.0).max())
     if state_err > _STATE_RTOL or nullifier_err > _NULLIFIER_RTOL:
         raise np.linalg.LinAlgError(
             f"compiled plan state deviates from the canonical build by {state_err:.3e} of the "
@@ -522,6 +519,8 @@ def parse_graph_text(text: str):
                     if key != "sign":
                         raise ValueError(f"unknown edge attribute {key!r}")
                     sign = int(value)
+                if _edge(i, j) in edges:
+                    raise ValueError(f"edge {i} {j} declared twice")
                 edges[_edge(i, j)] = sign
             else:
                 raise ValueError(f"unknown directive {kind!r}")

@@ -103,6 +103,31 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
     assert "graph text line 1" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "graph_text, line, message",
+    [
+        (WIRE_4, "scenario = shorten-wire\nsqueezing_db = 1e6", "floating-point range"),
+        ("node 1 db=1e308\n" + WIRE_3[len("node 1\n"):], "remove_node = 2", "floating-point range"),
+        (WIRE_4, "scenario = remove-edge\nfeedforward_gain = 1e300", "floating-point range"),
+        ("# no nodes\n", "", "graph has no nodes"),
+        (WIRE_3 + "edge 2 1 sign=-1\n", "remove_node = 2", "edge 2 1 declared twice"),
+        (WIRE_4, "scenario = remove-edge\nlossless = maybe", "bad value for 'lossless'"),
+        (WIRE_4, "scenario = remove-edge\nsqueezing_db.9 = 3", "node 9 is not in the graph"),
+    ],
+    ids=[
+        "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
+        "edge-declared-twice", "lossless-maybe", "override-of-absent-node",
+    ],
+)
+def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):
+    # a later "scenario =" line overrides custom, so the graph file is read only by custom runs
+    code, out, err = run_cli(capsys, "--config", _custom_config(tmp_path, graph_text, line))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("lossless", [False, True], ids=["calibrated", "lossless"])
 def test_compiled_shortening_at_60_db_passes(tmp_path, capsys, lossless):
     cfg = tmp_path / "hi.cfg"

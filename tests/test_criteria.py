@@ -38,6 +38,27 @@ def test_nullifier_db_arithmetic():
     assert nullifier_db(0.25, n1) == pytest.approx(-3.0102999566398116)
 
 
+@pytest.mark.parametrize("variance", [0.0, -0.1, float("nan"), float("inf")])
+def test_nullifier_db_rejects_non_positive_and_non_finite(variance):
+    with pytest.raises(ValueError, match="positive and finite"):
+        nullifier_db(variance, 2)
+
+
+def test_criteria_read_graph_structure_from_one_edge_pass(monkeypatch):
+    graph = ClusterGraph((1, 2, 3, 4, 5), {frozenset((3, 1)): -1, frozenset((1, 2)): 1, frozenset((4, 1)): 1})
+    st = build_canonical(graph, 5.0)
+    expected = check_cluster_criteria(st, graph).to_dict()
+
+    def no_scan(self, node):
+        raise AssertionError("neighbor scan")
+
+    monkeypatch.setattr(ClusterGraph, "neighbors", no_scan)
+    assert nullifiers_of(graph)[0].terms == ((1, "p", 1.0), (2, "x", -1.0), (3, "x", 1.0), (4, "x", -1.0))
+    report = check_cluster_criteria(st, graph)
+    assert report.to_dict() == expected
+    assert [r.node for r in report.residuals] == [5]
+
+
 def test_wire_criteria_pass_at_5db():
     wire = ClusterGraph.linear_wire(4)
     report = check_cluster_criteria(build_canonical(wire, 5.0), wire)

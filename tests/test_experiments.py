@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cvshape.experiments as experiments
+from cvshape import ClusterGraph, GaussianState, LossModel
 from cvshape.experiments import (
     DETECTOR_EFFICIENCY,
     HOMODYNE_VISIBILITY,
@@ -257,6 +258,12 @@ def test_only_precision_loss_becomes_a_config_error(monkeypatch, name, config):
     with pytest.raises(ValueError, match="defect") as info:
         run(config)
     assert not isinstance(info.value, ConfigError)
+
+
+def test_non_finite_nullifier_variance_is_a_config_error():
+    state = GaussianState(np.zeros(2), np.diag([0.25, np.nan]))  # p_1 variance NaN
+    with pytest.raises(ConfigError, match="criteria check failed"):
+        experiments._verify(state, LossModel({}), ClusterGraph((1,)), (1,))
 
 
 def test_compiled_precision_loss_is_a_config_error(monkeypatch):

@@ -16,9 +16,9 @@ from cvshape import (
     identity_transform,
     phase_shift,
     qnd_gate,
-    quadrature_mean,
     quadrature_selector,
     quadrature_variance,
+    quadrature_variances,
     squeeze_gate,
     squeezed_vacuum,
     squeezed_variance,
@@ -26,6 +26,7 @@ from cvshape import (
     tensor,
     vacuum,
 )
+from cvshape.decompositions import is_symplectic
 from helpers import random_product_state, random_symplectic_state
 
 # Frozen oracle values, computed once by hand from 0.25 * 10^(-db/10).
@@ -81,7 +82,7 @@ def test_qnd_gate_heisenberg_action():
 
 def test_qnd_gate_is_symplectic():
     t = qnd_gate(3, 0, 2, 1.0)
-    assert t.symplecticity_defect() < 1e-12
+    assert is_symplectic(t.matrix, tol=1e-12)
 
 
 def test_beam_splitter_involution():
@@ -133,7 +134,7 @@ def test_squeeze_gate_scales():
     m = squeeze_gate(1, 0, 5.0).matrix
     assert m[0, 0] == pytest.approx(10 ** (5.0 / 20))
     assert m[1, 1] == pytest.approx(10 ** (-5.0 / 20))
-    assert squeeze_gate(2, 1, 3.0).symplecticity_defect() < 1e-12
+    assert is_symplectic(squeeze_gate(2, 1, 3.0).matrix, tol=1e-12)
 
 
 def test_tensor_interleaves_xxpp():
@@ -278,10 +279,14 @@ def test_form_vector_rejects_wrong_length():
         form_vector([1.0, 0.0, 0.0], 2)
 
 
-def test_quadrature_mean_linear():
-    st = apply(vacuum(2), displacement(2, 0, "x", 1.5))
-    c = np.array([2.0, 0.0, 0.0, 0.0])
-    assert quadrature_mean(st, c) == pytest.approx(3.0)
+def test_quadrature_variances_match_each_quadratic_form():
+    st = random_symplectic_state(np.random.default_rng(5), 3)
+    forms = np.random.default_rng(6).normal(size=(4, 6))
+    got = quadrature_variances(st, forms)
+    assert got.shape == (4,)
+    np.testing.assert_allclose(got, [c @ st.cov @ c for c in forms], rtol=1e-12)
+    assert quadrature_variance(st, forms[2]) == pytest.approx(got[2], rel=1e-14)
+    assert quadrature_variances(st, []).shape == (0,)
 
 
 def test_random_transforms_stay_symplectic():
@@ -298,5 +303,5 @@ def test_random_transforms_stay_symplectic():
                 t = beam_splitter(n, int(i), int(j), float(rng.uniform(0.05, 0.95))) @ t
             else:
                 t = phase_shift(n, int(rng.integers(0, n)), float(rng.uniform(0, 7))) @ t
-        assert t.symplecticity_defect() < 1e-10
+        assert is_symplectic(t.matrix)
         assert apply(vacuum(n), t).is_physical()

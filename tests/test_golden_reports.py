@@ -30,6 +30,21 @@ SIGNED_WIRE_16 = "".join(f"node {k}\n" for k in range(1, 17)) + "".join(
     f"edge {k} {k + 1}" + (" sign=-1\n" if k % 3 == 0 else "\n") for k in range(1, 16)
 )
 
+
+def _lattice_edges(side):
+    """Row-major square lattice edges; node k is row (k-1)//side, column (k-1)%side."""
+    return [
+        (node, node + step)
+        for node in range(1, side * side + 1)
+        for step, ok in ((1, node % side != 0), (side, node + side <= side * side))
+        if ok
+    ]
+
+
+SIGNED_LATTICE_4 = "".join(f"node {k}\n" for k in range(1, 17)) + "".join(
+    f"edge {i} {j}" + (" sign=-1\n" if (i + j) % 3 == 0 else "\n") for i, j in _lattice_edges(4)
+)
+
 FILES = {
     "lossy.cfg": LOSSY_CFG,
     "compiled.cfg": "scenario = shorten-wire\nconstruction = compiled\ntrials = 2000\nseed = 11\n",
@@ -38,6 +53,12 @@ FILES = {
     "wire16.cfg": (
         "scenario = custom\nconstruction = compiled\ngraph_file = wire16.graph\n"
         "shorten_inner = 8 9\nlossless = true\n"
+    ),
+    "lattice16.graph": SIGNED_LATTICE_4,
+    # node 7 is interior (row 2, column 3), so the removal feeds forward to four neighbours
+    "lattice16.cfg": "scenario = custom\ngraph_file = lattice16.graph\nremove_node = 7\n",
+    "lattice16-compiled.cfg": (
+        "scenario = custom\nconstruction = compiled\ngraph_file = lattice16.graph\nremove_node = 7\n"
     ),
 }
 
@@ -64,6 +85,9 @@ CASES = {
     "compiled": ["--config", "compiled.cfg"],
     "preset-wire": ["--config", "preset.cfg"],
     "signed-wire-16-compiled": ["--config", "wire16.cfg"],
+    "signed-lattice-16": ["--config", "lattice16.cfg"],
+    "signed-lattice-16-csv": ["--config", "lattice16.cfg", "--format", "csv"],
+    "signed-lattice-16-compiled": ["--config", "lattice16-compiled.cfg"],
 }
 
 # name -> sha256 of the report bytes, recorded on the gate-chain build
@@ -87,6 +111,10 @@ GOLDEN = {
     "compiled": "b21682828b699dc4b0751398957d02d254ce20414ddb6cb9e0e78a80ba9b2ade",
     "preset-wire": "50d60e389cbe1720eb7311bc96835db629240f82c7af1b36707d0675b6d7df09",
     "signed-wire-16-compiled": "5f9c8dbf8174d3578c5e5f77e9bfbe235d718c07cd58760c4ae34342d110afc6",
+    # degree-4 nullifiers, recorded on the per-form evaluation before the batch evaluator
+    "signed-lattice-16": "c149b8f81e57bec6d4fd4bdd1c9b47f5e9cfee58dc09b54c25219fb794139c84",
+    "signed-lattice-16-csv": "571073283f2d2620cf1ba7600697189650e8f5a5d4641cc8399819db21bc1af0",
+    "signed-lattice-16-compiled": "ba7d7b2ceab9581312810ed6631828d01681a2bb3192f3ebb8e17f0d22d6da92",
 }
 
 
