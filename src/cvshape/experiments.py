@@ -342,9 +342,11 @@ def _resolve_graph(config: ExperimentConfig):
             raise ConfigError(f"{config.graph_file}: {exc}") from None
         if not graph.nodes:
             raise ConfigError(f"{config.graph_file}: graph has no nodes")
-    unknown = sorted(set(config.squeezing_overrides) - set(graph.nodes))
-    if unknown:
-        raise ConfigError(f"squeezing_db.{unknown[0]}: node {unknown[0]} is not in the graph")
+    per_node = [(f"squeezing_db.{n}", n) for n in sorted(config.squeezing_overrides)]
+    per_node += [(f"loss.{s}.{n}", int(n)) for s, e in config.loss.items() if isinstance(e, dict) for n in e]
+    for key, node in per_node:
+        if node not in graph.nodes:
+            raise ConfigError(f"{key}: node {node} is not in the graph")
     # Precedence: config override, then a non-zero level from the file, then the default.
     db = {
         n: float(config.squeezing_overrides.get(n, file_db.get(n) or config.squeezing_db))

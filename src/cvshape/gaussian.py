@@ -473,11 +473,11 @@ def form_vector(form, n_modes: int, node_order: Sequence[int] | None = None) -> 
     """Resolve a linear quadrature combination to a length-2N vector.
 
     Accepts either a raw coefficient vector or any object exposing
-    coefficient_vector(node_order), such as a nullifier.  When node_order is
-    omitted the nodes are assumed to be labelled 1..N in mode order.
+    coefficient_vector(node_order), such as a nullifier.  node_order lists
+    node ids in mode order (or maps them to modes); omitted, it is 1..N.
     """
     if hasattr(form, "coefficient_vector"):
-        order = tuple(node_order) if node_order is not None else tuple(range(1, n_modes + 1))
+        order = range(1, n_modes + 1) if node_order is None else node_order
         if len(order) != n_modes:
             raise ValueError("node order length must match the state's mode count")
         vec = form.coefficient_vector(order)
@@ -497,7 +497,8 @@ def quadrature_variances(
     product C V, whose row-wise dot with C is the diagonal of C V C^T.
     """
     n = state.n_modes
-    rows = np.reshape([form_vector(f, n, node_order) for f in forms], (-1, 2 * n))
+    index = {int(node): k for k, node in enumerate(range(1, n + 1) if node_order is None else node_order)}
+    rows = np.reshape([form_vector(f, n, index) for f in forms], (-1, 2 * n))
     return np.einsum("ij,ij->i", rows @ state.cov, rows)
 
 

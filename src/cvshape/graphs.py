@@ -198,17 +198,17 @@ class Nullifier:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def coefficient_vector(self, node_order: Sequence[int]) -> np.ndarray:
-        """Length-2N coefficient vector for a state whose modes follow node_order."""
-        order = [int(n) for n in node_order]
-        n = len(order)
+    def coefficient_vector(self, node_order: Sequence[int] | Mapping[int, int]) -> np.ndarray:
+        """Length-2N coefficient vector for modes following node_order (ids, or a node -> index map)."""
+        index = node_order
+        if not isinstance(node_order, Mapping):
+            index = {int(node): k for k, node in enumerate(node_order)}
+        n = len(index)
         vec = np.zeros(2 * n)
         for node, quad, coeff in self.terms:
-            try:
-                k = order.index(node)
-            except ValueError:
-                raise ValueError(f"form references node {node} outside the node order") from None
-            vec[k + (n if quad == "p" else 0)] += coeff
+            if node not in index:
+                raise ValueError(f"form references node {node} outside the node order")
+            vec[index[node] + (n if quad == "p" else 0)] += coeff
         return vec
 
     def describe(self) -> str:

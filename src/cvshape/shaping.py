@@ -7,8 +7,8 @@ treat the means, and all are exact:
 
 * conditional: sample (or force) outcomes and track the conditioned
   state of the survivors, one trajectory at a time;
-* trajectory: the conditional update applied to a batch of Monte Carlo
-  means that share one conditioned covariance;
+* trajectory: Monte Carlo in noise space; each trial's readout is an affine
+  map m + W z of its own normals, in O(steps * trials + chunk * N) memory;
 * ensemble: average over outcomes analytically.  Each measure-and-displace
   step acts on (mean, cov) as the linear map A = P + G u^T, with P the
   keep-rows projector, u the measured-quadrature selector, and G the
@@ -52,6 +52,9 @@ __all__ = [
 #: Marginal variances below this signal a near-eigenstate quadrature;
 #: conditioning on one would divide by ~0 and must fail loudly instead.
 MARGINAL_VARIANCE_FLOOR = 1e-12
+
+#: Trials per readout-noise draw in run_trajectory; bounds its working set.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -291,19 +294,17 @@ def execute_ensemble(state: GaussianState, node_order: Sequence[int], steps: Seq
 
 
 def _conditional_step(means, cov, order, step, draw):
-    """Condition one mean vector or a trials x 2N batch on a step's outcomes.
+    """Condition one mean vector or a batch of mean rows on a step's outcomes.
 
-    The batch shares one covariance, which the outcomes do not change.
+    The rows share one covariance, which the outcomes do not change; Monte
+    Carlo sends (1 + steps) noise-loading rows, never a trials x 2N batch.
     draw(projections, var) returns the outcome(s) given the marginal
-    mean(s); step.node leaves order.  Returns (means, cov, projections,
-    var, values).
+    mean(s); step.node leaves order.  Returns (means, cov, projections, var, values).
     """
     u, idx, marginal_var, vu = _condition(cov, order, step)
     projections = means @ u
     values = draw(projections, marginal_var)
-    # summed in place: one trials x 2N temporary fewer at the memory peak
-    shift = np.multiply.outer(values - projections, vu / marginal_var)
-    means = np.add(means[..., idx], shift, out=shift)
+    means = means[..., idx] + np.multiply.outer(values - projections, vu / marginal_var)
     order.remove(step.node)
     for target in step.feedforward:
         means[..., _target_column(order, target)] += target.gain * values
@@ -482,13 +483,38 @@ class TrajectoryStats:
     analytic_cov: np.ndarray
 
 
+def _readout_map(plan: TrajectoryPlan):
+    """Mean m and noise loading W of a trial's readout m + W z.
+
+    z holds the trial's standard normals, one per step, then 2N_f for the
+    readout.  Row 0 of a (1 + steps) x 2N batch through the kernel starts
+    at the initial mean and draws no noise; row 1+k starts at zero and
+    draws a unit noise at step k only.  Returns (m, W, order, eta).
+    """
+    order, cov = _check_order(plan.state, plan.node_order), plan.state.cov
+    rows = np.vstack([plan.state.mean, np.zeros((len(plan.steps), plan.state.mean.size))])
+    for k, step in enumerate(plan.steps):
+        unit = np.eye(len(rows))[1 + k]
+        rows, cov, *_ = _conditional_step(rows, cov, order, step, lambda y, var: y + np.sqrt(var) * unit)
+    efficiency = dict(plan.readout_efficiency)
+    eta = [efficiency.get(node, 1.0) for node in order]
+    rows, cov_read = _mix_vacuum(rows, cov, eta)
+    try:
+        noise_shaper = np.linalg.cholesky(cov_read)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov_read)
+        noise_shaper = v * np.sqrt(np.clip(w, 0.0, None))
+    return rows[0], np.hstack([rows[1:].T, noise_shaper]), tuple(order), eta
+
+
 def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectoryStats:
     """Sample shaping trajectories and accumulate form statistics.
 
-    All trials share one generator seeded with seed, so results are
-    deterministic and independent of any internal vectorization.  The
-    conditional covariance after each measurement does not depend on the
-    outcome, so it is tracked once while the per-trial means fan out.
+    One generator seeded with seed draws each step's noise for all trials,
+    then the readout noise _CHUNK trials at a time; chunking does not change
+    the numbers.  Readouts are m + W z (_readout_map), so the statistics
+    follow from sum z and sum z z^T in O(steps * trials + chunk * N) memory.
+    A form c is reduced to W^T c first: nullifiers cancel at loading scale.
 
     Args:
         plan: trajectory plan.
@@ -497,70 +523,41 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
 
     Returns:
         TrajectoryStats with per-form statistics and the sample covariance
-        of the recorded readout values; sample variances are None when
-        trials == 1.
+        of the recorded readout values; sample variances are None and the
+        sample covariance NaN when trials == 1.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    mean, loading, final_order, eta = _readout_map(plan)
+    (n_read, width), n_steps = loading.shape, len(plan.steps)
     rng = np.random.default_rng(seed)
-
-    def sample(projections, marginal_var):
-        return projections + np.sqrt(marginal_var) * rng.standard_normal(trials)
-
-    order = _check_order(plan.state, plan.node_order)
-    # The first step's outcomes broadcast the one initial mean to a batch.
-    means, cov = plan.state.mean, plan.state.cov
-    for step in plan.steps:
-        # The last step's outcome arrays stay bound until return: freeing them
-        # here let the heap shrink and cost ~500 page faults per 1e5-trial run.
-        means, cov, projections, _, values = _conditional_step(means, cov, order, step, sample)
-    efficiency = dict(plan.readout_efficiency)
-    eta = [efficiency.get(node, 1.0) for node in order]
-    means, cov_read = _mix_vacuum(means, cov, eta)
-
-    # Simulated detector record: conditional mean plus conditional noise.
-    try:
-        noise_shaper = np.linalg.cholesky(cov_read)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov_read)
-        noise_shaper = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    readout = rng.standard_normal((trials, 2 * len(order))) @ noise_shaper.T
-    readout += means
-
+    step_noise = rng.standard_normal((n_steps, trials))
+    # z's constant last column makes the running Gram matrix carry sum z too.
+    gram, z = np.zeros((width + 1, width + 1)), np.ones((min(trials, _CHUNK), width + 1))
+    for start in range(0, trials, _CHUNK):
+        k = min(_CHUNK, trials - start)
+        z[:k, :n_steps] = step_noise[:, start : start + k].T
+        z[:k, n_steps:width] = rng.standard_normal((k, n_read))
+        gram += z[:k].T @ z[:k]
+    z_mean, gram = gram[-1, :-1] / trials, gram[:-1, :-1]
     # Analytic ensemble target for the same pipeline.
-    analytic, final_order, _ = execute_ensemble(plan.state, plan.node_order, plan.steps)
+    analytic, _, _ = execute_ensemble(plan.state, plan.node_order, plan.steps)
     analytic = GaussianState(*_mix_vacuum(analytic.mean, analytic.cov, eta))
     analytic_vars = quadrature_variances(analytic, plan.record, final_order).tolist()
 
-    sample_mean_vec = readout.mean(axis=0)
+    index = {node: k for k, node in enumerate(final_order)}
+    rows = np.reshape([form_vector(f, n_read // 2, index) for f in plan.record], (-1, n_read))
+    form_loading = rows @ loading
+    sample_means = (rows @ mean + form_loading @ z_mean).tolist()
+    sample_vars = [None] * len(rows)
+    sample_cov = np.full((n_read, n_read), np.nan)
     if trials > 1:
-        centered = readout - sample_mean_vec
-        sample_cov = centered.T @ centered / (trials - 1)
-    else:
-        sample_cov = np.full((2 * len(order), 2 * len(order)), np.nan)
-
-    forms = []
-    for form, analytic_var in zip(plan.record, analytic_vars):
-        c = form_vector(form, len(order), final_order)
-        label = form.describe() if isinstance(form, Nullifier) else "form"
-        values = readout @ c  # one 1-D pass per form beats a batch var over trials x forms
-        sample_var = float(values.var(ddof=1)) if trials > 1 else None
-        stderr = sample_var * np.sqrt(2.0 / (trials - 1)) if trials > 1 else None
-        forms.append(
-            FormStats(
-                label=label,
-                analytic_var=analytic_var,
-                sample_mean=float(values.mean()),
-                sample_var=sample_var,
-                stderr=stderr,
-            )
-        )
-
-    return TrajectoryStats(
-        trials=int(trials),
-        seed=int(seed),
-        forms=tuple(forms),
-        node_order=tuple(final_order),
-        sample_cov=sample_cov,
-        analytic_cov=analytic.cov,
+        z_cov = (gram - trials * np.outer(z_mean, z_mean)) / (trials - 1)
+        sample_cov = loading @ z_cov @ loading.T
+        sample_vars = np.einsum("ij,ij->i", form_loading @ z_cov, form_loading).tolist()
+    forms = tuple(
+        FormStats(form.describe() if isinstance(form, Nullifier) else "form", a, m, v,
+                  None if v is None else v * np.sqrt(2.0 / (trials - 1)))
+        for form, a, m, v in zip(plan.record, analytic_vars, sample_means, sample_vars)
     )
+    return TrajectoryStats(int(trials), int(seed), forms, final_order, sample_cov, analytic.cov)

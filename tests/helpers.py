@@ -19,6 +19,8 @@ from cvshape import (
     tensor,
     vacuum,
 )
+from cvshape.gaussian import _mix_vacuum, form_vector
+from cvshape.shaping import _check_order, _conditional_step
 
 
 def random_signed_graph(rng: np.random.Generator, n_min: int = 2, n_max: int = 8):
@@ -90,3 +92,34 @@ def signed_wire(n: int):
     return ClusterGraph.from_edges(
         [(k, k + 1, -1 if k % 3 == 0 else 1) for k in range(1, n)], nodes=range(1, n + 1)
     )
+
+
+def batch_trajectory_reference(plan, trials: int, seed: int):
+    """Reference Monte Carlo: every trial's mean and readout as one trials x 2N batch.
+
+    Draws the same numbers in the same order as run_trajectory: each
+    step's outcome noise for all trials, then one (trials, 2N_f) readout
+    draw.  Returns (per-form (sample_mean, sample_var or None), sample_cov).
+    """
+    rng = np.random.default_rng(seed)
+
+    def sample(projections, marginal_var):
+        return projections + np.sqrt(marginal_var) * rng.standard_normal(trials)
+
+    order = _check_order(plan.state, plan.node_order)
+    means, cov = plan.state.mean, plan.state.cov
+    for step in plan.steps:
+        means, cov, _, _, _ = _conditional_step(means, cov, order, step, sample)
+    efficiency = dict(plan.readout_efficiency)
+    means, cov_read = _mix_vacuum(means, cov, [efficiency.get(node, 1.0) for node in order])
+    n = 2 * len(order)
+    readout = rng.standard_normal((trials, n)) @ np.linalg.cholesky(cov_read).T + means
+    sample_cov = np.full((n, n), np.nan)
+    if trials > 1:
+        centered = readout - readout.mean(axis=0)
+        sample_cov = centered.T @ centered / (trials - 1)
+    forms = []
+    for form in plan.record:
+        values = readout @ form_vector(form, len(order), order)
+        forms.append((float(values.mean()), float(values.var(ddof=1)) if trials > 1 else None))
+    return forms, sample_cov

@@ -141,6 +141,19 @@ def test_config_rejects_bad_values():
         ExperimentConfig(loss={"source": 1.5})
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        (ExperimentConfig(scenario="remove-edge", loss={"propagation": {9: 0.5}}), "loss.propagation.9"),
+        (ExperimentConfig(scenario="remove-edge", loss={"detection": {2: 0.9, 7: 0.8}}), "loss.detection.7"),
+    ],
+    ids=["propagation-9", "detection-7"],
+)
+def test_per_node_loss_must_name_graph_nodes(config, key):
+    with pytest.raises(ConfigError, match=rf"^{key}: node \d+ is not in the graph$"):
+        run(config)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "field", ["squeezing_db", "calibrate_target", "feedforward_gain", "squeezing_overrides"]

@@ -125,6 +125,21 @@ def test_nullifier_rejects_order_missing_a_term_node():
     np.testing.assert_allclose(n1.coefficient_vector((1, 2)), [0, -1, 1, 0])
 
 
+def test_nullifier_coefficient_vector_takes_a_node_index_map():
+    wire = ClusterGraph.linear_wire(4)
+    order = (3, 1, 4, 2)
+    index = {node: k for k, node in enumerate(order)}
+    for form in nullifiers_of(wire):
+        np.testing.assert_array_equal(form.coefficient_vector(index), form.coefficient_vector(order))
+    with pytest.raises(ValueError, match="outside the node order"):
+        nullifiers_of(wire)[1].coefficient_vector({1: 0, 2: 1})
+    # form_vector and the batched variances resolve names through the same map
+    rows = [form_vector(f, 4, order) for f in nullifiers_of(wire)]
+    np.testing.assert_array_equal(rows, [f.coefficient_vector(order) for f in nullifiers_of(wire)])
+    with pytest.raises(ValueError, match="outside the node order"):
+        form_vector(nullifiers_of(wire)[0], 3, (1, 3, 4))
+
+
 # ----------------------------------------------------------- canonical build
 
 

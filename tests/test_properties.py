@@ -4,7 +4,9 @@ Conditional execution forces outcomes; ensemble execution averages them
 out analytically.  One measure-and-displace step maps the mean linearly,
 mean(y) = mean(0) + b y, so the ensemble must equal the conditional state
 plus the spread var * b b^T of the conditional means, with its mean at
-the marginal mean of the measured quadrature.
+the marginal mean of the measured quadrature.  Trajectory execution maps
+each trial's noises z to its readout m + W z; with unit-variance noise the
+readout ensemble is (m, W W^T), which must equal the ensemble semantics.
 """
 
 import numpy as np
@@ -15,11 +17,14 @@ from cvshape import (
     ClusterGraph,
     GaussianState,
     LossModel,
+    TrajectoryPlan,
     build_canonical,
     removal_steps,
+    run_trajectory,
     shorten_steps,
 )
-from cvshape.shaping import execute_conditional, execute_ensemble
+from cvshape.gaussian import _mix_vacuum
+from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
 
 SIGNS = st.sampled_from((-1, 1))
 GAINS = st.floats(-2.0, 2.0)
@@ -91,3 +96,29 @@ def test_shortening_conditional_covariance_ignores_outcomes(wire, gain, data):
     out_2, order_2, _ = execute_conditional(state, wire.nodes, steps, values=second)
     assert order_1 == order_2
     np.testing.assert_array_equal(out_1.cov, out_2.cov)
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=signed_graphs(), data=st.data())
+def test_trajectory_readout_map_is_the_ensemble(graph, data):
+    state = data.draw(lossy_states(graph))
+    first = data.draw(st.sampled_from(graph.nodes))
+    steps = removal_steps(graph, first, gain=data.draw(GAINS))
+    if graph.n_nodes > 2 and data.draw(st.booleans()):
+        rest = graph.with_node_removed(first)
+        steps += removal_steps(rest, data.draw(st.sampled_from(rest.nodes)), gain=data.draw(GAINS))
+    ensemble, order, _ = execute_ensemble(state, graph.nodes, steps)
+    eta = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(order), max_size=len(order)))
+    plan = TrajectoryPlan(state, graph.nodes, steps, record=(), readout_efficiency=dict(zip(order, eta)))
+
+    mean, loading, final_order, _ = _readout_map(plan)
+    target_mean, _ = _mix_vacuum(ensemble.mean, ensemble.cov, eta)
+    analytic_cov = run_trajectory(plan, trials=1, seed=0).analytic_cov
+    assert final_order == order
+    assert loading.shape == (2 * len(order), len(steps) + 2 * len(order))
+    np.testing.assert_allclose(
+        mean, target_mean, rtol=0, atol=1e-12 * max(1.0, np.abs(target_mean).max())
+    )
+    np.testing.assert_allclose(
+        loading @ loading.T, analytic_cov, rtol=0, atol=1e-12 * np.abs(analytic_cov).max()
+    )

@@ -1,5 +1,7 @@
 """Homodyne conditioning, feedforward, node removal, wire shortening, trajectories."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ from cvshape import (
     squeezed_variance,
     tensor,
 )
-from cvshape.shaping import execute_conditional, execute_ensemble
-from helpers import random_product_state, random_signed_graph
+from cvshape.shaping import _CHUNK, execute_conditional, execute_ensemble
+from helpers import batch_trajectory_reference, random_product_state, random_signed_graph, signed_wire
 
 SQUEEZED_5DB = 0.07905694150420949
 TWO_TERM_5DB = 0.15811388300841897  # 2 * SQUEEZED_5DB
@@ -351,3 +353,41 @@ def test_trajectory_sample_cov_matches_analytic_cov():
 def test_trajectory_rejects_bad_trials():
     with pytest.raises(ValueError):
         run_trajectory(make_shorten_plan(), trials=0, seed=1)
+
+
+@pytest.mark.parametrize("trials", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("readout", [None, {1: 0.7, 4: 0.9}], ids=["ideal", "lossy"])
+def test_trajectory_matches_batch_reference(trials, readout):
+    plan = make_shorten_plan(readout=readout)
+    stats = run_trajectory(plan, trials=trials, seed=17)
+    ref_forms, ref_cov = batch_trajectory_reference(plan, trials, seed=17)
+    for form, (ref_mean, ref_var) in zip(stats.forms, ref_forms):
+        assert form.sample_mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12)
+        if trials == 1:
+            assert form.sample_var is None and ref_var is None
+        else:
+            assert form.sample_var == pytest.approx(ref_var, rel=1e-12)
+    if trials == 1:
+        assert np.isnan(stats.sample_cov).all()
+    else:
+        scale = np.abs(ref_cov).max()
+        np.testing.assert_allclose(stats.sample_cov, ref_cov, rtol=0, atol=1e-12 * scale)
+
+
+def test_trajectory_memory_does_not_scale_with_trials_times_modes():
+    wire = signed_wire(64)
+    plan = TrajectoryPlan(
+        state=build_canonical(wire, 5.0),
+        node_order=wire.nodes,
+        steps=removal_steps(wire, 30),
+        record=nullifiers_of(wire.with_node_removed(30)),
+    )
+    tracemalloc.start()
+    try:
+        stats = run_trajectory(plan, trials=100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.trials == 100_000
+    # the trials x 2N batch alone would be 100_000 * 126 * 8 bytes = 96 MiB
+    assert peak < 64 * 2**20
