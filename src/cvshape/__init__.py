@@ -15,16 +15,11 @@ from .gaussian import (
     VACUUM_VARIANCE,
     apply,
     apply_loss,
-    beam_splitter,
-    displacement,
     form_vector,
-    identity_transform,
     phase_shift,
-    qnd_gate,
     quadrature_selector,
     quadrature_variance,
     quadrature_variances,
-    squeeze_gate,
     squeezed_vacuum,
     squeezed_variance,
     symplectic_form,

@@ -81,7 +81,11 @@ def bloch_messiah(matrix: np.ndarray):
             at very high squeezing.
     """
     s = np.asarray(matrix, dtype=float)
-    if not is_symplectic(s, tol=_FACTOR_TOL):
+    # Rounding in S^T J S grows as |S|^2, so the input is checked on that
+    # scale; past float range (tol = inf) nothing can be checked.
+    size = max(1.0, float(np.abs(s).max()))
+    tol = _FACTOR_TOL * size * size
+    if not (np.isfinite(tol) and is_symplectic(s, tol=tol)):
         raise np.linalg.LinAlgError("input matrix is not symplectic")
     n = s.shape[0] // 2
     j = symplectic_form(n)

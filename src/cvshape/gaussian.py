@@ -1,12 +1,12 @@
-"""Gaussian phase-space states, gates, and loss channels.
+"""Gaussian phase-space states, linear symplectic maps, and loss channels.
 
 Conventions, fixed for the whole package: hbar = 1/2, so [x_i, p_j] =
 i delta_ij / 2 and every vacuum quadrature has variance 1/4.  Vectors and
 matrices are ordered xxpp, i.e. (x_1, ..., x_N, p_1, ..., p_N), and the
 symplectic form is J = [[0, I], [-I, 0]].
 
-States and transforms are value types: every operation is a pure function
-returning a new object, so ensembles parallelize trivially over trials.
+States and transforms are immutable value types with read-only arrays:
+every operation is a pure function returning a new object.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ __all__ = [
     "squeezed_vacuum",
     "squeezed_variance",
     "tensor",
-    "identity_transform",
-    "squeeze_gate",
-    "qnd_gate",
-    "beam_splitter",
     "phase_shift",
-    "displacement",
     "apply",
     "apply_loss",
     "quadrature_selector",
@@ -111,15 +106,6 @@ class GaussianState:
         j = symplectic_form(self.n_modes)
         return float(np.linalg.eigvalsh(self.cov + 0.25j * j)[0].real)
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return self.uncertainty_eigenvalue() >= -tol
-
-    def require_physical(self, tol: float = PHYSICALITY_TOL) -> "GaussianState":
-        value = self.uncertainty_eigenvalue()
-        if value < -tol:
-            raise ValueError(f"state violates the uncertainty relation: min eig {value:.3e}")
-        return self
-
     def marginal(self, modes: Sequence[int]) -> "GaussianState":
         """Reduced state of the given modes (partial trace over the rest)."""
         n = self.n_modes
@@ -132,36 +118,19 @@ class GaussianState:
 
 @dataclass(frozen=True, eq=False)
 class SymplecticTransform:
-    """Affine Gaussian unitary: quadratures map to matrix @ r + shift."""
+    """Linear Gaussian unitary: quadratures map to matrix @ r."""
 
     matrix: np.ndarray
-    shift: np.ndarray
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
-        shift = np.asarray(self.shift, dtype=float).reshape(-1)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError("transform matrix must be square with even dimension")
-        if shift.size != matrix.shape[0]:
-            raise ValueError("shift length must match the matrix dimension")
         object.__setattr__(self, "matrix", _readonly(matrix))
-        object.__setattr__(self, "shift", _readonly(shift))
 
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-    def __matmul__(self, other: "SymplecticTransform") -> "SymplecticTransform":
-        """Composition: (self @ other) applies other first, then self."""
-        if self.matrix.shape != other.matrix.shape:
-            raise ValueError("cannot compose transforms of different sizes")
-        return SymplecticTransform(
-            self.matrix @ other.matrix, self.matrix @ other.shift + self.shift
-        )
-
-    def inverse(self) -> "SymplecticTransform":
-        inv = np.linalg.inv(self.matrix)
-        return SymplecticTransform(inv, -inv @ self.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -227,83 +196,13 @@ def tensor(*states: GaussianState) -> GaussianState:
 
 
 # ---------------------------------------------------------------------------
-# gates
+# transforms
 # ---------------------------------------------------------------------------
-
-
-def identity_transform(n_modes: int) -> SymplecticTransform:
-    return SymplecticTransform(np.eye(2 * n_modes), np.zeros(2 * n_modes))
 
 
 def _check_mode(n_modes: int, mode: int) -> None:
     if not 0 <= mode < n_modes:
         raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
-
-
-def squeeze_gate(n_modes: int, mode: int, db: float, quadrature: str = "p") -> SymplecticTransform:
-    """Single-mode squeezer scaling one quadrature down by 10^(-db/20)."""
-    _check_mode(n_modes, mode)
-    if db < 0:
-        raise ValueError("squeezing level in dB must be non-negative")
-    if quadrature not in ("x", "p"):
-        raise ValueError("quadrature must be 'x' or 'p'")
-    down = 10.0 ** (-db / 20.0)
-    mat = np.eye(2 * n_modes)
-    if quadrature == "p":
-        mat[mode, mode] = 1.0 / down
-        mat[n_modes + mode, n_modes + mode] = down
-    else:
-        mat[mode, mode] = down
-        mat[n_modes + mode, n_modes + mode] = 1.0 / down
-    return SymplecticTransform(mat, np.zeros(2 * n_modes))
-
-
-def qnd_gate(n_modes: int, i: int, j: int, gain: float = 1.0) -> SymplecticTransform:
-    """Sum-type two-mode interaction: p_i += gain x_j and p_j += gain x_i.
-
-    Both x quadratures are left untouched, so the interaction is its own
-    complement: composing gains g and -g gives the identity.
-
-    Args:
-        n_modes: total number of modes.
-        i: first mode index.
-        j: second mode index, distinct from i.
-        gain: interaction strength, default 1.
-
-    Returns:
-        The corresponding SymplecticTransform.
-    """
-    _check_mode(n_modes, i)
-    _check_mode(n_modes, j)
-    if i == j:
-        raise ValueError("the interaction couples two distinct modes")
-    mat = np.eye(2 * n_modes)
-    mat[n_modes + i, j] = gain
-    mat[n_modes + j, i] = gain
-    return SymplecticTransform(mat, np.zeros(2 * n_modes))
-
-
-def beam_splitter(n_modes: int, i: int, j: int, reflectivity: float) -> SymplecticTransform:
-    """Real beam splitter acting identically on the x and p blocks.
-
-    The 2x2 mixing matrix is [[sqrt(r), sqrt(1-r)], [sqrt(1-r), -sqrt(r)]],
-    which is an involution: applying the same splitter twice is the identity.
-    """
-    _check_mode(n_modes, i)
-    _check_mode(n_modes, j)
-    if i == j:
-        raise ValueError("beam splitter couples two distinct modes")
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    c = np.sqrt(reflectivity)
-    s = np.sqrt(1.0 - reflectivity)
-    mat = np.eye(2 * n_modes)
-    for a, b in ((i, j), (n_modes + i, n_modes + j)):
-        mat[a, a] = c
-        mat[a, b] = s
-        mat[b, a] = s
-        mat[b, b] = -c
-    return SymplecticTransform(mat, np.zeros(2 * n_modes))
 
 
 def phase_shift(n_modes: int, mode: int, theta: float) -> SymplecticTransform:
@@ -320,41 +219,25 @@ def phase_shift(n_modes: int, mode: int, theta: float) -> SymplecticTransform:
     mat[mode, n_modes + mode] = -s
     mat[n_modes + mode, mode] = s
     mat[n_modes + mode, n_modes + mode] = c
-    return SymplecticTransform(mat, np.zeros(2 * n_modes))
-
-
-def displacement(n_modes: int, mode: int, quadrature: str, amount: float) -> SymplecticTransform:
-    """Shift one quadrature of one mode by a classical amount.
-
-    The convention is additive: displacing p_i by s maps p_i to p_i + s.
-    """
-    _check_mode(n_modes, mode)
-    shift = np.zeros(2 * n_modes)
-    if quadrature == "x":
-        shift[mode] = amount
-    elif quadrature == "p":
-        shift[n_modes + mode] = amount
-    else:
-        raise ValueError("quadrature must be 'x' or 'p'")
-    return SymplecticTransform(np.eye(2 * n_modes), shift)
+    return SymplecticTransform(mat)
 
 
 def apply(state: GaussianState, transform: SymplecticTransform) -> GaussianState:
-    """Apply an affine Gaussian unitary to a state.
+    """Apply a linear Gaussian unitary to a state.
 
     Args:
         state: input state.
         transform: transform whose mode count matches the state.
 
     Returns:
-        New state with mean S mean + shift and covariance S cov S^T.
+        New state with mean S mean and covariance S cov S^T.
     """
     if transform.matrix.shape[0] != state.mean.size:
         raise ValueError(
             f"transform acts on {transform.n_modes} modes, state has {state.n_modes}"
         )
     s = transform.matrix
-    return GaussianState(s @ state.mean + transform.shift, s @ state.cov @ s.T)
+    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +306,6 @@ class LossModel:
                 entry = checked(value)
             normalized.append((str(label), entry))
         object.__setattr__(self, "stages", tuple(normalized))
-
-    def stage_labels(self) -> tuple:
-        return tuple(label for label, _ in self.stages)
 
     def efficiency(self, stage: str, node: int) -> float:
         """Transmission of one stage for one node; 1.0 when unspecified."""

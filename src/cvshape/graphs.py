@@ -165,10 +165,11 @@ class ClusterGraph:
     def adjacency_matrix(self) -> np.ndarray:
         """Signed adjacency in node order."""
         n = self.n_nodes
+        index = {node: k for k, node in enumerate(self.nodes)}
         a = np.zeros((n, n))
         for i, j, s in self.edges():
-            a[self.index_of(i), self.index_of(j)] = s
-            a[self.index_of(j), self.index_of(i)] = s
+            a[index[i], index[j]] = s
+            a[index[j], index[i]] = s
         return a
 
 
@@ -255,13 +256,13 @@ def canonical_transform(graph: ClusterGraph, db) -> SymplecticTransform:
     levels = [_db_of(db, node) for node in graph.nodes]
     if min(levels, default=0.0) < 0:
         raise ValueError("squeezing level in dB must be non-negative")
-    # Scalar powers as in squeeze_gate; numpy's vector power may differ by an ulp.
+    # Scalar powers as in tests/helpers.squeeze_gate; numpy's vector power may differ by an ulp.
     down = np.array([10.0 ** (-level / 20.0) for level in levels])
     up = 1.0 / down
     matrix = np.block(
         [[np.diag(up), np.zeros((len(up), len(up)))], [graph.adjacency_matrix() * up, np.diag(down)]]
     )
-    return SymplecticTransform(matrix, np.zeros(2 * len(up)))
+    return SymplecticTransform(matrix)
 
 
 def build_canonical(graph: ClusterGraph, db) -> GaussianState:
@@ -338,7 +339,7 @@ class NetworkPlan:
             else:
                 raise ValueError(f"unknown interferometer element {element!r}")
         u = _elements_to_unitary(elements, len(self.node_order))
-        return SymplecticTransform(unitary_to_orthogonal_symplectic(u), np.zeros(2 * len(u)))
+        return SymplecticTransform(unitary_to_orthogonal_symplectic(u))
 
     def prepare(self) -> GaussianState:
         """Run the plan: squeezed vacua through the interferometer."""

@@ -1,4 +1,4 @@
-"""Shared builders for randomized tests.
+"""Shared builders for randomized tests, and the gate library they use.
 
 All randomness flows through explicitly seeded generators so every
 property loop is reproducible from the test source alone.
@@ -9,18 +9,86 @@ import numpy as np
 from cvshape import (
     ClusterGraph,
     GaussianState,
+    SymplecticTransform,
     apply,
-    displacement,
-    identity_transform,
     phase_shift,
-    qnd_gate,
-    squeeze_gate,
     squeezed_vacuum,
     tensor,
     vacuum,
 )
-from cvshape.gaussian import _mix_vacuum, form_vector
+from cvshape.gaussian import _check_mode, _mix_vacuum, form_vector
 from cvshape.shaping import _check_order, _conditional_step
+
+
+def identity_transform(n_modes: int) -> SymplecticTransform:
+    return SymplecticTransform(np.eye(2 * n_modes))
+
+
+def squeeze_gate(n_modes: int, mode: int, db: float, quadrature: str = "p") -> SymplecticTransform:
+    """Single-mode squeezer scaling one quadrature down by 10^(-db/20)."""
+    _check_mode(n_modes, mode)
+    if db < 0:
+        raise ValueError("squeezing level in dB must be non-negative")
+    if quadrature not in ("x", "p"):
+        raise ValueError("quadrature must be 'x' or 'p'")
+    down = 10.0 ** (-db / 20.0)
+    mat = np.eye(2 * n_modes)
+    if quadrature == "p":
+        mat[mode, mode] = 1.0 / down
+        mat[n_modes + mode, n_modes + mode] = down
+    else:
+        mat[mode, mode] = down
+        mat[n_modes + mode, n_modes + mode] = 1.0 / down
+    return SymplecticTransform(mat)
+
+
+def qnd_gate(n_modes: int, i: int, j: int, gain: float = 1.0) -> SymplecticTransform:
+    """Sum-type two-mode interaction: p_i += gain x_j and p_j += gain x_i.
+
+    Both x quadratures are left untouched, so composing gains g and -g
+    gives the identity.
+    """
+    _check_mode(n_modes, i)
+    _check_mode(n_modes, j)
+    if i == j:
+        raise ValueError("the interaction couples two distinct modes")
+    mat = np.eye(2 * n_modes)
+    mat[n_modes + i, j] = gain
+    mat[n_modes + j, i] = gain
+    return SymplecticTransform(mat)
+
+
+def beam_splitter(n_modes: int, i: int, j: int, reflectivity: float) -> SymplecticTransform:
+    """Real beam splitter acting identically on the x and p blocks.
+
+    The 2x2 mixing matrix is [[sqrt(r), sqrt(1-r)], [sqrt(1-r), -sqrt(r)]],
+    which is an involution: applying the same splitter twice is the identity.
+    """
+    _check_mode(n_modes, i)
+    _check_mode(n_modes, j)
+    if i == j:
+        raise ValueError("beam splitter couples two distinct modes")
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError("reflectivity must lie in [0, 1]")
+    c = np.sqrt(reflectivity)
+    s = np.sqrt(1.0 - reflectivity)
+    mat = np.eye(2 * n_modes)
+    for a, b in ((i, j), (n_modes + i, n_modes + j)):
+        mat[a, a] = c
+        mat[a, b] = s
+        mat[b, a] = s
+        mat[b, b] = -c
+    return SymplecticTransform(mat)
+
+
+def displacement(state: GaussianState, mode: int, quadrature: str, amount: float) -> GaussianState:
+    """Shift one quadrature's mean by a classical amount: p_i -> p_i + amount."""
+    _check_mode(state.n_modes, mode)
+    if quadrature not in ("x", "p"):
+        raise ValueError("quadrature must be 'x' or 'p'")
+    shift = np.zeros(2 * state.n_modes)
+    shift[mode if quadrature == "x" else state.n_modes + mode] = amount
+    return GaussianState(state.mean + shift, state.cov)
 
 
 def random_signed_graph(rng: np.random.Generator, n_min: int = 2, n_max: int = 8):
@@ -49,8 +117,8 @@ def random_single_mode(rng: np.random.Generator) -> GaussianState:
     """Squeezed, rotated, displaced single-mode state."""
     st = squeezed_vacuum(float(rng.uniform(0.0, 10.0)), "p")
     st = apply(st, phase_shift(1, 0, float(rng.uniform(0.0, np.pi))))
-    st = apply(st, displacement(1, 0, "x", float(rng.uniform(-2.0, 2.0))))
-    st = apply(st, displacement(1, 0, "p", float(rng.uniform(-2.0, 2.0))))
+    st = displacement(st, 0, "x", float(rng.uniform(-2.0, 2.0)))
+    st = displacement(st, 0, "p", float(rng.uniform(-2.0, 2.0)))
     return st
 
 
@@ -70,13 +138,13 @@ def random_symplectic_state(rng: np.random.Generator, n: int) -> GaussianState:
 def gate_chain_transform(graph, db_map):
     """Reference canonical symplectic: one p-squeezer per node, one sum gate per edge."""
     n = graph.n_nodes
-    t = identity_transform(n)
+    t = identity_transform(n).matrix
     for k, node in enumerate(graph.nodes):
         if db_map[node] > 0:
-            t = squeeze_gate(n, k, db_map[node], quadrature="p") @ t
+            t = squeeze_gate(n, k, db_map[node], quadrature="p").matrix @ t
     for i, j, sign in graph.edges():
-        t = qnd_gate(n, graph.index_of(i), graph.index_of(j), gain=float(sign)) @ t
-    return t
+        t = qnd_gate(n, graph.index_of(i), graph.index_of(j), gain=float(sign)).matrix @ t
+    return SymplecticTransform(t)
 
 
 def gate_chain_state(graph, db_map):

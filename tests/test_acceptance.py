@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cvshape import (
+    PHYSICALITY_TOL,
     ClusterGraph,
     ExperimentConfig,
     FeedforwardTarget,
@@ -27,7 +28,6 @@ from cvshape import (
     is_orthogonal,
     is_symplectic,
     nullifiers_of,
-    qnd_gate,
     quadrature_variance,
     remove_node,
     run,
@@ -35,7 +35,7 @@ from cvshape import (
     shorten_steps,
     shorten_wire,
 )
-from helpers import random_product_state, random_signed_graph
+from helpers import qnd_gate, random_product_state, random_signed_graph
 
 TWO_TERM_5DB = 0.15811388300841897
 GOLDEN_RATIO = 1.618033988749895
@@ -203,7 +203,7 @@ def test_criterion_07_every_state_is_physical():
     loss = calibrate_loss(0.25)
     baseline.append(loss.apply_stage(baseline[1], "propagation", wire.nodes))
     pool = [("baseline", s) for s in baseline] + STATE_POOL
-    bad = [tag for tag, s in pool if not s.is_physical()]
+    bad = [tag for tag, s in pool if s.uncertainty_eigenvalue() < -PHYSICALITY_TOL]
     _verdict(
         7,
         "every produced state is physical",

@@ -157,9 +157,15 @@ def test_compiled_shortening_at_60_db_passes(tmp_path, capsys, lossless):
             "scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 80\n",
             "error: compiled construction failed: ",
         ),
+        (
+            # The canonical symplectic passes the input check on its own
+            # |S|^2 scale; the compiled plan's nullifier precision refuses.
+            "scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 84\n",
+            "error: compiled construction failed: compiled plan state deviates",
+        ),
         ("scenario = remove-edge\nsqueezing_db = 200\n", "error: criteria check failed: "),
     ],
-    ids=["compiled-80db", "remove-edge-200db"],
+    ids=["compiled-80db", "compiled-84db", "remove-edge-200db"],
 )
 def test_numerical_breakdown_exits_two(tmp_path, capsys, body, message):
     cfg = tmp_path / "hi.cfg"

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from cvshape import (
-    beam_splitter,
+    ClusterGraph,
     bloch_messiah,
     is_orthogonal,
     is_symplectic,
-    qnd_gate,
     symplectic_form,
 )
 from cvshape.decompositions import (
@@ -19,7 +18,7 @@ from cvshape.decompositions import (
     unitary_to_orthogonal_symplectic,
 )
 from cvshape.graphs import canonical_transform
-from helpers import random_signed_graph
+from helpers import beam_splitter, qnd_gate, random_signed_graph
 
 GOLDEN_RATIO = 1.618033988749895
 
@@ -93,6 +92,21 @@ def test_rejects_non_symplectic_input():
         bloch_messiah(np.eye(4) * 2.0)
     with pytest.raises(ValueError):
         bloch_messiah(np.eye(3))
+
+
+def test_symplectic_input_check_scales_with_the_matrix():
+    # Rounding in S^T J S grows as |S|^2: at 90 dB the canonical 4-wire's
+    # residual exceeds an absolute 1e-8 although S is symplectic by construction.
+    s = canonical_transform(ClusterGraph.linear_wire(4), 90.0).matrix
+    try:
+        bloch_messiah(s)
+    except np.linalg.LinAlgError as exc:
+        assert "input matrix is not symplectic" not in str(exc)
+    k = np.unravel_index(np.argmax(np.abs(s)), s.shape)
+    perturbed = s.copy()
+    perturbed[k] *= 1.0 + 1e-6
+    with pytest.raises(np.linalg.LinAlgError, match="input matrix is not symplectic"):
+        bloch_messiah(perturbed)
 
 
 def test_orthogonal_symplectic_unitary_round_trip():

@@ -56,7 +56,7 @@ def test_calibrate_loss_mild_target_is_detection_only():
     lm = calibrate_loss(target)
     eta = (0.5 - target) / (0.5 - TWO_TERM_5DB)
     assert eta > DETECTION_ETA
-    assert lm.stage_labels() == ("detection",)
+    assert tuple(label for label, _ in lm.stages) == ("detection",)
     assert lm.composite_efficiency(1) == pytest.approx(eta, abs=1e-12)
 
 

@@ -15,7 +15,6 @@ from cvshape import (
     build_canonical,
     homodyne,
     nullifiers_of,
-    qnd_gate,
     quadrature_variance,
     remove_node,
     removal_steps,
@@ -27,7 +26,13 @@ from cvshape import (
     tensor,
 )
 from cvshape.shaping import _CHUNK, execute_conditional, execute_ensemble
-from helpers import batch_trajectory_reference, random_product_state, random_signed_graph, signed_wire
+from helpers import (
+    batch_trajectory_reference,
+    qnd_gate,
+    random_product_state,
+    random_signed_graph,
+    signed_wire,
+)
 
 SQUEEZED_5DB = 0.07905694150420949
 TWO_TERM_5DB = 0.15811388300841897  # 2 * SQUEEZED_5DB
