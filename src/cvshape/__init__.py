@@ -52,7 +52,6 @@ from .shaping import (
     TrajectoryStats,
     execute_conditional,
     execute_ensemble,
-    homodyne,
     remove_node,
     removal_steps,
     run_trajectory,

@@ -41,11 +41,12 @@ from .graphs import (
 from .shaping import (
     MeasurementStep,
     FeedforwardTarget,
+    ShapingResult,
     TrajectoryPlan,
     execute_ensemble,
-    removal_steps,
+    remove_node,
     run_trajectory,
-    shorten_steps,
+    shorten_wire,
 )
 
 __all__ = [
@@ -105,7 +106,8 @@ class ExperimentConfig:
         format: "json" or "csv"; None infers from output suffix.
         graph_file: graph text file for the custom scenario.
         remove_target: node removed by the custom scenario.
-        shorten_inner: inner pair shortened by the custom scenario.
+        shorten_inner: inner pair shortened by the custom scenario; at
+            most one of remove_target and shorten_inner is set.
     """
 
     scenario: str = "remove-edge"
@@ -151,6 +153,10 @@ class ExperimentConfig:
             raise ConfigError("format must be json or csv")
         if self.scenario == "custom" and not self.graph_file:
             raise ConfigError("custom scenario needs graph_file")
+        if self.remove_target is not None and self.shorten_inner is not None:
+            raise ConfigError("remove_node and shorten_inner cannot be combined")
+        if self.scenario != "custom" and (self.remove_target, self.shorten_inner) != (None, None):
+            raise ConfigError("remove_node and shorten_inner need scenario = custom")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -372,49 +378,34 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
     return preset_wire_network(levels.pop()).prepare()
 
 
-def _scenario_steps(config: ExperimentConfig, graph: ClusterGraph):
-    """Return (steps, new_edges, removed) for the configured scenario."""
+def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: ClusterGraph) -> ShapingResult:
+    """Outcome-averaged shaping of the configured scenario."""
     gain = -1.0 * config.feedforward_gain
     degree = Counter(n for i, j, _ in graph.edges() for n in (i, j))
     if config.scenario == "remove-edge":
         ends = [n for n in graph.nodes if degree[n] == 1]
         if not ends:
             raise ConfigError("remove-edge needs a degree-1 node")
-        target = max(ends)
-        return removal_steps(graph, target, gain=gain), (), (target,)
+        return remove_node(state, graph, max(ends), gain=gain)
     if config.scenario == "remove-inner":
         inner = [n for n in graph.nodes if degree[n] == 2]
         if not inner:
             raise ConfigError("remove-inner needs a degree-2 node")
-        target = max(inner)
-        return removal_steps(graph, target, gain=gain), (), (target,)
+        return remove_node(state, graph, max(inner), gain=gain)
     if config.scenario in ("shorten-wire", "ring-route-check"):
         pairs = [(i, j) for i, j, _ in graph.edges() if degree[i] == degree[j] == 2]
         if not pairs:
             raise ConfigError("shortening needs two adjacent degree-2 nodes")
-        a, b = min(pairs)
-        steps, new_edge = shorten_steps(graph, a, b, gain=gain)
-        return steps, (new_edge,), (a, b)
+        return shorten_wire(state, graph, min(pairs), gain=gain)
     # custom: the nodes come from the config, so a bad choice is a config error
     try:
         if config.remove_target is not None:
-            return removal_steps(graph, config.remove_target, gain=gain), (), (config.remove_target,)
+            return remove_node(state, graph, config.remove_target, gain=gain)
         if config.shorten_inner is not None:
-            a, b = config.shorten_inner
-            steps, new_edge = shorten_steps(graph, a, b, gain=gain)
-            return steps, (new_edge,), (a, b)
+            return shorten_wire(state, graph, config.shorten_inner, gain=gain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return [], (), ()
-
-
-def _shaped_graph(graph: ClusterGraph, removed, new_edges) -> ClusterGraph:
-    out = graph
-    for node in removed:
-        out = out.with_node_removed(node)
-    for i, j, sign in new_edges:
-        out = out.with_edge(i, j, sign)
-    return out
+    return ShapingResult(state, graph, (), (), ())
 
 
 def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -> CriteriaReport:
@@ -518,7 +509,8 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
 
     initial_criteria = _verify(state_in, loss, graph, order)
 
-    steps, new_edges, removed = _scenario_steps(config, graph)
+    shaped = _shape_scenario(config, state_in, graph)
+    steps, shaped_order = shaped.steps, shaped.graph.nodes
     for step in steps:
         transcript.append(
             {
@@ -531,11 +523,9 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
                 ],
             }
         )
-    pre_tap, shaped_order, _ = execute_ensemble(state_in, order, steps)
-    shaped_state = pre_tap  # the ring route starts from the shaped state before the tap loss
-    shaped_graph = _shaped_graph(graph, removed, new_edges)
-    for i, j, sign in new_edges:
+    for i, j, sign in shaped.new_edges:
         transcript.append({"op": "new_edge", "nodes": [i, j], "sign": sign})
+    shaped_state = shaped.state
 
     tap_nodes = sorted({t.node for step in steps for t in step.feedforward})
     tap_eff = {n: loss.efficiency("feedforward_tap", n) for n in tap_nodes}
@@ -550,7 +540,7 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
             }
         )
 
-    final_criteria = _verify(shaped_state, loss, shaped_graph, shaped_order)
+    final_criteria = _verify(shaped_state, loss, shaped.graph, shaped_order)
 
     monte_carlo = None
     if config.trials > 0:
@@ -562,14 +552,14 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
             state=state_in,
             node_order=order,
             steps=steps,
-            record=nullifiers_of(shaped_graph),
+            record=nullifiers_of(shaped.graph),
             readout_efficiency=readout,
         )
         monte_carlo = run_trajectory(plan, config.trials, config.seed)
 
     ring_route = None
     if config.scenario == "ring-route-check":
-        ring_route = _ring_route_section(config, graph, state_in, loss, order, pre_tap, shaped_order)
+        ring_route = _ring_route_section(config, graph, state_in, loss, order, shaped.state, shaped_order)
 
     return ExperimentReport(
         config=config,
@@ -609,10 +599,10 @@ def _csv_text(report: ExperimentReport) -> str:
                     [
                         stage,
                         check.form.describe().replace(" ", ""),
-                        f"{check.variance:.6g}",
-                        f"{check.bound:.6g}",
+                        f"{check.variance:.{_REPORT_DIGITS}g}",
+                        f"{check.bound:.{_REPORT_DIGITS}g}",
                         str(check.passed).lower(),
-                        f"{check.db:.6g}",
+                        f"{check.db:.{_REPORT_DIGITS}g}",
                     ]
                 )
             )

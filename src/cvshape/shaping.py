@@ -36,7 +36,6 @@ __all__ = [
     "MeasurementStep",
     "FeedforwardTarget",
     "ShapingResult",
-    "homodyne",
     "removal_steps",
     "shorten_steps",
     "execute_ensemble",
@@ -62,8 +61,7 @@ class HomodyneOutcome:
     """Record of one homodyne detection.
 
     Attributes:
-        mode: identifier of the measured mode; state-level calls record
-            the mode index, shaping calls record the graph node id.
+        mode: graph node id of the measured mode.
         angle: measured quadrature angle, 0 = x, pi/2 = p.
         value: measured value, or None in outcome-averaged execution.
         marginal_mean: mean of the measured quadrature before detection.
@@ -109,41 +107,22 @@ class MeasurementStep:
 
 @dataclass(frozen=True)
 class ShapingResult:
-    """State, updated graph, and measurement records after shaping."""
+    """Record of one shaping; the state's modes follow graph.nodes.
+
+    steps are the executed measurements with one outcome each, and
+    new_edges the (i, j, sign) bonds the shaping added to graph.
+    """
 
     state: GaussianState
     graph: ClusterGraph
+    steps: tuple
     outcomes: tuple
-    removed: tuple
+    new_edges: tuple
 
-
-def homodyne(
-    state: GaussianState,
-    mode: int,
-    angle: float,
-    value: float | None = None,
-    rng: np.random.Generator | None = None,
-):
-    """Measure one rotated quadrature and condition the survivors on it.
-
-    Args:
-        state: input state.
-        mode: index of the measured mode; it is dropped from the output.
-        angle: quadrature angle, 0 measures x, pi/2 measures p.
-        value: forced outcome; when None an outcome is sampled from rng.
-        rng: random generator, required when value is None.
-
-    Returns:
-        (conditioned state of the remaining modes, HomodyneOutcome).
-
-    Raises:
-        ValueError: if neither value nor rng is given, or the measured
-            marginal variance is below MARGINAL_VARIANCE_FLOOR.
-    """
-    values = None if value is None else [value]
-    step = MeasurementStep(node=mode, angle=angle, feedforward=())
-    out, _, (outcome,) = execute_conditional(state, range(state.n_modes), [step], values, rng)
-    return out, outcome
+    @property
+    def removed(self) -> tuple:
+        """Measured node ids, in measurement order."""
+        return tuple(step.node for step in self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +329,17 @@ def execute_conditional(
     return GaussianState(mean, cov), tuple(order), tuple(outcomes)
 
 
-def _execute(state, node_order, steps, outcome_values, rng):
-    if outcome_values is None and rng is None:
-        return execute_ensemble(state, node_order, steps)
-    return execute_conditional(state, node_order, steps, values=outcome_values, rng=rng)
+def _shape(state, graph, steps, new_edges, values, rng) -> ShapingResult:
+    """Execute steps (outcome-averaged unless values or rng is given) and edit the graph to match."""
+    if values is None and rng is None:
+        final, _, outcomes = execute_ensemble(state, graph.nodes, steps)
+    else:
+        final, _, outcomes = execute_conditional(state, graph.nodes, steps, values, rng)
+    for step in steps:
+        graph = graph.with_node_removed(step.node)
+    for i, j, sign in new_edges:
+        graph = graph.with_edge(i, j, sign)
+    return ShapingResult(final, graph, tuple(steps), outcomes, tuple(new_edges))
 
 
 def remove_node(
@@ -380,15 +366,8 @@ def remove_node(
         outcome: forced measurement value (conditional execution).
         rng: generator to sample the outcome (conditional execution).
     """
-    steps = removal_steps(graph, node, gain=gain)
     values = None if outcome is None else [outcome]
-    final, _, outcomes = _execute(state, graph.nodes, steps, values, rng)
-    return ShapingResult(
-        state=final,
-        graph=graph.with_node_removed(node),
-        outcomes=outcomes,
-        removed=(node,),
-    )
+    return _shape(state, graph, removal_steps(graph, node, gain=gain), (), values, rng)
 
 
 def shorten_wire(
@@ -416,14 +395,8 @@ def shorten_wire(
         rng: generator to sample outcomes (conditional execution).
     """
     inner_a, inner_b = inner
-    steps, (outer_1, outer_2, new_sign) = shorten_steps(graph, inner_a, inner_b, gain=gain)
-    final, _, records = _execute(state, graph.nodes, steps, outcomes, rng)
-    new_graph = (
-        graph.with_node_removed(inner_a)
-        .with_node_removed(inner_b)
-        .with_edge(outer_1, outer_2, new_sign)
-    )
-    return ShapingResult(state=final, graph=new_graph, outcomes=records, removed=(inner_a, inner_b))
+    steps, new_edge = shorten_steps(graph, inner_a, inner_b, gain=gain)
+    return _shape(state, graph, steps, (new_edge,), outcomes, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -114,10 +114,14 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         (WIRE_4, "scenario = remove-edge\nlossless = maybe", "bad value for 'lossless'"),
         (WIRE_4, "scenario = remove-edge\nsqueezing_db.9 = 3", "node 9 is not in the graph"),
         (WIRE_4, "scenario = remove-edge\nloss.propagation.9 = 0.5", "loss.propagation.9: node 9"),
+        (WIRE_4, "scenario = remove-edge\nremove_node = 2", "need scenario = custom"),
+        (WIRE_4, "scenario = shorten-wire\nshorten_inner = 2 3", "need scenario = custom"),
+        (WIRE_4, "remove_node = 1\nshorten_inner = 2 3", "cannot be combined"),
     ],
     ids=[
         "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
         "edge-declared-twice", "lossless-maybe", "override-of-absent-node", "loss-of-absent-node",
+        "remove-node-outside-custom", "shorten-inner-outside-custom", "remove-and-shorten",
     ],
 )
 def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):

@@ -119,6 +119,16 @@ def test_config_custom_fields(tmp_path):
     assert report.final_node_order == (1, 3)
 
 
+def test_custom_reversed_shortening_bonds_outer_of_first_inner_first(tmp_path):
+    graph = tmp_path / "wire.txt"
+    graph.write_text("node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3\nedge 3 4\n")
+    report = run(ExperimentConfig(scenario="custom", graph_file=str(graph), shorten_inner=(3, 2)))
+    new_edges = [e for e in json.loads(emit(report))["transcript"] if e["op"] == "new_edge"]
+    assert new_edges == [{"op": "new_edge", "nodes": [4, 1], "sign": -1}]
+    assert [e["node"] for e in report.transcript if e["op"] == "measure"] == [3, 2]
+    assert report.final_node_order == (1, 4)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("scenario = remove-edge\nwobble = 3\n")
@@ -139,6 +149,10 @@ def test_config_rejects_bad_values():
         ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(loss={"source": 1.5})
+    with pytest.raises(ConfigError, match="need scenario = custom"):
+        ExperimentConfig(scenario="remove-edge", remove_target=2)
+    with pytest.raises(ConfigError, match="cannot be combined"):
+        ExperimentConfig(scenario="custom", graph_file="g", remove_target=1, shorten_inner=(2, 3))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from cvshape import (
     apply,
     apply_loss,
     build_canonical,
-    homodyne,
     nullifiers_of,
     quadrature_variance,
     remove_node,
@@ -42,8 +41,11 @@ TWO_TERM_5DB = 0.15811388300841897  # 2 * SQUEEZED_5DB
 
 
 def test_homodyne_collapses_and_drops_the_mode():
-    st = build_canonical(ClusterGraph.linear_wire(2), 60.0)
-    out, rec = homodyne(st, 1, 0.0, value=1.3)
+    wire = ClusterGraph.linear_wire(2)
+    st = build_canonical(wire, 60.0)
+    step = MeasurementStep(node=2, angle=0.0, feedforward=())
+    out, order, (rec,) = execute_conditional(st, wire.nodes, [step], values=[1.3])
+    assert order == (1,)
     assert out.n_modes == 1
     assert rec.value == 1.3
     # nullifier p_1 - x_2 ~ 0 at high squeezing: p_1 follows the outcome,
@@ -70,13 +72,14 @@ def test_erasure_restores_the_marginal():
 def test_homodyne_requires_value_or_rng():
     st = squeezed_vacuum(5.0, "p")
     with pytest.raises(ValueError):
-        homodyne(st, 0, 0.0)
+        execute_conditional(st, (0,), [MeasurementStep(node=0, angle=0.0, feedforward=())])
 
 
 def test_homodyne_floor_rejects_near_eigenstates():
     st = squeezed_vacuum(200.0, "p")
+    step = MeasurementStep(node=0, angle=np.pi / 2, feedforward=())
     with pytest.raises(ValueError):
-        homodyne(st, 0, np.pi / 2, value=0.0)
+        execute_conditional(st, (0,), [step], values=[0.0])
 
 
 def test_feedforward_dangling_references():
@@ -114,6 +117,8 @@ def test_remove_node_preserves_wire_nullifiers():
     result = remove_node(st, wire, 4)
     assert result.graph.nodes == (1, 2, 3)
     assert result.removed == (4,)
+    assert result.steps == tuple(removal_steps(wire, 4))
+    assert result.new_edges == ()
     order = result.graph.nodes
     for n in nullifiers_of(result.graph):
         assert quadrature_variance(result.state, n, order) == pytest.approx(
@@ -200,6 +205,8 @@ def test_shorten_wire_sign_bookkeeping():
     st = build_canonical(wire, 5.0)
     result = shorten_wire(st, wire, (2, 3))
     assert result.graph.sign(1, 4) == 1
+    assert result.new_edges == ((1, 4, 1),)
+    assert result.removed == (2, 3)
     for n in nullifiers_of(result.graph):
         got = quadrature_variance(result.state, n, result.graph.nodes)
         assert got == pytest.approx(TWO_TERM_5DB, abs=1e-12)
