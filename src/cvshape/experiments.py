@@ -10,10 +10,10 @@ the Monte Carlo readout statistics describe the same experiment.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +77,11 @@ _PRE_SHAPING_STAGES = ("source", "propagation")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True}
 _BOOLEANS |= {"0": False, "false": False, "no": False, "off": False}
 
-#: Significant digits of every float in a JSON report.
-_REPORT_DIGITS = 6
+#: Format spec of every float in a report: 6 significant digits.
+_REPORT_FLOAT = ".6g"
+
+#: JSON spellings of the non-finite floats, keyed by their repr.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class ConfigError(ValueError):
@@ -106,8 +109,8 @@ class ExperimentConfig:
         format: "json" or "csv"; None infers from output suffix.
         graph_file: graph text file for the custom scenario.
         remove_target: node removed by the custom scenario.
-        shorten_inner: inner pair shortened by the custom scenario; at
-            most one of remove_target and shorten_inner is set.
+        shorten_inner: inner pair shortened by the custom scenario; a
+            custom run sets exactly one of remove_target and shorten_inner.
     """
 
     scenario: str = "remove-edge"
@@ -153,6 +156,8 @@ class ExperimentConfig:
             raise ConfigError("format must be json or csv")
         if self.scenario == "custom" and not self.graph_file:
             raise ConfigError("custom scenario needs graph_file")
+        if self.scenario == "custom" and (self.remove_target, self.shorten_inner) == (None, None):
+            raise ConfigError("custom scenario needs remove_node or shorten_inner")
         if self.remove_target is not None and self.shorten_inner is not None:
             raise ConfigError("remove_node and shorten_inner cannot be combined")
         if self.scenario != "custom" and (self.remove_target, self.shorten_inner) != (None, None):
@@ -401,11 +406,9 @@ def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: Clust
     try:
         if config.remove_target is not None:
             return remove_node(state, graph, config.remove_target, gain=gain)
-        if config.shorten_inner is not None:
-            return shorten_wire(state, graph, config.shorten_inner, gain=gain)
+        return shorten_wire(state, graph, config.shorten_inner, gain=gain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ShapingResult(state, graph, (), (), ())
 
 
 def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -> CriteriaReport:
@@ -580,14 +583,34 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _round_floats(value):
-    if isinstance(value, float):
-        return float(f"{value:.{_REPORT_DIGITS}g}")
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
-    return value
+def _json_tokens(value, out: list, pad: str) -> list:
+    """Append the JSON text of `value` to `out`, then return `out`; `pad` is newline plus indent."""
+    if value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(float(format(value, _REPORT_FLOAT)))
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key, item in value.items():
+            out += (sep, inner, encode_basestring_ascii(key), ": ")
+            _json_tokens(item, out, inner)
+            sep = ","
+        out.append(pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _json_tokens(item, out, inner)
+            sep = ","
+        out.append(pad + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return out
 
 
 def _csv_text(report: ExperimentReport) -> str:
@@ -599,10 +622,10 @@ def _csv_text(report: ExperimentReport) -> str:
                     [
                         stage,
                         check.form.describe().replace(" ", ""),
-                        f"{check.variance:.{_REPORT_DIGITS}g}",
-                        f"{check.bound:.{_REPORT_DIGITS}g}",
+                        format(check.variance, _REPORT_FLOAT),
+                        format(check.bound, _REPORT_FLOAT),
                         str(check.passed).lower(),
-                        f"{check.db:.{_REPORT_DIGITS}g}",
+                        format(check.db, _REPORT_FLOAT),
                     ]
                 )
             )
@@ -618,7 +641,10 @@ def emit(
     """Serialize a report with stable ordering and 6-significant-digit floats.
 
     Identical runs serialize byte-identically; wall time is only included
-    on request since it would break that.
+    on request since it would break that.  JSON text has the layout of
+    ``json.dumps(report.to_dict(), indent=2)`` with ASCII escaping plus a
+    final newline; each float is rounded to 6 significant digits, then
+    printed shortest round-trip, and every dict key must be a ``str``.
 
     Args:
         report: report to serialize.
@@ -628,8 +654,7 @@ def emit(
     if fmt is None:
         fmt = report.config.format or ("csv" if str(path).endswith(".csv") else "json")
     if fmt == "json":
-        text = json.dumps(_round_floats(report.to_dict(include_timing=include_timing)), indent=2)
-        text += "\n"
+        text = "".join(_json_tokens(report.to_dict(include_timing=include_timing), [], "\n")) + "\n"
     elif fmt == "csv":
         text = _csv_text(report)
     else:

@@ -4,6 +4,8 @@ All randomness flows through explicitly seeded generators so every
 property loop is reproducible from the test source alone.
 """
 
+import json
+
 import numpy as np
 
 from cvshape import (
@@ -191,3 +193,22 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
         values = readout @ form_vector(form, len(order), order)
         forms.append((float(values.mean()), float(values.var(ddof=1)) if trials > 1 else None))
     return forms, sample_cov
+
+
+def _round_floats(value):
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    if isinstance(value, dict):
+        return {k: _round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round_floats(v) for v in value]
+    return value
+
+
+def report_json_reference(tree) -> str:
+    """Reference JSON report text: a copy of `tree` with every float rounded, then json.dumps.
+
+    Two passes: the rounded copy, then json's indent encoder.  emit's
+    one-pass writer must produce the same text, less the final newline.
+    """
+    return json.dumps(_round_floats(tree), indent=2)

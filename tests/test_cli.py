@@ -109,7 +109,7 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         (WIRE_4, "scenario = shorten-wire\nsqueezing_db = 1e6", "floating-point range"),
         ("node 1 db=1e308\n" + WIRE_3[len("node 1\n"):], "remove_node = 2", "floating-point range"),
         (WIRE_4, "scenario = remove-edge\nfeedforward_gain = 1e300", "floating-point range"),
-        ("# no nodes\n", "", "graph has no nodes"),
+        ("# no nodes\n", "remove_node = 1", "graph has no nodes"),
         (WIRE_3 + "edge 2 1 sign=-1\n", "remove_node = 2", "edge 2 1 declared twice"),
         (WIRE_4, "scenario = remove-edge\nlossless = maybe", "bad value for 'lossless'"),
         (WIRE_4, "scenario = remove-edge\nsqueezing_db.9 = 3", "node 9 is not in the graph"),
@@ -117,11 +117,13 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         (WIRE_4, "scenario = remove-edge\nremove_node = 2", "need scenario = custom"),
         (WIRE_4, "scenario = shorten-wire\nshorten_inner = 2 3", "need scenario = custom"),
         (WIRE_4, "remove_node = 1\nshorten_inner = 2 3", "cannot be combined"),
+        (WIRE_4, "", "custom scenario needs remove_node or shorten_inner"),
     ],
     ids=[
         "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
         "edge-declared-twice", "lossless-maybe", "override-of-absent-node", "loss-of-absent-node",
         "remove-node-outside-custom", "shorten-inner-outside-custom", "remove-and-shorten",
+        "custom-without-operation",
     ],
 )
 def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):

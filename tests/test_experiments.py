@@ -5,6 +5,8 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cvshape.experiments as experiments
 from cvshape import ClusterGraph, GaussianState, LossModel
@@ -18,6 +20,7 @@ from cvshape.experiments import (
     emit,
     run,
 )
+from helpers import report_json_reference
 
 # Closed-form calibration oracle: eta = (1/2 - target) / (1/2 - 2s) with
 # 2s the lossless two-term variance at 5 dB.
@@ -143,8 +146,10 @@ def test_config_rejects_bad_values():
         ExperimentConfig(construction="no-such-construction")
     with pytest.raises(ConfigError):
         ExperimentConfig(trials=-1)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(scenario="custom")  # custom needs a graph file
+    with pytest.raises(ConfigError, match="custom scenario needs graph_file"):
+        ExperimentConfig(scenario="custom")
+    with pytest.raises(ConfigError, match="custom scenario needs remove_node or shorten_inner"):
+        ExperimentConfig(scenario="custom", graph_file="g")
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):
@@ -312,6 +317,48 @@ def test_emit_json_is_valid_and_rounded(tmp_path):
     # floats carry six significant digits
     first = payload["final_criteria"]["nullifiers"][0]["variance"]
     assert first == float(f"{first:.6g}")
+
+
+KEYS = st.text(st.characters(), max_size=5)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1.5e-310, 1e300, -1e-300, 123456.5, 1e16, 0.1]),
+    st.text(st.characters(), max_size=6),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def _writer_text(tree) -> str:
+    return "".join(experiments._json_tokens(tree, [], "\n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+@example(tree={"gr\u00e4ph\x00": ["\u2603\n\x1f\ud7ff", (), {}, {"": [[], {}]}], "b": [True, 1, False, 0, 2**64]})
+@example(tree=[-0.0, 5e-324, 1e300, -1e-300, np.float64(1 / 3), float("nan"), float("-inf")])
+def test_report_writer_matches_json_dumps_of_rounded_copy(tree):
+    assert _writer_text(tree) == report_json_reference(tree)
+
+
+@pytest.mark.parametrize("leaf", [np.int64(3), {1, 2}], ids=["int64", "set"])
+def test_report_writer_refuses_what_json_dumps_refuses(leaf):
+    for tree in (leaf, [1.0, leaf], {"a": {"b": leaf}}):
+        with pytest.raises(TypeError):
+            report_json_reference(tree)
+        with pytest.raises(TypeError):
+            _writer_text(tree)
 
 
 def test_emit_timing_opt_in():

@@ -60,6 +60,9 @@ FILES = {
     "lattice16-compiled.cfg": (
         "scenario = custom\nconstruction = compiled\ngraph_file = lattice16.graph\nremove_node = 7\n"
     ),
+    # a non-ASCII file name, echoed ASCII-escaped in the report's config
+    "gr\u00e4ph.graph": "node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3 sign=-1\nedge 3 4\n",
+    "umlaut.cfg": "scenario = custom\ngraph_file = gr\u00e4ph.graph\nremove_node = 2\n",
 }
 
 # name -> CLI arguments; every case exits 0
@@ -88,6 +91,9 @@ CASES = {
     "signed-lattice-16": ["--config", "lattice16.cfg"],
     "signed-lattice-16-csv": ["--config", "lattice16.cfg", "--format", "csv"],
     "signed-lattice-16-compiled": ["--config", "lattice16-compiled.cfg"],
+    # one trial: sample_var and stderr are null
+    "shorten-wire-mc-1": ["--scenario", "shorten-wire", "--trials", "1", "--seed", "7"],
+    "custom-non-ascii-graph-file": ["--config", "umlaut.cfg"],
 }
 
 # name -> sha256 of the report bytes, recorded on the gate-chain build
@@ -115,6 +121,9 @@ GOLDEN = {
     "signed-lattice-16": "c149b8f81e57bec6d4fd4bdd1c9b47f5e9cfee58dc09b54c25219fb794139c84",
     "signed-lattice-16-csv": "571073283f2d2620cf1ba7600697189650e8f5a5d4641cc8399819db21bc1af0",
     "signed-lattice-16-compiled": "ba7d7b2ceab9581312810ed6631828d01681a2bb3192f3ebb8e17f0d22d6da92",
+    # recorded on the json.dumps writer, before the one-pass writer
+    "shorten-wire-mc-1": "8ea9e07d3a6714f643abc0ac5d05fc62947e9ebc54f979dbefa38f992012fe4d",
+    "custom-non-ascii-graph-file": "960e6e24f72bf88c7e237ed0281ad10dbf5fffd7112ee29f2347f8e77e89724b",
 }
 
 
