@@ -20,10 +20,8 @@ from .gaussian import (
     quadrature_selector,
     quadrature_variance,
     quadrature_variances,
-    squeezed_vacuum,
     squeezed_variance,
     symplectic_form,
-    tensor,
     vacuum,
 )
 from .decompositions import bloch_messiah, is_orthogonal, is_symplectic

@@ -9,6 +9,8 @@ a table-top recipe: squeeze each mode, then interfere.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gaussian import SYMPLECTIC_TOL, symplectic_form
@@ -172,55 +174,35 @@ def unitary_to_orthogonal_symplectic(u: np.ndarray) -> np.ndarray:
     return np.block([[x, y], [-y, x]])
 
 
-def _two_mode_elements(t: np.ndarray, i: int) -> list:
-    """Express a 2x2 unitary on modes (i, i+1) as phases and one splitter.
-
-    The factorization is P(a on i, b on j) B(r) P(p on i, q on j) with
-    B(r) the real splitter [[sqrt(r), sqrt(1-r)], [sqrt(1-r), -sqrt(r)]].
-    """
-    j = i + 1
-    r = float(np.clip(abs(t[0, 0]) ** 2, 0.0, 1.0))
-    elements: list = []
-    if abs(t[1, 0]) < 1e-12 or abs(t[0, 1]) < 1e-12:
-        # Diagonal (or antidiagonal handled by r = 0): phases around a
-        # trivial splitter suffice.
-        if abs(t[0, 1]) < 1e-12:
-            elements.append(("phase", i, float(np.angle(t[0, 0]))))
-            elements.append(("phase", j, float(np.angle(t[1, 1]))))
-        else:
-            elements.append(("splitter", i, j, 0.0))
-            elements.append(("phase", i, float(np.angle(t[0, 1]))))
-            elements.append(("phase", j, float(np.angle(t[1, 0]))))
-        return elements
-    p = float(np.angle(t[1, 0]))
-    a = float(np.angle(t[0, 0])) - p
-    q = float(np.angle(t[0, 1])) - a
-    elements.append(("phase", i, p))
-    elements.append(("phase", j, q))
-    elements.append(("splitter", i, j, r))
-    elements.append(("phase", i, a))
-    return elements
+def _over(z: complex, inv: float) -> complex:
+    """z / h for real h > 0 given inv = 1 / h, rounded as numpy's complex-by-real division."""
+    return complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv)
 
 
 def _elements_to_unitary(elements, n: int) -> np.ndarray:
     """Product of phase and splitter elements, the last applied leftmost.
 
-    Each element updates only the rows of the modes it touches.
+    Every element is validated before the product starts.  Each element
+    then updates only the rows of the modes it touches.
     """
-    total = np.eye(n, dtype=complex)
-    for element in elements:
-        if element[0] == "phase":
-            _, mode, theta = element
-            total[mode] *= np.exp(1j * theta)
-            continue
-        _, i, j, r = element
+    splitters = [e for e in elements if e[0] != "phase"]
+    for _, i, j, r in splitters:
         if i == j:
             raise ValueError("beam splitter couples two distinct modes")
         if not 0.0 <= r <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
-        c = np.sqrt(r)
-        s = np.sqrt(1.0 - r)
-        total[[i, j]] = np.array([[c, s], [s, -c]]) @ total[[i, j]]
+    factors = iter(np.exp(1j * np.array([e[2] for e in elements if e[0] == "phase"], dtype=float)))
+    # Splitter k mixes its two rows by [[c, s], [s, -c]], c = sqrt(r), s = sqrt(1 - r).
+    c, s = np.sqrt(np.array([(r, 1.0 - r) for *_, r in splitters], dtype=float).reshape(-1, 2)).T
+    mixers = iter(np.array([[c, s], [s, -c]]).transpose(2, 0, 1).astype(complex))
+    total = np.eye(n, dtype=complex)
+    for element in elements:
+        if element[0] == "phase":
+            total[element[1]] *= next(factors)
+            continue
+        _, i, j, _ = element
+        rows = slice(i, i + 2) if j == i + 1 else [i, j]
+        total[rows] = next(mixers) @ total[rows]
     return total
 
 
@@ -232,30 +214,56 @@ def unitary_to_elements(u: np.ndarray) -> list:
     last applied leftmost, reproduces u within _RECOMPOSE_TOL.
 
     The reduction sweeps Givens-style rotations over adjacent pairs to
-    triangularize u; the leftover diagonal becomes the leading phases.
+    triangularize u (Reck et al., PRL 73, 58 (1994)); the leftover
+    diagonal becomes the leading phases.
     """
+    return _reduce(u)[0]
+
+
+def _reduce(u: np.ndarray) -> tuple[list, np.ndarray]:
+    """unitary_to_elements, also returning the element product checked against u."""
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
     if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-10:
         raise ValueError("matrix is not unitary")
 
+    # Rotation g = [[a*, b*], [b, -a]] / h zeroes the entry b below a.  Its
+    # scalars are Python complex; the rows still go through one 2x2 product.
     work = u.copy()
-    rotations: list = []
+    modes: list = []
+    inverses: list = []  # t00, t01, t10, t11 of each t = g^H
     for col in range(n):
         for row in range(n - 1, col, -1):
-            b = work[row, col]
+            b = work.item(row, col)
             if abs(b) <= 1e-14:
                 continue
-            a = work[row - 1, col]
-            g = np.array([[a.conj(), b.conj()], [b, -a]]) / np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            work[row - 1 : row + 1] = g @ work[row - 1 : row + 1]
-            rotations.append((row - 1, g))
+            a = work.item(row - 1, col)
+            inv = 1.0 / math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            g = [_over(z, inv) for z in (a.conjugate(), b.conjugate(), b, -a)]
+            work[row - 1 : row + 1] = np.array(g).reshape(2, 2) @ work[row - 1 : row + 1]
+            modes.append(row - 1)
+            inverses += [g[0].conjugate(), g[2].conjugate(), g[1].conjugate(), g[3].conjugate()]
+    stacked = np.concatenate([work.diagonal(), np.array(inverses, dtype=complex)])
+    angles = np.angle(stacked).tolist()  # one call: vectorised np.angle rounds as the scalar one
 
-    elements: list = [("phase", mode, float(np.angle(work[mode, mode]))) for mode in range(n)]
-    for i, g in reversed(rotations):
-        elements.extend(_two_mode_elements(g.conj().T, i))
+    # Each t is P(a on i) B(r) P(p on i, q on i+1) with B(r) the real
+    # splitter [[sqrt(r), sqrt(1-r)], [sqrt(1-r), -sqrt(r)]].  |t01| = |t10|,
+    # so a t with no coupling is diagonal: two phases, no splitter.
+    elements: list = [("phase", mode, angles[mode]) for mode in range(n)]
+    for k in reversed(range(len(modes))):
+        i = modes[k]
+        t00, t01 = inverses[4 * k : 4 * k + 2]
+        p00, p01, p10, p11 = angles[n + 4 * k : n + 4 * k + 4]
+        if abs(t01) < 1e-12:
+            elements += [("phase", i, p00), ("phase", i + 1, p11)]
+            continue
+        a = p00 - p10
+        r = min(abs(t00) ** 2, 1.0)
+        elements += [("phase", i, p10), ("phase", i + 1, p01 - a)]
+        elements += [("splitter", i, i + 1, r), ("phase", i, a)]
 
     elements = [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
-    if np.abs(_elements_to_unitary(elements, n) - u).max() > _RECOMPOSE_TOL:
+    recomposed = _elements_to_unitary(elements, n)
+    if np.abs(recomposed - u).max() > _RECOMPOSE_TOL:
         raise ValueError("element reduction failed to recompose the unitary")
-    return elements
+    return elements, recomposed

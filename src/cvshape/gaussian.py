@@ -26,9 +26,7 @@ __all__ = [
     "LossModel",
     "symplectic_form",
     "vacuum",
-    "squeezed_vacuum",
     "squeezed_variance",
-    "tensor",
     "phase_shift",
     "apply",
     "apply_loss",
@@ -150,49 +148,6 @@ def squeezed_variance(db: float) -> float:
     if db < 0:
         raise ValueError("squeezing level in dB must be non-negative")
     return VACUUM_VARIANCE * 10.0 ** (-db / 10.0)
-
-
-def squeezed_vacuum(db: float, quadrature: str = "p") -> GaussianState:
-    """Single-mode squeezed vacuum.
-
-    Args:
-        db: squeezing level in dB below the vacuum variance; 0 gives vacuum.
-        quadrature: which quadrature carries the reduced variance, "x" or "p".
-
-    Returns:
-        A pure single-mode state with variances (1/4) 10^(+-db/10).
-    """
-    low = squeezed_variance(db)
-    high = VACUUM_VARIANCE * 10.0 ** (db / 10.0)
-    if quadrature == "p":
-        diag = [high, low]
-    elif quadrature == "x":
-        diag = [low, high]
-    else:
-        raise ValueError("quadrature must be 'x' or 'p'")
-    return GaussianState(np.zeros(2), np.diag(diag))
-
-
-def tensor(*states: GaussianState) -> GaussianState:
-    """Product state of the given states, modes concatenated in order."""
-    if not states:
-        raise ValueError("need at least one state")
-    total = sum(s.n_modes for s in states)
-    mean = np.zeros(2 * total)
-    cov = np.zeros((2 * total, 2 * total))
-    offset = 0
-    for s in states:
-        n = s.n_modes
-        xs = slice(offset, offset + n)
-        ps = slice(total + offset, total + offset + n)
-        mean[xs] = s.mean[:n]
-        mean[ps] = s.mean[n:]
-        cov[xs, xs] = s.cov[:n, :n]
-        cov[ps, ps] = s.cov[n:, n:]
-        cov[xs, ps] = s.cov[:n, n:]
-        cov[ps, xs] = s.cov[n:, :n]
-        offset += n
-    return GaussianState(mean, cov)
 
 
 # ---------------------------------------------------------------------------

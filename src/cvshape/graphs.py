@@ -18,19 +18,18 @@ import numpy as np
 
 from .decompositions import (
     _elements_to_unitary,
+    _reduce,
     bloch_messiah,
     orthogonal_symplectic_to_unitary,
-    unitary_to_elements,
     unitary_to_orthogonal_symplectic,
 )
 from .gaussian import (
+    VACUUM_VARIANCE,
     GaussianState,
     SymplecticTransform,
     apply,
     quadrature_variances,
-    squeezed_vacuum,
     squeezed_variance,
-    tensor,
     vacuum,
 )
 
@@ -307,6 +306,11 @@ class NetworkPlan:
         interferometer: passive elements in application order.
         provenance: "canonical", "compiled", or "preset".
         node_order: node ids in mode order.
+
+    Raises:
+        ValueError: naming the node, for a repeated node id, a squeezer or
+            element on a node outside node_order, a quadrature other than
+            "x" or "p", or a dB level that is negative or NaN.
     """
 
     squeezer_settings: tuple
@@ -315,27 +319,42 @@ class NetworkPlan:
     node_order: tuple
 
     def __init__(self, squeezer_settings, interferometer, provenance, node_order):
-        object.__setattr__(
-            self,
-            "squeezer_settings",
-            tuple((int(n), (float(db), str(q))) for n, (db, q) in dict(squeezer_settings).items()),
-        )
+        settings = tuple((int(n), (float(db), str(q))) for n, (db, q) in dict(squeezer_settings).items())
+        order = tuple(int(n) for n in node_order)
+        known: set = set()
+        for node in order:
+            if node in known:
+                raise ValueError(f"node {node} appears twice in the node order")
+            known.add(node)
+        named = [n for n, _ in settings]
+        for element in interferometer:
+            if isinstance(element, BeamSplitterElement):
+                named += [element.node_a, element.node_b]
+            elif isinstance(element, PhaseShiftElement):
+                named.append(element.node)
+        for node in named:
+            if node not in known:
+                raise ValueError(f"node {node} is not in the plan's node order")
+        for node, (db, quad) in settings:
+            if quad not in ("x", "p"):
+                raise ValueError(f"node {node}: quadrature must be 'x' or 'p', got {quad!r}")
+            if not db >= 0.0:
+                raise ValueError(f"node {node}: squeezing level in dB must be non-negative, got {db}")
+        object.__setattr__(self, "squeezer_settings", settings)
         object.__setattr__(self, "interferometer", tuple(interferometer))
         object.__setattr__(self, "provenance", str(provenance))
-        object.__setattr__(self, "node_order", tuple(int(n) for n in node_order))
-
-    def _index(self, node: int) -> int:
-        return self.node_order.index(node)
+        object.__setattr__(self, "node_order", order)
 
     def interferometer_transform(self) -> SymplecticTransform:
         """Compose the passive elements into one orthogonal symplectic."""
+        index = {node: k for k, node in enumerate(self.node_order)}
         elements = []
         for element in self.interferometer:
             if isinstance(element, BeamSplitterElement):
-                i, j = self._index(element.node_a), self._index(element.node_b)
+                i, j = index[element.node_a], index[element.node_b]
                 elements.append(("splitter", i, j, element.reflectivity))
             elif isinstance(element, PhaseShiftElement):
-                elements.append(("phase", self._index(element.node), element.theta))
+                elements.append(("phase", index[element.node], element.theta))
             else:
                 raise ValueError(f"unknown interferometer element {element!r}")
         u = _elements_to_unitary(elements, len(self.node_order))
@@ -343,12 +362,18 @@ class NetworkPlan:
 
     def prepare(self) -> GaussianState:
         """Run the plan: squeezed vacua through the interferometer."""
+        return self._prepare(self.interferometer_transform())
+
+    def _prepare(self, transform: SymplecticTransform) -> GaussianState:
+        """Squeezed vacua, one diagonal covariance, through the given interferometer."""
         settings = dict(self.squeezer_settings)
-        states = []
-        for node in self.node_order:
+        n = len(self.node_order)
+        variances = np.empty(2 * n)
+        for k, node in enumerate(self.node_order):
             db, quad = settings.get(node, (0.0, "p"))
-            states.append(squeezed_vacuum(db, quad))
-        return apply(tensor(*states), self.interferometer_transform())
+            low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
+            variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
+        return apply(GaussianState(np.zeros(2 * n), np.diag(variances)), transform)
 
 
 #: Largest deviation of a compiled plan's state, relative to its largest covariance entry.
@@ -392,9 +417,9 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
         quad = "p" if x_scale >= 1.0 else "x"
         settings[node] = (level, quad)
 
-    u = orthogonal_symplectic_to_unitary(o2)
+    reduced, recomposed = _reduce(orthogonal_symplectic_to_unitary(o2))
     elements = []
-    for element in unitary_to_elements(u):
+    for element in reduced:
         if element[0] == "phase":
             _, mode, theta = element
             elements.append(PhaseShiftElement(graph.nodes[mode], theta))
@@ -407,7 +432,7 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     # the produced state, not the full circuit, is the contract.  Covariance
     # entries grow as 10^(dB/10) and nullifier variances shrink as
     # 10^(-dB/10), so each is compared on its own scale.
-    produced = plan.prepare()
+    produced = plan._prepare(SymplecticTransform(unitary_to_orthogonal_symplectic(recomposed)))
     target = apply(vacuum(graph.n_nodes), total)  # build_canonical, reusing its transform
     state_err = max(
         float(np.abs(produced.cov - target.cov).max()),

@@ -9,17 +9,60 @@ import json
 import numpy as np
 
 from cvshape import (
+    VACUUM_VARIANCE,
     ClusterGraph,
     GaussianState,
     SymplecticTransform,
     apply,
     phase_shift,
-    squeezed_vacuum,
-    tensor,
+    squeezed_variance,
     vacuum,
 )
 from cvshape.gaussian import _check_mode, _mix_vacuum, form_vector
 from cvshape.shaping import _check_order, _conditional_step
+
+
+def squeezed_vacuum(db: float, quadrature: str = "p") -> GaussianState:
+    """Single-mode squeezed vacuum.
+
+    Args:
+        db: squeezing level in dB below the vacuum variance; 0 gives vacuum.
+        quadrature: which quadrature carries the reduced variance, "x" or "p".
+
+    Returns:
+        A pure single-mode state with variances (1/4) 10^(+-db/10).
+    """
+    low = squeezed_variance(db)
+    high = VACUUM_VARIANCE * 10.0 ** (db / 10.0)
+    if quadrature == "p":
+        diag = [high, low]
+    elif quadrature == "x":
+        diag = [low, high]
+    else:
+        raise ValueError("quadrature must be 'x' or 'p'")
+    return GaussianState(np.zeros(2), np.diag(diag))
+
+
+def tensor(*states: GaussianState) -> GaussianState:
+    """Product state of the given states, modes concatenated in order."""
+    if not states:
+        raise ValueError("need at least one state")
+    total = sum(s.n_modes for s in states)
+    mean = np.zeros(2 * total)
+    cov = np.zeros((2 * total, 2 * total))
+    offset = 0
+    for s in states:
+        n = s.n_modes
+        xs = slice(offset, offset + n)
+        ps = slice(total + offset, total + offset + n)
+        mean[xs] = s.mean[:n]
+        mean[ps] = s.mean[n:]
+        cov[xs, xs] = s.cov[:n, :n]
+        cov[ps, ps] = s.cov[n:, n:]
+        cov[xs, ps] = s.cov[:n, n:]
+        cov[ps, xs] = s.cov[n:, :n]
+        offset += n
+    return GaussianState(mean, cov)
 
 
 def identity_transform(n_modes: int) -> SymplecticTransform:
@@ -193,6 +236,78 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
         values = readout @ form_vector(form, len(order), order)
         forms.append((float(values.mean()), float(values.var(ddof=1)) if trials > 1 else None))
     return forms, sample_cov
+
+
+def _two_mode_elements_reference(t: np.ndarray, i: int) -> list:
+    """2x2 unitary on modes (i, i+1) as P(a on i, b on j) B(r) P(p on i, q on j)."""
+    j = i + 1
+    r = float(np.clip(abs(t[0, 0]) ** 2, 0.0, 1.0))
+    elements: list = []
+    if abs(t[1, 0]) < 1e-12 or abs(t[0, 1]) < 1e-12:
+        if abs(t[0, 1]) < 1e-12:
+            elements.append(("phase", i, float(np.angle(t[0, 0]))))
+            elements.append(("phase", j, float(np.angle(t[1, 1]))))
+        else:
+            elements.append(("splitter", i, j, 0.0))
+            elements.append(("phase", i, float(np.angle(t[0, 1]))))
+            elements.append(("phase", j, float(np.angle(t[1, 0]))))
+        return elements
+    p = float(np.angle(t[1, 0]))
+    a = float(np.angle(t[0, 0])) - p
+    q = float(np.angle(t[0, 1])) - a
+    elements.append(("phase", i, p))
+    elements.append(("phase", j, q))
+    elements.append(("splitter", i, j, r))
+    elements.append(("phase", i, a))
+    return elements
+
+
+def elements_to_unitary_reference(elements, n: int) -> np.ndarray:
+    """Reference element product, the last applied leftmost: one element at a time.
+
+    Validates each element as it comes, builds every 2x2 mixer as its own
+    array and gathers the two rows by fancy indexing.
+    """
+    total = np.eye(n, dtype=complex)
+    for element in elements:
+        if element[0] == "phase":
+            _, mode, theta = element
+            total[mode] *= np.exp(1j * theta)
+            continue
+        _, i, j, r = element
+        if i == j:
+            raise ValueError("beam splitter couples two distinct modes")
+        if not 0.0 <= r <= 1.0:
+            raise ValueError("reflectivity must lie in [0, 1]")
+        c = np.sqrt(r)
+        s = np.sqrt(1.0 - r)
+        total[[i, j]] = np.array([[c, s], [s, -c]]) @ total[[i, j]]
+    return total
+
+
+def unitary_to_elements_reference(u: np.ndarray) -> list:
+    """Reference adjacent-pair reduction: numpy scalars and one 2x2 array per rotation.
+
+    decompositions.unitary_to_elements must return the same element list,
+    compared with ==, and the same recomposition bit for bit.
+    """
+    u = np.asarray(u, dtype=complex)
+    n = u.shape[0]
+    work = u.copy()
+    rotations: list = []
+    for col in range(n):
+        for row in range(n - 1, col, -1):
+            b = work[row, col]
+            if abs(b) <= 1e-14:
+                continue
+            a = work[row - 1, col]
+            g = np.array([[a.conj(), b.conj()], [b, -a]]) / np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            work[row - 1 : row + 1] = g @ work[row - 1 : row + 1]
+            rotations.append((row - 1, g))
+    elements: list = [("phase", mode, float(np.angle(work[mode, mode]))) for mode in range(n)]
+    for i, g in reversed(rotations):
+        elements.extend(_two_mode_elements_reference(g.conj().T, i))
+    return [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
 
 
 def _round_floats(value):

@@ -14,11 +14,10 @@ from cvshape import (
     phase_shift,
     remove_node,
     residual_squeezing_db,
-    squeezed_vacuum,
-    tensor,
     vacuum,
 )
 from cvshape.criteria import NULLIFIER_BOUND, PAIRWISE_BOUND
+from helpers import squeezed_vacuum, tensor
 
 SQUEEZED_5DB = 0.07905694150420949
 

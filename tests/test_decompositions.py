@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvshape import (
     ClusterGraph,
@@ -13,12 +15,20 @@ from cvshape import (
     symplectic_form,
 )
 from cvshape.decompositions import (
+    _elements_to_unitary,
+    _reduce,
     orthogonal_symplectic_to_unitary,
     unitary_to_elements,
     unitary_to_orthogonal_symplectic,
 )
 from cvshape.graphs import canonical_transform
-from helpers import beam_splitter, qnd_gate, random_signed_graph
+from helpers import (
+    beam_splitter,
+    elements_to_unitary_reference,
+    qnd_gate,
+    random_signed_graph,
+    unitary_to_elements_reference,
+)
 
 GOLDEN_RATIO = 1.618033988749895
 
@@ -142,6 +152,73 @@ def test_unitary_to_elements_recomposes():
 
 def test_unitary_to_elements_identity_is_empty():
     assert unitary_to_elements(np.eye(3)) == []
+
+
+#: Exact multiples of pi/2, whose rounded phase factors carry signed zeros, plus generic phases.
+_PHASES = st.sampled_from((0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 1.0, -2.5))
+
+
+@st.composite
+def reducible_unitaries(draw):
+    """Random, identity, diagonal-phase, antidiagonal-block and nearly diagonal unitaries."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("random", "identity", "phases", "antidiagonal", "near-diagonal")))
+    if kind == "random":
+        return random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    phases = np.exp(1j * np.array(draw(st.lists(_PHASES, min_size=n, max_size=n))))
+    if kind == "identity":
+        return np.eye(n, dtype=complex)
+    if kind == "phases":
+        return np.diag(phases)
+    if kind == "antidiagonal":
+        # swap adjacent pairs (2x2 antidiagonal blocks), then phase every row
+        swap = np.arange(n) ^ 1
+        swap[swap >= n] = n - 1
+        return phases[:, None] * np.eye(n)[swap]
+    # A tiny rotation on one pair: at 1e-15 the reduction skips it, at
+    # 1e-13 the rotation runs and its coupling reads as none.
+    u = np.diag(phases)
+    if n > 1:
+        k = draw(st.integers(0, n - 2))
+        angle = draw(st.sampled_from((1e-13, 1e-15)))
+        c, s = np.cos(angle), np.sin(angle)
+        u[k : k + 2] = np.array([[c, -s], [s, c]]) @ u[k : k + 2]
+    return u
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_unitaries())
+def test_reduction_matches_the_reference_bit_for_bit(u):
+    reference = unitary_to_elements_reference(u)
+    elements, recomposed = _reduce(u)
+    assert elements == reference
+    assert unitary_to_elements(u) == reference
+    assert np.array_equal(recomposed, elements_to_unitary_reference(reference, u.shape[0]))
+
+
+_ELEMENTS = st.one_of(
+    st.tuples(st.just("phase"), st.integers(0, 5), st.floats(-4.0, 4.0)),
+    st.tuples(st.just("splitter"), st.integers(0, 5), st.integers(0, 5), st.floats(0.0, 1.0)).filter(
+        lambda e: e[1] != e[2]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ELEMENTS, max_size=30))
+def test_recomposition_matches_the_reference_bit_for_bit(elements):
+    # Any pair order, adjacent or not: adjacent ascending pairs take the slice path.
+    assert np.array_equal(_elements_to_unitary(elements, 6), elements_to_unitary_reference(elements, 6))
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [(("splitter", 1, 1, 0.5), "distinct"), (("splitter", 0, 1, 1.5), "reflectivity")],
+)
+def test_recomposition_validates_before_multiplying(element, message):
+    # The bad splitter sits after a negative phase, which sqrt must never see.
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+        _elements_to_unitary([("phase", 0, -1.0), element], 2)
 
 
 def test_symplectic_predicates():

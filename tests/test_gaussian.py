@@ -17,10 +17,8 @@ from cvshape import (
     quadrature_selector,
     quadrature_variance,
     quadrature_variances,
-    squeezed_vacuum,
     squeezed_variance,
     symplectic_form,
-    tensor,
     vacuum,
 )
 from cvshape.decompositions import is_symplectic
@@ -32,6 +30,8 @@ from helpers import (
     random_product_state,
     random_symplectic_state,
     squeeze_gate,
+    squeezed_vacuum,
+    tensor,
 )
 
 # Frozen oracle values, computed once by hand from 0.25 * 10^(-db/10).

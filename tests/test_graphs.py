@@ -25,6 +25,7 @@ from cvshape.decompositions import is_orthogonal, is_symplectic
 from cvshape.graphs import (
     BeamSplitterElement,
     PhaseShiftElement,
+    _compile,
     format_graph_text,
     parse_graph_text,
 )
@@ -307,6 +308,58 @@ def test_interferometer_rejects_bad_elements(element, message):
         plan.interferometer_transform()
     with pytest.raises(ValueError, match=message):
         plan.prepare()
+
+
+def _signed_lattice(side: int) -> ClusterGraph:
+    """Row-major square lattice; edge (i, j) has sign -1 when 3 divides i + j."""
+    pairs = [(k, k + 1) for k in range(1, side * side + 1) if k % side]
+    pairs += [(k, k + side) for k in range(1, side * side - side + 1)]
+    return ClusterGraph.from_edges(
+        [(i, j, -1 if (i + j) % 3 == 0 else 1) for i, j in pairs], nodes=range(1, side * side + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [ClusterGraph.linear_wire(4), signed_wire(16), _signed_lattice(4)],
+    ids=["wire4", "signed16", "signed-lattice-4x4"],
+)
+def test_compile_checks_the_state_the_plan_prepares(graph):
+    # _compile builds its checked state from the reduction's own element
+    # product; prepare() composes the plan's elements afresh.
+    plan, checked = _compile(graph, 5.0)
+    prepared = plan.prepare()
+    assert np.array_equal(checked.mean, prepared.mean)
+    assert np.array_equal(checked.cov, prepared.cov)
+
+
+def test_plan_rejects_duplicate_node_order():
+    with pytest.raises(ValueError, match="node 1 appears twice in the node order"):
+        NetworkPlan({1: (5.0, "p")}, [], "preset", (1, 2, 1))
+
+
+def test_plan_rejects_squeezer_on_absent_node():
+    with pytest.raises(ValueError, match="node 7 is not in the plan's node order"):
+        NetworkPlan({1: (5.0, "p"), 7: (5.0, "p")}, [PhaseShiftElement(1, 0.3)], "preset", (1, 2))
+
+
+@pytest.mark.parametrize(
+    "element", [PhaseShiftElement(9, 0.3), BeamSplitterElement(1, 9, 0.5), BeamSplitterElement(9, 2, 0.5)]
+)
+def test_plan_rejects_element_on_absent_node(element):
+    with pytest.raises(ValueError, match="node 9 is not in the plan's node order"):
+        NetworkPlan({1: (5.0, "p")}, [PhaseShiftElement(1, 0.3), element], "preset", (1, 2))
+
+
+def test_plan_rejects_unknown_quadrature():
+    with pytest.raises(ValueError, match="node 2: quadrature must be 'x' or 'p', got 'y'"):
+        NetworkPlan({1: (5.0, "p"), 2: (5.0, "y")}, [], "preset", (1, 2))
+
+
+@pytest.mark.parametrize("db", [-1.0, float("nan")])
+def test_plan_rejects_negative_db(db):
+    with pytest.raises(ValueError, match="node 2: squeezing level in dB must be non-negative"):
+        NetworkPlan({1: (5.0, "p"), 2: (db, "x")}, [], "preset", (1, 2))
 
 
 def test_compiled_factors_are_orthogonal_symplectic():

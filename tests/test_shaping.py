@@ -20,9 +20,7 @@ from cvshape import (
     run_trajectory,
     shorten_steps,
     shorten_wire,
-    squeezed_vacuum,
     squeezed_variance,
-    tensor,
 )
 from cvshape.shaping import _CHUNK, execute_conditional, execute_ensemble
 from helpers import (
@@ -31,6 +29,8 @@ from helpers import (
     random_product_state,
     random_signed_graph,
     signed_wire,
+    squeezed_vacuum,
+    tensor,
 )
 
 SQUEEZED_5DB = 0.07905694150420949
