@@ -26,11 +26,9 @@ from .gaussian import (
 )
 from .decompositions import bloch_messiah, is_orthogonal, is_symplectic
 from .graphs import (
-    BeamSplitterElement,
     ClusterGraph,
     NetworkPlan,
     Nullifier,
-    PhaseShiftElement,
     build_canonical,
     canonical_transform,
     compile_network,

@@ -182,18 +182,13 @@ def _over(z: complex, inv: float) -> complex:
 def _elements_to_unitary(elements, n: int) -> np.ndarray:
     """Product of phase and splitter elements, the last applied leftmost.
 
-    Every element is validated before the product starts.  Each element
-    then updates only the rows of the modes it touches.
+    The elements come from _reduce or from a NetworkPlan, which validated
+    them.  Each element updates only the rows of the modes it touches.
     """
-    splitters = [e for e in elements if e[0] != "phase"]
-    for _, i, j, r in splitters:
-        if i == j:
-            raise ValueError("beam splitter couples two distinct modes")
-        if not 0.0 <= r <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
     factors = iter(np.exp(1j * np.array([e[2] for e in elements if e[0] == "phase"], dtype=float)))
     # Splitter k mixes its two rows by [[c, s], [s, -c]], c = sqrt(r), s = sqrt(1 - r).
-    c, s = np.sqrt(np.array([(r, 1.0 - r) for *_, r in splitters], dtype=float).reshape(-1, 2)).T
+    r = np.array([e[3] for e in elements if e[0] != "phase"], dtype=float)
+    c, s = np.sqrt(r), np.sqrt(1.0 - r)
     mixers = iter(np.array([[c, s], [s, -c]]).transpose(2, 0, 1).astype(complex))
     total = np.eye(n, dtype=complex)
     for element in elements:

@@ -245,20 +245,19 @@ class ExperimentConfig:
         return out
 
 
-def calibrate_loss(target_initial_variance: float, lossless_variance: float | None = None) -> LossModel:
+def calibrate_loss(target_initial_variance: float) -> LossModel:
     """Solve the loss budget putting a two-term nullifier at a target level.
 
     One overall transmission eta is fixed by
     eta * v0 + (1 - eta) * 1/2 = target, where v0 is the lossless
-    two-term level (default: 2 s at 5 dB, the -5 dB point relative to two
-    vacuum units).  The budget is then split physically: detection is
+    two-term level 2 s at 5 dB, the -5 dB point relative to two vacuum
+    units.  The budget is then split physically: detection is
     capped at DETECTOR_EFFICIENCY * HOMODYNE_VISIBILITY**2 and any
     remainder is assigned to propagation, so states keep the propagation
     share while detection loss acts only at readout.
 
     Args:
         target_initial_variance: wanted two-term nullifier variance.
-        lossless_variance: override for the lossless reference level v0.
 
     Returns:
         LossModel with detection and, when needed, propagation stages;
@@ -267,10 +266,8 @@ def calibrate_loss(target_initial_variance: float, lossless_variance: float | No
     Raises:
         ConfigError: target outside [v0, 1/2).
     """
-    v0 = 2.0 * squeezed_variance(5.0) if lossless_variance is None else float(lossless_variance)
+    v0 = 2.0 * squeezed_variance(5.0)
     vacuum_level = 2.0 * VACUUM_VARIANCE
-    if not v0 < vacuum_level:
-        raise ConfigError("lossless reference level must sit below the vacuum level 1/2")
     eta = (vacuum_level - target_initial_variance) / (vacuum_level - v0)
     if eta > 1.0 + 1e-12:
         raise ConfigError(

@@ -261,11 +261,13 @@ class LossModel:
                 entry = checked(value)
             normalized.append((str(label), entry))
         object.__setattr__(self, "stages", tuple(normalized))
+        lookup = {label: entry if isinstance(entry, float) else dict(entry) for label, entry in normalized}
+        object.__setattr__(self, "_lookup", lookup)
 
     def efficiency(self, stage: str, node: int) -> float:
         """Transmission of one stage for one node; 1.0 when unspecified."""
-        entry = dict(self.stages).get(stage, 1.0)
-        return entry if isinstance(entry, float) else dict(entry).get(node, 1.0)
+        entry = self._lookup.get(stage, 1.0)
+        return entry if isinstance(entry, float) else entry.get(node, 1.0)
 
     def composite_efficiency(self, node: int) -> float:
         """Product of every stage's transmission for the node."""

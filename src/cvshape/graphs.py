@@ -11,6 +11,7 @@ the canonical symplectic by decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -37,8 +38,6 @@ __all__ = [
     "ClusterGraph",
     "Nullifier",
     "NetworkPlan",
-    "BeamSplitterElement",
-    "PhaseShiftElement",
     "nullifiers_of",
     "build_canonical",
     "canonical_transform",
@@ -285,40 +284,29 @@ def build_canonical(graph: ClusterGraph, db) -> GaussianState:
 
 
 @dataclass(frozen=True)
-class BeamSplitterElement:
-    node_a: int
-    node_b: int
-    reflectivity: float
-
-
-@dataclass(frozen=True)
-class PhaseShiftElement:
-    node: int
-    theta: float
-
-
-@dataclass(frozen=True)
 class NetworkPlan:
     """Table-top recipe: squeeze each mode, then run the interferometer.
 
     Attributes:
         squeezer_settings: mapping node -> (db, quadrature).
-        interferometer: passive elements in application order.
-        provenance: "canonical", "compiled", or "preset".
+        interferometer: ("phase", node, theta) and ("splitter", node_a,
+            node_b, reflectivity) tuples in application order: the format
+            of unitary_to_elements, with node ids for mode indices.
         node_order: node ids in mode order.
 
     Raises:
-        ValueError: naming the node, for a repeated node id, a squeezer or
-            element on a node outside node_order, a quadrature other than
-            "x" or "p", or a dB level that is negative or NaN.
+        ValueError: for a repeated node id, a squeezer or element on a node
+            outside node_order, a quadrature other than "x" or "p", a dB
+            level that is negative or NaN, an element of unknown kind or
+            arity, a splitter coupling a node with itself, a reflectivity
+            outside [0, 1] or NaN, or a non-finite phase.
     """
 
     squeezer_settings: tuple
     interferometer: tuple
-    provenance: str
     node_order: tuple
 
-    def __init__(self, squeezer_settings, interferometer, provenance, node_order):
+    def __init__(self, squeezer_settings, interferometer, node_order):
         settings = tuple((int(n), (float(db), str(q))) for n, (db, q) in dict(squeezer_settings).items())
         order = tuple(int(n) for n in node_order)
         known: set = set()
@@ -326,12 +314,23 @@ class NetworkPlan:
             if node in known:
                 raise ValueError(f"node {node} appears twice in the node order")
             known.add(node)
+        elements = tuple(interferometer)
         named = [n for n, _ in settings]
-        for element in interferometer:
-            if isinstance(element, BeamSplitterElement):
-                named += [element.node_a, element.node_b]
-            elif isinstance(element, PhaseShiftElement):
-                named.append(element.node)
+        # Python scalars only: a compiled plan carries O(N^2) elements.
+        for element in elements:
+            kind = element[0] if isinstance(element, tuple) and element else None
+            if kind == "phase" and len(element) == 3:
+                named.append(element[1])
+                if not math.isfinite(element[2]):
+                    raise ValueError(f"phase must be finite, got {element[2]}")
+            elif kind == "splitter" and len(element) == 4:
+                named += [element[1], element[2]]
+                if element[1] == element[2]:
+                    raise ValueError("beam splitter couples two distinct modes")
+                if not 0.0 <= element[3] <= 1.0:
+                    raise ValueError("reflectivity must lie in [0, 1]")
+            else:
+                raise ValueError(f"unknown interferometer element {element!r}")
         for node in named:
             if node not in known:
                 raise ValueError(f"node {node} is not in the plan's node order")
@@ -341,22 +340,16 @@ class NetworkPlan:
             if not db >= 0.0:
                 raise ValueError(f"node {node}: squeezing level in dB must be non-negative, got {db}")
         object.__setattr__(self, "squeezer_settings", settings)
-        object.__setattr__(self, "interferometer", tuple(interferometer))
-        object.__setattr__(self, "provenance", str(provenance))
+        object.__setattr__(self, "interferometer", elements)
         object.__setattr__(self, "node_order", order)
 
     def interferometer_transform(self) -> SymplecticTransform:
         """Compose the passive elements into one orthogonal symplectic."""
         index = {node: k for k, node in enumerate(self.node_order)}
-        elements = []
-        for element in self.interferometer:
-            if isinstance(element, BeamSplitterElement):
-                i, j = index[element.node_a], index[element.node_b]
-                elements.append(("splitter", i, j, element.reflectivity))
-            elif isinstance(element, PhaseShiftElement):
-                elements.append(("phase", index[element.node], element.theta))
-            else:
-                raise ValueError(f"unknown interferometer element {element!r}")
+        elements = [
+            ("phase", index[e[1]], e[2]) if e[0] == "phase" else ("splitter", index[e[1]], index[e[2]], e[3])
+            for e in self.interferometer
+        ]
         u = _elements_to_unitary(elements, len(self.node_order))
         return SymplecticTransform(unitary_to_orthogonal_symplectic(u))
 
@@ -418,16 +411,15 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
         settings[node] = (level, quad)
 
     reduced, recomposed = _reduce(orthogonal_symplectic_to_unitary(o2))
-    elements = []
-    for element in reduced:
-        if element[0] == "phase":
-            _, mode, theta = element
-            elements.append(PhaseShiftElement(graph.nodes[mode], theta))
-        else:
-            _, i, j, r = element
-            elements.append(BeamSplitterElement(graph.nodes[i], graph.nodes[j], r))
-
-    plan = NetworkPlan(settings, elements, "compiled", graph.nodes)
+    # Relabelled in place: each node-labelled tuple reuses the memory its
+    # index-labelled original frees, where a second list of O(N^2) tuples
+    # would stay parked in CPython's tuple free lists after the plan is gone.
+    nodes = graph.nodes
+    for k, e in enumerate(reduced):
+        reduced[k] = (
+            ("phase", nodes[e[1]], e[2]) if e[0] == "phase" else ("splitter", nodes[e[1]], nodes[e[2]], e[3])
+        )
+    plan = NetworkPlan(settings, reduced, nodes)
     # The plan drops O1, which is passive and therefore fixes the vacuum:
     # the produced state, not the full circuit, is the contract.  Covariance
     # entries grow as 10^(dB/10) and nullifier variances shrink as
@@ -473,11 +465,11 @@ def preset_wire_network(db: float = 5.0) -> NetworkPlan:
     Args:
         db: squeezing level applied to every input mode.
     """
-    elements = [PhaseShiftElement(node, theta) for node, theta in enumerate(_PRESET_INPUT_PHASES, start=1)]
-    elements += [BeamSplitterElement(a, b, r) for a, b, r in _PRESET_SPLITTERS]
-    elements += [PhaseShiftElement(node, theta) for node, theta in enumerate(_PRESET_OUTPUT_PHASES, start=1)]
+    elements = [("phase", node, theta) for node, theta in enumerate(_PRESET_INPUT_PHASES, start=1)]
+    elements += [("splitter", a, b, r) for a, b, r in _PRESET_SPLITTERS]
+    elements += [("phase", node, theta) for node, theta in enumerate(_PRESET_OUTPUT_PHASES, start=1)]
     settings = {node: (float(db), "p") for node in (1, 2, 3, 4)}
-    return NetworkPlan(settings, elements, "preset", (1, 2, 3, 4))
+    return NetworkPlan(settings, elements, (1, 2, 3, 4))
 
 
 _RING_PHASES = ((1, np.pi), (2, -np.pi / 2), (3, np.pi / 2), (4, 0.0))

@@ -211,16 +211,6 @@ def test_recomposition_matches_the_reference_bit_for_bit(elements):
     assert np.array_equal(_elements_to_unitary(elements, 6), elements_to_unitary_reference(elements, 6))
 
 
-@pytest.mark.parametrize(
-    "element, message",
-    [(("splitter", 1, 1, 0.5), "distinct"), (("splitter", 0, 1, 1.5), "reflectivity")],
-)
-def test_recomposition_validates_before_multiplying(element, message):
-    # The bad splitter sits after a negative phase, which sqrt must never see.
-    with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
-        _elements_to_unitary([("phase", 0, -1.0), element], 2)
-
-
 def test_symplectic_predicates():
     assert is_symplectic(qnd_gate(2, 0, 1, 1.0).matrix)
     assert not is_symplectic(np.diag([2.0, 2.0, 2.0, 2.0]))

@@ -72,11 +72,6 @@ def test_calibrate_loss_rejects_unreachable_targets():
         calibrate_loss(0.6)
 
 
-def test_calibrate_loss_custom_floor():
-    lm = calibrate_loss(0.3, lossless_variance=0.1)
-    assert lm.composite_efficiency(1) == pytest.approx(0.2 / 0.4, abs=1e-14)
-
-
 # ---------------------------------------------------------------- config files
 
 

@@ -22,13 +22,7 @@ from cvshape import (
     wire_to_ring_phases,
 )
 from cvshape.decompositions import is_orthogonal, is_symplectic
-from cvshape.graphs import (
-    BeamSplitterElement,
-    PhaseShiftElement,
-    _compile,
-    format_graph_text,
-    parse_graph_text,
-)
+from cvshape.graphs import _compile, format_graph_text, parse_graph_text
 from helpers import gate_chain_state, gate_chain_transform, random_signed_graph, signed_wire
 
 SQUEEZED_5DB = 0.07905694150420949
@@ -250,7 +244,6 @@ def test_compiled_plan_matches_canonical_state():
         produced = plan.prepare()
         target = build_canonical(graph, db_map)
         assert np.abs(produced.cov - target.cov).max() < 1e-8
-        assert plan.provenance == "compiled"
 
 
 def test_compiled_edgeless_graph_has_no_interferometer():
@@ -295,19 +288,24 @@ def test_compiled_plan_refuses_lost_nullifier_precision(graph, db):
 @pytest.mark.parametrize(
     "element, message",
     [
-        (BeamSplitterElement(1, 2, 1.5), "reflectivity"),
-        (BeamSplitterElement(1, 2, -0.1), "reflectivity"),
-        (BeamSplitterElement(2, 2, 0.5), "distinct"),
+        (("splitter", 1, 2, 1.5), "reflectivity"),
+        (("splitter", 1, 2, -0.1), "reflectivity"),
+        (("splitter", 2, 2, 0.5), "distinct"),
         ("mirror", "unknown interferometer element"),
+        (("splitter", 1, 2, float("nan")), "reflectivity"),
+        (("phase", 2, float("nan")), "phase must be finite"),
+        (("phase", 2, float("inf")), "phase must be finite"),
+        (("phase", 2), "unknown interferometer element"),
+        (("splitter", 1, 2, 0.5, 0.5), "unknown interferometer element"),
+        (("mirror", 1, 0.5), "unknown interferometer element"),
+        ((), "unknown interferometer element"),
     ],
 )
 def test_interferometer_rejects_bad_elements(element, message):
-    elements = [PhaseShiftElement(1, 0.3), element]
-    plan = NetworkPlan({1: (5.0, "p"), 2: (5.0, "p")}, elements, "preset", (1, 2))
-    with pytest.raises(ValueError, match=message):
-        plan.interferometer_transform()
-    with pytest.raises(ValueError, match=message):
-        plan.prepare()
+    # Construction itself rejects the element, before any arithmetic: the
+    # bad element sits after a negative phase, which sqrt must never see.
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+        NetworkPlan({1: (5.0, "p"), 2: (5.0, "p")}, [("phase", 1, -1.0), element], (1, 2))
 
 
 def _signed_lattice(side: int) -> ClusterGraph:
@@ -333,33 +331,46 @@ def test_compile_checks_the_state_the_plan_prepares(graph):
     assert np.array_equal(checked.cov, prepared.cov)
 
 
+def test_compile_relabels_unsorted_node_ids():
+    # Node ids neither sorted nor contiguous: mode k is node nodes[k], so a
+    # relabel by sorted id or by position would mix the modes up.
+    graph = ClusterGraph.from_edges([(30, 4), (4, 17, -1), (17, 9), (9, 30), (30, 17)], nodes=(30, 4, 17, 9))
+    db = {30: 5.0, 4: 9.0, 17: 3.0, 9: 7.0}
+    plan, checked = _compile(graph, db)
+    assert plan.node_order == (30, 4, 17, 9)
+    assert any(e[0] == "splitter" for e in plan.interferometer)
+    prepared = plan.prepare()
+    assert np.array_equal(checked.mean, prepared.mean)
+    assert np.array_equal(checked.cov, prepared.cov)
+
+
 def test_plan_rejects_duplicate_node_order():
     with pytest.raises(ValueError, match="node 1 appears twice in the node order"):
-        NetworkPlan({1: (5.0, "p")}, [], "preset", (1, 2, 1))
+        NetworkPlan({1: (5.0, "p")}, [], (1, 2, 1))
 
 
 def test_plan_rejects_squeezer_on_absent_node():
     with pytest.raises(ValueError, match="node 7 is not in the plan's node order"):
-        NetworkPlan({1: (5.0, "p"), 7: (5.0, "p")}, [PhaseShiftElement(1, 0.3)], "preset", (1, 2))
+        NetworkPlan({1: (5.0, "p"), 7: (5.0, "p")}, [("phase", 1, 0.3)], (1, 2))
 
 
 @pytest.mark.parametrize(
-    "element", [PhaseShiftElement(9, 0.3), BeamSplitterElement(1, 9, 0.5), BeamSplitterElement(9, 2, 0.5)]
+    "element", [("phase", 9, 0.3), ("splitter", 1, 9, 0.5), ("splitter", 9, 2, 0.5)]
 )
 def test_plan_rejects_element_on_absent_node(element):
     with pytest.raises(ValueError, match="node 9 is not in the plan's node order"):
-        NetworkPlan({1: (5.0, "p")}, [PhaseShiftElement(1, 0.3), element], "preset", (1, 2))
+        NetworkPlan({1: (5.0, "p")}, [("phase", 1, 0.3), element], (1, 2))
 
 
 def test_plan_rejects_unknown_quadrature():
     with pytest.raises(ValueError, match="node 2: quadrature must be 'x' or 'p', got 'y'"):
-        NetworkPlan({1: (5.0, "p"), 2: (5.0, "y")}, [], "preset", (1, 2))
+        NetworkPlan({1: (5.0, "p"), 2: (5.0, "y")}, [], (1, 2))
 
 
 @pytest.mark.parametrize("db", [-1.0, float("nan")])
 def test_plan_rejects_negative_db(db):
     with pytest.raises(ValueError, match="node 2: squeezing level in dB must be non-negative"):
-        NetworkPlan({1: (5.0, "p"), 2: (db, "x")}, [], "preset", (1, 2))
+        NetworkPlan({1: (5.0, "p"), 2: (db, "x")}, [], (1, 2))
 
 
 def test_compiled_factors_are_orthogonal_symplectic():
@@ -375,12 +386,9 @@ def test_compiled_factors_are_orthogonal_symplectic():
 
 def test_preset_uses_stated_splitter_ratios():
     plan = preset_wire_network()
-    splitters = [e for e in plan.interferometer if isinstance(e, BeamSplitterElement)]
-    ratios = sorted(e.reflectivity for e in splitters)
+    ratios = sorted(e[3] for e in plan.interferometer if e[0] == "splitter")
     assert ratios == [0.2, 0.5, 0.5]
-    phases = [e for e in plan.interferometer if isinstance(e, PhaseShiftElement)]
-    assert len(phases) == 8
-    assert plan.provenance == "preset"
+    assert sum(e[0] == "phase" for e in plan.interferometer) == 8
 
 
 def test_preset_nullifier_variances_follow_degree_law():
