@@ -21,7 +21,7 @@ from cvshape.decompositions import (
     unitary_to_elements,
     unitary_to_orthogonal_symplectic,
 )
-from cvshape.graphs import canonical_transform
+from cvshape.graphs import NetworkPlan, canonical_transform
 from helpers import (
     beam_splitter,
     elements_to_unitary_reference,
@@ -209,6 +209,18 @@ _ELEMENTS = st.one_of(
 def test_recomposition_matches_the_reference_bit_for_bit(elements):
     # Any pair order, adjacent or not: adjacent ascending pairs take the slice path.
     assert np.array_equal(_elements_to_unitary(elements, 6), elements_to_unitary_reference(elements, 6))
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [(("splitter", 1, 1, 0.5), "distinct"), (("splitter", 0, 1, 1.5), "reflectivity")],
+)
+def test_recomposition_validates_before_multiplying(element, message):
+    # _elements_to_unitary trusts its input, so a plan's elements are checked
+    # when the plan is built.  The bad splitter sits after a negative phase,
+    # which sqrt must never see.
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+        NetworkPlan({0: (5.0, "p"), 1: (5.0, "p")}, [("phase", 0, -1.0), element], (0, 1))
 
 
 def test_symplectic_predicates():
