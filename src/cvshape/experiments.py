@@ -103,7 +103,7 @@ class ExperimentConfig:
             calibrated loss model is solved for.
         feedforward_gain: multiplier on the ideal feedforward gains;
             1 is ideal, 0 disables feedforward.
-        trials: Monte Carlo trajectories; 0 means analytic only.
+        trials: Monte Carlo trajectories, at most 2**53; 0 means analytic only.
         seed: Monte Carlo seed.
         output: report path, None for stdout.
         format: "json" or "csv"; None infers from output suffix.
@@ -144,8 +144,8 @@ class ExperimentConfig:
         for key in ("calibrate_target", "feedforward_gain"):
             if not np.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.trials < 0:
-            raise ConfigError("trials must be non-negative")
+        if not 0 <= self.trials <= 2**53:  # up to 2**53, T - 1 is exact as a float
+            raise ConfigError("trials must lie between 0 and 2**53 = 9007199254740992")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         try:

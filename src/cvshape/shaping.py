@@ -52,10 +52,6 @@ __all__ = [
 #: conditioning on one would divide by ~0 and must fail loudly instead.
 MARGINAL_VARIANCE_FLOOR = 1e-12
 
-#: Trials per readout-noise draw in run_trajectory; bounds its working set.
-_CHUNK = 8192
-
-
 @dataclass(frozen=True)
 class HomodyneOutcome:
     """Record of one homodyne detection.
@@ -483,11 +479,14 @@ def _readout_map(plan: TrajectoryPlan):
 def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectoryStats:
     """Sample shaping trajectories and accumulate form statistics.
 
-    One generator seeded with seed draws each step's noise for all trials,
-    then the readout noise _CHUNK trials at a time; chunking does not change
-    the numbers.  Readouts are m + W z (_readout_map), so the statistics
-    follow from sum z and sum z z^T in O(steps * trials + chunk * N) memory.
-    A form c is reduced to W^T c first: nullifiers cancel at loading scale.
+    Readouts are m + W z (_readout_map) with z i.i.d. standard normal, so
+    only z's mean and scatter matter.  For T > width they are drawn from
+    their exact independent laws, N(0, I/T) and Wishart(T - 1, I) as A A^T
+    with A the Bartlett factor (Bartlett 1933; Odell & Feiveson, JASA 61,
+    199 (1966)), in O(width^2) whatever T is.  For T <= width the Wishart
+    is singular and z itself is drawn: each step's noise for all trials,
+    then the readout noise.  A form c is reduced to W^T c first:
+    nullifiers cancel at loading scale.
 
     Args:
         plan: trajectory plan.
@@ -504,15 +503,16 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     mean, loading, final_order, eta = _readout_map(plan)
     (n_read, width), n_steps = loading.shape, len(plan.steps)
     rng = np.random.default_rng(seed)
-    step_noise = rng.standard_normal((n_steps, trials))
-    # z's constant last column makes the running Gram matrix carry sum z too.
-    gram, z = np.zeros((width + 1, width + 1)), np.ones((min(trials, _CHUNK), width + 1))
-    for start in range(0, trials, _CHUNK):
-        k = min(_CHUNK, trials - start)
-        z[:k, :n_steps] = step_noise[:, start : start + k].T
-        z[:k, n_steps:width] = rng.standard_normal((k, n_read))
-        gram += z[:k].T @ z[:k]
-    z_mean, gram = gram[-1, :-1] / trials, gram[:-1, :-1]
+    # factor F with scatter F F^T: the centred z^T, or the Bartlett factor A
+    if trials <= width:
+        z = np.hstack([rng.standard_normal((n_steps, trials)).T, rng.standard_normal((trials, n_read))])
+        z_mean = z.mean(axis=0)
+        factor = (z - z_mean).T
+    else:
+        z_mean = rng.standard_normal(width) / np.sqrt(float(trials))
+        factor = np.tril(rng.standard_normal((width, width)), -1)
+        # degrees of freedom T - 1 - i in float, so no T overflows int64
+        np.fill_diagonal(factor, np.sqrt(rng.chisquare(float(trials - 1) - np.arange(width))))
     # Analytic ensemble target for the same pipeline.
     analytic, _, _ = execute_ensemble(plan.state, plan.node_order, plan.steps)
     analytic = GaussianState(*_mix_vacuum(analytic.mean, analytic.cov, eta))
@@ -525,9 +525,9 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     sample_vars = [None] * len(rows)
     sample_cov = np.full((n_read, n_read), np.nan)
     if trials > 1:
-        z_cov = (gram - trials * np.outer(z_mean, z_mean)) / (trials - 1)
-        sample_cov = loading @ z_cov @ loading.T
-        sample_vars = np.einsum("ij,ij->i", form_loading @ z_cov, form_loading).tolist()
+        read_factor, form_factor = loading @ factor, form_loading @ factor
+        sample_cov = read_factor @ read_factor.T / (trials - 1)
+        sample_vars = (np.einsum("ij,ij->i", form_factor, form_factor) / (trials - 1)).tolist()
     forms = tuple(
         FormStats(form.describe() if isinstance(form, Nullifier) else "form", a, m, v,
                   None if v is None else v * np.sqrt(2.0 / (trials - 1)))

@@ -210,9 +210,10 @@ def signed_wire(n: int):
 def batch_trajectory_reference(plan, trials: int, seed: int):
     """Reference Monte Carlo: every trial's mean and readout as one trials x 2N batch.
 
-    Draws the same numbers in the same order as run_trajectory: each
-    step's outcome noise for all trials, then one (trials, 2N_f) readout
-    draw.  Returns (per-form (sample_mean, sample_var or None), sample_cov).
+    Draws each step's outcome noise for all trials, then one (trials,
+    2N_f) readout draw: the same numbers in the same order as
+    run_trajectory for trials up to its noise width.  Returns (per-form
+    (sample_mean, sample_var or None), sample_cov).
     """
     rng = np.random.default_rng(seed)
 

@@ -118,12 +118,14 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         (WIRE_4, "scenario = shorten-wire\nshorten_inner = 2 3", "need scenario = custom"),
         (WIRE_4, "remove_node = 1\nshorten_inner = 2 3", "cannot be combined"),
         (WIRE_4, "", "custom scenario needs remove_node or shorten_inner"),
+        (WIRE_4, "scenario = shorten-wire\ntrials = 9007199254740993", "trials must lie between 0 and"),
+        (WIRE_4, "scenario = shorten-wire\ntrials = 1" + "0" * 400, "trials must lie between 0 and"),
     ],
     ids=[
         "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
         "edge-declared-twice", "lossless-maybe", "override-of-absent-node", "loss-of-absent-node",
         "remove-node-outside-custom", "shorten-inner-outside-custom", "remove-and-shorten",
-        "custom-without-operation",
+        "custom-without-operation", "trials-above-2-to-the-53", "trials-1e400",
     ],
 )
 def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):
@@ -180,6 +182,16 @@ def test_numerical_breakdown_exits_two(tmp_path, capsys, body, message):
     assert code == 2
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_trial_count_up_to_2_to_the_53(capsys):
+    code, out, err = run_cli(capsys, "--scenario", "shorten-wire", "--trials", str(10**13))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["monte_carlo"]["trials"] == 10**13
+    for trials in (10**16, 10**400):
+        code, out, err = run_cli(capsys, "--scenario", "shorten-wire", "--trials", str(trials))
+        assert (code, out) == (2, "")
+        assert err == "error: trials must lie between 0 and 2**53 = 9007199254740992\n"
 
 
 def test_negative_seed_exits_two(capsys):

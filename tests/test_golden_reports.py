@@ -110,11 +110,12 @@ GOLDEN = {
     "ring-route-check": "ef42b84526a10c173488d278ffd2447496f452aa99d247726d043d3b22d60331",
     "ring-route-check-lossless": "891490c43a495ef0ddd662f65792321f1ec5a4b7d7f8c7798be5391906c493c1",
     "ring-route-check-csv": "869f89d2ad8bbf0219092b30cf260601667668f8d4cd8eb6cc0dd4a07968fdee",
-    "shorten-wire-mc": "c387926229b48a1a480bbfb1a00d5dafee047ccb26a21b1b53379396abde5ec0",
-    "shorten-wire-mc-lossless": "00af9a47b99c34b5a88b5583b2bfe9c6269139efeace93b2187a3e1dbbfaf06f",
-    "ring-route-check-mc": "4d498b9eb6aea62073fa3fb85118478b1554c5b5580972cd71e2bfba957c62d0",
-    "lossy-config": "ce4bd3dbb38287eb20867c3729ae9e559265575e6d4fa36207ab2ba8c201516a",
-    "compiled": "b21682828b699dc4b0751398957d02d254ce20414ddb6cb9e0e78a80ba9b2ade",
+    # recorded on the sufficient-statistic (Bartlett) draw of run_trajectory
+    "shorten-wire-mc": "584dc20c827d283b608b981abfb5b558d7058b9c8a95494bca5850eedd771230",
+    "shorten-wire-mc-lossless": "4a0626573cdc62d6f11f510c2f4e08c471f5e4445a44a5903c6977e94f1a37e2",
+    "ring-route-check-mc": "5b787c5a3b8664d7da6dd3d19342ccac767aeb0dc445da39d8db502292f69320",
+    "lossy-config": "f65437b0ec401ab5c312394bfa45dabbd4dc89061ab22e7d97c9c180c3006843",
+    "compiled": "e856b6126a4c639b23a8d93d7aaff499bd60f13bdba727093a7a66be9d6a51b5",
     "preset-wire": "50d60e389cbe1720eb7311bc96835db629240f82c7af1b36707d0675b6d7df09",
     "signed-wire-16-compiled": "5f9c8dbf8174d3578c5e5f77e9bfbe235d718c07cd58760c4ae34342d110afc6",
     # degree-4 nullifiers, recorded on the per-form evaluation before the batch evaluator

@@ -1,5 +1,6 @@
 """Homodyne conditioning, feedforward, node removal, wire shortening, trajectories."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from cvshape import (
     shorten_wire,
     squeezed_variance,
 )
-from cvshape.shaping import _CHUNK, execute_conditional, execute_ensemble
+from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
 from helpers import (
     batch_trajectory_reference,
     qnd_gate,
@@ -367,10 +368,17 @@ def test_trajectory_rejects_bad_trials():
         run_trajectory(make_shorten_plan(), trials=0, seed=1)
 
 
-@pytest.mark.parametrize("trials", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
-@pytest.mark.parametrize("readout", [None, {1: 0.7, 4: 0.9}], ids=["ideal", "lossy"])
+#: Noise width of make_shorten_plan: two measurement steps, then a two-mode readout.
+SHORTEN_WIDTH = 6
+LOSSY_READOUT = {1: 0.7, 4: 0.9}
+
+
+@pytest.mark.parametrize("trials", [1, 2, SHORTEN_WIDTH])
+@pytest.mark.parametrize("readout", [None, LOSSY_READOUT], ids=["ideal", "lossy"])
 def test_trajectory_matches_batch_reference(trials, readout):
+    # up to the noise width the trials' normals are drawn themselves, as in the reference
     plan = make_shorten_plan(readout=readout)
+    assert _readout_map(plan)[1].shape[1] == SHORTEN_WIDTH
     stats = run_trajectory(plan, trials=trials, seed=17)
     ref_forms, ref_cov = batch_trajectory_reference(plan, trials, seed=17)
     for form, (ref_mean, ref_var) in zip(stats.forms, ref_forms):
@@ -384,6 +392,30 @@ def test_trajectory_matches_batch_reference(trials, readout):
     else:
         scale = np.abs(ref_cov).max()
         np.testing.assert_allclose(stats.sample_cov, ref_cov, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("trials, n_seeds", [(50, 2000), (SHORTEN_WIDTH + 1, 1000)])
+def test_trajectory_sufficient_statistics_follow_their_laws(trials, n_seeds):
+    # Over seeds, a form's sample variance is v chi2(T-1)/(T-1) and its
+    # sample mean N(0, v/T); the sample covariance averages to the analytic one.
+    # T = width + 1 is the smallest trial count drawn through the Wishart law.
+    plan = make_shorten_plan(readout=LOSSY_READOUT)
+    runs = [run_trajectory(plan, trials=trials, seed=seed) for seed in range(n_seeds)]
+    n, dof = len(runs), trials - 1
+    analytic = np.array([f.analytic_var for f in runs[0].forms])
+    ratios = np.array([[f.sample_var for f in r.forms] for r in runs]) / analytic
+    means = np.array([[f.sample_mean for f in r.forms] for r in runs])
+    ratio_sd, kurtosis = np.sqrt(2.0 / dof), 3.0 + 12.0 / dof
+    assert np.all(np.abs(ratios.mean(axis=0) - 1.0) < 5 * ratio_sd / np.sqrt(n))
+    sd_se = ratio_sd * np.sqrt((kurtosis - 1.0) / (4 * n))
+    assert np.all(np.abs(ratios.std(axis=0, ddof=1) - ratio_sd) < 5 * sd_se)
+    mean_sd = np.sqrt(analytic / trials)
+    assert np.all(np.abs(means.mean(axis=0)) < 5 * mean_sd / np.sqrt(n))
+    assert np.all(np.abs(means.std(axis=0, ddof=1) - mean_sd) < 5 * mean_sd / np.sqrt(2 * (n - 1)))
+    cov = runs[0].analytic_cov
+    cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / dof / n)
+    average = np.mean([r.sample_cov for r in runs], axis=0)
+    assert np.all(np.abs(average - cov) < 5 * np.maximum(cov_se, 1e-12))
 
 
 def test_trajectory_memory_does_not_scale_with_trials_times_modes():
@@ -403,3 +435,27 @@ def test_trajectory_memory_does_not_scale_with_trials_times_modes():
     assert stats.trials == 100_000
     # the trials x 2N batch alone would be 100_000 * 126 * 8 bytes = 96 MiB
     assert peak < 64 * 2**20
+
+
+def test_trajectory_cost_does_not_grow_with_trials():
+    wire = signed_wire(64)
+    plan = TrajectoryPlan(
+        state=build_canonical(wire, 5.0),
+        node_order=wire.nodes,
+        steps=removal_steps(wire, 30),
+        record=nullifiers_of(wire.with_node_removed(30)),
+    )
+    peaks, seconds = {}, {}
+    for trials in (10**3, 10**12):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            stats = run_trajectory(plan, trials=trials, seed=3)
+            seconds[trials] = time.perf_counter() - start
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for form in stats.forms:
+            assert abs(form.sample_var - form.analytic_var) < 5 * form.stderr
+    assert abs(peaks[10**12] - peaks[10**3]) < 0.1 * peaks[10**3]
+    assert seconds[10**12] < 1.0
