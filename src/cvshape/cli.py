@@ -9,6 +9,7 @@ overrides the configured Monte Carlo seed; an explicit --seed beats both.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ from .experiments import ConfigError, ExperimentConfig, SCENARIOS, emit, run
 SEED_ENV_VAR = "CVSHAPE_SEED"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvshape",

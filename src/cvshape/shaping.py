@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, _mix_vacuum, form_vector, quadrature_selector, quadrature_variances
+from .gaussian import GaussianState, _mix_vacuum, form_vector, quadrature_selector
 from .graphs import ClusterGraph, Nullifier
 
 __all__ = [
@@ -458,7 +458,7 @@ def _readout_map(plan: TrajectoryPlan):
     z holds the trial's standard normals, one per step, then 2N_f for the
     readout.  Row 0 of a (1 + steps) x 2N batch through the kernel starts
     at the initial mean and draws no noise; row 1+k starts at zero and
-    draws a unit noise at step k only.  Returns (m, W, order, eta).
+    draws a unit noise at step k only.  Returns (m, W, order).
     """
     order, cov = _check_order(plan.state, plan.node_order), plan.state.cov
     rows = np.vstack([plan.state.mean, np.zeros((len(plan.steps), plan.state.mean.size))])
@@ -473,7 +473,7 @@ def _readout_map(plan: TrajectoryPlan):
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov_read)
         noise_shaper = v * np.sqrt(np.clip(w, 0.0, None))
-    return rows[0], np.hstack([rows[1:].T, noise_shaper]), tuple(order), eta
+    return rows[0], np.hstack([rows[1:].T, noise_shaper]), tuple(order)
 
 
 def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectoryStats:
@@ -486,7 +486,8 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     199 (1966)), in O(width^2) whatever T is.  For T <= width the Wishart
     is singular and z itself is drawn: each step's noise for all trials,
     then the readout noise.  A form c is reduced to W^T c first:
-    nullifiers cancel at loading scale.
+    nullifiers cancel at loading scale.  The analytic targets |W^T c|^2
+    and W W^T are the ensemble semantics' variances after readout loss.
 
     Args:
         plan: trajectory plan.
@@ -500,7 +501,7 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    mean, loading, final_order, eta = _readout_map(plan)
+    mean, loading, final_order = _readout_map(plan)
     (n_read, width), n_steps = loading.shape, len(plan.steps)
     rng = np.random.default_rng(seed)
     # factor F with scatter F F^T: the centred z^T, or the Bartlett factor A
@@ -513,14 +514,11 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
         factor = np.tril(rng.standard_normal((width, width)), -1)
         # degrees of freedom T - 1 - i in float, so no T overflows int64
         np.fill_diagonal(factor, np.sqrt(rng.chisquare(float(trials - 1) - np.arange(width))))
-    # Analytic ensemble target for the same pipeline.
-    analytic, _, _ = execute_ensemble(plan.state, plan.node_order, plan.steps)
-    analytic = GaussianState(*_mix_vacuum(analytic.mean, analytic.cov, eta))
-    analytic_vars = quadrature_variances(analytic, plan.record, final_order).tolist()
 
     index = {node: k for k, node in enumerate(final_order)}
     rows = np.reshape([form_vector(f, n_read // 2, index) for f in plan.record], (-1, n_read))
     form_loading = rows @ loading
+    analytic_vars = np.einsum("ij,ij->i", form_loading, form_loading).tolist()
     sample_means = (rows @ mean + form_loading @ z_mean).tolist()
     sample_vars = [None] * len(rows)
     sample_cov = np.full((n_read, n_read), np.nan)
@@ -533,4 +531,4 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
                   None if v is None else v * np.sqrt(2.0 / (trials - 1)))
         for form, a, m, v in zip(plan.record, analytic_vars, sample_means, sample_vars)
     )
-    return TrajectoryStats(int(trials), int(seed), forms, final_order, sample_cov, analytic.cov)
+    return TrajectoryStats(int(trials), int(seed), forms, final_order, sample_cov, loading @ loading.T)

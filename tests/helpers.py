@@ -18,8 +18,8 @@ from cvshape import (
     squeezed_variance,
     vacuum,
 )
-from cvshape.gaussian import _check_mode, _mix_vacuum, form_vector
-from cvshape.shaping import _check_order, _conditional_step
+from cvshape.gaussian import _check_mode, _mix_vacuum, form_vector, quadrature_variances
+from cvshape.shaping import _check_order, _conditional_step, execute_ensemble
 
 
 def squeezed_vacuum(db: float, quadrature: str = "p") -> GaussianState:
@@ -237,6 +237,21 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
         values = readout @ form_vector(form, len(order), order)
         forms.append((float(values.mean()), float(values.var(ddof=1)) if trials > 1 else None))
     return forms, sample_cov
+
+
+def ensemble_readout_reference(plan):
+    """Reference analytic target: a second, outcome-averaged pass through the plan.
+
+    execute_ensemble, then the readout loss mixed in with vacuum, then the
+    record's variances on that state.  run_trajectory must give the same
+    numbers from its readout map alone.  Returns (state, final order,
+    per-form variances).
+    """
+    ensemble, order, _ = execute_ensemble(plan.state, plan.node_order, plan.steps)
+    efficiency = dict(plan.readout_efficiency)
+    eta = [efficiency.get(node, 1.0) for node in order]
+    state = GaussianState(*_mix_vacuum(ensemble.mean, ensemble.cov, eta))
+    return state, order, quadrature_variances(state, plan.record, order)
 
 
 def _two_mode_elements_reference(t: np.ndarray, i: int) -> list:

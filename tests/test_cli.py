@@ -1,10 +1,15 @@
 """Command-line entry point: exit codes, seeding, output routing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cvshape.cli import main
+import cvshape
+from cvshape.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -255,3 +260,23 @@ def test_repeat_runs_byte_identical(capsys):
 def test_unknown_flag_raises_system_exit(capsys):
     with pytest.raises(SystemExit):
         main(["--frobnicate"])
+
+
+def test_shared_parser_leaks_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("CVSHAPE_SEED", raising=False)
+    assert build_parser() is build_parser()
+    first = ("--scenario", "ring-route-check", "--lossless", "--format", "csv")
+    first += ("--analytic-only", "--seed", "3")
+    code, _, _ = run_cli(capsys, *first)
+    assert code == 0
+    argv = ("--scenario", "shorten-wire", "--trials", "1000", "--seed", "7")
+    code, out, _ = run_cli(capsys, *argv)
+    env = {k: v for k, v in os.environ.items() if k != "CVSHAPE_SEED"}
+    env["PYTHONPATH"] = str(Path(cvshape.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "cvshape.cli", *argv], capture_output=True, env=env, check=False
+    )
+    assert (fresh.returncode, fresh.stdout) == (code, out.encode())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--frobnicate"])
+    assert exit_info.value.code == 2

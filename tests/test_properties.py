@@ -6,7 +6,8 @@ mean(y) = mean(0) + b y, so the ensemble must equal the conditional state
 plus the spread var * b b^T of the conditional means, with its mean at
 the marginal mean of the measured quadrature.  Trajectory execution maps
 each trial's noises z to its readout m + W z; with unit-variance noise the
-readout ensemble is (m, W W^T), which must equal the ensemble semantics.
+readout ensemble is (m, W W^T), which must equal a second, outcome-averaged
+pass through the ensemble semantics.
 """
 
 import numpy as np
@@ -23,8 +24,8 @@ from cvshape import (
     run_trajectory,
     shorten_steps,
 )
-from cvshape.gaussian import _mix_vacuum
 from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
+from helpers import ensemble_readout_reference
 
 SIGNS = st.sampled_from((-1, 1))
 GAINS = st.floats(-2.0, 2.0)
@@ -107,18 +108,19 @@ def test_trajectory_readout_map_is_the_ensemble(graph, data):
     if graph.n_nodes > 2 and data.draw(st.booleans()):
         rest = graph.with_node_removed(first)
         steps += removal_steps(rest, data.draw(st.sampled_from(rest.nodes)), gain=data.draw(GAINS))
-    ensemble, order, _ = execute_ensemble(state, graph.nodes, steps)
+    measured = {step.node for step in steps}
+    order = tuple(node for node in graph.nodes if node not in measured)
     eta = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(order), max_size=len(order)))
     plan = TrajectoryPlan(state, graph.nodes, steps, record=(), readout_efficiency=dict(zip(order, eta)))
 
-    mean, loading, final_order, _ = _readout_map(plan)
-    target_mean, _ = _mix_vacuum(ensemble.mean, ensemble.cov, eta)
-    analytic_cov = run_trajectory(plan, trials=1, seed=0).analytic_cov
-    assert final_order == order
+    mean, loading, final_order = _readout_map(plan)
+    target, target_order, _ = ensemble_readout_reference(plan)
+    assert final_order == target_order == order
     assert loading.shape == (2 * len(order), len(steps) + 2 * len(order))
     np.testing.assert_allclose(
-        mean, target_mean, rtol=0, atol=1e-12 * max(1.0, np.abs(target_mean).max())
+        mean, target.mean, rtol=0, atol=1e-12 * max(1.0, np.abs(target.mean).max())
     )
     np.testing.assert_allclose(
-        loading @ loading.T, analytic_cov, rtol=0, atol=1e-12 * np.abs(analytic_cov).max()
+        loading @ loading.T, target.cov, rtol=0, atol=1e-12 * np.abs(target.cov).max()
     )
+    assert np.array_equal(run_trajectory(plan, trials=1, seed=0).analytic_cov, loading @ loading.T)

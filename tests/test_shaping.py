@@ -23,9 +23,11 @@ from cvshape import (
     shorten_wire,
     squeezed_variance,
 )
+from cvshape import experiments
 from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
 from helpers import (
     batch_trajectory_reference,
+    ensemble_readout_reference,
     qnd_gate,
     random_product_state,
     random_signed_graph,
@@ -418,14 +420,56 @@ def test_trajectory_sufficient_statistics_follow_their_laws(trials, n_seeds):
     assert np.all(np.abs(average - cov) < 5 * np.maximum(cov_se, 1e-12))
 
 
-def test_trajectory_memory_does_not_scale_with_trials_times_modes():
+def ring_route_check_plan(monkeypatch):
+    """The Monte Carlo plan the ring-route-check scenario builds, calibrated loss included."""
+    plans = []
+
+    def capture(plan, trials, seed):
+        plans.append(plan)
+        return run_trajectory(plan, trials, seed)
+
+    monkeypatch.setattr(experiments, "run_trajectory", capture)
+    experiments.run(experiments.ExperimentConfig(scenario="ring-route-check", trials=1))
+    return plans[0]
+
+
+def make_signed64_plan(readout=None):
+    """64-mode signed wire at 5 dB with node 30 removed."""
     wire = signed_wire(64)
-    plan = TrajectoryPlan(
+    return TrajectoryPlan(
         state=build_canonical(wire, 5.0),
         node_order=wire.nodes,
         steps=removal_steps(wire, 30),
         record=nullifiers_of(wire.with_node_removed(30)),
+        readout_efficiency=readout,
     )
+
+
+ANALYTIC_PLANS = {
+    "lossy-shorten": lambda monkeypatch: make_shorten_plan(readout=LOSSY_READOUT),
+    "ring-route-check": ring_route_check_plan,
+    "lossless": lambda monkeypatch: make_shorten_plan(),
+    # a different readout loss per node
+    "signed64-lossy-readout": lambda monkeypatch: make_signed64_plan(
+        readout={node: 0.6 + 0.1 * (node % 4) for node in range(1, 65) if node != 30}
+    ),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 100_000])
+@pytest.mark.parametrize("name", ANALYTIC_PLANS)
+def test_trajectory_analytic_var_is_the_ensemble_reference(monkeypatch, name, trials):
+    # the readout map's |W^T c|^2 against a second pass: ensemble, readout loss, variances
+    plan = ANALYTIC_PLANS[name](monkeypatch)
+    _, _, reference = ensemble_readout_reference(plan)
+    stats = run_trajectory(plan, trials=trials, seed=5)
+    assert len(stats.forms) == len(reference) > 0
+    for form, expected in zip(stats.forms, reference):
+        assert form.analytic_var == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_trajectory_memory_does_not_scale_with_trials_times_modes():
+    plan = make_signed64_plan()
     tracemalloc.start()
     try:
         stats = run_trajectory(plan, trials=100_000, seed=3)
@@ -438,13 +482,7 @@ def test_trajectory_memory_does_not_scale_with_trials_times_modes():
 
 
 def test_trajectory_cost_does_not_grow_with_trials():
-    wire = signed_wire(64)
-    plan = TrajectoryPlan(
-        state=build_canonical(wire, 5.0),
-        node_order=wire.nodes,
-        steps=removal_steps(wire, 30),
-        record=nullifiers_of(wire.with_node_removed(30)),
-    )
+    plan = make_signed64_plan()
     peaks, seconds = {}, {}
     for trials in (10**3, 10**12):
         tracemalloc.start()
