@@ -179,23 +179,25 @@ def _over(z: complex, inv: float) -> complex:
     return complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv)
 
 
-def _elements_to_unitary(elements, n: int) -> np.ndarray:
+def _elements_to_unitary(elements, labels) -> np.ndarray:
     """Product of phase and splitter elements, the last applied leftmost.
 
     The elements come from _reduce or from a NetworkPlan, which validated
-    them.  Each element updates only the rows of the modes it touches.
+    them; labels[k] names row k.  Each element updates only the rows of
+    the modes it touches.
     """
+    row = {label: k for k, label in enumerate(labels)}
     factors = iter(np.exp(1j * np.array([e[2] for e in elements if e[0] == "phase"], dtype=float)))
     # Splitter k mixes its two rows by [[c, s], [s, -c]], c = sqrt(r), s = sqrt(1 - r).
     r = np.array([e[3] for e in elements if e[0] != "phase"], dtype=float)
     c, s = np.sqrt(r), np.sqrt(1.0 - r)
     mixers = iter(np.array([[c, s], [s, -c]]).transpose(2, 0, 1).astype(complex))
-    total = np.eye(n, dtype=complex)
+    total = np.eye(len(row), dtype=complex)
     for element in elements:
         if element[0] == "phase":
-            total[element[1]] *= next(factors)
+            total[row[element[1]]] *= next(factors)
             continue
-        _, i, j, _ = element
+        i, j = row[element[1]], row[element[2]]
         rows = slice(i, i + 2) if j == i + 1 else [i, j]
         total[rows] = next(mixers) @ total[rows]
     return total
@@ -212,11 +214,11 @@ def unitary_to_elements(u: np.ndarray) -> list:
     triangularize u (Reck et al., PRL 73, 58 (1994)); the leftover
     diagonal becomes the leading phases.
     """
-    return _reduce(u)[0]
+    return _reduce(u, range(len(u)))[0]
 
 
-def _reduce(u: np.ndarray) -> tuple[list, np.ndarray]:
-    """unitary_to_elements, also returning the element product checked against u."""
+def _reduce(u: np.ndarray, labels) -> tuple[list, np.ndarray]:
+    """unitary_to_elements with mode k named labels[k], also returning the checked element product."""
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
     if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-10:
@@ -244,21 +246,21 @@ def _reduce(u: np.ndarray) -> tuple[list, np.ndarray]:
     # Each t is P(a on i) B(r) P(p on i, q on i+1) with B(r) the real
     # splitter [[sqrt(r), sqrt(1-r)], [sqrt(1-r), -sqrt(r)]].  |t01| = |t10|,
     # so a t with no coupling is diagonal: two phases, no splitter.
-    elements: list = [("phase", mode, angles[mode]) for mode in range(n)]
+    elements: list = [("phase", labels[mode], angles[mode]) for mode in range(n)]
     for k in reversed(range(len(modes))):
-        i = modes[k]
+        i, j = labels[modes[k]], labels[modes[k] + 1]
         t00, t01 = inverses[4 * k : 4 * k + 2]
         p00, p01, p10, p11 = angles[n + 4 * k : n + 4 * k + 4]
         if abs(t01) < 1e-12:
-            elements += [("phase", i, p00), ("phase", i + 1, p11)]
+            elements += [("phase", i, p00), ("phase", j, p11)]
             continue
         a = p00 - p10
         r = min(abs(t00) ** 2, 1.0)
-        elements += [("phase", i, p10), ("phase", i + 1, p01 - a)]
-        elements += [("splitter", i, i + 1, r), ("phase", i, a)]
+        elements += [("phase", i, p10), ("phase", j, p01 - a)]
+        elements += [("splitter", i, j, r), ("phase", i, a)]
 
     elements = [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
-    recomposed = _elements_to_unitary(elements, n)
+    recomposed = _elements_to_unitary(elements, labels)
     if np.abs(recomposed - u).max() > _RECOMPOSE_TOL:
         raise ValueError("element reduction failed to recompose the unitary")
     return elements, recomposed

@@ -11,7 +11,6 @@ the Monte Carlo readout statistics describe the same experiment.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -185,17 +184,14 @@ class ExperimentConfig:
             try:
                 if key.startswith("loss."):
                     parts = key.split(".")
+                    if len(parts) not in (2, 3):
+                        raise ConfigError(f"malformed loss key {key!r}")
+                    if parts[1] in loss and isinstance(loss[parts[1]], dict) != (len(parts) == 3):
+                        raise ConfigError(f"stage {parts[1]} mixes uniform and per-node entries")
                     if len(parts) == 2:
                         loss[parts[1]] = float(value)
-                    elif len(parts) == 3:
-                        loss.setdefault(parts[1], {})
-                        if not isinstance(loss[parts[1]], dict):
-                            raise ConfigError(
-                                f"stage {parts[1]} mixes uniform and per-node entries"
-                            )
-                        loss[parts[1]][int(parts[2])] = float(value)
                     else:
-                        raise ConfigError(f"malformed loss key {key!r}")
+                        loss.setdefault(parts[1], {})[int(parts[2])] = float(value)
                 elif key.startswith("squeezing_db."):
                     overrides[int(key.split(".", 1)[1])] = float(value)
                 elif key == "squeezing_db":
@@ -380,25 +376,21 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
     return preset_wire_network(levels.pop()).prepare()
 
 
+#: Each fixed scenario's operation on the four-node wire 1-2-3-4.
+_SCENARIO_OPERATIONS = {
+    "remove-edge": (remove_node, 4),
+    "remove-inner": (remove_node, 3),
+    "shorten-wire": (shorten_wire, (2, 3)),
+    "ring-route-check": (shorten_wire, (2, 3)),
+}
+
+
 def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: ClusterGraph) -> ShapingResult:
     """Outcome-averaged shaping of the configured scenario."""
     gain = -1.0 * config.feedforward_gain
-    degree = Counter(n for i, j, _ in graph.edges() for n in (i, j))
-    if config.scenario == "remove-edge":
-        ends = [n for n in graph.nodes if degree[n] == 1]
-        if not ends:
-            raise ConfigError("remove-edge needs a degree-1 node")
-        return remove_node(state, graph, max(ends), gain=gain)
-    if config.scenario == "remove-inner":
-        inner = [n for n in graph.nodes if degree[n] == 2]
-        if not inner:
-            raise ConfigError("remove-inner needs a degree-2 node")
-        return remove_node(state, graph, max(inner), gain=gain)
-    if config.scenario in ("shorten-wire", "ring-route-check"):
-        pairs = [(i, j) for i, j, _ in graph.edges() if degree[i] == degree[j] == 2]
-        if not pairs:
-            raise ConfigError("shortening needs two adjacent degree-2 nodes")
-        return shorten_wire(state, graph, min(pairs), gain=gain)
+    if config.scenario in _SCENARIO_OPERATIONS:
+        shape, operand = _SCENARIO_OPERATIONS[config.scenario]
+        return shape(state, graph, operand, gain=gain)
     # custom: the nodes come from the config, so a bad choice is a config error
     try:
         if config.remove_target is not None:

@@ -345,12 +345,7 @@ class NetworkPlan:
 
     def interferometer_transform(self) -> SymplecticTransform:
         """Compose the passive elements into one orthogonal symplectic."""
-        index = {node: k for k, node in enumerate(self.node_order)}
-        elements = [
-            ("phase", index[e[1]], e[2]) if e[0] == "phase" else ("splitter", index[e[1]], index[e[2]], e[3])
-            for e in self.interferometer
-        ]
-        u = _elements_to_unitary(elements, len(self.node_order))
+        u = _elements_to_unitary(self.interferometer, self.node_order)
         return SymplecticTransform(unitary_to_orthogonal_symplectic(u))
 
     def prepare(self) -> GaussianState:
@@ -410,16 +405,8 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
         quad = "p" if x_scale >= 1.0 else "x"
         settings[node] = (level, quad)
 
-    reduced, recomposed = _reduce(orthogonal_symplectic_to_unitary(o2))
-    # Relabelled in place: each node-labelled tuple reuses the memory its
-    # index-labelled original frees, where a second list of O(N^2) tuples
-    # would stay parked in CPython's tuple free lists after the plan is gone.
-    nodes = graph.nodes
-    for k, e in enumerate(reduced):
-        reduced[k] = (
-            ("phase", nodes[e[1]], e[2]) if e[0] == "phase" else ("splitter", nodes[e[1]], nodes[e[2]], e[3])
-        )
-    plan = NetworkPlan(settings, reduced, nodes)
+    reduced, recomposed = _reduce(orthogonal_symplectic_to_unitary(o2), graph.nodes)
+    plan = NetworkPlan(settings, reduced, graph.nodes)
     # The plan drops O1, which is passive and therefore fixes the vacuum:
     # the produced state, not the full circuit, is the contract.  Covariance
     # entries grow as 10^(dB/10) and nullifier variances shrink as

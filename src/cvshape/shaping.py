@@ -8,7 +8,8 @@ treat the means, and all are exact:
 * conditional: sample (or force) outcomes and track the conditioned
   state of the survivors, one trajectory at a time;
 * trajectory: Monte Carlo in noise space; each trial's readout is an affine
-  map m + W z of its own normals, in O(steps * trials + chunk * N) memory;
+  map m + W z of its own normals, drawn in O(width^2) time and memory
+  whatever the trial count, with width = steps + 2N;
 * ensemble: average over outcomes analytically.  Each measure-and-displace
   step acts on (mean, cov) as the linear map A = P + G u^T, with P the
   keep-rows projector, u the measured-quadrature selector, and G the
@@ -199,13 +200,15 @@ def shorten_steps(graph: ClusterGraph, inner_a: int, inner_b: int, gain: float =
 # ---------------------------------------------------------------------------
 
 
-def _condition(cov: np.ndarray, order: Sequence[int], step: MeasurementStep):
+def _condition(cov: np.ndarray, order: list, step: MeasurementStep):
     """Measure-and-condition kernel shared by every execution semantics.
 
-    Returns (u, idx, var, vu): the quadrature selector, the survivors' xxpp
-    indices, the marginal variance u^T V u, and the gain vu = (V u)[idx].
-    An outcome y maps a mean m to m[idx] + (y - u^T m) vu / var and, for
-    any y, the covariance to V[idx, idx] - vu vu^T / var.
+    Removes step.node from order and returns (u, idx, var, vu, gains): the
+    quadrature selector, the survivors' xxpp indices, the marginal variance
+    u^T V u, the gain vu = (V u)[idx], and the feedforward column over the
+    survivors' quadratures.  An outcome y maps a mean m to
+    m[idx] + (y - u^T m) vu / var + y gains and, for any y, the covariance
+    to V[idx, idx] - vu vu^T / var.
     """
     if step.node not in order:
         raise ValueError(f"node {step.node} already measured or absent")
@@ -218,17 +221,16 @@ def _condition(cov: np.ndarray, order: Sequence[int], step: MeasurementStep):
             f"measured quadrature variance {marginal_var:.3e} below floor at node {step.node}; "
             "near-eigenstate quadratures cannot be conditioned on"
         )
+    del order[mode]
     keep = [m for m in range(n) if m != mode]
     idx = keep + [n + m for m in keep]
-    return u, idx, marginal_var, (cov @ u)[idx]
-
-
-def _target_column(survivors: Sequence[int], target: FeedforwardTarget) -> int:
-    """xxpp index of a feedforward target among the survivors' quadratures."""
-    if target.node not in survivors:
-        raise ValueError(f"feedforward target {target.node} is not a surviving node")
-    k = survivors.index(target.node)
-    return k if target.quadrature == "x" else len(survivors) + k
+    gains = np.zeros(len(idx))
+    for target in step.feedforward:
+        if target.node not in order:
+            raise ValueError(f"feedforward target {target.node} is not a surviving node")
+        k = order.index(target.node)
+        gains[k if target.quadrature == "x" else len(order) + k] += target.gain
+    return u, idx, marginal_var, (cov @ u)[idx], gains
 
 
 def _check_order(state: GaussianState, node_order: Sequence[int]) -> list:
@@ -253,13 +255,9 @@ def execute_ensemble(state: GaussianState, node_order: Sequence[int], steps: Seq
     order = _check_order(state, node_order)
     mean, cov, outcomes = state.mean, state.cov, []
     for step in steps:
-        u, idx, marginal_var, vu = _condition(cov, order, step)
+        u, idx, marginal_var, vu, gains = _condition(cov, order, step)
         projection = float(u @ mean)
         outcomes.append(HomodyneOutcome(step.node, step.angle, None, projection, marginal_var))
-        order.remove(step.node)
-        gains = np.zeros(len(idx))
-        for target in step.feedforward:
-            gains[_target_column(order, target)] += target.gain
         # A V A^T for A = P + G u^T, expanded so that entries no gain
         # touches stay exactly V[idx, idx].
         cross = np.outer(vu, gains)
@@ -276,13 +274,11 @@ def _conditional_step(means, cov, order, step, draw):
     draw(projections, var) returns the outcome(s) given the marginal
     mean(s); step.node leaves order.  Returns (means, cov, projections, var, values).
     """
-    u, idx, marginal_var, vu = _condition(cov, order, step)
+    u, idx, marginal_var, vu, gains = _condition(cov, order, step)
     projections = means @ u
     values = draw(projections, marginal_var)
     means = means[..., idx] + np.multiply.outer(values - projections, vu / marginal_var)
-    order.remove(step.node)
-    for target in step.feedforward:
-        means[..., _target_column(order, target)] += target.gain * values
+    means += np.multiply.outer(values, gains)
     cov = cov[np.ix_(idx, idx)] - np.outer(vu, vu) / marginal_var
     return means, cov, projections, marginal_var, values
 

@@ -125,12 +125,36 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         (WIRE_4, "", "custom scenario needs remove_node or shorten_inner"),
         (WIRE_4, "scenario = shorten-wire\ntrials = 9007199254740993", "trials must lie between 0 and"),
         (WIRE_4, "scenario = shorten-wire\ntrials = 1" + "0" * 400, "trials must lie between 0 and"),
+        (
+            WIRE_4,
+            "scenario = remove-edge\nloss.detection.1 = 0.5\nloss.detection = 0.8",
+            "stage detection mixes uniform and per-node entries",
+        ),
+        (
+            WIRE_4,
+            "scenario = remove-edge\nloss.detection = 0.8\nloss.detection.1 = 0.5",
+            "stage detection mixes uniform and per-node entries",
+        ),
+        (WIRE_4, "scenario = remove-edge\nlossless", "expected key = value"),
+        (WIRE_4, "scenario = remove-edge\nloss.a.b.c = 0.5", "malformed loss key 'loss.a.b.c'"),
+        (WIRE_4, "scenario = remove-edge\nformat = xml", "format must be json or csv"),
+        (WIRE_3, "construction = preset-wire\nremove_node = 2", "plain 4-node wire only"),
+        (
+            WIRE_4,
+            "scenario = remove-edge\nconstruction = preset-wire\nsqueezing_db.2 = 7",
+            "one uniform squeezing level",
+        ),
+        ("node 1 foo=2\n" + WIRE_3[len("node 1\n"):], "remove_node = 2", "unknown node attribute 'foo'"),
+        ("node 1\nnode 2\nedge 1 2 weight=3\n", "remove_node = 2", "unknown edge attribute 'weight'"),
     ],
     ids=[
         "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
         "edge-declared-twice", "lossless-maybe", "override-of-absent-node", "loss-of-absent-node",
         "remove-node-outside-custom", "shorten-inner-outside-custom", "remove-and-shorten",
         "custom-without-operation", "trials-above-2-to-the-53", "trials-1e400",
+        "loss-per-node-then-uniform", "loss-uniform-then-per-node", "line-without-equals",
+        "loss-key-too-deep", "format-xml", "preset-wire-on-3-nodes", "preset-wire-non-uniform-db",
+        "graph-node-attribute", "graph-edge-attribute",
     ],
 )
 def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):

@@ -82,6 +82,22 @@ def test_sum_gate_squeeze_factors_are_golden():
         np.testing.assert_allclose(np.diag(d)[:5], [GOLDEN_RATIO] * 4 + [1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [
+        unitary_to_orthogonal_symplectic(random_unitary(np.random.default_rng(25), 3)),
+        beam_splitter(3, 0, 1, 0.3).matrix,
+        qnd_gate(4, 0, 1).matrix,
+    ],
+    ids=["passive-3-mode", "beam-splitter-3-mode", "qnd-two-idle"],
+)
+def test_unit_block_of_two_or_more_directions_factors(s):
+    # Every unit direction after the first is projected off the J-closed
+    # span of those already picked.
+    o2, d, o1 = bloch_messiah(s)
+    assert_valid_factors(s, o2, d, o1, tol=1e-9)
+
+
 def test_random_graph_symplectics_recompose():
     rng = np.random.default_rng(21)
     start = time.perf_counter()
@@ -190,7 +206,7 @@ def reducible_unitaries(draw):
 @given(reducible_unitaries())
 def test_reduction_matches_the_reference_bit_for_bit(u):
     reference = unitary_to_elements_reference(u)
-    elements, recomposed = _reduce(u)
+    elements, recomposed = _reduce(u, range(u.shape[0]))
     assert elements == reference
     assert unitary_to_elements(u) == reference
     assert np.array_equal(recomposed, elements_to_unitary_reference(reference, u.shape[0]))
@@ -208,7 +224,7 @@ _ELEMENTS = st.one_of(
 @given(st.lists(_ELEMENTS, max_size=30))
 def test_recomposition_matches_the_reference_bit_for_bit(elements):
     # Any pair order, adjacent or not: adjacent ascending pairs take the slice path.
-    assert np.array_equal(_elements_to_unitary(elements, 6), elements_to_unitary_reference(elements, 6))
+    assert np.array_equal(_elements_to_unitary(elements, range(6)), elements_to_unitary_reference(elements, 6))
 
 
 @pytest.mark.parametrize(

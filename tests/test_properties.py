@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 
 from cvshape import (
     ClusterGraph,
+    FeedforwardTarget,
     GaussianState,
     LossModel,
+    MeasurementStep,
     TrajectoryPlan,
     build_canonical,
     removal_steps,
     run_trajectory,
     shorten_steps,
 )
+from cvshape.gaussian import quadrature_selector
 from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
 from helpers import ensemble_readout_reference
 
@@ -61,6 +64,63 @@ def lossy_states(draw, graph):
     state = build_canonical(graph, dict(zip(graph.nodes, db)))
     state = LossModel({"loss": dict(zip(graph.nodes, eta))}).apply_stage(state, "loss", graph.nodes)
     return GaussianState(state.mean + np.array(shift), state.cov)
+
+
+@st.composite
+def feedforward_steps(draw, nodes):
+    """A measurement of one node at any angle, driving 1-3 targets on the rest.
+
+    Targets pick their survivor, quadrature and gain freely, so a survivor
+    may be displaced more than once.
+    """
+    node = draw(st.sampled_from(nodes))
+    survivors = [n for n in nodes if n != node]
+    targets = draw(
+        st.lists(
+            st.builds(FeedforwardTarget, st.sampled_from(survivors), st.sampled_from("xp"), GAINS),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    angle = draw(st.floats(0.0, np.pi, exclude_max=True))
+    return MeasurementStep(node=node, angle=angle, feedforward=tuple(targets))
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=signed_graphs(), data=st.data())
+def test_arbitrary_feedforward_semantics_agree(graph, data):
+    state = data.draw(lossy_states(graph))
+    step = data.draw(feedforward_steps(graph.nodes))
+
+    ensemble, order, (record,) = execute_ensemble(state, graph.nodes, [step])
+    at_0, order_0, _ = execute_conditional(state, graph.nodes, [step], values=[0.0])
+    at_1, _, _ = execute_conditional(state, graph.nodes, [step], values=[1.0])
+    at_mean, _, _ = execute_conditional(state, graph.nodes, [step], values=[record.marginal_mean])
+    b = at_1.mean - at_0.mean
+    tol = 1e-10 * max(1.0, np.abs(ensemble.cov).max())
+    assert order == order_0
+    np.testing.assert_allclose(
+        ensemble.cov, at_0.cov + record.marginal_var * np.outer(b, b), rtol=0, atol=tol
+    )
+    np.testing.assert_allclose(ensemble.mean, at_mean.mean, rtol=0, atol=tol)
+    # b built target by target: the conditioning gain V u / var plus the feedforward column
+    mode, n = graph.nodes.index(step.node), graph.n_nodes
+    vu = np.delete(state.cov @ quadrature_selector(n, mode, step.angle), [mode, n + mode])
+    column = np.zeros_like(vu)
+    for target in step.feedforward:
+        column[order.index(target.node) + (len(order) if target.quadrature == "p" else 0)] += target.gain
+    np.testing.assert_allclose(b, vu / record.marginal_var + column, rtol=0, atol=tol)
+
+    plan = TrajectoryPlan(state, graph.nodes, [step], record=())
+    mean, loading, final_order = _readout_map(plan)
+    target, target_order, _ = ensemble_readout_reference(plan)
+    assert final_order == target_order == order
+    np.testing.assert_allclose(
+        mean, target.mean, rtol=0, atol=1e-12 * max(1.0, np.abs(target.mean).max())
+    )
+    np.testing.assert_allclose(
+        loading @ loading.T, target.cov, rtol=0, atol=1e-12 * np.abs(target.cov).max()
+    )
 
 
 @settings(max_examples=25, deadline=None)

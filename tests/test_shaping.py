@@ -468,6 +468,48 @@ def test_trajectory_analytic_var_is_the_ensemble_reference(monkeypatch, name, tr
         assert form.analytic_var == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def _refuse(matrix):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+@pytest.mark.parametrize("name", ["lossy-shorten", "signed64-lossy-readout"])
+def test_readout_eigh_fallback_matches_cholesky(monkeypatch, name):
+    plan = ANALYTIC_PLANS[name](monkeypatch)
+    expected = run_trajectory(plan, trials=1000, seed=5)
+    monkeypatch.setattr(np.linalg, "cholesky", _refuse)
+    fallback = run_trajectory(plan, trials=1000, seed=5)
+    assert len(fallback.forms) == len(expected.forms) > 0
+    for form, reference in zip(fallback.forms, expected.forms):
+        assert form.analytic_var == pytest.approx(reference.analytic_var, rel=1e-12, abs=0)
+
+
+def test_readout_eigh_fallback_when_cholesky_fails(monkeypatch):
+    # Lossless at 80 dB the survivors' readout covariance spans about 1e-8
+    # to 1e8, and Cholesky refuses it as not positive definite.
+    cholesky, refused = np.linalg.cholesky, []
+
+    def spy(matrix):
+        try:
+            return cholesky(matrix)
+        except np.linalg.LinAlgError:
+            refused.append(matrix.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    wire = signed_wire(16)
+    plan = TrajectoryPlan(
+        state=build_canonical(wire, 80.0),
+        node_order=wire.nodes,
+        steps=removal_steps(wire, 8),
+        record=nullifiers_of(wire.with_node_removed(8)),
+    )
+    stats = run_trajectory(plan, trials=1000, seed=3)
+    assert refused == [(30, 30)]
+    assert len(stats.forms) == 15
+    for form in stats.forms:
+        assert np.isfinite([form.analytic_var, form.sample_mean, form.sample_var, form.stderr]).all()
+
+
 def test_trajectory_memory_does_not_scale_with_trials_times_modes():
     plan = make_signed64_plan()
     tracemalloc.start()
