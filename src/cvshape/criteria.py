@@ -37,19 +37,23 @@ NULLIFIER_BOUND = 0.5
 PAIRWISE_BOUND = 1.0
 
 
-def nullifier_db(variance: float, form) -> float:
-    """Variance in dB relative to the form's vacuum level k/4.
+def nullifier_db(variance, form) -> float | np.ndarray:
+    """Variance in dB relative to the form's vacuum level k/4; a float, or an array for arrays.
 
     Args:
-        variance: positive, finite variance value.
-        form: Nullifier (term count read off) or the term count itself.
+        variance: positive, finite variance value, or an array of them.
+        form: Nullifier (term count read off), the term count itself, or
+            an array of term counts matching an array of variances.
     """
-    if not 0 < variance < np.inf:
-        raise ValueError(f"variance must be positive and finite to convert to dB, got {variance}")
-    k = form.n_terms if isinstance(form, Nullifier) else int(form)
-    if k < 1:
+    values = np.asarray(variance, dtype=float)
+    if values.size and not 0 < values.min() <= values.max() < np.inf:  # a nan minimum fails too
+        bad = np.ravel(variance)[~((values > 0) & (values < np.inf)).ravel()]  # as the caller passed them
+        raise ValueError(f"variance must be positive and finite to convert to dB, got {bad[0]}")
+    k = form.n_terms if isinstance(form, Nullifier) else np.asarray(form) if np.ndim(form) else int(form)
+    if np.asarray(k).min(initial=1) < 1:
         raise ValueError("form needs at least one term")
-    return float(10.0 * np.log10(variance / (k * VACUUM_VARIANCE)))
+    db = 10.0 * np.log10(values / (k * VACUUM_VARIANCE))
+    return float(db) if db.ndim == 0 else db
 
 
 @dataclass(frozen=True)
@@ -166,43 +170,35 @@ def check_cluster_criteria(
         and a residual-squeezing entry per isolated node.
     """
     order = tuple(node_order) if node_order is not None else graph.nodes
-    if len(order) != state.n_modes:
+    n = len(order)
+    if n != state.n_modes:
         raise ValueError("node order length must match the state's mode count")
     forms = nullifiers_of(graph)
-    variances = {}
-    checks = []
-    for form, var in zip(forms, quadrature_variances(state, forms, order).tolist()):
-        variances[form.label] = var
-        checks.append(
-            NullifierCheck(
-                form=form,
-                variance=var,
-                bound=NULLIFIER_BOUND,
-                passed=bool(var < NULLIFIER_BOUND),
-                db=nullifier_db(var, form),
-            )
-        )
-
-    pairwise = []
-    for i, j, _ in graph.edges():
-        total = variances[i] + variances[j]
-        pairwise.append(
-            PairwiseCheck(
-                pair=(i, j),
-                sum_variance=total,
-                bound=PAIRWISE_BOUND,
-                passed=bool(total < PAIRWISE_BOUND),
-            )
-        )
-
-    residuals = []
-    for form in forms:
-        if form.n_terms == 1:  # isolated node: its nullifier is the bare p-term
-            low_db, high_db, angle = residual_squeezing_db(state, order.index(form.label))
-            residuals.append(
-                ResidualSqueezing(
-                    node=form.label, squeezed_db=low_db, antisqueezed_db=high_db, angle=angle
-                )
-            )
-
-    return CriteriaReport(nullifiers=tuple(checks), pairwise=tuple(pairwise), residuals=tuple(residuals))
+    mode = {node: k for k, node in enumerate(order)}
+    if len(mode) < n or not all(node in mode for node in graph.nodes):
+        quadrature_variances(state, forms, order)  # the forms raise their own error
+    # One row per node in graph order, from one edge pass: +1 on p_i, -sign(ij) on x_j, +0.0 elsewhere.
+    edges, m = graph.edges(), graph.n_nodes
+    row = {node: r for r, node in enumerate(graph.nodes)}
+    at_row, at_col, coeff = list(range(m)), [n + mode[node] for node in graph.nodes], [1.0] * m
+    for i, j, sign in edges:
+        at_row += (row[i], row[j])
+        at_col += (mode[j], mode[i])
+        coeff += (-sign, -sign)
+    at = np.array((at_row, at_col), dtype=int)
+    rows = np.zeros((m, 2 * n))
+    rows[at[0], at[1]] = coeff
+    values = quadrature_variances(state, rows)
+    db = nullifier_db(values, np.bincount(at[0], minlength=m))  # term counts
+    checks = tuple(
+        NullifierCheck(form=form, variance=var, bound=NULLIFIER_BOUND, passed=var < NULLIFIER_BOUND, db=level)
+        for form, var, level in zip(forms, values.tolist(), db.tolist())
+    )
+    sums = values[at[0, m::2]] + values[at[0, m + 1 :: 2]]  # the two ends of each edge
+    pairwise = tuple(
+        PairwiseCheck(pair=(i, j), sum_variance=total, bound=PAIRWISE_BOUND, passed=total < PAIRWISE_BOUND)
+        for (i, j, _), total in zip(edges, sums.tolist())
+    )
+    isolated = [form.label for form in forms if form.n_terms == 1]  # bare p-term nullifiers
+    residuals = tuple(ResidualSqueezing(node, *residual_squeezing_db(state, mode[node])) for node in isolated)
+    return CriteriaReport(nullifiers=checks, pairwise=pairwise, residuals=residuals)

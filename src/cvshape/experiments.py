@@ -229,9 +229,7 @@ class ExperimentConfig:
             "seed": self.seed,
         }
         if self.squeezing_overrides:
-            out["squeezing_overrides"] = {
-                str(k): v for k, v in sorted(self.squeezing_overrides.items())
-            }
+            out["squeezing_overrides"] = {str(k): v for k, v in sorted(self.squeezing_overrides.items())}
         if self.graph_file:
             out["graph_file"] = str(self.graph_file)
         if self.remove_target is not None:
@@ -392,6 +390,8 @@ def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: Clust
         shape, operand = _SCENARIO_OPERATIONS[config.scenario]
         return shape(state, graph, operand, gain=gain)
     # custom: the nodes come from the config, so a bad choice is a config error
+    if graph.nodes == (config.remove_target,):
+        raise ConfigError(f"remove_node = {config.remove_target}: no node would remain")
     try:
         if config.remove_target is not None:
             return remove_node(state, graph, config.remove_target, gain=gain)
@@ -489,15 +489,10 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
     ]
     state_in = state0
     for stage in _PRE_SHAPING_STAGES:
-        if any(loss.efficiency(stage, n) < 1.0 for n in order):
+        efficiency = {str(n): loss.efficiency(stage, n) for n in order}
+        if min(efficiency.values(), default=1.0) < 1.0:
             state_in = loss.apply_stage(state_in, stage, order)
-            transcript.append(
-                {
-                    "op": "loss",
-                    "stage": stage,
-                    "efficiency": {str(n): loss.efficiency(stage, n) for n in order},
-                }
-            )
+            transcript.append({"op": "loss", "stage": stage, "efficiency": efficiency})
 
     initial_criteria = _verify(state_in, loss, graph, order)
 
@@ -524,22 +519,14 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
     if any(e < 1.0 for e in tap_eff.values()):
         eta = [tap_eff.get(node, 1.0) for node in shaped_order]
         shaped_state = GaussianState(*_mix_vacuum(shaped_state.mean, shaped_state.cov, eta))
-        transcript.append(
-            {
-                "op": "loss",
-                "stage": "feedforward_tap",
-                "efficiency": {str(n): tap_eff[n] for n in tap_nodes if tap_eff[n] < 1.0},
-            }
-        )
+        lossy = {str(n): e for n, e in tap_eff.items() if e < 1.0}
+        transcript.append({"op": "loss", "stage": "feedforward_tap", "efficiency": lossy})
 
     final_criteria = _verify(shaped_state, loss, shaped.graph, shaped_order)
 
     monte_carlo = None
     if config.trials > 0:
-        readout = {
-            n: loss.efficiency("detection", n) * (tap_eff.get(n, 1.0))
-            for n in shaped_order
-        }
+        readout = {n: loss.efficiency("detection", n) * tap_eff.get(n, 1.0) for n in shaped_order}
         plan = TrajectoryPlan(
             state=state_in,
             node_order=order,
@@ -572,33 +559,52 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def _float_text(value: float) -> str:
+    """Shortest round-trip text of the value rounded to 6 significant digits."""
+    text = format(value, _REPORT_FLOAT)
+    if "e" in text or "n" in text:  # an exponent, nan or inf: repr may spell it otherwise
+        return _NON_FINITE.get(text) or float.__repr__(float(text))
+    return text if "." in text else text + ".0"
+
+
+#: JSON text of each scalar, looked up by exact type: C-level callables but for floats.
+_SCALAR_TEXT = {type(None): {None: "null"}.__getitem__, bool: {True: "true", False: "false"}.__getitem__}
+_SCALAR_TEXT |= {int: int.__repr__, float: _float_text, str: encode_basestring_ascii}
+
+
 def _json_tokens(value, out: list, pad: str) -> list:
-    """Append the JSON text of `value` to `out`, then return `out`; `pad` is newline plus indent."""
-    if value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        text = float.__repr__(float(format(value, _REPORT_FLOAT)))
-        out.append(_NON_FINITE.get(text, text))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, dict):
-        inner, sep = pad + "  ", "{"
+    """Append the JSON text of `value` to `out`, then return `out`; `pad` is newline plus indent.
+
+    A scalar child goes out with its separator in one append, without a recursive call.
+    """
+    inner, comma = pad + "  ", "," + pad + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
         for key, item in value.items():
-            out += (sep, inner, encode_basestring_ascii(key), ": ")
-            _json_tokens(item, out, inner)
-            sep = ","
+            to_text = _SCALAR_TEXT.get(type(item))
+            if to_text is None:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _json_tokens(item, out, inner)
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {to_text(item)}")
+            sep = comma
         out.append(pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
-        inner, sep = pad + "  ", "["
+        sep = "[" + inner
         for item in value:
-            out += (sep, inner)
-            _json_tokens(item, out, inner)
-            sep = ","
+            to_text = _SCALAR_TEXT.get(type(item))
+            if to_text is None:
+                out.append(sep)
+                _json_tokens(item, out, inner)
+            else:
+                out.append(sep + to_text(item))
+            sep = comma
         out.append(pad + "]" if value else "[]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    else:  # a scalar subclass, such as np.float64, takes its base's text
+        kind = next((kind for kind in type(value).__mro__ if kind in _SCALAR_TEXT), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(_SCALAR_TEXT[kind](value))
     return out
 
 

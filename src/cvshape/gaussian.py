@@ -332,11 +332,15 @@ def quadrature_variances(
 
     Every reported variance is evaluated here: the forms' rows C give one
     product C V, whose row-wise dot with C is the diagonal of C V C^T.
+    A 2-D array of forms is taken as the row matrix C as it is.
     """
     n = state.n_modes
-    index = {int(node): k for k, node in enumerate(range(1, n + 1) if node_order is None else node_order)}
-    rows = np.reshape([form_vector(f, n, index) for f in forms], (-1, 2 * n))
-    return np.einsum("ij,ij->i", rows @ state.cov, rows)
+    if not (isinstance(forms, np.ndarray) and forms.ndim == 2):
+        index = {int(node): k for k, node in enumerate(range(1, n + 1) if node_order is None else node_order)}
+        forms = np.reshape([form_vector(f, n, index) for f in forms], (-1, 2 * n))
+    elif forms.shape[1] != 2 * n:
+        raise ValueError(f"form has {forms.shape[1]} coefficients, expected {2 * n}")
+    return np.einsum("ij,ij->i", forms @ state.cov, forms)
 
 
 def quadrature_variance(

@@ -68,14 +68,14 @@ class ClusterGraph:
 
     def __init__(self, nodes: Iterable[int], edges_signed: Mapping[frozenset, int] | None = None):
         nodes = tuple(int(n) for n in nodes)
-        if len(set(nodes)) != len(nodes):
+        if len(known := set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids")
         edges = {}
         for key, sign in (edges_signed or {}).items():
             pair = frozenset(int(n) for n in key)
             if len(pair) != 2:
                 raise ValueError("edges must join two distinct nodes (no self-loops)")
-            if not pair <= set(nodes):
+            if not pair <= known:
                 raise ValueError(f"edge {sorted(pair)} references unknown nodes")
             if sign not in (1, -1):
                 raise ValueError("edge signs must be +1 or -1")
@@ -87,17 +87,11 @@ class ClusterGraph:
     def from_edges(cls, edges: Iterable, nodes: Iterable[int] | None = None) -> "ClusterGraph":
         """Build from (i, j) or (i, j, sign) tuples; sign defaults to +1."""
         signed = {}
-        seen: list[int] = []
+        seen: dict = {}  # insertion-ordered set: first-seen order in O(1) per node
         for entry in edges:
-            if len(entry) == 2:
-                i, j = entry
-                sign = 1
-            else:
-                i, j, sign = entry
+            i, j, sign = entry if len(entry) == 3 else (*entry, 1)
             signed[_edge(i, j)] = sign
-            for n in (i, j):
-                if n not in seen:
-                    seen.append(n)
+            seen[i] = seen[j] = None
         if nodes is None:
             nodes = sorted(seen)
         return cls(nodes, signed)
@@ -505,7 +499,7 @@ def parse_graph_text(text: str):
         try:
             if kind == "node":
                 node = int(parts[1])
-                if node in nodes:
+                if node in db_map:
                     raise ValueError(f"node {node} declared twice")
                 nodes.append(node)
                 db_map[node] = 0.0
@@ -514,7 +508,7 @@ def parse_graph_text(text: str):
                     if key != "db":
                         raise ValueError(f"unknown node attribute {key!r}")
                     db_map[node] = float(value)
-                    if not np.isfinite(db_map[node]) or db_map[node] < 0:
+                    if not math.isfinite(db_map[node]) or db_map[node] < 0:
                         raise ValueError(f"db must be finite and non-negative, got {value!r}")
             elif kind == "edge":
                 i, j = int(parts[1]), int(parts[2])

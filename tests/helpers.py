@@ -5,6 +5,7 @@ property loop is reproducible from the test source alone.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -18,7 +19,17 @@ from cvshape import (
     squeezed_variance,
     vacuum,
 )
+from cvshape.criteria import (
+    NULLIFIER_BOUND,
+    PAIRWISE_BOUND,
+    CriteriaReport,
+    NullifierCheck,
+    PairwiseCheck,
+    ResidualSqueezing,
+    residual_squeezing_db,
+)
 from cvshape.gaussian import _check_mode, _mix_vacuum, form_vector, quadrature_variances
+from cvshape.graphs import nullifiers_of
 from cvshape.shaping import _check_order, _conditional_step, execute_ensemble
 
 
@@ -343,3 +354,67 @@ def report_json_reference(tree) -> str:
     one-pass writer must produce the same text, less the final newline.
     """
     return json.dumps(_round_floats(tree), indent=2)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_tokens_reference(value, out: list, pad: str) -> list:
+    """Reference report writer: an isinstance chain with one recursive call per value."""
+    if value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(float(format(value, ".6g")))
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key, item in value.items():
+            out += (sep, inner, encode_basestring_ascii(key), ": ")
+            json_tokens_reference(item, out, inner)
+            sep = ","
+        out.append(pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            json_tokens_reference(item, out, inner)
+            sep = ","
+        out.append(pad + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return out
+
+
+def nullifier_db_reference(variance: float, k: int) -> float:
+    """Scalar dB of one variance against the k-term vacuum level k/4."""
+    if not 0 < variance < np.inf:
+        raise ValueError(f"variance must be positive and finite to convert to dB, got {variance}")
+    return float(10.0 * np.log10(variance / (k * VACUUM_VARIANCE)))
+
+
+def check_cluster_criteria_reference(state, graph, node_order=None) -> CriteriaReport:
+    """Reference criteria: one coefficient vector and one scalar dB per form, pairs by lookup."""
+    order = tuple(node_order) if node_order is not None else graph.nodes
+    if len(order) != state.n_modes:
+        raise ValueError("node order length must match the state's mode count")
+    forms = nullifiers_of(graph)
+    variances = {}
+    checks = []
+    for form, var in zip(forms, quadrature_variances(state, forms, order).tolist()):
+        variances[form.label] = var
+        db = nullifier_db_reference(var, form.n_terms)
+        checks.append(NullifierCheck(form, var, NULLIFIER_BOUND, bool(var < NULLIFIER_BOUND), db))
+    pairwise = []
+    for i, j, _ in graph.edges():
+        total = variances[i] + variances[j]
+        pairwise.append(PairwiseCheck((i, j), total, PAIRWISE_BOUND, bool(total < PAIRWISE_BOUND)))
+    residuals = []
+    for form in forms:
+        if form.n_terms == 1:
+            low_db, high_db, angle = residual_squeezing_db(state, order.index(form.label))
+            residuals.append(ResidualSqueezing(form.label, low_db, high_db, angle))
+    return CriteriaReport(tuple(checks), tuple(pairwise), tuple(residuals))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvshape import (
     ClusterGraph,
+    GaussianState,
     apply,
     apply_loss,
     build_canonical,
@@ -17,7 +20,7 @@ from cvshape import (
     vacuum,
 )
 from cvshape.criteria import NULLIFIER_BOUND, PAIRWISE_BOUND
-from helpers import squeezed_vacuum, tensor
+from helpers import check_cluster_criteria_reference, random_symplectic_state, squeezed_vacuum, tensor
 
 SQUEEZED_5DB = 0.07905694150420949
 
@@ -41,6 +44,18 @@ def test_nullifier_db_arithmetic():
 def test_nullifier_db_rejects_non_positive_and_non_finite(variance):
     with pytest.raises(ValueError, match="positive and finite"):
         nullifier_db(variance, 2)
+
+
+def test_nullifier_db_of_an_array_equals_the_scalar_calls():
+    variances, counts = [1e-9, 0.25, 0.5, 0.75, 3.0], [1, 2, 2, 3, 5]
+    got = nullifier_db(np.array(variances), np.array(counts))
+    assert got.tolist() == [nullifier_db(v, k) for v, k in zip(variances, counts)]
+    with pytest.raises(ValueError, match=r"got -0\.1$"):
+        nullifier_db(np.array([0.3, -0.1, 0.0, float("nan")]), np.array([2, 2, 2, 2]))
+    with pytest.raises(ValueError, match=r"got nan$"):
+        nullifier_db(np.array([0.3, float("nan"), -0.1]), np.array([2, 2, 2]))
+    with pytest.raises(ValueError, match="form needs at least one term"):
+        nullifier_db(np.array([0.3, 0.2]), np.array([2, 0]))
 
 
 def test_criteria_read_graph_structure_from_one_edge_pass(monkeypatch):
@@ -164,3 +179,51 @@ def test_node_order_override():
     report = check_cluster_criteria(swapped, wire, node_order=(2, 1))
     assert len(report.nullifiers) == 2
     assert not report.all_pass
+
+
+# ---------------------------------------------------- closed-form rows vs forms
+
+
+@st.composite
+def scattered_graphs(draw):
+    """Signed graph of 1-9 nodes with unsorted, gapped ids; isolated nodes allowed."""
+    nodes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=9, unique=True))
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes), st.sampled_from((-1, 1)))
+    edges = {frozenset((i, j)): sign for i, j, sign in draw(st.lists(pairs, max_size=14)) if i != j}
+    return ClusterGraph(nodes, edges)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=scattered_graphs(), data=st.data())
+def test_closed_form_criteria_equal_the_per_form_reference(graph, data):
+    order = data.draw(st.permutations(graph.nodes))
+    state = random_symplectic_state(np.random.default_rng(data.draw(st.integers(0, 2**32))), graph.n_nodes)
+    report = check_cluster_criteria(state, graph, order)
+    reference = check_cluster_criteria_reference(state, graph, order)
+    assert report == reference  # every field, db included, compared with ==
+    fields = lambda r: [type(v) for c in r.nullifiers + r.pairwise for v in vars(c).values()]
+    assert fields(report) == fields(reference)
+    # a variance cancelled to zero or below names the first offending value in node order
+    diag = data.draw(st.lists(st.sampled_from((0.0, -0.5, 0.25, 1.5)), min_size=2 * graph.n_nodes,
+                              max_size=2 * graph.n_nodes))
+    degenerate = GaussianState(np.zeros(2 * graph.n_nodes), np.diag(diag))
+    expected = _outcome(check_cluster_criteria_reference, degenerate, graph, order)
+    assert _outcome(check_cluster_criteria, degenerate, graph, order) == expected
+    # an order that misses a node fails as the forms do
+    foreign = order[:-1] + [61]
+    expected = _outcome(check_cluster_criteria_reference, state, graph, foreign)
+    assert expected.startswith("ValueError") and _outcome(check_cluster_criteria, state, graph, foreign) == expected
+
+
+def test_cancelled_variance_error_names_the_first_in_node_order():
+    # diagonal (x1, x2, x3, p1, p2, p3): node 1 reads 2, node 2 reads 0, node 3 reads -2
+    state = GaussianState(np.zeros(6), np.diag([0.0, 1.0, 0.0, 1.0, 0.0, -3.0]))
+    with pytest.raises(ValueError, match=r"^variance must be positive and finite to convert to dB, got 0\.0$"):
+        check_cluster_criteria(state, ClusterGraph.linear_wire(3))

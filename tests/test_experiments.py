@@ -20,7 +20,7 @@ from cvshape.experiments import (
     emit,
     run,
 )
-from helpers import report_json_reference
+from helpers import json_tokens_reference, report_json_reference
 
 # Closed-form calibration oracle: eta = (1/2 - target) / (1/2 - 2s) with
 # 2s the lossless two-term variance at 5 dB.
@@ -352,8 +352,56 @@ def test_report_writer_refuses_what_json_dumps_refuses(leaf):
     for tree in (leaf, [1.0, leaf], {"a": {"b": leaf}}):
         with pytest.raises(TypeError):
             report_json_reference(tree)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as refused:
             _writer_text(tree)
+        with pytest.raises(TypeError) as expected:
+            json_tokens_reference(tree, [], "\n")
+        assert str(refused.value) == str(expected.value)
+
+
+REPORT_FLOATS = st.one_of(
+    st.floats(),  # nan, +-inf, +-0.0 and subnormals among them
+    st.floats(-1e-307, 1e-307),
+    st.floats(9.99e15, 1.001e16).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.floats(999999.5, 999999.99999).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.sampled_from([999999.5, -999999.5, 1e16, 5e-324, -0.0, 0.0, 123456.5, 0.0001, 9.999995e-05]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=REPORT_FLOATS)
+def test_report_float_is_the_repr_of_its_six_digit_rounding(value):
+    text = float.__repr__(float(format(value, ".6g")))
+    expected = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    assert _writer_text(value) == expected
+    assert _writer_text(np.float64(value)) == expected
+    assert _writer_text([value]) == f"[\n  {expected}\n]"
+
+
+REFERENCE_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    REPORT_FLOATS,
+    REPORT_FLOATS.map(np.float64),
+    st.text(st.characters(), max_size=6),
+)
+REFERENCE_TREES = st.recursive(
+    REFERENCE_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=REFERENCE_TREES)
+@example(tree={"\u00e9t\u00e9": [np.float64(-0.0), True, 0, (), {}, [[]], {"\u2603": (np.float64("nan"),)}]})
+def test_report_writer_matches_the_reference_writer(tree):
+    assert _writer_text(tree) == "".join(json_tokens_reference(tree, [], "\n"))
 
 
 def test_emit_timing_opt_in():
