@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variances
-from .graphs import ClusterGraph, Nullifier, nullifiers_of
+from .graphs import ClusterGraph, _nullifier_table
 
 __all__ = [
     "NULLIFIER_BOUND",
@@ -49,7 +49,8 @@ def nullifier_db(variance, form) -> float | np.ndarray:
     if values.size and not 0 < values.min() <= values.max() < np.inf:  # a nan minimum fails too
         bad = np.ravel(variance)[~((values > 0) & (values < np.inf)).ravel()]  # as the caller passed them
         raise ValueError(f"variance must be positive and finite to convert to dB, got {bad[0]}")
-    k = form.n_terms if isinstance(form, Nullifier) else np.asarray(form) if np.ndim(form) else int(form)
+    form = getattr(form, "n_terms", form)
+    k = np.asarray(form) if np.ndim(form) else int(form)
     if np.asarray(k).min(initial=1) < 1:
         raise ValueError("form needs at least one term")
     db = 10.0 * np.log10(values / (k * VACUUM_VARIANCE))
@@ -58,7 +59,11 @@ def nullifier_db(variance, form) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class NullifierCheck:
-    form: Nullifier
+    """One node's nullifier verdict; form is the text of Nullifier.describe()."""
+
+    node: int
+    form: str
+    n_terms: int
     variance: float
     bound: float
     passed: bool
@@ -99,8 +104,8 @@ class CriteriaReport:
         return {
             "nullifiers": [
                 {
-                    "node": c.form.label,
-                    "form": c.form.describe(),
+                    "node": c.node,
+                    "form": c.form,
                     "variance": c.variance,
                     "bound": c.bound,
                     "pass": c.passed,
@@ -173,32 +178,22 @@ def check_cluster_criteria(
     n = len(order)
     if n != state.n_modes:
         raise ValueError("node order length must match the state's mode count")
-    forms = nullifiers_of(graph)
-    mode = {node: k for k, node in enumerate(order)}
-    if len(mode) < n or not all(node in mode for node in graph.nodes):
-        quadrature_variances(state, forms, order)  # the forms raise their own error
-    # One row per node in graph order, from one edge pass: +1 on p_i, -sign(ij) on x_j, +0.0 elsewhere.
-    edges, m = graph.edges(), graph.n_nodes
-    row = {node: r for r, node in enumerate(graph.nodes)}
-    at_row, at_col, coeff = list(range(m)), [n + mode[node] for node in graph.nodes], [1.0] * m
-    for i, j, sign in edges:
-        at_row += (row[i], row[j])
-        at_col += (mode[j], mode[i])
-        coeff += (-sign, -sign)
-    at = np.array((at_row, at_col), dtype=int)
-    rows = np.zeros((m, 2 * n))
-    rows[at[0], at[1]] = coeff
-    values = quadrature_variances(state, rows)
-    db = nullifier_db(values, np.bincount(at[0], minlength=m))  # term counts
+    table = _nullifier_table(graph)
+    values = quadrature_variances(state, table.rows(order))
+    db = nullifier_db(values, table.counts)
     checks = tuple(
-        NullifierCheck(form=form, variance=var, bound=NULLIFIER_BOUND, passed=var < NULLIFIER_BOUND, db=level)
-        for form, var, level in zip(forms, values.tolist(), db.tolist())
+        NullifierCheck(node, text, count, var, NULLIFIER_BOUND, var < NULLIFIER_BOUND, level)
+        for node, text, count, var, level in zip(
+            table.labels, table.texts, table.counts, values.tolist(), db.tolist()
+        )
     )
-    sums = values[at[0, m::2]] + values[at[0, m + 1 :: 2]]  # the two ends of each edge
+    edges, row = table.edges, {node: r for r, node in enumerate(table.labels)}
+    sums = values[[row[i] for i, _, _ in edges]] + values[[row[j] for _, j, _ in edges]]
     pairwise = tuple(
         PairwiseCheck(pair=(i, j), sum_variance=total, bound=PAIRWISE_BOUND, passed=total < PAIRWISE_BOUND)
         for (i, j, _), total in zip(edges, sums.tolist())
     )
-    isolated = [form.label for form in forms if form.n_terms == 1]  # bare p-term nullifiers
+    mode = {node: k for k, node in enumerate(order)}
+    isolated = [node for node, count in zip(table.labels, table.counts) if count == 1]  # bare p-terms
     residuals = tuple(ResidualSqueezing(node, *residual_squeezing_db(state, mode[node])) for node in isolated)
     return CriteriaReport(nullifiers=checks, pairwise=pairwise, residuals=residuals)

@@ -213,6 +213,11 @@ def unitary_to_elements(u: np.ndarray) -> list:
     The reduction sweeps Givens-style rotations over adjacent pairs to
     triangularize u (Reck et al., PRL 73, 58 (1994)); the leftover
     diagonal becomes the leading phases.
+
+    Raises:
+        ValueError: u is not unitary.
+        numpy.linalg.LinAlgError: (a ValueError) the elements' product
+            misses u by more than _RECOMPOSE_TOL.
     """
     return _reduce(u, range(len(u)))[0]
 
@@ -262,5 +267,5 @@ def _reduce(u: np.ndarray, labels) -> tuple[list, np.ndarray]:
     elements = [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
     recomposed = _elements_to_unitary(elements, labels)
     if np.abs(recomposed - u).max() > _RECOMPOSE_TOL:
-        raise ValueError("element reduction failed to recompose the unitary")
+        raise np.linalg.LinAlgError("element reduction failed to recompose the unitary")
     return elements, recomposed

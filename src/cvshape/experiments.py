@@ -31,6 +31,7 @@ from .gaussian import (
 from .graphs import (
     ClusterGraph,
     _compile,
+    _nullifier_table,
     build_canonical,
     nullifiers_of,
     parse_graph_text,
@@ -406,7 +407,7 @@ def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -
     try:
         return check_cluster_criteria(view, graph, order)
     except ValueError as exc:
-        variances = quadrature_variances(view, nullifiers_of(graph), order)
+        variances = quadrature_variances(view, _nullifier_table(graph).rows(order))
         if np.all(np.isfinite(variances) & (variances > 0)):
             raise
         raise ConfigError(f"criteria check failed: {exc}; lower squeezing_db") from None
@@ -616,7 +617,7 @@ def _csv_text(report: ExperimentReport) -> str:
                 ",".join(
                     [
                         stage,
-                        check.form.describe().replace(" ", ""),
+                        check.form.replace(" ", ""),
                         format(check.variance, _REPORT_FLOAT),
                         format(check.bound, _REPORT_FLOAT),
                         str(check.passed).lower(),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .gaussian import (
     apply,
     quadrature_variances,
     squeezed_variance,
-    vacuum,
 )
 
 __all__ = [
@@ -135,7 +134,7 @@ class ClusterGraph:
 
     def edges(self) -> tuple:
         """Edges as (i, j, sign) with i < j, sorted."""
-        out = [(min(p), max(p), s) for p, s in self.edges_signed.items()]
+        out = [(i, j, s) if i < j else (j, i, s) for (i, j), s in self.edges_signed.items()]
         return tuple(sorted(out))
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -218,23 +217,85 @@ class Nullifier:
         return " ".join(pieces) if pieces else "0"
 
 
-def nullifiers_of(graph: ClusterGraph) -> list:
-    """One nullifier per node: p_i - sum_j sign(ij) x_j over neighbors j.
+class _NullifierTable(NamedTuple):
+    """Every node's nullifier p_i - sum_j sign(ij) x_j, as plain data.
 
-    Isolated nodes yield the bare p-term.  One pass over the sorted edges
-    appends each node's neighbors in ascending order.
+    Attributes:
+        labels: node ids in graph order, one form each.
+        counts: each form's term count, 1 + degree.
+        texts: each form in Nullifier.describe()'s spelling, "p_2 - x_1 + x_3".
+        entries: (row, node, quadrature, coefficient) terms: the p-terms
+            in row order, then the two x-terms of each edge in sorted edge
+            order, so each row's x-terms come by ascending node id.
+        edges: the graph's sorted (i, j, sign) edges the x-terms come from.
     """
-    terms = {node: [(node, "p", 1.0)] for node in graph.nodes}
-    for i, j, sign in graph.edges():
-        terms[i].append((j, "x", -float(sign)))
-        terms[j].append((i, "x", -float(sign)))
-    return [Nullifier(tuple(terms[node]), label=node) for node in graph.nodes]
+
+    labels: tuple
+    counts: list
+    texts: list
+    entries: list
+    edges: tuple
+
+    def rows(self, node_order: Sequence[int]) -> np.ndarray:
+        """The forms as a row matrix over modes in node_order, +0.0 off the terms.
+
+        Raises:
+            ValueError: node_order repeats a node, or misses one a form
+                references (the first in row and term order is named).
+        """
+        n = len(node_order)
+        mode = {node: k for k, node in enumerate(node_order)}
+        if len(mode) < n and self.labels:
+            raise ValueError("node order length must match the state's mode count")
+        try:
+            columns = [mode[node] + (n if quad == "p" else 0) for _, node, quad, _ in self.entries]
+        except KeyError:
+            missing = min((r, k, node) for k, (r, node, _, _) in enumerate(self.entries) if node not in mode)
+            raise ValueError(f"form references node {missing[2]} outside the node order") from None
+        rows = np.zeros((len(self.labels), 2 * n))
+        rows[[entry[0] for entry in self.entries], columns] = [entry[3] for entry in self.entries]
+        return rows
+
+
+def _nullifier_table(graph: ClusterGraph) -> _NullifierTable:
+    """Each node's nullifier from one pass over the sorted edges; isolated nodes keep the bare p-term."""
+    row, edges = {node: r for r, node in enumerate(graph.nodes)}, graph.edges()
+    entries = [(r, node, "p", 1.0) for r, node in enumerate(graph.nodes)]
+    texts = [[f"p_{node}"] for node in graph.nodes]
+    for i, j, sign in edges:
+        entries += ((row[i], j, "x", -float(sign)), (row[j], i, "x", -float(sign)))
+        joint = " - x_" if sign == 1 else " + x_"
+        texts[row[i]].append(f"{joint}{j}")
+        texts[row[j]].append(f"{joint}{i}")
+    return _NullifierTable(graph.nodes, [len(t) for t in texts], ["".join(t) for t in texts], entries, edges)
+
+
+def nullifiers_of(graph: ClusterGraph) -> list:
+    """One nullifier per node: p_i - sum_j sign(ij) x_j over neighbors j, ascending.
+
+    Isolated nodes yield the bare p-term.
+    """
+    table = _nullifier_table(graph)
+    terms = [[] for _ in table.labels]
+    for r, node, quad, coeff in table.entries:
+        terms[r].append((node, quad, coeff))
+    return [Nullifier(tuple(t), label=label) for t, label in zip(terms, table.labels)]
 
 
 def _db_of(db, node: int) -> float:
     if isinstance(db, Mapping):
         return float(db.get(node, 0.0))
     return float(db)
+
+
+def _squeezer_scales(graph: ClusterGraph, db) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's x scale 10^(dB/20) and p scale 10^(-dB/20), in node order."""
+    levels = [_db_of(db, node) for node in graph.nodes]
+    if min(levels, default=0.0) < 0:
+        raise ValueError("squeezing level in dB must be non-negative")
+    # Scalar powers as in tests/helpers.squeeze_gate; numpy's vector power may differ by an ulp.
+    down = np.array([10.0 ** (-level / 20.0) for level in levels])
+    return 1.0 / down, down
 
 
 def canonical_transform(graph: ClusterGraph, db) -> SymplecticTransform:
@@ -245,12 +306,7 @@ def canonical_transform(graph: ClusterGraph, db) -> SymplecticTransform:
     signed adjacency, X and P the squeezers' x and p scales.  The gates
     commute, so no gate order enters.
     """
-    levels = [_db_of(db, node) for node in graph.nodes]
-    if min(levels, default=0.0) < 0:
-        raise ValueError("squeezing level in dB must be non-negative")
-    # Scalar powers as in tests/helpers.squeeze_gate; numpy's vector power may differ by an ulp.
-    down = np.array([10.0 ** (-level / 20.0) for level in levels])
-    up = 1.0 / down
+    up, down = _squeezer_scales(graph, db)
     matrix = np.block(
         [[np.diag(up), np.zeros((len(up), len(up)))], [graph.adjacency_matrix() * up, np.diag(down)]]
     )
@@ -260,8 +316,10 @@ def canonical_transform(graph: ClusterGraph, db) -> SymplecticTransform:
 def build_canonical(graph: ClusterGraph, db) -> GaussianState:
     """Cluster state from p-squeezed inputs and one sum gate per edge.
 
-    The covariance is [[Vx, Vx A], [A Vx, A Vx A + Vp]] with Vx, Vp the
-    diagonal input variances.  Lossless, the nullifier of node i
+    canonical_transform applied to the vacuum gives the covariance
+    [[Vx, Vx A], [A Vx, A Vx A + Vp]] with Vx, Vp the diagonal input
+    variances, written here directly: Vx A is the row-scaled adjacency
+    and A Vx A one N x N product.  Lossless, the nullifier of node i
     evaluates to the node's input p operator, so its variance equals the
     input squeezed variance.
 
@@ -269,7 +327,11 @@ def build_canonical(graph: ClusterGraph, db) -> GaussianState:
         graph: signed cluster graph.
         db: squeezing level in dB, a single number or a node -> dB mapping.
     """
-    return apply(vacuum(graph.n_nodes), canonical_transform(graph, db))
+    up, down = _squeezer_scales(graph, db)
+    a, vx, vp = graph.adjacency_matrix(), VACUUM_VARIANCE * up * up, VACUUM_VARIANCE * down * down
+    vx_a = vx[:, None] * a
+    cov = np.block([[np.diag(vx), vx_a], [vx_a.T, a @ vx_a + np.diag(vp)]])
+    return GaussianState(np.zeros(2 * len(up)), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +441,9 @@ def compile_network(graph: ClusterGraph, db) -> NetworkPlan:
         db: squeezing level in dB, single number or node -> dB mapping.
 
     Raises:
-        numpy.linalg.LinAlgError: the factorization or the produced state
-            lost the required precision, as at very high squeezing.
+        numpy.linalg.LinAlgError: the factorization, the element reduction
+            or the produced state lost the required precision, as at very
+            high squeezing or with levels far apart.
     """
     return _compile(graph, db)[0]
 
@@ -406,7 +469,7 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     # entries grow as 10^(dB/10) and nullifier variances shrink as
     # 10^(-dB/10), so each is compared on its own scale.
     produced = plan._prepare(SymplecticTransform(unitary_to_orthogonal_symplectic(recomposed)))
-    target = apply(vacuum(graph.n_nodes), total)  # build_canonical, reusing its transform
+    target = build_canonical(graph, db)
     state_err = max(
         float(np.abs(produced.cov - target.cov).max()),
         float(np.abs(produced.mean - target.mean).max()),
@@ -414,7 +477,7 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     # Lossless, each canonical nullifier evaluates to its node's squeezed
     # input p, so the reference is closed-form rather than a dense product
     # that cancels at high squeezing.
-    variances = quadrature_variances(produced, nullifiers_of(graph), graph.nodes)
+    variances = quadrature_variances(produced, _nullifier_table(graph).rows(graph.nodes))
     expected = np.array([squeezed_variance(_db_of(db, node)) for node in graph.nodes])
     nullifier_err = float(np.abs(variances / expected - 1.0).max())
     if state_err > _STATE_RTOL or nullifier_err > _NULLIFIER_RTOL:

@@ -407,7 +407,8 @@ def check_cluster_criteria_reference(state, graph, node_order=None) -> CriteriaR
     for form, var in zip(forms, quadrature_variances(state, forms, order).tolist()):
         variances[form.label] = var
         db = nullifier_db_reference(var, form.n_terms)
-        checks.append(NullifierCheck(form, var, NULLIFIER_BOUND, bool(var < NULLIFIER_BOUND), db))
+        passed = bool(var < NULLIFIER_BOUND)
+        checks.append(NullifierCheck(form.label, form.describe(), form.n_terms, var, NULLIFIER_BOUND, passed, db))
     pairwise = []
     for i, j, _ in graph.edges():
         total = variances[i] + variances[j]

@@ -137,7 +137,7 @@ def test_criterion_04_calibrated_inequalities():
     }
     finals = [c.variance for c in reports["remove-edge"].final_criteria.nullifiers]
     finals += [
-        c.variance for c in reports["remove-inner"].final_criteria.nullifiers if c.form.n_terms == 2
+        c.variance for c in reports["remove-inner"].final_criteria.nullifiers if c.n_terms == 2
     ]
     finals += [c.variance for c in reports["shorten-wire"].final_criteria.nullifiers]
     windows_ok = len(finals) == len(CALIBRATED_TARGETS) and all(

@@ -147,6 +147,11 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         ("node 1 foo=2\n" + WIRE_3[len("node 1\n"):], "remove_node = 2", "unknown node attribute 'foo'"),
         ("node 1\nnode 2\nedge 1 2 weight=3\n", "remove_node = 2", "unknown edge attribute 'weight'"),
         ("node 1\n", "remove_node = 1", "remove_node = 1: no node would remain"),
+        (
+            WIRE_4,
+            "scenario = remove-edge\nconstruction = compiled\nsqueezing_db = 5\nsqueezing_db.1 = 80",
+            "compiled construction failed: element reduction failed to recompose the unitary",
+        ),
     ],
     ids=[
         "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
@@ -155,7 +160,7 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         "custom-without-operation", "trials-above-2-to-the-53", "trials-1e400",
         "loss-per-node-then-uniform", "loss-uniform-then-per-node", "line-without-equals",
         "loss-key-too-deep", "format-xml", "preset-wire-on-3-nodes", "preset-wire-non-uniform-db",
-        "graph-node-attribute", "graph-edge-attribute", "remove-only-node",
+        "graph-node-attribute", "graph-edge-attribute", "remove-only-node", "compiled-levels-5-and-80-db",
     ],
 )
 def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):

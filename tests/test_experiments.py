@@ -183,9 +183,9 @@ def test_config_rejects_non_finite_floats(field, value):
 
 def test_remove_edge_lossless_preserves_initial_variances():
     report = run(ExperimentConfig(scenario="remove-edge", lossless=True))
-    initial = {c.form.label: c.variance for c in report.initial_criteria.nullifiers}
+    initial = {c.node: c.variance for c in report.initial_criteria.nullifiers}
     for check in report.final_criteria.nullifiers:
-        assert check.variance == pytest.approx(initial[check.form.label], abs=1e-10)
+        assert check.variance == pytest.approx(initial[check.node], abs=1e-10)
     assert report.final_criteria.all_pass
 
 
@@ -200,7 +200,7 @@ def test_remove_edge_calibrated_lands_on_reference_targets():
 
 def test_remove_inner_calibrated_lands_on_reference_targets():
     report = run(ExperimentConfig(scenario="remove-inner"))
-    pair_values = [c.variance for c in report.final_criteria.nullifiers if c.form.n_terms == 2]
+    pair_values = [c.variance for c in report.final_criteria.nullifiers if c.n_terms == 2]
     assert len(pair_values) == len(REMOVE_INNER_TARGETS)
     for got, target in zip(pair_values, REMOVE_INNER_TARGETS):
         assert abs(got - target) < 0.08
@@ -230,7 +230,7 @@ def test_initial_criteria_match_calibration_target():
     # eta * 2s + (1 - eta) * 1/2 with the canonical variance s at the input
     eta = CALIBRATED_ETA
     expected_two_term = eta * 0.07905694150420949 + (1 - eta) * 0.5
-    ends = [c.variance for c in report.initial_criteria.nullifiers if c.form.n_terms == 2]
+    ends = [c.variance for c in report.initial_criteria.nullifiers if c.n_terms == 2]
     for got in ends:
         assert got == pytest.approx(expected_two_term, abs=1e-6)
 
@@ -258,8 +258,8 @@ def test_analytic_run_has_no_monte_carlo():
 def test_feedforward_gain_detuning_degrades_variances():
     ideal = run(ExperimentConfig(scenario="remove-edge", lossless=True))
     detuned = run(ExperimentConfig(scenario="remove-edge", lossless=True, feedforward_gain=0.5))
-    v_ideal = {c.form.label: c.variance for c in ideal.final_criteria.nullifiers}
-    v_detuned = {c.form.label: c.variance for c in detuned.final_criteria.nullifiers}
+    v_ideal = {c.node: c.variance for c in ideal.final_criteria.nullifiers}
+    v_detuned = {c.node: c.variance for c in detuned.final_criteria.nullifiers}
     # the removed end node's neighbor absorbs the unbalanced correction
     assert v_detuned[3] > v_ideal[3] + 0.01
     assert v_detuned[1] == pytest.approx(v_ideal[1], abs=1e-12)

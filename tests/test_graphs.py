@@ -1,16 +1,26 @@
 """Graph model, nullifier algebra, and the cluster constructions."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvshape import (
     PHYSICALITY_TOL,
     ClusterGraph,
+    ExperimentConfig,
+    ExperimentReport,
+    LossModel,
     NetworkPlan,
+    Nullifier,
     apply,
     build_canonical,
     canonical_transform,
+    check_cluster_criteria,
     compile_network,
+    emit,
     form_vector,
     nullifiers_of,
     phase_shift,
@@ -19,10 +29,11 @@ from cvshape import (
     remove_node,
     shorten_wire,
     squeezed_variance,
+    vacuum,
     wire_to_ring_phases,
 )
 from cvshape.decompositions import is_orthogonal, is_symplectic
-from cvshape.graphs import _compile, format_graph_text, parse_graph_text
+from cvshape.graphs import _compile, _nullifier_table, format_graph_text, parse_graph_text
 from helpers import gate_chain_state, gate_chain_transform, random_signed_graph, signed_wire
 
 SQUEEZED_5DB = 0.07905694150420949
@@ -135,6 +146,49 @@ def test_nullifier_coefficient_vector_takes_a_node_index_map():
         form_vector(nullifiers_of(wire)[0], 3, (1, 3, 4))
 
 
+@st.composite
+def scattered_signed_graphs(draw):
+    """Signed graph of 1-9 nodes with unsorted, gapped and negative ids; isolated nodes allowed."""
+    nodes = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=9, unique=True))
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes), st.sampled_from((-1, 1)))
+    edges = {frozenset((i, j)): sign for i, j, sign in draw(st.lists(pairs, max_size=16)) if i != j}
+    return ClusterGraph(nodes, edges)
+
+
+def _neighbor_forms(graph):
+    """Each node's nullifier from the graph's neighbor and sign queries, not from one edge pass."""
+    forms = []
+    for node in graph.nodes:
+        x_terms = tuple((j, "x", -float(graph.sign(node, j))) for j in graph.neighbors(node))
+        forms.append(Nullifier(((node, "p", 1.0),) + x_terms, label=node))
+    return forms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph=scattered_signed_graphs(), data=st.data())
+def test_nullifier_table_equals_the_nullifier_objects(graph, data):
+    forms = _neighbor_forms(graph)
+    assert nullifiers_of(graph) == forms
+    table = _nullifier_table(graph)
+    assert list(table.labels) == [form.label for form in forms]
+    assert table.counts == [form.n_terms for form in forms]
+    assert table.texts == [form.describe() for form in forms]
+    order = data.draw(st.permutations(graph.nodes))
+    rows = table.rows(order)
+    expected = np.array([form.coefficient_vector(order) for form in forms])
+    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()  # bitwise, signed zeros too
+    # the report writers print the table's texts: JSON as describe() spells them, CSV without spaces
+    criteria = check_cluster_criteria(build_canonical(graph, 5.0), graph)
+    report = ExperimentReport(
+        ExperimentConfig(), LossModel({}), graph.nodes, criteria, (), graph.nodes, criteria, None, None, 0.0
+    )
+    texts = [form.describe() for form in forms]
+    payload = json.loads(emit(report, fmt="json"))
+    assert [row["form"] for row in payload["initial_criteria"]["nullifiers"]] == texts
+    csv_forms = [line.split(",")[1] for line in emit(report, fmt="csv").splitlines()[1:]]
+    assert csv_forms == [text.replace(" ", "") for text in texts] * 2
+
+
 # ----------------------------------------------------------- canonical build
 
 
@@ -204,6 +258,17 @@ def test_canonical_covariance_closed_form():
     expected = np.block([[vx, vx @ a], [a @ vx, a @ vx @ a + vp]])
     cov = build_canonical(graph, db_map).cov
     assert np.abs(cov - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph=scattered_signed_graphs(), data=st.data())
+def test_canonical_covariance_equals_the_transformed_vacuum(graph, data):
+    levels = data.draw(st.lists(st.floats(0.0, 40.0), min_size=graph.n_nodes, max_size=graph.n_nodes))
+    db = dict(zip(graph.nodes, levels))
+    expected = apply(vacuum(graph.n_nodes), canonical_transform(graph, db))
+    state = build_canonical(graph, db)
+    assert np.abs(state.cov - expected.cov).max() <= 1e-14 * max(1.0, np.abs(expected.cov).max())
+    assert not state.mean.any()
 
 
 def test_canonical_transform_rejects_negative_db():
