@@ -15,10 +15,8 @@ from .gaussian import (
     VACUUM_VARIANCE,
     apply,
     apply_loss,
-    form_vector,
     phase_shift,
     quadrature_selector,
-    quadrature_variance,
     quadrature_variances,
     squeezed_variance,
     symplectic_form,
@@ -28,7 +26,7 @@ from .decompositions import bloch_messiah, is_orthogonal, is_symplectic
 from .graphs import (
     ClusterGraph,
     NetworkPlan,
-    Nullifier,
+    NullifierTable,
     build_canonical,
     canonical_transform,
     compile_network,

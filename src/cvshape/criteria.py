@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variances
-from .graphs import ClusterGraph, _nullifier_table
+from .graphs import ClusterGraph, nullifiers_of
 
 __all__ = [
     "NULLIFIER_BOUND",
@@ -37,20 +37,19 @@ NULLIFIER_BOUND = 0.5
 PAIRWISE_BOUND = 1.0
 
 
-def nullifier_db(variance, form) -> float | np.ndarray:
+def nullifier_db(variance, n_terms) -> float | np.ndarray:
     """Variance in dB relative to the form's vacuum level k/4; a float, or an array for arrays.
 
     Args:
         variance: positive, finite variance value, or an array of them.
-        form: Nullifier (term count read off), the term count itself, or
-            an array of term counts matching an array of variances.
+        n_terms: the form's term count k, or an array of term counts
+            matching an array of variances.
     """
     values = np.asarray(variance, dtype=float)
     if values.size and not 0 < values.min() <= values.max() < np.inf:  # a nan minimum fails too
         bad = np.ravel(variance)[~((values > 0) & (values < np.inf)).ravel()]  # as the caller passed them
         raise ValueError(f"variance must be positive and finite to convert to dB, got {bad[0]}")
-    form = getattr(form, "n_terms", form)
-    k = np.asarray(form) if np.ndim(form) else int(form)
+    k = np.asarray(n_terms) if np.ndim(n_terms) else int(n_terms)
     if np.asarray(k).min(initial=1) < 1:
         raise ValueError("form needs at least one term")
     db = 10.0 * np.log10(values / (k * VACUUM_VARIANCE))
@@ -59,7 +58,7 @@ def nullifier_db(variance, form) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class NullifierCheck:
-    """One node's nullifier verdict; form is the text of Nullifier.describe()."""
+    """One node's nullifier verdict; form is its text from NullifierTable.texts."""
 
     node: int
     form: str
@@ -178,7 +177,7 @@ def check_cluster_criteria(
     n = len(order)
     if n != state.n_modes:
         raise ValueError("node order length must match the state's mode count")
-    table = _nullifier_table(graph)
+    table = nullifiers_of(graph)
     values = quadrature_variances(state, table.rows(order))
     db = nullifier_db(values, table.counts)
     checks = tuple(

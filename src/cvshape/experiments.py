@@ -31,7 +31,6 @@ from .gaussian import (
 from .graphs import (
     ClusterGraph,
     _compile,
-    _nullifier_table,
     build_canonical,
     nullifiers_of,
     parse_graph_text,
@@ -407,7 +406,7 @@ def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -
     try:
         return check_cluster_criteria(view, graph, order)
     except ValueError as exc:
-        variances = quadrature_variances(view, _nullifier_table(graph).rows(order))
+        variances = quadrature_variances(view, nullifiers_of(graph).rows(order))
         if np.all(np.isfinite(variances) & (variances > 0)):
             raise
         raise ConfigError(f"criteria check failed: {exc}; lower squeezing_db") from None
@@ -471,7 +470,7 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     graph, db = _resolve_graph(config)
     order = graph.nodes
-    state0 = _construct(config, graph, db)
+    state_in = _construct(config, graph, db)
 
     if config.lossless:
         loss = LossModel({})
@@ -488,7 +487,6 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
             "edges": [list(e) for e in graph.edges()],
         }
     ]
-    state_in = state0
     for stage in _PRE_SHAPING_STAGES:
         efficiency = {str(n): loss.efficiency(stage, n) for n in order}
         if min(efficiency.values(), default=1.0) < 1.0:

@@ -31,8 +31,6 @@ __all__ = [
     "apply",
     "apply_loss",
     "quadrature_selector",
-    "form_vector",
-    "quadrature_variance",
     "quadrature_variances",
 ]
 
@@ -306,45 +304,15 @@ def quadrature_selector(n_modes: int, mode: int, angle: float) -> np.ndarray:
     return u
 
 
-def form_vector(form, n_modes: int, node_order: Sequence[int] | None = None) -> np.ndarray:
-    """Resolve a linear quadrature combination to a length-2N vector.
+def quadrature_variances(state: GaussianState, rows) -> np.ndarray:
+    """Variances c^T V c of linear quadrature combinations, one per row c of C.
 
-    Accepts either a raw coefficient vector or any object exposing
-    coefficient_vector(node_order), such as a nullifier.  node_order lists
-    node ids in mode order (or maps them to modes); omitted, it is 1..N.
-    """
-    if hasattr(form, "coefficient_vector"):
-        order = range(1, n_modes + 1) if node_order is None else node_order
-        if len(order) != n_modes:
-            raise ValueError("node order length must match the state's mode count")
-        vec = form.coefficient_vector(order)
-    else:
-        vec = np.asarray(form, dtype=float).reshape(-1)
-    if vec.size != 2 * n_modes:
-        raise ValueError(f"form has {vec.size} coefficients, expected {2 * n_modes}")
-    return vec
-
-
-def quadrature_variances(
-    state: GaussianState, forms, node_order: Sequence[int] | None = None
-) -> np.ndarray:
-    """Variances c^T V c of linear quadrature combinations, one per form.
-
-    Every reported variance is evaluated here: the forms' rows C give one
+    Every reported variance is evaluated here: the row matrix C gives one
     product C V, whose row-wise dot with C is the diagonal of C V C^T.
-    A 2-D array of forms is taken as the row matrix C as it is.
+
+    Raises:
+        ValueError: rows is not a 2-D matrix with one column per quadrature.
     """
-    n = state.n_modes
-    if not (isinstance(forms, np.ndarray) and forms.ndim == 2):
-        index = {int(node): k for k, node in enumerate(range(1, n + 1) if node_order is None else node_order)}
-        forms = np.reshape([form_vector(f, n, index) for f in forms], (-1, 2 * n))
-    elif forms.shape[1] != 2 * n:
-        raise ValueError(f"form has {forms.shape[1]} coefficients, expected {2 * n}")
-    return np.einsum("ij,ij->i", forms @ state.cov, forms)
-
-
-def quadrature_variance(
-    state: GaussianState, form, node_order: Sequence[int] | None = None
-) -> float:
-    """Variance of one linear quadrature combination c^T r in the state."""
-    return float(quadrature_variances(state, [form], node_order)[0])
+    if np.ndim(rows) != 2 or np.shape(rows)[1] != state.mean.size:
+        raise ValueError(f"forms must be a row matrix of {state.mean.size} columns, got shape {np.shape(rows)}")
+    return np.einsum("ij,ij->i", rows @ state.cov, rows)

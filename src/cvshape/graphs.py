@@ -35,8 +35,8 @@ from .gaussian import (
 
 __all__ = [
     "ClusterGraph",
-    "Nullifier",
     "NetworkPlan",
+    "NullifierTable",
     "nullifiers_of",
     "build_canonical",
     "canonical_transform",
@@ -164,66 +164,14 @@ class ClusterGraph:
         return a
 
 
-@dataclass(frozen=True)
-class Nullifier:
-    """Linear quadrature form anchored to one node.
-
-    Graph-derived forms have exactly one p-term with coefficient +1 and
-    x-terms with coefficients -sign(edge) over the anchor's neighbors.
-
-    Attributes:
-        terms: tuple of (node, quadrature "x"|"p", coefficient).
-        label: node id the form is anchored to.
-    """
-
-    terms: tuple
-    label: int
-
-    def __post_init__(self):
-        terms = tuple((int(n), str(q), float(c)) for n, q, c in self.terms)
-        for _, q, _ in terms:
-            if q not in ("x", "p"):
-                raise ValueError("quadrature must be 'x' or 'p'")
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    def coefficient_vector(self, node_order: Sequence[int] | Mapping[int, int]) -> np.ndarray:
-        """Length-2N coefficient vector for modes following node_order (ids, or a node -> index map)."""
-        index = node_order
-        if not isinstance(node_order, Mapping):
-            index = {int(node): k for k, node in enumerate(node_order)}
-        n = len(index)
-        vec = np.zeros(2 * n)
-        for node, quad, coeff in self.terms:
-            if node not in index:
-                raise ValueError(f"form references node {node} outside the node order")
-            vec[index[node] + (n if quad == "p" else 0)] += coeff
-        return vec
-
-    def describe(self) -> str:
-        """Rendering like "p_2 - x_1 + x_3": p-term first, x-terms by node id."""
-        ordered = sorted(self.terms, key=lambda t: (t[1] != "p", t[0]))
-        pieces = []
-        for node, quad, coeff in ordered:
-            mag = abs(coeff)
-            body = f"{quad}_{node}" if mag == 1.0 else f"{mag:g}*{quad}_{node}"
-            if not pieces:
-                pieces.append(body if coeff >= 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if coeff >= 0 else "- ") + body)
-        return " ".join(pieces) if pieces else "0"
-
-
-class _NullifierTable(NamedTuple):
+class NullifierTable(NamedTuple):
     """Every node's nullifier p_i - sum_j sign(ij) x_j, as plain data.
 
     Attributes:
         labels: node ids in graph order, one form each.
         counts: each form's term count, 1 + degree.
-        texts: each form in Nullifier.describe()'s spelling, "p_2 - x_1 + x_3".
+        texts: each form's text, p-term first, then x-terms by node id:
+            "p_2 - x_1 + x_3".
         entries: (row, node, quadrature, coefficient) terms: the p-terms
             in row order, then the two x-terms of each edge in sorted edge
             order, so each row's x-terms come by ascending node id.
@@ -257,8 +205,11 @@ class _NullifierTable(NamedTuple):
         return rows
 
 
-def _nullifier_table(graph: ClusterGraph) -> _NullifierTable:
-    """Each node's nullifier from one pass over the sorted edges; isolated nodes keep the bare p-term."""
+def nullifiers_of(graph: ClusterGraph) -> NullifierTable:
+    """One nullifier per node: p_i - sum_j sign(ij) x_j over neighbors j, ascending.
+
+    Built from one pass over the sorted edges; isolated nodes keep the bare p-term.
+    """
     row, edges = {node: r for r, node in enumerate(graph.nodes)}, graph.edges()
     entries = [(r, node, "p", 1.0) for r, node in enumerate(graph.nodes)]
     texts = [[f"p_{node}"] for node in graph.nodes]
@@ -267,19 +218,7 @@ def _nullifier_table(graph: ClusterGraph) -> _NullifierTable:
         joint = " - x_" if sign == 1 else " + x_"
         texts[row[i]].append(f"{joint}{j}")
         texts[row[j]].append(f"{joint}{i}")
-    return _NullifierTable(graph.nodes, [len(t) for t in texts], ["".join(t) for t in texts], entries, edges)
-
-
-def nullifiers_of(graph: ClusterGraph) -> list:
-    """One nullifier per node: p_i - sum_j sign(ij) x_j over neighbors j, ascending.
-
-    Isolated nodes yield the bare p-term.
-    """
-    table = _nullifier_table(graph)
-    terms = [[] for _ in table.labels]
-    for r, node, quad, coeff in table.entries:
-        terms[r].append((node, quad, coeff))
-    return [Nullifier(tuple(t), label=label) for t, label in zip(terms, table.labels)]
+    return NullifierTable(graph.nodes, [len(t) for t in texts], ["".join(t) for t in texts], entries, edges)
 
 
 def _db_of(db, node: int) -> float:
@@ -477,7 +416,7 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     # Lossless, each canonical nullifier evaluates to its node's squeezed
     # input p, so the reference is closed-form rather than a dense product
     # that cancels at high squeezing.
-    variances = quadrature_variances(produced, _nullifier_table(graph).rows(graph.nodes))
+    variances = quadrature_variances(produced, nullifiers_of(graph).rows(graph.nodes))
     expected = np.array([squeezed_variance(_db_of(db, node)) for node in graph.nodes])
     nullifier_err = float(np.abs(variances / expected - 1.0).max())
     if state_err > _STATE_RTOL or nullifier_err > _NULLIFIER_RTOL:

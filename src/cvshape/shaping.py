@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, _mix_vacuum, form_vector, quadrature_selector
-from .graphs import ClusterGraph, Nullifier
+from .gaussian import GaussianState, _mix_vacuum, quadrature_selector
+from .graphs import ClusterGraph, NullifierTable
 
 __all__ = [
     "MARGINAL_VARIANCE_FLOOR",
@@ -404,8 +404,8 @@ class TrajectoryPlan:
         state: initial state, modes following node_order.
         node_order: node ids in mode order.
         steps: measurement steps executed in order.
-        record: forms evaluated on the final state (Nullifier objects or
-            coefficient vectors over the final node order).
+        record: NullifierTable of the forms evaluated on the final state;
+            its nodes must survive the steps.
         readout_efficiency: node -> transmission applied at the final
             variance readout (models detection loss); empty means ideal.
     """
@@ -413,14 +413,14 @@ class TrajectoryPlan:
     state: GaussianState
     node_order: tuple
     steps: tuple
-    record: tuple
+    record: NullifierTable
     readout_efficiency: tuple
 
     def __init__(self, state, node_order, steps, record, readout_efficiency=None):
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "node_order", tuple(int(n) for n in node_order))
         object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "record", tuple(record))
+        object.__setattr__(self, "record", record)
         eff = readout_efficiency or {}
         object.__setattr__(
             self, "readout_efficiency", tuple(sorted((int(k), float(v)) for k, v in dict(eff).items()))
@@ -511,8 +511,7 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
         # degrees of freedom T - 1 - i in float, so no T overflows int64
         np.fill_diagonal(factor, np.sqrt(rng.chisquare(float(trials - 1) - np.arange(width))))
 
-    index = {node: k for k, node in enumerate(final_order)}
-    rows = np.reshape([form_vector(f, n_read // 2, index) for f in plan.record], (-1, n_read))
+    rows = plan.record.rows(final_order)
     form_loading = rows @ loading
     analytic_vars = np.einsum("ij,ij->i", form_loading, form_loading).tolist()
     sample_means = (rows @ mean + form_loading @ z_mean).tolist()
@@ -523,8 +522,7 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
         sample_cov = read_factor @ read_factor.T / (trials - 1)
         sample_vars = (np.einsum("ij,ij->i", form_factor, form_factor) / (trials - 1)).tolist()
     forms = tuple(
-        FormStats(form.describe() if isinstance(form, Nullifier) else "form", a, m, v,
-                  None if v is None else v * np.sqrt(2.0 / (trials - 1)))
-        for form, a, m, v in zip(plan.record, analytic_vars, sample_means, sample_vars)
+        FormStats(text, a, m, v, None if v is None else v * np.sqrt(2.0 / (trials - 1)))
+        for text, a, m, v in zip(plan.record.texts, analytic_vars, sample_means, sample_vars)
     )
     return TrajectoryStats(int(trials), int(seed), forms, final_order, sample_cov, loading @ loading.T)

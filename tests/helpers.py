@@ -1,11 +1,13 @@
-"""Shared builders for randomized tests, and the gate library they use.
+"""Shared builders for randomized tests, the gate library they use, and the per-form nullifier references.
 
 All randomness flows through explicitly seeded generators so every
 property loop is reproducible from the test source alone.
 """
 
 import json
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +30,98 @@ from cvshape.criteria import (
     ResidualSqueezing,
     residual_squeezing_db,
 )
-from cvshape.gaussian import _check_mode, _mix_vacuum, form_vector, quadrature_variances
-from cvshape.graphs import nullifiers_of
+from cvshape.gaussian import _check_mode, _mix_vacuum, quadrature_variances
 from cvshape.shaping import _check_order, _conditional_step, execute_ensemble
+
+
+@dataclass(frozen=True)
+class Nullifier:
+    """Linear quadrature form anchored to one node.
+
+    Graph-derived forms have exactly one p-term with coefficient +1 and
+    x-terms with coefficients -sign(edge) over the anchor's neighbors.
+
+    Attributes:
+        terms: tuple of (node, quadrature "x"|"p", coefficient).
+        label: node id the form is anchored to.
+    """
+
+    terms: tuple
+    label: int
+
+    def __post_init__(self):
+        terms = tuple((int(n), str(q), float(c)) for n, q, c in self.terms)
+        for _, q, _ in terms:
+            if q not in ("x", "p"):
+                raise ValueError("quadrature must be 'x' or 'p'")
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.terms)
+
+    def coefficient_vector(self, node_order: Sequence[int] | Mapping[int, int]) -> np.ndarray:
+        """Length-2N coefficient vector for modes following node_order (ids, or a node -> index map)."""
+        index = node_order
+        if not isinstance(node_order, Mapping):
+            index = {int(node): k for k, node in enumerate(node_order)}
+        n = len(index)
+        vec = np.zeros(2 * n)
+        for node, quad, coeff in self.terms:
+            if node not in index:
+                raise ValueError(f"form references node {node} outside the node order")
+            vec[index[node] + (n if quad == "p" else 0)] += coeff
+        return vec
+
+    def describe(self) -> str:
+        """Rendering like "p_2 - x_1 + x_3": p-term first, x-terms by node id."""
+        ordered = sorted(self.terms, key=lambda t: (t[1] != "p", t[0]))
+        pieces = []
+        for node, quad, coeff in ordered:
+            mag = abs(coeff)
+            body = f"{quad}_{node}" if mag == 1.0 else f"{mag:g}*{quad}_{node}"
+            if not pieces:
+                pieces.append(body if coeff >= 0 else f"-{body}")
+            else:
+                pieces.append(("+ " if coeff >= 0 else "- ") + body)
+        return " ".join(pieces) if pieces else "0"
+
+
+def nullifiers_reference(graph) -> list:
+    """Reference nullifiers: one Nullifier per node from the graph's neighbor and sign queries.
+
+    cvshape.graphs.nullifiers_of builds the same forms as one table from a
+    single pass over the sorted edges.
+    """
+    forms = []
+    for node in graph.nodes:
+        x_terms = tuple((j, "x", -float(graph.sign(node, j))) for j in graph.neighbors(node))
+        forms.append(Nullifier(((node, "p", 1.0),) + x_terms, label=node))
+    return forms
+
+
+def form_vector(form, n_modes: int, node_order=None) -> np.ndarray:
+    """Resolve a linear quadrature combination to a length-2N vector.
+
+    Accepts either a raw coefficient vector or any object exposing
+    coefficient_vector(node_order), such as a Nullifier.  node_order lists
+    node ids in mode order (or maps them to modes); omitted, it is 1..N.
+    """
+    if hasattr(form, "coefficient_vector"):
+        order = range(1, n_modes + 1) if node_order is None else node_order
+        if len(order) != n_modes:
+            raise ValueError("node order length must match the state's mode count")
+        vec = form.coefficient_vector(order)
+    else:
+        vec = np.asarray(form, dtype=float).reshape(-1)
+    if vec.size != 2 * n_modes:
+        raise ValueError(f"form has {vec.size} coefficients, expected {2 * n_modes}")
+    return vec
+
+
+def quadrature_variance(state: GaussianState, form, node_order=None) -> float:
+    """Variance of one linear quadrature combination c^T r in the state, through the row evaluator."""
+    return float(quadrature_variances(state, form_vector(form, state.n_modes, node_order)[None, :])[0])
 
 
 def squeezed_vacuum(db: float, quadrature: str = "p") -> GaussianState:
@@ -244,8 +335,8 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
         centered = readout - readout.mean(axis=0)
         sample_cov = centered.T @ centered / (trials - 1)
     forms = []
-    for form in plan.record:
-        values = readout @ form_vector(form, len(order), order)
+    for row in plan.record.rows(order):
+        values = readout @ row
         forms.append((float(values.mean()), float(values.var(ddof=1)) if trials > 1 else None))
     return forms, sample_cov
 
@@ -262,7 +353,7 @@ def ensemble_readout_reference(plan):
     efficiency = dict(plan.readout_efficiency)
     eta = [efficiency.get(node, 1.0) for node in order]
     state = GaussianState(*_mix_vacuum(ensemble.mean, ensemble.cov, eta))
-    return state, order, quadrature_variances(state, plan.record, order)
+    return state, order, quadrature_variances(state, plan.record.rows(order))
 
 
 def _two_mode_elements_reference(t: np.ndarray, i: int) -> list:
@@ -401,10 +492,11 @@ def check_cluster_criteria_reference(state, graph, node_order=None) -> CriteriaR
     order = tuple(node_order) if node_order is not None else graph.nodes
     if len(order) != state.n_modes:
         raise ValueError("node order length must match the state's mode count")
-    forms = nullifiers_of(graph)
+    forms = nullifiers_reference(graph)
+    rows = np.reshape([form_vector(form, len(order), order) for form in forms], (-1, 2 * len(order)))
     variances = {}
     checks = []
-    for form, var in zip(forms, quadrature_variances(state, forms, order).tolist()):
+    for form, var in zip(forms, quadrature_variances(state, rows).tolist()):
         variances[form.label] = var
         db = nullifier_db_reference(var, form.n_terms)
         passed = bool(var < NULLIFIER_BOUND)

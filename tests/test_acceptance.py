@@ -16,7 +16,6 @@ from cvshape import (
     ExperimentConfig,
     FeedforwardTarget,
     MeasurementStep,
-    Nullifier,
     TrajectoryPlan,
     apply,
     bloch_messiah,
@@ -28,14 +27,20 @@ from cvshape import (
     is_orthogonal,
     is_symplectic,
     nullifiers_of,
-    quadrature_variance,
     remove_node,
     run,
     run_trajectory,
     shorten_steps,
     shorten_wire,
 )
-from helpers import qnd_gate, random_product_state, random_signed_graph
+from helpers import (
+    Nullifier,
+    nullifiers_reference,
+    qnd_gate,
+    quadrature_variance,
+    random_product_state,
+    random_signed_graph,
+)
 
 TWO_TERM_5DB = 0.15811388300841897
 GOLDEN_RATIO = 1.618033988749895
@@ -65,7 +70,10 @@ def _shorten_setup():
         Nullifier(((1, "p", 1.0), (4, "x", 1.0)), 1),
         Nullifier(((4, "p", 1.0), (1, "x", 1.0)), 4),
     )
-    return wire, state, forms
+    # the Monte Carlo records the same forms as the table of the shortened graph 1-4
+    record = nullifiers_of(ClusterGraph.from_edges([(1, 4, -1)]))
+    assert np.array_equal(record.rows((1, 4)), [f.coefficient_vector((1, 4)) for f in forms])
+    return wire, state, forms, record
 
 
 def test_criterion_01_erasure_identity():
@@ -95,9 +103,9 @@ def test_criterion_02_removal_preserves_nullifiers():
         graph, db_map = random_signed_graph(rng, n_min=2, n_max=8)
         st = build_canonical(graph, db_map)
         node = int(rng.choice(graph.nodes))
-        before = {n.label: quadrature_variance(st, n, graph.nodes) for n in nullifiers_of(graph)}
+        before = {n.label: quadrature_variance(st, n, graph.nodes) for n in nullifiers_reference(graph)}
         result = remove_node(st, graph, node)
-        for form in nullifiers_of(result.graph):
+        for form in nullifiers_reference(result.graph):
             after = quadrature_variance(result.state, form, result.graph.nodes)
             worst = max(worst, abs(after - before[form.label]))
         _pool("removal", st, result.state)
@@ -112,7 +120,7 @@ def test_criterion_02_removal_preserves_nullifiers():
 
 
 def test_criterion_03_shortened_wire_correlations():
-    wire, state, forms = _shorten_setup()
+    wire, state, forms, record = _shorten_setup()
     result = shorten_wire(state, wire, (2, 3))
     deviations = [
         abs(quadrature_variance(result.state, f, result.graph.nodes) - 0.158114) for f in forms
@@ -120,7 +128,7 @@ def test_criterion_03_shortened_wire_correlations():
     _pool("shorten", result.state)
 
     steps, _ = shorten_steps(wire, 2, 3)
-    plan = TrajectoryPlan(state=state, node_order=wire.nodes, steps=steps, record=forms)
+    plan = TrajectoryPlan(state=state, node_order=wire.nodes, steps=steps, record=record)
     stats = run_trajectory(plan, trials=100_000, seed=2)
     mc_ok = all(
         abs(f.sample_var - f.analytic_var) < 3 * f.stderr and abs(f.analytic_var - 0.158114) <= 1e-6
@@ -180,16 +188,16 @@ def test_criterion_05_residual_squeezing():
 def test_criterion_06_high_squeezing_nullifiers_vanish():
     wire = ClusterGraph.linear_wire(4)
     st = build_canonical(wire, 60.0)
-    variances = [quadrature_variance(st, n, wire.nodes) for n in nullifiers_of(wire)]
+    variances = [quadrature_variance(st, n, wire.nodes) for n in nullifiers_reference(wire)]
     removed = remove_node(st, wire, 2)
     variances += [
         quadrature_variance(removed.state, n, removed.graph.nodes)
-        for n in nullifiers_of(removed.graph)
+        for n in nullifiers_reference(removed.graph)
     ]
     shortened = shorten_wire(st, wire, (2, 3))
     variances += [
         quadrature_variance(shortened.state, n, shortened.graph.nodes)
-        for n in nullifiers_of(shortened.graph)
+        for n in nullifiers_reference(shortened.graph)
     ]
     _pool("high-squeezing", st, removed.state, shortened.state)
     worst = max(variances)
@@ -243,9 +251,9 @@ def test_criterion_08_network_compilation_round_trips():
 
 
 def test_criterion_09_large_ensemble_matches_analytic():
-    wire, state, forms = _shorten_setup()
+    wire, state, _, record = _shorten_setup()
     steps, _ = shorten_steps(wire, 2, 3)
-    plan = TrajectoryPlan(state=state, node_order=wire.nodes, steps=steps, record=forms)
+    plan = TrajectoryPlan(state=state, node_order=wire.nodes, steps=steps, record=record)
     start = time.perf_counter()
     stats = run_trajectory(plan, trials=1_000_000, seed=99)
     elapsed = time.perf_counter() - start

@@ -12,10 +12,8 @@ from cvshape import (
     VACUUM_VARIANCE,
     apply,
     apply_loss,
-    form_vector,
     phase_shift,
     quadrature_selector,
-    quadrature_variance,
     quadrature_variances,
     squeezed_variance,
     symplectic_form,
@@ -27,6 +25,7 @@ from helpers import (
     displacement,
     identity_transform,
     qnd_gate,
+    quadrature_variance,
     random_product_state,
     random_symplectic_state,
     squeeze_gate,
@@ -283,9 +282,12 @@ def test_vacuum_isotropic_in_every_direction():
         assert quadrature_variance(st, u) == pytest.approx(VACUUM_VARIANCE)
 
 
-def test_form_vector_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        form_vector([1.0, 0.0, 0.0], 2)
+@pytest.mark.parametrize(
+    "rows", [np.ones((2, 3)), np.ones(4), np.ones((1, 2, 4))], ids=["wrong-width", "1-d", "3-d"]
+)
+def test_quadrature_variances_rejects_a_bad_row_matrix(rows):
+    with pytest.raises(ValueError, match="row matrix of 4 columns"):
+        quadrature_variances(vacuum(2), rows)
 
 
 def test_quadrature_variances_match_each_quadratic_form():
@@ -295,7 +297,7 @@ def test_quadrature_variances_match_each_quadratic_form():
     assert got.shape == (4,)
     np.testing.assert_allclose(got, [c @ st.cov @ c for c in forms], rtol=1e-12)
     assert quadrature_variance(st, forms[2]) == pytest.approx(got[2], rel=1e-14)
-    assert quadrature_variances(st, []).shape == (0,)
+    assert quadrature_variances(st, np.zeros((0, 6))).shape == (0,)
 
 
 def test_random_transforms_stay_symplectic():

@@ -14,18 +14,15 @@ from cvshape import (
     ExperimentReport,
     LossModel,
     NetworkPlan,
-    Nullifier,
     apply,
     build_canonical,
     canonical_transform,
     check_cluster_criteria,
     compile_network,
     emit,
-    form_vector,
     nullifiers_of,
     phase_shift,
     preset_wire_network,
-    quadrature_variance,
     remove_node,
     shorten_wire,
     squeezed_variance,
@@ -33,8 +30,16 @@ from cvshape import (
     wire_to_ring_phases,
 )
 from cvshape.decompositions import is_orthogonal, is_symplectic
-from cvshape.graphs import _compile, _nullifier_table, format_graph_text, parse_graph_text
-from helpers import gate_chain_state, gate_chain_transform, random_signed_graph, signed_wire
+from cvshape.graphs import _compile, format_graph_text, parse_graph_text
+from helpers import (
+    form_vector,
+    gate_chain_state,
+    gate_chain_transform,
+    nullifiers_reference,
+    quadrature_variance,
+    random_signed_graph,
+    signed_wire,
+)
 
 SQUEEZED_5DB = 0.07905694150420949
 
@@ -98,52 +103,49 @@ def test_adjacency_matrix_signed():
 
 def test_nullifier_structure():
     wire = ClusterGraph.linear_wire(3)
-    forms = nullifiers_of(wire)
-    assert [n.label for n in forms] == [1, 2, 3]
-    for n in forms:
-        p_terms = [t for t in n.terms if t[1] == "p"]
+    table = nullifiers_of(wire)
+    assert list(table.labels) == [1, 2, 3]
+    for r in range(len(table.labels)):
+        p_terms = [(node, q, c) for row, node, q, c in table.entries if row == r and q == "p"]
         assert len(p_terms) == 1  # exactly one p term per form
         assert p_terms[0][2] == 1.0
 
 
 def test_nullifier_describe():
     g = ClusterGraph.from_edges([(1, 2, -1), (2, 3)])
-    n2 = nullifiers_of(g)[1]
-    assert n2.describe() == "p_2 + x_1 - x_3"
+    assert nullifiers_of(g).texts[1] == "p_2 + x_1 - x_3"
 
 
 def test_nullifier_coefficient_vector_layout():
     wire = ClusterGraph.linear_wire(3)
-    n1 = nullifiers_of(wire)[0]
-    c = n1.coefficient_vector((1, 2, 3))
+    table = nullifiers_of(wire)
+    c = table.rows((1, 2, 3))[0]
     np.testing.assert_allclose(c, [0, -1, 0, 1, 0, 0])
     # reordering the modes permutes the coefficients with them
-    c_swapped = n1.coefficient_vector((2, 1, 3))
+    c_swapped = table.rows((2, 1, 3))[0]
     np.testing.assert_allclose(c_swapped, [-1, 0, 0, 0, 1, 0])
 
 
 def test_nullifier_rejects_order_missing_a_term_node():
-    n2 = nullifiers_of(ClusterGraph.linear_wire(3))[1]  # p_2 - x_1 - x_3
+    table = nullifiers_of(ClusterGraph.linear_wire(3))  # p_2 - x_1 - x_3 references node 3
     with pytest.raises(ValueError):
-        n2.coefficient_vector((1, 2))
-    # an order that still covers every term node is fine even if shrunk
-    n1 = nullifiers_of(ClusterGraph.linear_wire(3))[0]
-    np.testing.assert_allclose(n1.coefficient_vector((1, 2)), [0, -1, 1, 0])
+        table.rows((1, 2))
+    # an order that covers every term node is fine: wire 1-2's p_1 - x_2
+    np.testing.assert_allclose(nullifiers_of(ClusterGraph.linear_wire(2)).rows((1, 2))[0], [0, -1, 1, 0])
 
 
 def test_nullifier_coefficient_vector_takes_a_node_index_map():
     wire = ClusterGraph.linear_wire(4)
     order = (3, 1, 4, 2)
     index = {node: k for k, node in enumerate(order)}
-    for form in nullifiers_of(wire):
-        np.testing.assert_array_equal(form.coefficient_vector(index), form.coefficient_vector(order))
+    # the table's rows over the order are the reference forms' vectors over its index map
+    rows = nullifiers_of(wire).rows(order)
+    np.testing.assert_array_equal(rows, [f.coefficient_vector(index) for f in nullifiers_reference(wire)])
+    np.testing.assert_array_equal(rows, [form_vector(f, 4, order) for f in nullifiers_reference(wire)])
     with pytest.raises(ValueError, match="outside the node order"):
-        nullifiers_of(wire)[1].coefficient_vector({1: 0, 2: 1})
-    # form_vector and the batched variances resolve names through the same map
-    rows = [form_vector(f, 4, order) for f in nullifiers_of(wire)]
-    np.testing.assert_array_equal(rows, [f.coefficient_vector(order) for f in nullifiers_of(wire)])
+        nullifiers_of(wire).rows((1, 2))
     with pytest.raises(ValueError, match="outside the node order"):
-        form_vector(nullifiers_of(wire)[0], 3, (1, 3, 4))
+        nullifiers_of(wire).rows((1, 3, 4))
 
 
 @st.composite
@@ -155,21 +157,15 @@ def scattered_signed_graphs(draw):
     return ClusterGraph(nodes, edges)
 
 
-def _neighbor_forms(graph):
-    """Each node's nullifier from the graph's neighbor and sign queries, not from one edge pass."""
-    forms = []
-    for node in graph.nodes:
-        x_terms = tuple((j, "x", -float(graph.sign(node, j))) for j in graph.neighbors(node))
-        forms.append(Nullifier(((node, "p", 1.0),) + x_terms, label=node))
-    return forms
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(graph=scattered_signed_graphs(), data=st.data())
 def test_nullifier_table_equals_the_nullifier_objects(graph, data):
-    forms = _neighbor_forms(graph)
-    assert nullifiers_of(graph) == forms
-    table = _nullifier_table(graph)
+    forms = nullifiers_reference(graph)
+    table = nullifiers_of(graph)
+    terms = [[] for _ in table.labels]
+    for r, node, quad, coeff in table.entries:
+        terms[r].append((node, quad, coeff))
+    assert [tuple(t) for t in terms] == [form.terms for form in forms]
     assert list(table.labels) == [form.label for form in forms]
     assert table.counts == [form.n_terms for form in forms]
     assert table.texts == [form.describe() for form in forms]
@@ -195,14 +191,14 @@ def test_nullifier_table_equals_the_nullifier_objects(graph, data):
 def test_canonical_wire_nullifier_variances():
     wire = ClusterGraph.linear_wire(4)
     st = build_canonical(wire, 5.0)
-    for n in nullifiers_of(wire):
+    for n in nullifiers_reference(wire):
         assert quadrature_variance(st, n) == pytest.approx(SQUEEZED_5DB, abs=1e-12)
 
 
 def test_canonical_per_node_squeezing():
     wire = ClusterGraph.linear_wire(3)
     st = build_canonical(wire, {1: 5.0, 2: 8.0, 3: 11.0})
-    forms = nullifiers_of(wire)
+    forms = nullifiers_reference(wire)
     for n, db in zip(forms, (5.0, 8.0, 11.0)):
         assert quadrature_variance(st, n) == pytest.approx(squeezed_variance(db), abs=1e-12)
 
@@ -213,7 +209,7 @@ def test_canonical_nullifier_identity_random_graphs():
     for _ in range(30):
         graph, db_map = random_signed_graph(rng)
         st = build_canonical(graph, db_map)
-        for n in nullifiers_of(graph):
+        for n in nullifiers_reference(graph):
             expected = squeezed_variance(db_map[n.label])
             assert quadrature_variance(st, n) == pytest.approx(expected, abs=1e-10)
 
@@ -281,10 +277,10 @@ def test_256_node_signed_wire_build_remove_shorten():
     st = build_canonical(wire, 8.0)
     assert st.uncertainty_eigenvalue() >= -PHYSICALITY_TOL
 
-    before = {n.label: quadrature_variance(st, n, wire.nodes) for n in nullifiers_of(wire)}
+    before = {n.label: quadrature_variance(st, n, wire.nodes) for n in nullifiers_reference(wire)}
     removed = remove_node(st, wire, 100)
     assert removed.state.uncertainty_eigenvalue() >= -PHYSICALITY_TOL
-    for form in nullifiers_of(removed.graph):
+    for form in nullifiers_reference(removed.graph):
         after = quadrature_variance(removed.state, form, removed.graph.nodes)
         assert after == pytest.approx(before[form.label], abs=1e-10)
 
@@ -292,7 +288,7 @@ def test_256_node_signed_wire_build_remove_shorten():
     assert shortened.state.uncertainty_eigenvalue() >= -PHYSICALITY_TOL
     assert shortened.graph.n_nodes == 253
     assert shortened.graph.has_edge(199, 202)
-    bond = [f for f in nullifiers_of(shortened.graph) if f.label in (199, 202)]
+    bond = [f for f in nullifiers_reference(shortened.graph) if f.label in (199, 202)]
     for form in bond:
         value = quadrature_variance(shortened.state, form, shortened.graph.nodes)
         assert value == pytest.approx(2 * squeezed_variance(8.0), rel=1e-9)
@@ -331,7 +327,7 @@ def test_compiled_plan_at_60_db_matches_canonical_state(graph):
     # The nullifier variances sit twelve orders below the covariance scale,
     # so the check above cannot see them; compare them on their own scale.
     # Rounding of the dense covariance alone moves them by about 6e-4 here.
-    for form in nullifiers_of(graph):
+    for form in nullifiers_reference(graph):
         value = quadrature_variance(produced, form, graph.nodes)
         assert value == pytest.approx(squeezed_variance(60.0), rel=1e-2)
 
@@ -462,21 +458,21 @@ def test_preset_nullifier_variances_follow_degree_law():
     plan = preset_wire_network(5.0)
     st = plan.prepare()
     s = squeezed_variance(5.0)
-    got = [quadrature_variance(st, n, plan.node_order) for n in nullifiers_of(wire)]
+    got = [quadrature_variance(st, n, plan.node_order) for n in nullifiers_reference(wire)]
     np.testing.assert_allclose(got, [2 * s, 3 * s, 3 * s, 2 * s], atol=1e-13)
 
 
 def test_preset_variances_vanish_at_high_squeezing():
     wire = ClusterGraph.linear_wire(4)
     st = preset_wire_network(60.0).prepare()
-    vals = [quadrature_variance(st, n, (1, 2, 3, 4)) for n in nullifiers_of(wire)]
+    vals = [quadrature_variance(st, n, (1, 2, 3, 4)) for n in nullifiers_reference(wire)]
     assert max(vals) < 1e-4
 
 
 def test_preset_vacuum_inputs_give_vacuum_form_values():
     wire = ClusterGraph.linear_wire(4)
     st = preset_wire_network(0.0).prepare()
-    vals = [quadrature_variance(st, n, (1, 2, 3, 4)) for n in nullifiers_of(wire)]
+    vals = [quadrature_variance(st, n, (1, 2, 3, 4)) for n in nullifiers_reference(wire)]
     np.testing.assert_allclose(vals, [0.5, 0.75, 0.75, 0.5], atol=1e-13)
 
 
@@ -502,7 +498,7 @@ def test_ring_phases_produce_crossed_cycle_nullifiers():
     for node, theta in wire_to_ring_phases(wire):
         st = apply(st, phase_shift(4, node - 1, theta))
     ring = ClusterGraph.ring([1, 3, 2, 4])
-    vals = [quadrature_variance(st, n) for n in nullifiers_of(ring)]
+    vals = [quadrature_variance(st, n) for n in nullifiers_reference(ring)]
     assert max(vals) < 1e-4
 
 

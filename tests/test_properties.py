@@ -22,6 +22,7 @@ from cvshape import (
     MeasurementStep,
     TrajectoryPlan,
     build_canonical,
+    nullifiers_of,
     removal_steps,
     run_trajectory,
     shorten_steps,
@@ -33,6 +34,7 @@ from helpers import ensemble_readout_reference
 SIGNS = st.sampled_from((-1, 1))
 GAINS = st.floats(-2.0, 2.0)
 OUTCOMES = st.floats(-3.0, 3.0)
+NO_FORMS = nullifiers_of(ClusterGraph(()))  # a record of no forms
 
 
 @st.composite
@@ -111,7 +113,7 @@ def test_arbitrary_feedforward_semantics_agree(graph, data):
         column[order.index(target.node) + (len(order) if target.quadrature == "p" else 0)] += target.gain
     np.testing.assert_allclose(b, vu / record.marginal_var + column, rtol=0, atol=tol)
 
-    plan = TrajectoryPlan(state, graph.nodes, [step], record=())
+    plan = TrajectoryPlan(state, graph.nodes, [step], record=NO_FORMS)
     mean, loading, final_order = _readout_map(plan)
     target, target_order, _ = ensemble_readout_reference(plan)
     assert final_order == target_order == order
@@ -171,7 +173,7 @@ def test_trajectory_readout_map_is_the_ensemble(graph, data):
     measured = {step.node for step in steps}
     order = tuple(node for node in graph.nodes if node not in measured)
     eta = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(order), max_size=len(order)))
-    plan = TrajectoryPlan(state, graph.nodes, steps, record=(), readout_efficiency=dict(zip(order, eta)))
+    plan = TrajectoryPlan(state, graph.nodes, steps, record=NO_FORMS, readout_efficiency=dict(zip(order, eta)))
 
     mean, loading, final_order = _readout_map(plan)
     target, target_order, _ = ensemble_readout_reference(plan)

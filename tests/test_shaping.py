@@ -15,7 +15,6 @@ from cvshape import (
     apply_loss,
     build_canonical,
     nullifiers_of,
-    quadrature_variance,
     remove_node,
     removal_steps,
     run_trajectory,
@@ -28,7 +27,9 @@ from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
 from helpers import (
     batch_trajectory_reference,
     ensemble_readout_reference,
+    nullifiers_reference,
     qnd_gate,
+    quadrature_variance,
     random_product_state,
     random_signed_graph,
     signed_wire,
@@ -123,7 +124,7 @@ def test_remove_node_preserves_wire_nullifiers():
     assert result.steps == tuple(removal_steps(wire, 4))
     assert result.new_edges == ()
     order = result.graph.nodes
-    for n in nullifiers_of(result.graph):
+    for n in nullifiers_reference(result.graph):
         assert quadrature_variance(result.state, n, order) == pytest.approx(
             SQUEEZED_5DB, abs=1e-12
         )
@@ -141,9 +142,9 @@ def test_remove_node_preservation_random_graphs():
         graph, db_map = random_signed_graph(rng, n_min=3)
         st = build_canonical(graph, db_map)
         node = int(rng.choice(graph.nodes))
-        before = {n.label: quadrature_variance(st, n, graph.nodes) for n in nullifiers_of(graph)}
+        before = {n.label: quadrature_variance(st, n, graph.nodes) for n in nullifiers_reference(graph)}
         result = remove_node(st, graph, node)
-        for n in nullifiers_of(result.graph):
+        for n in nullifiers_reference(result.graph):
             after = quadrature_variance(result.state, n, result.graph.nodes)
             assert after == pytest.approx(before[n.label], abs=1e-10)
 
@@ -153,9 +154,9 @@ def test_remove_node_preservation_survives_loss():
     st = build_canonical(wire, 5.0)
     for mode in range(4):
         st = apply_loss(st, mode, 0.73)
-    before = {n.label: quadrature_variance(st, n, wire.nodes) for n in nullifiers_of(wire)}
+    before = {n.label: quadrature_variance(st, n, wire.nodes) for n in nullifiers_reference(wire)}
     result = remove_node(st, wire, 2)
-    for n in nullifiers_of(result.graph):
+    for n in nullifiers_reference(result.graph):
         got = quadrature_variance(result.state, n, result.graph.nodes)
         assert got == pytest.approx(before[n.label], abs=1e-12)
 
@@ -197,7 +198,7 @@ def test_shorten_wire_two_term_value():
     result = shorten_wire(st, wire, (2, 3))
     assert result.graph.nodes == (1, 4)
     assert result.graph.sign(1, 4) == -1
-    for n in nullifiers_of(result.graph):
+    for n in nullifiers_reference(result.graph):
         got = quadrature_variance(result.state, n, result.graph.nodes)
         assert got == pytest.approx(TWO_TERM_5DB, abs=1e-12)
 
@@ -210,7 +211,7 @@ def test_shorten_wire_sign_bookkeeping():
     assert result.graph.sign(1, 4) == 1
     assert result.new_edges == ((1, 4, 1),)
     assert result.removed == (2, 3)
-    for n in nullifiers_of(result.graph):
+    for n in nullifiers_reference(result.graph):
         got = quadrature_variance(result.state, n, result.graph.nodes)
         assert got == pytest.approx(TWO_TERM_5DB, abs=1e-12)
 
@@ -222,7 +223,7 @@ def test_shorten_wire_longer_chain_keeps_far_segment():
     assert result.graph.edges() == ((1, 4, -1), (4, 5, 1))
     variances = {
         n.label: quadrature_variance(result.state, n, result.graph.nodes)
-        for n in nullifiers_of(result.graph)
+        for n in nullifiers_reference(result.graph)
     }
     # the bridged pair carries two squeezed terms; node 5's form is untouched
     assert variances[1] == pytest.approx(TWO_TERM_5DB, abs=1e-12)
@@ -252,7 +253,7 @@ def test_zero_gain_leaves_excess_variance():
     st = build_canonical(wire, 5.0)
     corrected = remove_node(st, wire, 2, gain=-1.0)
     uncorrected = remove_node(st, wire, 2, gain=0.0)
-    for n in nullifiers_of(corrected.graph):
+    for n in nullifiers_reference(corrected.graph):
         v_on = quadrature_variance(corrected.state, n, corrected.graph.nodes)
         v_off = quadrature_variance(uncorrected.state, n, uncorrected.graph.nodes)
         if n.label in (1, 3):  # neighbors of the removed node
