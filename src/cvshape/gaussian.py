@@ -48,18 +48,15 @@ SYMPLECTIC_TOL = 1e-10
 
 _SYMMETRY_RTOL = 1e-12
 
+#: Side of the square tiles, and height of the row blocks, that in-place covariance updates work in.
+_TILE = 32
+
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form J for the xxpp ordering."""
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
     return np.block([[zero, eye], [-eye, zero]])
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +72,26 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
+        mean = np.asarray(self.mean, dtype=float).flatten()
+        cov = np.array(self.cov, dtype=float, order="C")
         if mean.size == 0 or mean.size % 2 != 0:
             raise ValueError("state needs an even, positive number of quadratures")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > _SYMMETRY_RTOL * scale:
+        # The copy is checked and made (V + V^T)/2 a tile pair at a time; a NaN in V passes.
+        blocks = [slice(i, i + _TILE) for i in range(0, mean.size, _TILE)]
+        tiles = [(cov[rows, cols], cov[cols, rows].T) for k, rows in enumerate(blocks) for cols in blocks[k:]]
+        bound = _SYMMETRY_RTOL * max(cov.max(), -cov.min(), 1.0)  # max() keeps a leading NaN
+        if max(np.abs(upper - lower).max() for upper, lower in tiles) > bound:
             raise ValueError("covariance matrix must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cov", _readonly(cov))
+        for upper, lower in tiles:
+            upper[...] = lower[...] = 0.5 * (upper + lower)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def n_modes(self) -> int:
@@ -119,10 +122,11 @@ class SymplecticTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = np.array(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError("transform matrix must be square with even dimension")
-        object.__setattr__(self, "matrix", _readonly(matrix))
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def n_modes(self) -> int:
@@ -143,8 +147,8 @@ def vacuum(n_modes: int) -> GaussianState:
 
 def squeezed_variance(db: float) -> float:
     """Variance of the squeezed quadrature at a given squeezing level in dB."""
-    if db < 0:
-        raise ValueError("squeezing level in dB must be non-negative")
+    if not 0.0 <= db < np.inf:
+        raise ValueError(f"squeezing level in dB must be finite and non-negative, got {db}")
     return VACUUM_VARIANCE * 10.0 ** (-db / 10.0)
 
 
@@ -209,9 +213,10 @@ def _mix_vacuum(mean: np.ndarray, cov: np.ndarray, eta) -> tuple:
         raise ValueError("transmission eta must lie in (0, 1]")
     eta = np.concatenate([eta, eta])
     root = np.sqrt(eta)
-    cov = cov * np.outer(root, root)
-    cov[np.diag_indices_from(cov)] += (1.0 - eta) * VACUUM_VARIANCE
-    return mean * root, cov
+    mixed = np.einsum("i,j->ij", root, root)  # np.outer's bits for roots >= 0, without its buffer
+    mixed *= cov
+    mixed[np.diag_indices_from(mixed)] += (1.0 - eta) * VACUUM_VARIANCE
+    return mean * root, mixed
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:

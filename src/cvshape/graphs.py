@@ -222,16 +222,15 @@ def nullifiers_of(graph: ClusterGraph) -> NullifierTable:
 
 
 def _db_of(db, node: int) -> float:
-    if isinstance(db, Mapping):
-        return float(db.get(node, 0.0))
-    return float(db)
+    level = float(db.get(node, 0.0) if isinstance(db, Mapping) else db)
+    if not 0.0 <= level < math.inf:
+        raise ValueError(f"node {node}: squeezing level in dB must be finite and non-negative, got {level}")
+    return level
 
 
 def _squeezer_scales(graph: ClusterGraph, db) -> tuple[np.ndarray, np.ndarray]:
     """Each node's x scale 10^(dB/20) and p scale 10^(-dB/20), in node order."""
     levels = [_db_of(db, node) for node in graph.nodes]
-    if min(levels, default=0.0) < 0:
-        raise ValueError("squeezing level in dB must be non-negative")
     # Scalar powers as in tests/helpers.squeeze_gate; numpy's vector power may differ by an ulp.
     down = np.array([10.0 ** (-level / 20.0) for level in levels])
     return 1.0 / down, down
@@ -257,20 +256,24 @@ def build_canonical(graph: ClusterGraph, db) -> GaussianState:
 
     canonical_transform applied to the vacuum gives the covariance
     [[Vx, Vx A], [A Vx, A Vx A + Vp]] with Vx, Vp the diagonal input
-    variances, written here directly: Vx A is the row-scaled adjacency
-    and A Vx A one N x N product.  Lossless, the nullifier of node i
-    evaluates to the node's input p operator, so its variance equals the
-    input squeezed variance.
+    variances, written block by block into one array: Vx A is the
+    row-scaled adjacency and A Vx A one N x N product.  Lossless, the
+    nullifier of node i evaluates to the node's input p operator, so its
+    variance equals the input squeezed variance.
 
     Args:
         graph: signed cluster graph.
-        db: squeezing level in dB, a single number or a node -> dB mapping.
+        db: finite, non-negative squeezing level in dB, one number or a node -> dB mapping.
     """
     up, down = _squeezer_scales(graph, db)
-    a, vx, vp = graph.adjacency_matrix(), VACUUM_VARIANCE * up * up, VACUUM_VARIANCE * down * down
-    vx_a = vx[:, None] * a
-    cov = np.block([[np.diag(vx), vx_a], [vx_a.T, a @ vx_a + np.diag(vp)]])
-    return GaussianState(np.zeros(2 * len(up)), cov)
+    n, a, vx = len(up), graph.adjacency_matrix(), VACUUM_VARIANCE * up * up
+    cov = np.zeros((2 * n, 2 * n))
+    vx_a = np.multiply(vx[:, None], a, out=cov[:n, n:])
+    cov[n:, :n] = vx_a.T
+    np.matmul(a, vx_a, out=cov[n:, n:])
+    del a  # not kept alive through the state's copy
+    cov[np.diag_indices(2 * n)] += np.concatenate([vx, VACUUM_VARIANCE * down * down])
+    return GaussianState(np.zeros(2 * n), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +295,7 @@ class NetworkPlan:
     Raises:
         ValueError: for a repeated node id, a squeezer or element on a node
             outside node_order, a quadrature other than "x" or "p", a dB
-            level that is negative or NaN, an element of unknown kind or
+            level that is negative or not finite, an element of unknown kind or
             arity, a splitter coupling a node with itself, a reflectivity
             outside [0, 1] or NaN, or a non-finite phase.
     """
@@ -332,8 +335,7 @@ class NetworkPlan:
         for node, (db, quad) in settings:
             if quad not in ("x", "p"):
                 raise ValueError(f"node {node}: quadrature must be 'x' or 'p', got {quad!r}")
-            if not db >= 0.0:
-                raise ValueError(f"node {node}: squeezing level in dB must be non-negative, got {db}")
+            _db_of(db, node)
         object.__setattr__(self, "squeezer_settings", settings)
         object.__setattr__(self, "interferometer", elements)
         object.__setattr__(self, "node_order", order)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, _mix_vacuum, quadrature_selector
+from .gaussian import _TILE, GaussianState, _mix_vacuum, quadrature_selector
 from .graphs import ClusterGraph, NullifierTable
 
 __all__ = [
@@ -203,12 +203,12 @@ def shorten_steps(graph: ClusterGraph, inner_a: int, inner_b: int, gain: float =
 def _condition(cov: np.ndarray, order: list, step: MeasurementStep):
     """Measure-and-condition kernel shared by every execution semantics.
 
-    Removes step.node from order and returns (u, idx, var, vu, gains): the
-    quadrature selector, the survivors' xxpp indices, the marginal variance
-    u^T V u, the gain vu = (V u)[idx], and the feedforward column over the
-    survivors' quadratures.  An outcome y maps a mean m to
-    m[idx] + (y - u^T m) vu / var + y gains and, for any y, the covariance
-    to V[idx, idx] - vu vu^T / var.
+    Removes step.node from order and returns (u, idx, var, vu, gains, kept):
+    the quadrature selector, the survivors' xxpp indices, the marginal
+    variance u^T V u, the gain vu = (V u)[idx], the feedforward column over
+    the survivors' quadratures, and a new array holding V[idx, idx].  An
+    outcome y maps a mean m to m[idx] + (y - u^T m) vu / var + y gains and,
+    for any y, the covariance to V[idx, idx] - vu vu^T / var.
     """
     if step.node not in order:
         raise ValueError(f"node {step.node} already measured or absent")
@@ -222,15 +222,21 @@ def _condition(cov: np.ndarray, order: list, step: MeasurementStep):
             "near-eigenstate quadratures cannot be conditioned on"
         )
     del order[mode]
-    keep = [m for m in range(n) if m != mode]
-    idx = keep + [n + m for m in keep]
+    idx = [i for i in range(2 * n) if i % n != mode]
+    # idx is three runs of V's indices, so V[idx, idx] is nine block copies
+    cuts = (0, mode, n - 1 + mode, 2 * n - 2)
+    runs = [(slice(a, b), slice(a + k, b + k)) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    kept = np.empty((len(idx), len(idx)))
+    for rows, source_rows in runs:
+        for cols, source_cols in runs:
+            kept[rows, cols] = cov[source_rows, source_cols]
     gains = np.zeros(len(idx))
     for target in step.feedforward:
         if target.node not in order:
             raise ValueError(f"feedforward target {target.node} is not a surviving node")
         k = order.index(target.node)
         gains[k if target.quadrature == "x" else len(order) + k] += target.gain
-    return u, idx, marginal_var, (cov @ u)[idx], gains
+    return u, idx, marginal_var, (cov @ u)[idx], gains, kept
 
 
 def _check_order(state: GaussianState, node_order: Sequence[int]) -> list:
@@ -255,14 +261,15 @@ def execute_ensemble(state: GaussianState, node_order: Sequence[int], steps: Seq
     order = _check_order(state, node_order)
     mean, cov, outcomes = state.mean, state.cov, []
     for step in steps:
-        u, idx, marginal_var, vu, gains = _condition(cov, order, step)
+        u, idx, marginal_var, vu, gains, cov = _condition(cov, order, step)
         projection = float(u @ mean)
         outcomes.append(HomodyneOutcome(step.node, step.angle, None, projection, marginal_var))
-        # A V A^T for A = P + G u^T, expanded so that entries no gain
-        # touches stay exactly V[idx, idx].
-        cross = np.outer(vu, gains)
         mean = mean[idx] + gains * projection
-        cov = cov[np.ix_(idx, idx)] + (cross + cross.T) + marginal_var * np.outer(gains, gains)
+        # A V A^T for A = P + G u^T, expanded so that entries no gain touches
+        # stay exactly V[idx, idx]; the terms are added a block of rows at a time.
+        for rows in (slice(r, r + _TILE) for r in range(0, len(idx), _TILE)):
+            cov[rows] += np.outer(vu[rows], gains) + np.outer(gains[rows], vu)
+            cov[rows] += marginal_var * np.outer(gains[rows], gains)
     return GaussianState(mean, cov), tuple(order), tuple(outcomes)
 
 
@@ -274,12 +281,13 @@ def _conditional_step(means, cov, order, step, draw):
     draw(projections, var) returns the outcome(s) given the marginal
     mean(s); step.node leaves order.  Returns (means, cov, projections, var, values).
     """
-    u, idx, marginal_var, vu, gains = _condition(cov, order, step)
+    u, idx, marginal_var, vu, gains, cov = _condition(cov, order, step)
     projections = means @ u
     values = draw(projections, marginal_var)
     means = means[..., idx] + np.multiply.outer(values - projections, vu / marginal_var)
     means += np.multiply.outer(values, gains)
-    cov = cov[np.ix_(idx, idx)] - np.outer(vu, vu) / marginal_var
+    for rows in (slice(r, r + _TILE) for r in range(0, len(idx), _TILE)):
+        cov[rows] -= np.outer(vu[rows], vu) / marginal_var
     return means, cov, projections, marginal_var, values
 
 

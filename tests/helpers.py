@@ -1,4 +1,4 @@
-"""Shared builders for randomized tests, the gate library they use, and the per-form nullifier references.
+"""Shared builders for randomized tests, the gate library they use, and references: per-form nullifiers and whole-matrix covariance formulas.
 
 All randomness flows through explicitly seeded generators so every
 property loop is reproducible from the test source alone.
@@ -30,7 +30,8 @@ from cvshape.criteria import (
     ResidualSqueezing,
     residual_squeezing_db,
 )
-from cvshape.gaussian import _check_mode, _mix_vacuum, quadrature_variances
+from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, quadrature_selector, quadrature_variances
+from cvshape.graphs import _squeezer_scales
 from cvshape.shaping import _check_order, _conditional_step, execute_ensemble
 
 
@@ -511,3 +512,63 @@ def check_cluster_criteria_reference(state, graph, node_order=None) -> CriteriaR
             low_db, high_db, angle = residual_squeezing_db(state, order.index(form.label))
             residuals.append(ResidualSqueezing(form.label, low_db, high_db, angle))
     return CriteriaReport(tuple(checks), tuple(pairwise), tuple(residuals))
+
+
+# Whole-matrix formulas that the tiled and in-place covariance kernels replaced, kept verbatim.
+
+
+def symmetrized_reference(cov) -> np.ndarray:
+    """GaussianState's symmetry check and average over the whole matrix at once."""
+    cov = np.asarray(cov, dtype=float)
+    scale = max(1.0, float(np.abs(cov).max()))
+    if float(np.abs(cov - cov.T).max()) > _SYMMETRY_RTOL * scale:
+        raise ValueError("covariance matrix must be symmetric")
+    return 0.5 * (cov + cov.T)
+
+
+def mix_vacuum_reference(mean, cov, eta) -> tuple:
+    """Vacuum mixing with the covariance scaled by a separate np.outer product."""
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((eta > 0.0) & (eta <= 1.0)):
+        raise ValueError("transmission eta must lie in (0, 1]")
+    eta = np.concatenate([eta, eta])
+    root = np.sqrt(eta)
+    cov = cov * np.outer(root, root)
+    cov[np.diag_indices_from(cov)] += (1.0 - eta) * VACUUM_VARIANCE
+    return mean * root, cov
+
+
+def _survivors_reference(cov, mode: int, angle: float):
+    n = len(cov) // 2
+    u = quadrature_selector(n, mode, angle)
+    keep = [m for m in range(n) if m != mode]
+    idx = keep + [n + m for m in keep]
+    return u, idx, float(u @ cov @ u), (cov @ u)[idx]
+
+
+def ensemble_step_reference(mean, cov, mode: int, angle: float, gains) -> tuple:
+    """One outcome-averaged step with an np.ix_ gather and whole-matrix outer products."""
+    u, idx, marginal_var, vu = _survivors_reference(cov, mode, angle)
+    projection = float(u @ mean)
+    cross = np.outer(vu, gains)
+    mean = mean[idx] + gains * projection
+    cov = cov[np.ix_(idx, idx)] + (cross + cross.T) + marginal_var * np.outer(gains, gains)
+    return mean, cov
+
+
+def conditional_step_reference(mean, cov, mode: int, angle: float, gains, value: float) -> tuple:
+    """One forced-outcome step with an np.ix_ gather and a whole-matrix outer product."""
+    u, idx, marginal_var, vu = _survivors_reference(cov, mode, angle)
+    projection = mean @ u
+    mean = mean[idx] + np.multiply.outer(value - projection, vu / marginal_var)
+    mean += np.multiply.outer(value, gains)
+    cov = cov[np.ix_(idx, idx)] - np.outer(vu, vu) / marginal_var
+    return mean, cov
+
+
+def canonical_cov_reference(graph, db) -> np.ndarray:
+    """The canonical covariance [[Vx, Vx A], [A Vx, A Vx A + Vp]] assembled by np.block."""
+    up, down = _squeezer_scales(graph, db)
+    a, vx, vp = graph.adjacency_matrix(), VACUUM_VARIANCE * up * up, VACUUM_VARIANCE * down * down
+    vx_a = vx[:, None] * a
+    return np.block([[np.diag(vx), vx_a], [vx_a.T, a @ vx_a + np.diag(vp)]])

@@ -62,6 +62,12 @@ def test_squeezed_variance_oracles():
     assert squeezed_variance(0.0) == VACUUM_VARIANCE
 
 
+@pytest.mark.parametrize("db", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_squeezed_variance_rejects_a_level_that_is_negative_or_not_finite(db):
+    with pytest.raises(ValueError, match="squeezing level in dB must be finite and non-negative, got"):
+        squeezed_variance(db)
+
+
 def test_squeezed_vacuum_is_pure_minimum_uncertainty():
     st = squeezed_vacuum(5.0, "p")
     var_x = st.cov[0, 0]

@@ -272,6 +272,16 @@ def test_canonical_transform_rejects_negative_db():
         canonical_transform(ClusterGraph.linear_wire(3), {1: 5.0, 2: -1.0, 3: 5.0})
 
 
+@pytest.mark.parametrize("builder", [build_canonical, canonical_transform])
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), -float("inf"), -1.0])
+@pytest.mark.parametrize("per_node", [False, True])
+def test_canonical_builders_reject_non_finite_db(builder, level, per_node):
+    db = {1: 5.0, 2: level, 3: 5.0} if per_node else level
+    node = 2 if per_node else 1
+    with pytest.raises(ValueError, match=f"node {node}: squeezing level in dB must be finite and non-negative, got"):
+        builder(ClusterGraph.linear_wire(3), db)
+
+
 def test_256_node_signed_wire_build_remove_shorten():
     wire = signed_wire(256)
     st = build_canonical(wire, 8.0)
@@ -428,9 +438,9 @@ def test_plan_rejects_unknown_quadrature():
         NetworkPlan({1: (5.0, "p"), 2: (5.0, "y")}, [], (1, 2))
 
 
-@pytest.mark.parametrize("db", [-1.0, float("nan")])
+@pytest.mark.parametrize("db", [-1.0, float("nan"), float("inf")])
 def test_plan_rejects_negative_db(db):
-    with pytest.raises(ValueError, match="node 2: squeezing level in dB must be non-negative"):
+    with pytest.raises(ValueError, match="node 2: squeezing level in dB must be finite and non-negative, got"):
         NetworkPlan({1: (5.0, "p"), 2: (db, "x")}, [], (1, 2))
 
 

@@ -1,0 +1,217 @@
+"""The in-place covariance kernels: bitwise against the whole-matrix formulas, and their memory.
+
+GaussianState checks and symmetrises its one copy a tile at a time,
+vacuum mixing scales its outer product in place, the shaping steps gather
+survivors by block copies and add their rank-one terms a block of rows at
+a time, and the canonical build writes its four blocks into one array.
+Each must give the bytes of the formula it replaced (tests/helpers.py),
+signed zeros and NaNs included, and allocate one covariance per stage.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvshape import (
+    ClusterGraph,
+    FeedforwardTarget,
+    GaussianState,
+    LossModel,
+    MeasurementStep,
+    build_canonical,
+    remove_node,
+)
+from cvshape.gaussian import _SYMMETRY_RTOL, _TILE, _mix_vacuum
+from cvshape.shaping import execute_conditional, execute_ensemble
+from helpers import (
+    canonical_cov_reference,
+    conditional_step_reference,
+    ensemble_step_reference,
+    mix_vacuum_reference,
+    symmetrized_reference,
+)
+
+KERNELS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _rng(data) -> np.random.Generator:
+    return np.random.default_rng(data.draw(SEEDS))
+
+
+def _covariance(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Symmetric up to rounding, with +0.0 and -0.0 entries and a zero of each sign facing each other."""
+    half = rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-3, 4)
+    half[rng.random((dim, dim)) < 0.3] = 0.0
+    cov = half + half.T
+    cov[rng.random((dim, dim)) < 0.1] *= 1.0 + 1e-14
+    cov[(rng.random((dim, dim)) < 0.2) & (cov == 0.0)] = -0.0
+    return cov
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@KERNELS
+@given(modes=st.integers(1, 150), data=st.data())
+def test_state_covariance_has_the_bytes_of_the_whole_matrix_average(modes, data):
+    # 2N from 2 to 300: one partial tile up to ten tiles a side, partial ones included
+    cov = _covariance(_rng(data), 2 * modes)
+    state = GaussianState(np.zeros(2 * modes), cov)
+    assert state.cov.tobytes() == symmetrized_reference(cov).tobytes()
+    assert not state.cov.flags.writeable and state.cov.flags.c_contiguous
+
+
+@KERNELS
+@given(modes=st.integers(1, 80), factor=st.floats(0.99, 1.01), data=st.data())
+def test_state_rejects_an_asymmetry_exactly_when_the_whole_matrix_check_does(modes, factor, data):
+    rng = _rng(data)
+    dim = 2 * modes
+    cov = _covariance(rng, dim)
+    i, j = rng.integers(0, dim, 2)
+    cov[i, j] += factor * _SYMMETRY_RTOL * max(1.0, float(np.abs(cov).max()))
+    assert _outcome(lambda: GaussianState(np.zeros(dim), cov).cov.tobytes()) == _outcome(
+        lambda: symmetrized_reference(cov).tobytes()
+    )
+
+
+@KERNELS
+@given(modes=st.integers(1, 80), data=st.data())
+def test_state_accepts_a_nan_on_the_diagonal_as_the_whole_matrix_check_did(modes, data):
+    rng = _rng(data)
+    dim = 2 * modes
+    cov = _covariance(rng, dim)
+    cov[rng.integers(0, dim), rng.integers(0, dim)] += 1.0  # an asymmetry far past the tolerance
+    k = rng.integers(0, dim)
+    cov[k, k] = np.nan
+    assert GaussianState(np.zeros(dim), cov).cov.tobytes() == symmetrized_reference(cov).tobytes()
+
+
+def test_state_rejects_an_asymmetry_in_the_last_partial_tile():
+    dim = 2 * _TILE + 6
+    cov = np.eye(dim)
+    cov[dim - 1, dim - 2] = 1e-6
+    with pytest.raises(ValueError, match="covariance matrix must be symmetric"):
+        GaussianState(np.zeros(dim), cov)
+
+
+@KERNELS
+@given(modes=st.integers(1, 100), data=st.data())
+def test_vacuum_mixing_has_the_bytes_of_the_outer_product_formula(modes, data):
+    rng = _rng(data)
+    cov = GaussianState(np.zeros(2 * modes), _covariance(rng, 2 * modes)).cov
+    mean = rng.standard_normal((3, 2 * modes))
+    eta = np.where(rng.random(modes) < 0.3, 1.0, rng.uniform(1e-3, 1.0, modes))
+    (mixed_mean, mixed), (ref_mean, ref) = _mix_vacuum(mean, cov, eta), mix_vacuum_reference(mean, cov, eta)
+    assert mixed.tobytes() == ref.tobytes() and mixed_mean.tobytes() == ref_mean.tobytes()
+
+
+def _shaping_case(data, max_modes: int):
+    """A diagonally dominant state with signed-zero couplings, and one step with random feedforward."""
+    rng = _rng(data)
+    n = data.draw(st.integers(2, max_modes))
+    cov = _covariance(rng, 2 * n)
+    cov *= 0.1 / max(1.0, np.abs(cov).max())
+    cov[np.diag_indices(2 * n)] = rng.uniform(1.0, 2.0, 2 * n)
+    state = GaussianState(rng.standard_normal(2 * n), cov)
+    nodes = list(range(1, n + 1))
+    node = data.draw(st.sampled_from(nodes))
+    survivors = [m for m in nodes if m != node]
+    targets = data.draw(
+        st.lists(
+            st.builds(
+                FeedforwardTarget,
+                st.sampled_from(survivors),
+                st.sampled_from("xp"),
+                st.sampled_from((0.0, -0.0, 1.0, -1.0)) | st.floats(-2.0, 2.0),
+            ),
+            max_size=6,
+        )
+    )
+    step = MeasurementStep(node, data.draw(st.sampled_from((0.0, np.pi / 2)) | st.floats(0.0, np.pi)), tuple(targets))
+    gains = np.zeros(2 * n - 2)
+    for target in targets:
+        k = survivors.index(target.node)
+        gains[k if target.quadrature == "x" else n - 1 + k] += target.gain
+    return state, nodes, step, gains
+
+
+@KERNELS
+@given(data=st.data())
+def test_ensemble_step_has_the_bytes_of_the_gathered_outer_product_formula(data):
+    state, nodes, step, gains = _shaping_case(data, 90)
+    final, _, _ = execute_ensemble(state, nodes, [step])
+    mean, cov = ensemble_step_reference(state.mean, state.cov, nodes.index(step.node), step.angle, gains)
+    assert final.cov.tobytes() == symmetrized_reference(cov).tobytes()
+    assert final.mean.tobytes() == mean.tobytes()
+
+
+@KERNELS
+@given(value=st.floats(-3.0, 3.0), data=st.data())
+def test_conditional_step_has_the_bytes_of_the_gathered_outer_product_formula(value, data):
+    state, nodes, step, gains = _shaping_case(data, 90)
+    final, _, _ = execute_conditional(state, nodes, [step], values=[value])
+    mean, cov = conditional_step_reference(state.mean, state.cov, nodes.index(step.node), step.angle, gains, value)
+    assert final.cov.tobytes() == symmetrized_reference(cov).tobytes()
+    assert final.mean.tobytes() == mean.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_canonical_build_has_the_bytes_of_the_block_formula(n, data):
+    rng = _rng(data)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 3.0 / n]
+    graph = ClusterGraph.from_edges([(i, j, int(rng.choice((-1, 1)))) for i, j in pairs], nodes=range(1, n + 1))
+    db = dict(zip(graph.nodes, rng.uniform(0.0, 40.0, n))) if rng.random() < 0.5 else float(rng.uniform(0.0, 40.0))
+    expected = symmetrized_reference(canonical_cov_reference(graph, db))
+    assert build_canonical(graph, db).cov.tobytes() == expected.tobytes()
+
+
+# Each analytic stage allocates its one new covariance and no other 2N x 2N or N x N array:
+# the tracemalloc peak of one call, in covariances, on a 512-node lattice.  The allowance of
+# 1/16 covariance covers tiles, rows of outer products and Python objects; one stray N x N
+# array is a quarter of a covariance.
+SIDE = 16
+STAGE_CEILINGS = {"state": 1, "loss stage": 2, "remove_node": 2, "build_canonical": 2}
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    nodes = range(1, 2 * SIDE * SIDE + 1)
+    right = [(k, k + 1, 1) for k in nodes if k % (2 * SIDE)]
+    down = [(k, k + 2 * SIDE, -1 if k % 3 == 0 else 1) for k in nodes if k + 2 * SIDE <= nodes[-1]]
+    graph = ClusterGraph.from_edges(right + down, nodes=nodes)
+    return graph, build_canonical(graph, 10.0)
+
+
+def _traced_peak(call) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = call()  # noqa: F841  the result stays allocated, as it does for the caller
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_CEILINGS))
+def test_stage_peak_is_one_covariance_per_new_state(lattice, stage):
+    graph, state = lattice
+    assert graph.n_nodes == 512
+    cov = np.array(state.cov)
+    calls = {
+        "state": lambda: GaussianState(state.mean, cov),
+        "loss stage": lambda: LossModel({"detection": 0.9}).apply_stage(state, "detection", graph.nodes),
+        "remove_node": lambda: remove_node(state, graph, graph.nodes[len(graph.nodes) // 2 + SIDE]),
+        "build_canonical": lambda: build_canonical(graph, 10.0),
+    }
+    ratio = _traced_peak(calls[stage]) / state.cov.nbytes
+    assert ratio <= STAGE_CEILINGS[stage] + 1 / 16, f"{stage} peaked at {ratio:.3f} covariances"
