@@ -19,9 +19,14 @@ from .experiments import ConfigError, ExperimentConfig, SCENARIOS, emit, run
 SEED_ENV_VAR = "CVSHAPE_SEED"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: main prints one error line and returns 2
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvshape",
         description="Build, shape, and verify continuous-variable cluster states.",
     )
@@ -74,8 +79,8 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         report = run(config)
         text = emit(report, path=config.output, include_timing=args.timing)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variances
-from .graphs import ClusterGraph, nullifiers_of
+from .graphs import ClusterGraph, NullifierTable, nullifiers_of
 
 __all__ = [
     "NULLIFIER_BOUND",
@@ -160,24 +160,25 @@ def residual_squeezing_db(state: GaussianState, mode: int):
 
 
 def check_cluster_criteria(
-    state: GaussianState, graph: ClusterGraph, node_order: Sequence[int] | None = None
+    state: GaussianState, graph: ClusterGraph | NullifierTable, node_order: Sequence[int] | None = None
 ) -> CriteriaReport:
     """Evaluate all nullifier and adjacent-pair criteria for a state.
 
     Args:
         state: state to verify.
-        graph: cluster graph; its nullifiers define the forms.
+        graph: cluster graph, whose nullifiers define the forms, or the
+            NullifierTable that nullifiers_of already built for it.
         node_order: node ids in mode order; defaults to graph.nodes.
 
     Returns:
         CriteriaReport with one check per node, one per adjacent pair,
         and a residual-squeezing entry per isolated node.
     """
-    order = tuple(node_order) if node_order is not None else graph.nodes
+    table = graph if isinstance(graph, NullifierTable) else nullifiers_of(graph)
+    order = tuple(node_order) if node_order is not None else table.labels
     n = len(order)
     if n != state.n_modes:
         raise ValueError("node order length must match the state's mode count")
-    table = nullifiers_of(graph)
     values = quadrature_variances(state, table.rows(order))
     db = nullifier_db(values, table.counts)
     checks = tuple(

@@ -30,6 +30,7 @@ from .gaussian import (
 )
 from .graphs import (
     ClusterGraph,
+    NullifierTable,
     _compile,
     build_canonical,
     nullifiers_of,
@@ -400,13 +401,12 @@ def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: Clust
         raise ConfigError(str(exc)) from None
 
 
-def _verify(state: GaussianState, loss: LossModel, graph: ClusterGraph, order) -> CriteriaReport:
-    """Criteria of the detected state; a nullifier variance cancelled to zero is an input error."""
-    view = loss.apply_stage(state, "detection", order)
+def _verify(view: GaussianState, table: NullifierTable, order) -> CriteriaReport:
+    """Criteria of a detection view; a nullifier variance cancelled to zero is an input error."""
     try:
-        return check_cluster_criteria(view, graph, order)
+        return check_cluster_criteria(view, table, order)
     except ValueError as exc:
-        variances = quadrature_variances(view, nullifiers_of(graph).rows(order))
+        variances = quadrature_variances(view, table.rows(order))
         if np.all(np.isfinite(variances) & (variances > 0)):
             raise
         raise ConfigError(f"criteria check failed: {exc}; lower squeezing_db") from None
@@ -493,10 +493,10 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
             state_in = loss.apply_stage(state_in, stage, order)
             transcript.append({"op": "loss", "stage": stage, "efficiency": efficiency})
 
-    initial_criteria = _verify(state_in, loss, graph, order)
+    initial_criteria = _verify(loss.apply_stage(state_in, "detection", order), nullifiers_of(graph), order)
 
     shaped = _shape_scenario(config, state_in, graph)
-    steps, shaped_order = shaped.steps, shaped.graph.nodes
+    steps, shaped_graph, shaped_order = shaped.steps, shaped.graph, shaped.graph.nodes
     for step in steps:
         transcript.append(
             {
@@ -511,17 +511,24 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
         )
     for i, j, sign in shaped.new_edges:
         transcript.append({"op": "new_edge", "nodes": [i, j], "sign": sign})
-    shaped_state = shaped.state
+    # Each state is dropped after its last reader, so a run holds about three covariances.
+    ring = config.scenario == "ring-route-check"
+    state, direct = shaped.state, (shaped.state if ring else None)
+    del shaped
+    state_in = state_in if ring or config.trials > 0 else None
 
     tap_nodes = sorted({t.node for step in steps for t in step.feedforward})
     tap_eff = {n: loss.efficiency("feedforward_tap", n) for n in tap_nodes}
     if any(e < 1.0 for e in tap_eff.values()):
         eta = [tap_eff.get(node, 1.0) for node in shaped_order]
-        shaped_state = GaussianState(*_mix_vacuum(shaped_state.mean, shaped_state.cov, eta))
+        state = GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, eta))
         lossy = {str(n): e for n, e in tap_eff.items() if e < 1.0}
         transcript.append({"op": "loss", "stage": "feedforward_tap", "efficiency": lossy})
 
-    final_criteria = _verify(shaped_state, loss, shaped.graph, shaped_order)
+    table, view = nullifiers_of(shaped_graph), loss.apply_stage(state, "detection", shaped_order)
+    del state
+    final_criteria = _verify(view, table, shaped_order)
+    del view
 
     monte_carlo = None
     if config.trials > 0:
@@ -530,14 +537,14 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
             state=state_in,
             node_order=order,
             steps=steps,
-            record=nullifiers_of(shaped.graph),
+            record=table,
             readout_efficiency=readout,
         )
         monte_carlo = run_trajectory(plan, config.trials, config.seed)
 
     ring_route = None
-    if config.scenario == "ring-route-check":
-        ring_route = _ring_route_section(config, graph, state_in, loss, order, shaped.state, shaped_order)
+    if ring:
+        ring_route = _ring_route_section(config, graph, state_in, loss, order, direct, shaped_order)
 
     return ExperimentReport(
         config=config,

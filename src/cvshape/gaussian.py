@@ -48,7 +48,7 @@ SYMPLECTIC_TOL = 1e-10
 
 _SYMMETRY_RTOL = 1e-12
 
-#: Side of the square tiles, and height of the row blocks, that in-place covariance updates work in.
+#: Side of the square tiles that a state checks and symmetrises its covariance in, a pair at a time.
 _TILE = 32
 
 
@@ -72,15 +72,28 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).flatten()
-        cov = np.array(self.cov, dtype=float, order="C")
+        self._settle(self.mean, np.array(self.cov, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, mean, cov: np.ndarray) -> "GaussianState":
+        """State that takes cov itself, a new float C array no caller can still reach: no copy.
+
+        A read-only cov is another state's own, as after zero shaping steps, and is copied.
+        """
+        state = object.__new__(cls)
+        state._settle(mean, cov if cov.flags.writeable else np.array(cov))
+        return state
+
+    def _settle(self, mean, cov: np.ndarray) -> None:
+        """Check and symmetrise cov, which this state owns, in place; then freeze mean and cov."""
+        mean = np.asarray(mean, dtype=float).flatten()
         if mean.size == 0 or mean.size % 2 != 0:
             raise ValueError("state needs an even, positive number of quadratures")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        # The copy is checked and made (V + V^T)/2 a tile pair at a time; a NaN in V passes.
+        # cov is checked and made (V + V^T)/2 a tile pair at a time; a NaN in V passes.
         blocks = [slice(i, i + _TILE) for i in range(0, mean.size, _TILE)]
         tiles = [(cov[rows, cols], cov[cols, rows].T) for k, rows in enumerate(blocks) for cols in blocks[k:]]
         bound = _SYMMETRY_RTOL * max(cov.max(), -cov.min(), 1.0)  # max() keeps a leading NaN
@@ -112,7 +125,7 @@ class GaussianState:
         for m in modes:
             _check_mode(n, m)
         idx = modes + [n + m for m in modes]
-        return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)])
+        return GaussianState._adopt(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +155,7 @@ def vacuum(n_modes: int) -> GaussianState:
     """Vacuum state of n_modes modes: zero mean, covariance I/4."""
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    return GaussianState(np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes))
+    return GaussianState._adopt(np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes))
 
 
 def squeezed_variance(db: float) -> float:
@@ -194,7 +207,7 @@ def apply(state: GaussianState, transform: SymplecticTransform) -> GaussianState
             f"transform acts on {transform.n_modes} modes, state has {state.n_modes}"
         )
     s = transform.matrix
-    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
+    return GaussianState._adopt(s @ state.mean, s @ state.cov @ s.T)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +247,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     _check_mode(state.n_modes, mode)
     etas = np.ones(state.n_modes)
     etas[mode] = eta
-    return GaussianState(*_mix_vacuum(state.mean, state.cov, etas))
+    return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, etas))
 
 
 @dataclass(frozen=True)
@@ -286,7 +299,7 @@ class LossModel:
         if len(node_order) != state.n_modes:
             raise ValueError("node order length must match the state's mode count")
         eta = [self.efficiency(stage, node) for node in node_order]
-        return GaussianState(*_mix_vacuum(state.mean, state.cov, eta))
+        return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, eta))
 
     def to_dict(self) -> dict:
         return {

@@ -271,9 +271,9 @@ def build_canonical(graph: ClusterGraph, db) -> GaussianState:
     vx_a = np.multiply(vx[:, None], a, out=cov[:n, n:])
     cov[n:, :n] = vx_a.T
     np.matmul(a, vx_a, out=cov[n:, n:])
-    del a  # not kept alive through the state's copy
+    del a  # not kept alive while the state checks cov
     cov[np.diag_indices(2 * n)] += np.concatenate([vx, VACUUM_VARIANCE * down * down])
-    return GaussianState(np.zeros(2 * n), cov)
+    return GaussianState._adopt(np.zeros(2 * n), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ class NetworkPlan:
             db, quad = settings.get(node, (0.0, "p"))
             low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
             variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
-        return apply(GaussianState(np.zeros(2 * n), np.diag(variances)), transform)
+        return apply(GaussianState._adopt(np.zeros(2 * n), np.diag(variances)), transform)
 
 
 #: Largest deviation of a compiled plan's state, relative to its largest covariance entry.

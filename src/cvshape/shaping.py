@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import _TILE, GaussianState, _mix_vacuum, quadrature_selector
+from .gaussian import GaussianState, _mix_vacuum, quadrature_selector
 from .graphs import ClusterGraph, NullifierTable
 
 __all__ = [
@@ -52,6 +52,10 @@ __all__ = [
 #: Marginal variances below this signal a near-eigenstate quadrature;
 #: conditioning on one would divide by ~0 and must fail loudly instead.
 MARGINAL_VARIANCE_FLOOR = 1e-12
+
+#: Height of the row blocks that a step adds its rank-one terms in.  An ensemble step
+#: holds three blocks at once, 48 rows, under 1/16 of a covariance once 2N passes 768.
+_ROWS = 16
 
 @dataclass(frozen=True)
 class HomodyneOutcome:
@@ -267,10 +271,10 @@ def execute_ensemble(state: GaussianState, node_order: Sequence[int], steps: Seq
         mean = mean[idx] + gains * projection
         # A V A^T for A = P + G u^T, expanded so that entries no gain touches
         # stay exactly V[idx, idx]; the terms are added a block of rows at a time.
-        for rows in (slice(r, r + _TILE) for r in range(0, len(idx), _TILE)):
+        for rows in (slice(r, r + _ROWS) for r in range(0, len(idx), _ROWS)):
             cov[rows] += np.outer(vu[rows], gains) + np.outer(gains[rows], vu)
             cov[rows] += marginal_var * np.outer(gains[rows], gains)
-    return GaussianState(mean, cov), tuple(order), tuple(outcomes)
+    return GaussianState._adopt(mean, cov), tuple(order), tuple(outcomes)
 
 
 def _conditional_step(means, cov, order, step, draw):
@@ -286,7 +290,7 @@ def _conditional_step(means, cov, order, step, draw):
     values = draw(projections, marginal_var)
     means = means[..., idx] + np.multiply.outer(values - projections, vu / marginal_var)
     means += np.multiply.outer(values, gains)
-    for rows in (slice(r, r + _TILE) for r in range(0, len(idx), _TILE)):
+    for rows in (slice(r, r + _ROWS) for r in range(0, len(idx), _ROWS)):
         cov[rows] -= np.outer(vu[rows], vu) / marginal_var
     return means, cov, projections, marginal_var, values
 
@@ -326,7 +330,7 @@ def execute_conditional(
         outcomes.append(
             HomodyneOutcome(step.node, float(step.angle), value, float(projection), marginal_var)
         )
-    return GaussianState(mean, cov), tuple(order), tuple(outcomes)
+    return GaussianState._adopt(mean, cov), tuple(order), tuple(outcomes)
 
 
 def _shape(state, graph, steps, new_edges, values, rng) -> ShapingResult:

@@ -287,9 +287,27 @@ def test_repeat_runs_byte_identical(capsys):
     assert first == second
 
 
-def test_unknown_flag_raises_system_exit(capsys):
-    with pytest.raises(SystemExit):
-        main(["--frobnicate"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--format", "xml"), "argument --format: invalid choice: 'xml'"),
+        (("--trials", "1.5"), "argument --trials: invalid int value: '1.5'"),
+        (("--scenario", "bogus"), "argument --scenario: invalid choice: 'bogus'"),
+        (("--frobnicate",), "unrecognized arguments: --frobnicate"),
+    ],
+    ids=["format-xml", "trials-1.5", "unknown-scenario", "unknown-flag"],
+)
+def test_usage_error_exits_two_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cvshape")
 
 
 def test_shared_parser_leaks_no_state(capsys, monkeypatch):
@@ -307,6 +325,5 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
         [sys.executable, "-m", "cvshape.cli", *argv], capture_output=True, env=env, check=False
     )
     assert (fresh.returncode, fresh.stdout) == (code, out.encode())
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--frobnicate"])
-    assert exit_info.value.code == 2
+    code, _, err = run_cli(capsys, "--frobnicate")
+    assert (code, err) == (2, "error: unrecognized arguments: --frobnicate\n")

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvshape.criteria as cvshape_criteria
 import cvshape.experiments as experiments
-from cvshape import ClusterGraph, GaussianState, LossModel
+import cvshape.graphs as cvshape_graphs
+from cvshape import ClusterGraph, GaussianState, nullifiers_of
 from cvshape.experiments import (
     DETECTOR_EFFICIENCY,
     HOMODYNE_VISIBILITY,
@@ -290,7 +292,22 @@ def test_only_precision_loss_becomes_a_config_error(monkeypatch, name, config):
 def test_non_finite_nullifier_variance_is_a_config_error():
     state = GaussianState(np.zeros(2), np.diag([0.25, np.nan]))  # p_1 variance NaN
     with pytest.raises(ConfigError, match="criteria check failed"):
-        experiments._verify(state, LossModel({}), ClusterGraph((1,)), (1,))
+        experiments._verify(state, nullifiers_of(ClusterGraph((1,))), (1,))
+
+
+def test_each_graph_nullifier_table_is_built_once_per_run(monkeypatch):
+    # the final graph's table serves both the final criteria and the Monte Carlo record
+    built = []
+
+    def counted(graph):
+        built.append(graph.nodes)
+        return nullifiers_of(graph)
+
+    for module in (cvshape_graphs, cvshape_criteria, experiments):
+        monkeypatch.setattr(module, "nullifiers_of", counted)
+    report = run(ExperimentConfig(scenario="shorten-wire", trials=100))
+    assert built == [(1, 2, 3, 4), (1, 4)]
+    assert [f.label for f in report.monte_carlo.forms] == [c.form for c in report.final_criteria.nullifiers]
 
 
 def test_compiled_precision_loss_is_a_config_error(monkeypatch):
