@@ -11,11 +11,9 @@ from .gaussian import (
     ORDERING,
     PHYSICALITY_TOL,
     SYMPLECTIC_TOL,
-    SymplecticTransform,
     VACUUM_VARIANCE,
     apply,
     apply_loss,
-    phase_shift,
     quadrature_selector,
     quadrature_variances,
     squeezed_variance,

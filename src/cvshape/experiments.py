@@ -10,6 +10,8 @@ the Monte Carlo readout statistics describe the same experiment.
 
 from __future__ import annotations
 
+import numbers
+import operator
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -23,8 +25,6 @@ from .gaussian import (
     LossModel,
     VACUUM_VARIANCE,
     _mix_vacuum,
-    apply,
-    phase_shift,
     quadrature_variances,
     squeezed_variance,
 )
@@ -39,11 +39,8 @@ from .graphs import (
     wire_to_ring_phases,
 )
 from .shaping import (
-    MeasurementStep,
-    FeedforwardTarget,
     ShapingResult,
     TrajectoryPlan,
-    execute_ensemble,
     remove_node,
     run_trajectory,
     shorten_wire,
@@ -138,12 +135,19 @@ class ExperimentConfig:
             )
         levels = {"squeezing_db": self.squeezing_db}
         levels.update((f"squeezing_db.{n}", db) for n, db in self.squeezing_overrides.items())
-        for key, db in levels.items():
-            if not (np.isfinite(db) and db >= 0):
-                raise ConfigError(f"{key} must be finite and non-negative, got {db}")
-        for key in ("calibrate_target", "feedforward_gain"):
-            if not np.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        reals = {**levels, "calibrate_target": self.calibrate_target, "feedforward_gain": self.feedforward_gain}
+        for key, value in reals.items():
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{key} must be a real number, got {value!r}")
+            if key in levels and not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and non-negative, got {value}")
+            if not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        for key in ("trials", "seed"):
+            try:
+                operator.index(getattr(self, key))
+            except TypeError:
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
         if not 0 <= self.trials <= 2**53:  # up to 2**53, T - 1 is exact as a float
             raise ConfigError("trials must lie between 0 and 2**53 = 9007199254740992")
         if self.seed < 0:
@@ -412,36 +416,42 @@ def _verify(view: GaussianState, table: NullifierTable, order) -> CriteriaReport
         raise ConfigError(f"criteria check failed: {exc}; lower squeezing_db") from None
 
 
-def _ring_route_section(config, graph, state_in, loss, order, direct, direct_order):
-    """Run the shortening the ring way and report its discrepancy from the direct route."""
-    gain = -1.0 * config.feedforward_gain
+def _quarter_turns(state: GaussianState, order, turns) -> GaussianState:
+    """Turn each (node, k) of turns by k quarter turns, the phase shift by k pi/2, as exact signed swaps.
+
+    One turn maps x to -p and p to x; the + 0.0 keeps a negated zero from printing as -0.0.
+    """
     n = len(order)
-    rotated = state_in
-    for node, theta in wire_to_ring_phases(graph):
-        if theta:
-            rotated = apply(rotated, phase_shift(n, list(order).index(node), theta))
-    ring_steps = [
-        MeasurementStep(node=2, angle=0.0, feedforward=(FeedforwardTarget(4, "p", gain),)),
-        MeasurementStep(node=3, angle=0.0, feedforward=(FeedforwardTarget(1, "p", gain),)),
-    ]
-    ring_state, ring_order, _ = execute_ensemble(rotated, order, ring_steps)
+    index, sign = np.arange(2 * n), np.ones(2 * n)
+    for node, k in turns:
+        x, p = order.index(node), n + order.index(node)
+        for _ in range(k % 4):
+            index[[x, p]], sign[[x, p]] = index[[p, x]], sign[[p, x]] * (-1.0, 1.0)
+    cov = state.cov[np.ix_(index, index)] * np.outer(sign, sign) + 0.0
+    return GaussianState._adopt(state.mean[index] * sign + 0.0, cov)
+
+
+def _ring_route_section(config, graph, state_in, loss, order, direct, direct_order):
+    """Shorten the wire the ring way and report its discrepancy from the direct route.
+
+    Quarter turns make the wire the four-cycle 1-3-2-4, and removing its
+    nodes 2 and 3 bonds nodes 1 and 4 as the direct shortening does.
+    """
+    gain = -1.0 * config.feedforward_gain
+    turns = [(node, round(theta / (np.pi / 2))) for node, theta in wire_to_ring_phases(graph)]
+    ring = remove_node(_quarter_turns(state_in, order, turns), ClusterGraph.ring((1, 3, 2, 4)), 2, gain=gain)
+    ring = remove_node(ring.state, ring.graph, 3, gain=gain)
     # The route leaves mode 1 still carrying its pi rotation; undo it so
     # both routes express the survivors in the same local frame.
-    ring_state = apply(ring_state, phase_shift(len(ring_order), list(ring_order).index(1), np.pi))
-
+    ring_order = ring.graph.nodes
+    ring_view = loss.apply_stage(_quarter_turns(ring.state, ring_order, [(1, 2)]), "detection", ring_order)
     direct_view = loss.apply_stage(direct, "detection", direct_order)
-    ring_view = loss.apply_stage(ring_state, "detection", ring_order)
-    discrepancy = float(
-        max(
-            np.abs(direct_view.cov - ring_view.cov).max(),
-            np.abs(direct_view.mean - ring_view.mean).max(),
-        )
-    )
+    gaps = np.abs(direct_view.cov - ring_view.cov).max(), np.abs(direct_view.mean - ring_view.mean).max()
     return {
         "node_order": list(direct_order),
         "direct_cov": direct_view.cov.tolist(),
         "ring_cov": ring_view.cov.tolist(),
-        "discrepancy": discrepancy,
+        "discrepancy": float(max(gaps)),
     }
 
 

@@ -5,8 +5,9 @@ i delta_ij / 2 and every vacuum quadrature has variance 1/4.  Vectors and
 matrices are ordered xxpp, i.e. (x_1, ..., x_N, p_1, ..., p_N), and the
 symplectic form is J = [[0, I], [-I, 0]].
 
-States and transforms are immutable value types with read-only arrays:
-every operation is a pure function returning a new object.
+States are immutable value types with read-only arrays: every operation
+is a pure function returning a new state.  A linear Gaussian unitary is
+a plain 2N x 2N array S acting as r -> S r.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ __all__ = [
     "PHYSICALITY_TOL",
     "SYMPLECTIC_TOL",
     "GaussianState",
-    "SymplecticTransform",
     "LossModel",
     "symplectic_form",
     "vacuum",
     "squeezed_variance",
-    "phase_shift",
     "apply",
     "apply_loss",
     "quadrature_selector",
@@ -128,24 +127,6 @@ class GaussianState:
         return GaussianState._adopt(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticTransform:
-    """Linear Gaussian unitary: quadratures map to matrix @ r."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise ValueError("transform matrix must be square with even dimension")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
 # ---------------------------------------------------------------------------
 # state constructors
 # ---------------------------------------------------------------------------
@@ -175,39 +156,16 @@ def _check_mode(n_modes: int, mode: int) -> None:
         raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
 
 
-def phase_shift(n_modes: int, mode: int, theta: float) -> SymplecticTransform:
-    """Single-mode phase rotation.
-
-    Orientation is fixed package-wide: x -> x cos(theta) - p sin(theta) and
-    p -> x sin(theta) + p cos(theta), so theta = pi/2 maps x to -p and p to x.
-    """
-    _check_mode(n_modes, mode)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    mat = np.eye(2 * n_modes)
-    mat[mode, mode] = c
-    mat[mode, n_modes + mode] = -s
-    mat[n_modes + mode, mode] = s
-    mat[n_modes + mode, n_modes + mode] = c
-    return SymplecticTransform(mat)
-
-
-def apply(state: GaussianState, transform: SymplecticTransform) -> GaussianState:
-    """Apply a linear Gaussian unitary to a state.
-
-    Args:
-        state: input state.
-        transform: transform whose mode count matches the state.
+def apply(state: GaussianState, matrix: np.ndarray) -> GaussianState:
+    """Apply a linear Gaussian unitary, the square 2N x 2N array S, to an N-mode state.
 
     Returns:
         New state with mean S mean and covariance S cov S^T.
     """
-    if transform.matrix.shape[0] != state.mean.size:
-        raise ValueError(
-            f"transform acts on {transform.n_modes} modes, state has {state.n_modes}"
-        )
-    s = transform.matrix
-    return GaussianState._adopt(s @ state.mean, s @ state.cov @ s.T)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != state.cov.shape:
+        raise ValueError(f"transform of shape {matrix.shape} does not act on {state.n_modes} modes")
+    return GaussianState._adopt(matrix @ state.mean, matrix @ state.cov @ matrix.T)
 
 
 # ---------------------------------------------------------------------------

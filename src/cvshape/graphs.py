@@ -27,8 +27,6 @@ from .decompositions import (
 from .gaussian import (
     VACUUM_VARIANCE,
     GaussianState,
-    SymplecticTransform,
-    apply,
     quadrature_variances,
     squeezed_variance,
 )
@@ -236,7 +234,7 @@ def _squeezer_scales(graph: ClusterGraph, db) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 / down, down
 
 
-def canonical_transform(graph: ClusterGraph, db) -> SymplecticTransform:
+def canonical_transform(graph: ClusterGraph, db) -> np.ndarray:
     """Symplectic of the canonical build acting on the all-vacuum input.
 
     Squeezing each mode in p by its dB level, then one sum gate of gain
@@ -245,10 +243,8 @@ def canonical_transform(graph: ClusterGraph, db) -> SymplecticTransform:
     commute, so no gate order enters.
     """
     up, down = _squeezer_scales(graph, db)
-    matrix = np.block(
-        [[np.diag(up), np.zeros((len(up), len(up)))], [graph.adjacency_matrix() * up, np.diag(down)]]
-    )
-    return SymplecticTransform(matrix)
+    zero = np.zeros((len(up), len(up)))
+    return np.block([[np.diag(up), zero], [graph.adjacency_matrix() * up, np.diag(down)]])
 
 
 def build_canonical(graph: ClusterGraph, db) -> GaussianState:
@@ -340,17 +336,16 @@ class NetworkPlan:
         object.__setattr__(self, "interferometer", elements)
         object.__setattr__(self, "node_order", order)
 
-    def interferometer_transform(self) -> SymplecticTransform:
+    def interferometer_transform(self) -> np.ndarray:
         """Compose the passive elements into one orthogonal symplectic."""
-        u = _elements_to_unitary(self.interferometer, self.node_order)
-        return SymplecticTransform(unitary_to_orthogonal_symplectic(u))
+        return unitary_to_orthogonal_symplectic(_elements_to_unitary(self.interferometer, self.node_order))
 
     def prepare(self) -> GaussianState:
         """Run the plan: squeezed vacua through the interferometer."""
         return self._prepare(self.interferometer_transform())
 
-    def _prepare(self, transform: SymplecticTransform) -> GaussianState:
-        """Squeezed vacua, one diagonal covariance, through the given interferometer."""
+    def _prepare(self, o: np.ndarray) -> GaussianState:
+        """Squeezed vacua through the interferometer o: covariance O diag O^T, as one product."""
         settings = dict(self.squeezer_settings)
         n = len(self.node_order)
         variances = np.empty(2 * n)
@@ -358,7 +353,7 @@ class NetworkPlan:
             db, quad = settings.get(node, (0.0, "p"))
             low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
             variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
-        return apply(GaussianState._adopt(np.zeros(2 * n), np.diag(variances)), transform)
+        return GaussianState._adopt(np.zeros(2 * n), (o * variances) @ o.T)
 
 
 #: Largest deviation of a compiled plan's state, relative to its largest covariance entry.
@@ -391,8 +386,7 @@ def compile_network(graph: ClusterGraph, db) -> NetworkPlan:
 
 def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     """compile_network, also returning the checked state the plan prepares."""
-    total = canonical_transform(graph, db)
-    o2, d, _ = bloch_messiah(total.matrix)
+    o2, d, _ = bloch_messiah(canonical_transform(graph, db))
 
     settings = {}
     for k, node in enumerate(graph.nodes):
@@ -409,7 +403,7 @@ def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     # the produced state, not the full circuit, is the contract.  Covariance
     # entries grow as 10^(dB/10) and nullifier variances shrink as
     # 10^(-dB/10), so each is compared on its own scale.
-    produced = plan._prepare(SymplecticTransform(unitary_to_orthogonal_symplectic(recomposed)))
+    produced = plan._prepare(unitary_to_orthogonal_symplectic(recomposed))
     target = build_canonical(graph, db)
     state_err = max(
         float(np.abs(produced.cov - target.cov).max()),

@@ -15,9 +15,7 @@ from cvshape import (
     VACUUM_VARIANCE,
     ClusterGraph,
     GaussianState,
-    SymplecticTransform,
     apply,
-    phase_shift,
     squeezed_variance,
     vacuum,
 )
@@ -168,11 +166,28 @@ def tensor(*states: GaussianState) -> GaussianState:
     return GaussianState(mean, cov)
 
 
-def identity_transform(n_modes: int) -> SymplecticTransform:
-    return SymplecticTransform(np.eye(2 * n_modes))
+def identity_transform(n_modes: int) -> np.ndarray:
+    return np.eye(2 * n_modes)
 
 
-def squeeze_gate(n_modes: int, mode: int, db: float, quadrature: str = "p") -> SymplecticTransform:
+def phase_shift(n_modes: int, mode: int, theta: float) -> np.ndarray:
+    """Reference single-mode phase rotation, as a dense 2N x 2N transform.
+
+    Orientation is fixed package-wide: x -> x cos(theta) - p sin(theta) and
+    p -> x sin(theta) + p cos(theta), so theta = pi/2 maps x to -p and p to x.
+    """
+    _check_mode(n_modes, mode)
+    c = np.cos(theta)
+    s = np.sin(theta)
+    mat = np.eye(2 * n_modes)
+    mat[mode, mode] = c
+    mat[mode, n_modes + mode] = -s
+    mat[n_modes + mode, mode] = s
+    mat[n_modes + mode, n_modes + mode] = c
+    return mat
+
+
+def squeeze_gate(n_modes: int, mode: int, db: float, quadrature: str = "p") -> np.ndarray:
     """Single-mode squeezer scaling one quadrature down by 10^(-db/20)."""
     _check_mode(n_modes, mode)
     if db < 0:
@@ -187,10 +202,10 @@ def squeeze_gate(n_modes: int, mode: int, db: float, quadrature: str = "p") -> S
     else:
         mat[mode, mode] = down
         mat[n_modes + mode, n_modes + mode] = 1.0 / down
-    return SymplecticTransform(mat)
+    return mat
 
 
-def qnd_gate(n_modes: int, i: int, j: int, gain: float = 1.0) -> SymplecticTransform:
+def qnd_gate(n_modes: int, i: int, j: int, gain: float = 1.0) -> np.ndarray:
     """Sum-type two-mode interaction: p_i += gain x_j and p_j += gain x_i.
 
     Both x quadratures are left untouched, so composing gains g and -g
@@ -203,10 +218,10 @@ def qnd_gate(n_modes: int, i: int, j: int, gain: float = 1.0) -> SymplecticTrans
     mat = np.eye(2 * n_modes)
     mat[n_modes + i, j] = gain
     mat[n_modes + j, i] = gain
-    return SymplecticTransform(mat)
+    return mat
 
 
-def beam_splitter(n_modes: int, i: int, j: int, reflectivity: float) -> SymplecticTransform:
+def beam_splitter(n_modes: int, i: int, j: int, reflectivity: float) -> np.ndarray:
     """Real beam splitter acting identically on the x and p blocks.
 
     The 2x2 mixing matrix is [[sqrt(r), sqrt(1-r)], [sqrt(1-r), -sqrt(r)]],
@@ -226,7 +241,7 @@ def beam_splitter(n_modes: int, i: int, j: int, reflectivity: float) -> Symplect
         mat[a, b] = s
         mat[b, a] = s
         mat[b, b] = -c
-    return SymplecticTransform(mat)
+    return mat
 
 
 def displacement(state: GaussianState, mode: int, quadrature: str, amount: float) -> GaussianState:
@@ -286,13 +301,13 @@ def random_symplectic_state(rng: np.random.Generator, n: int) -> GaussianState:
 def gate_chain_transform(graph, db_map):
     """Reference canonical symplectic: one p-squeezer per node, one sum gate per edge."""
     n = graph.n_nodes
-    t = identity_transform(n).matrix
+    t = identity_transform(n)
     for k, node in enumerate(graph.nodes):
         if db_map[node] > 0:
-            t = squeeze_gate(n, k, db_map[node], quadrature="p").matrix @ t
+            t = squeeze_gate(n, k, db_map[node], quadrature="p") @ t
     for i, j, sign in graph.edges():
-        t = qnd_gate(n, graph.index_of(i), graph.index_of(j), gain=float(sign)).matrix @ t
-    return SymplecticTransform(t)
+        t = qnd_gate(n, graph.index_of(i), graph.index_of(j), gain=float(sign)) @ t
+    return t
 
 
 def gate_chain_state(graph, db_map):

@@ -226,14 +226,14 @@ def test_criterion_08_network_compilation_round_trips():
     factors_ok = True
     for _ in range(100):
         graph, db_map = random_signed_graph(rng, n_min=2, n_max=6)
-        s = canonical_transform(graph, db_map).matrix
+        s = canonical_transform(graph, db_map)
         o2, d, o1 = bloch_messiah(s)
         worst = max(worst, np.abs(o2 @ d @ o1 - s).max())
         factors_ok = factors_ok and all(
             is_orthogonal(o) and is_symplectic(o) for o in (o1, o2)
         )
 
-    top = np.sort(np.diag(bloch_messiah(qnd_gate(2, 0, 1, 1.0).matrix)[1]))[::-1][:2]
+    top = np.sort(np.diag(bloch_messiah(qnd_gate(2, 0, 1, 1.0))[1]))[::-1][:2]
     golden_ok = np.abs(top - GOLDEN_RATIO).max() <= 1e-9
 
     wire = ClusterGraph.linear_wire(4)

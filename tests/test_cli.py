@@ -10,6 +10,8 @@ import pytest
 
 import cvshape
 from cvshape.cli import build_parser, main
+from cvshape.graphs import format_graph_text
+from helpers import signed_wire
 
 
 def run_cli(capsys, *argv):
@@ -327,3 +329,32 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
     assert (fresh.returncode, fresh.stdout) == (code, out.encode())
     code, _, err = run_cli(capsys, "--frobnicate")
     assert (code, err) == (2, "error: unrecognized arguments: --frobnicate\n")
+
+
+# Every run the CLI offers, by construction: the stock scenarios, a Monte Carlo run,
+# a compiled signed 16-node wire and the preset linear-optics wire.
+RUNS = {
+    **{name: ("--scenario", name) for name in ("remove-edge", "remove-inner", "shorten-wire", "ring-route-check")},
+    "shorten-wire-mc": ("--scenario", "shorten-wire", "--trials", "2000"),
+    "signed-wire-16-compiled": ("--config", "wire16.cfg"),
+    "preset-wire": ("--config", "preset.cfg"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_no_run_applies_a_dense_transform(tmp_path, capsys, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run applied a dense transform")
+
+    original = cvshape.gaussian.apply
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "cvshape" and vars(module).get("apply") is original:
+            monkeypatch.setattr(module, "apply", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wire16.graph").write_text(format_graph_text(signed_wire(16)))
+    (tmp_path / "wire16.cfg").write_text(
+        "scenario = custom\nconstruction = compiled\ngraph_file = wire16.graph\nshorten_inner = 8 9\n"
+    )
+    (tmp_path / "preset.cfg").write_text("scenario = remove-inner\nconstruction = preset-wire\n")
+    code, _, err = run_cli(capsys, *RUNS[name])
+    assert (code, err) == (0, "")

@@ -14,13 +14,12 @@ from cvshape import (
     check_cluster_criteria,
     nullifier_db,
     nullifiers_of,
-    phase_shift,
     remove_node,
     residual_squeezing_db,
     vacuum,
 )
 from cvshape.criteria import NULLIFIER_BOUND, PAIRWISE_BOUND
-from helpers import check_cluster_criteria_reference, random_symplectic_state, squeezed_vacuum, tensor
+from helpers import check_cluster_criteria_reference, phase_shift, random_symplectic_state, squeezed_vacuum, tensor
 
 SQUEEZED_5DB = 0.07905694150420949
 

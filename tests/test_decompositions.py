@@ -66,7 +66,7 @@ def test_pure_squeezer_shortcut():
 
 def test_sum_gate_squeeze_factors_are_golden():
     """The unit-gain two-mode sum gate squeezes by the golden ratio."""
-    s = qnd_gate(2, 0, 1, 1.0).matrix
+    s = qnd_gate(2, 0, 1, 1.0)
     o2, d, o1 = bloch_messiah(s)
     assert_valid_factors(s, o2, d, o1, tol=1e-9)
     top = np.sort(np.diag(d))[::-1][:2]
@@ -74,8 +74,8 @@ def test_sum_gate_squeeze_factors_are_golden():
 
     # Two gates beside an idle mode: a fourfold golden factor plus a unit
     # block, bare and mixed by splitters so that no factor is diagonal.
-    pair = qnd_gate(5, 0, 1).matrix @ qnd_gate(5, 2, 3).matrix
-    mixed = beam_splitter(5, 3, 4, 0.3).matrix @ pair @ beam_splitter(5, 0, 4, 0.6).matrix
+    pair = qnd_gate(5, 0, 1) @ qnd_gate(5, 2, 3)
+    mixed = beam_splitter(5, 3, 4, 0.3) @ pair @ beam_splitter(5, 0, 4, 0.6)
     for s in (pair, mixed):
         o2, d, o1 = bloch_messiah(s)
         assert_valid_factors(s, o2, d, o1, tol=1e-9)
@@ -86,8 +86,8 @@ def test_sum_gate_squeeze_factors_are_golden():
     "s",
     [
         unitary_to_orthogonal_symplectic(random_unitary(np.random.default_rng(25), 3)),
-        beam_splitter(3, 0, 1, 0.3).matrix,
-        qnd_gate(4, 0, 1).matrix,
+        beam_splitter(3, 0, 1, 0.3),
+        qnd_gate(4, 0, 1),
     ],
     ids=["passive-3-mode", "beam-splitter-3-mode", "qnd-two-idle"],
 )
@@ -104,7 +104,7 @@ def test_random_graph_symplectics_recompose():
     worst = 0.0
     for _ in range(100):
         graph, db_map = random_signed_graph(rng)
-        s = canonical_transform(graph, db_map).matrix
+        s = canonical_transform(graph, db_map)
         o2, d, o1 = bloch_messiah(s)
         assert_valid_factors(s, o2, d, o1, tol=1e-8)
         worst = max(worst, float(np.abs(o2 @ d @ o1 - s).max()))
@@ -123,7 +123,7 @@ def test_rejects_non_symplectic_input():
 def test_symplectic_input_check_scales_with_the_matrix():
     # Rounding in S^T J S grows as |S|^2: at 90 dB the canonical 4-wire's
     # residual exceeds an absolute 1e-8 although S is symplectic by construction.
-    s = canonical_transform(ClusterGraph.linear_wire(4), 90.0).matrix
+    s = canonical_transform(ClusterGraph.linear_wire(4), 90.0)
     try:
         bloch_messiah(s)
     except np.linalg.LinAlgError as exc:
@@ -240,7 +240,7 @@ def test_recomposition_validates_before_multiplying(element, message):
 
 
 def test_symplectic_predicates():
-    assert is_symplectic(qnd_gate(2, 0, 1, 1.0).matrix)
+    assert is_symplectic(qnd_gate(2, 0, 1, 1.0))
     assert not is_symplectic(np.diag([2.0, 2.0, 2.0, 2.0]))
     j = symplectic_form(2)
     assert is_symplectic(j)

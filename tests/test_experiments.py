@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 import cvshape.criteria as cvshape_criteria
 import cvshape.experiments as experiments
 import cvshape.graphs as cvshape_graphs
-from cvshape import ClusterGraph, GaussianState, nullifiers_of
+from cvshape import (
+    ClusterGraph,
+    FeedforwardTarget,
+    GaussianState,
+    MeasurementStep,
+    build_canonical,
+    execute_ensemble,
+    nullifiers_of,
+    remove_node,
+    wire_to_ring_phases,
+)
 from cvshape.experiments import (
     DETECTOR_EFFICIENCY,
     HOMODYNE_VISIBILITY,
@@ -155,6 +165,15 @@ def test_config_rejects_bad_values():
         ExperimentConfig(scenario="remove-edge", remove_target=2)
     with pytest.raises(ConfigError, match="cannot be combined"):
         ExperimentConfig(scenario="custom", graph_file="g", remove_target=1, shorten_inner=(2, 3))
+    # values of the wrong type fail here, not later in the run with a traceback
+    with pytest.raises(ConfigError, match="trials must be an integer"):
+        ExperimentConfig(scenario="shorten-wire", trials=1.5)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        ExperimentConfig(seed=2.5)
+    with pytest.raises(ConfigError, match="squeezing_db must be a real number"):
+        ExperimentConfig(squeezing_db="5")
+    with pytest.raises(ConfigError, match="feedforward_gain must be a real number"):
+        ExperimentConfig(feedforward_gain=None)
 
 
 @pytest.mark.parametrize(
@@ -242,6 +261,42 @@ def test_ring_route_check_reports_tiny_discrepancy():
     assert report.ring_route is not None
     assert report.ring_route["discrepancy"] < 1e-9
     assert report.final_criteria.all_pass
+
+
+RING_CASES = pytest.mark.parametrize(
+    "db, lossless",
+    [(5.0, True), (5.0, False), (20.0, True), (20.0, False)],
+    ids=["5dB-lossless", "5dB", "20dB-lossless", "20dB"],
+)
+
+
+@RING_CASES
+def test_ring_route_removals_equal_the_hand_built_ring_steps(db, lossless):
+    wire = ClusterGraph.linear_wire(4)
+    state = build_canonical(wire, db)
+    if not lossless:
+        loss = calibrate_loss(0.25)
+        for stage in ("source", "propagation"):
+            state = loss.apply_stage(state, stage, wire.nodes)
+    turns = [(node, round(theta / (np.pi / 2))) for node, theta in wire_to_ring_phases(wire)]
+    rotated = experiments._quarter_turns(state, wire.nodes, turns)
+    # the route's former plan: measure x of nodes 2 and 3, feeding each outcome forward to one end
+    steps = [
+        MeasurementStep(node=2, angle=0.0, feedforward=(FeedforwardTarget(4, "p", -1.0),)),
+        MeasurementStep(node=3, angle=0.0, feedforward=(FeedforwardTarget(1, "p", -1.0),)),
+    ]
+    expected, expected_order, _ = execute_ensemble(rotated, wire.nodes, steps)
+    ring = remove_node(rotated, ClusterGraph.ring((1, 3, 2, 4)), 2)
+    ring = remove_node(ring.state, ring.graph, 3)
+    assert ring.graph.nodes == expected_order == (1, 4)
+    assert ring.state.cov.tobytes() == expected.cov.tobytes()
+    assert ring.state.mean.tobytes() == expected.mean.tobytes()
+
+
+@RING_CASES
+def test_ring_route_discrepancy_is_zero_at_ideal_gain(db, lossless):
+    report = run(ExperimentConfig(scenario="ring-route-check", squeezing_db=db, lossless=lossless))
+    assert report.ring_route["discrepancy"] == 0.0
 
 
 def test_monte_carlo_section():

@@ -107,13 +107,15 @@ GOLDEN = {
     "shorten-wire": "c031d4a20676ee4cc89ae0a0ad10694947f312e648af871114c41e0612c15704",
     "shorten-wire-lossless": "0dbdb38b92217a957e8e61192570d51c0fb7062b8bf264ed14be2587ed76c378",
     "shorten-wire-csv": "869f89d2ad8bbf0219092b30cf260601667668f8d4cd8eb6cc0dd4a07968fdee",
-    "ring-route-check": "ef42b84526a10c173488d278ffd2447496f452aa99d247726d043d3b22d60331",
-    "ring-route-check-lossless": "891490c43a495ef0ddd662f65792321f1ec5a4b7d7f8c7798be5391906c493c1",
+    # re-recorded on the exact quarter turns: ring_route's cos(pi/2) residues and discrepancy print 0.0
+    "ring-route-check": "76047a06155e6329a2666aefcbe513efe8e83191bb00b81a213453b844fed63d",
+    "ring-route-check-lossless": "48810e25e837c983851c31bfd48a139469a5ef3d45e6f1213f79a38c9b1c983f",
     "ring-route-check-csv": "869f89d2ad8bbf0219092b30cf260601667668f8d4cd8eb6cc0dd4a07968fdee",
     # recorded on the sufficient-statistic (Bartlett) draw of run_trajectory
     "shorten-wire-mc": "584dc20c827d283b608b981abfb5b558d7058b9c8a95494bca5850eedd771230",
     "shorten-wire-mc-lossless": "4a0626573cdc62d6f11f510c2f4e08c471f5e4445a44a5903c6977e94f1a37e2",
-    "ring-route-check-mc": "5b787c5a3b8664d7da6dd3d19342ccac767aeb0dc445da39d8db502292f69320",
+    # re-recorded on the exact quarter turns, as ring-route-check
+    "ring-route-check-mc": "3d8e6c794b632fb8784717dc1fb251163f233d033299ae3a67baed492004fbb5",
     "lossy-config": "f65437b0ec401ab5c312394bfa45dabbd4dc89061ab22e7d97c9c180c3006843",
     "compiled": "e856b6126a4c639b23a8d93d7aaff499bd60f13bdba727093a7a66be9d6a51b5",
     "preset-wire": "50d60e389cbe1720eb7311bc96835db629240f82c7af1b36707d0675b6d7df09",

@@ -3,9 +3,12 @@
 GaussianState checks and symmetrises its one copy a tile at a time,
 vacuum mixing scales its outer product in place, the shaping steps gather
 survivors by block copies and add their rank-one terms a block of rows at
-a time, and the canonical build writes its four blocks into one array.
-Each must give the bytes of the formula it replaced (tests/helpers.py),
-signed zeros and NaNs included, and allocate one covariance per stage.
+a time, the canonical build writes its four blocks into one array, a
+linear-optics plan prepares O diag O^T as one product, and the ring route
+turns modes by signed swaps.  Each must give the bytes of the formula it
+replaced (tests/helpers.py), signed zeros and NaNs included, and allocate
+one covariance per stage; the quarter turns agree with the dense rotation
+up to its cos(pi/2) residues.
 """
 
 import gc
@@ -17,16 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvshape import (
+    VACUUM_VARIANCE,
     ClusterGraph,
     ExperimentConfig,
     FeedforwardTarget,
     GaussianState,
     LossModel,
     MeasurementStep,
+    apply,
     build_canonical,
+    compile_network,
+    preset_wire_network,
     remove_node,
     run,
+    squeezed_variance,
 )
+from cvshape.experiments import _quarter_turns
 from cvshape.gaussian import _SYMMETRY_RTOL, _TILE, _mix_vacuum
 from cvshape.shaping import execute_conditional, execute_ensemble
 from helpers import (
@@ -34,6 +43,9 @@ from helpers import (
     conditional_step_reference,
     ensemble_step_reference,
     mix_vacuum_reference,
+    phase_shift,
+    random_symplectic_state,
+    signed_wire,
     symmetrized_reference,
 )
 
@@ -175,6 +187,54 @@ def test_canonical_build_has_the_bytes_of_the_block_formula(n, data):
     db = dict(zip(graph.nodes, rng.uniform(0.0, 40.0, n))) if rng.random() < 0.5 else float(rng.uniform(0.0, 40.0))
     expected = symmetrized_reference(canonical_cov_reference(graph, db))
     assert build_canonical(graph, db).cov.tobytes() == expected.tobytes()
+
+
+@KERNELS
+@given(n=st.integers(1, 6), data=st.data())
+def test_quarter_turns_are_the_phase_shift_by_k_pi_over_2(n, data):
+    rng = _rng(data)
+    state = GaussianState(rng.standard_normal(2 * n), random_symplectic_state(rng, n).cov)
+    order = tuple(int(node) for node in rng.permutation(np.arange(10, 10 + n)))
+    turns = [(node, data.draw(st.sampled_from((-1, 0, 1, 2, 3)))) for node in order]
+    dense = state
+    for node, k in turns:
+        dense = apply(dense, phase_shift(n, order.index(node), k * np.pi / 2))
+    turned = _quarter_turns(state, order, turns)
+    scale = np.abs(state.cov).max()
+    assert np.abs(turned.cov - dense.cov).max() <= 1e-15 * scale
+    assert np.abs(turned.mean - dense.mean).max() <= 1e-15 * np.abs(state.mean).max()
+    for _ in range(3):
+        turned = _quarter_turns(turned, order, turns)
+    assert turned.cov.tobytes() == state.cov.tobytes() and turned.mean.tobytes() == state.mean.tobytes()
+
+
+def _plan_variances(plan) -> np.ndarray:
+    """Each input mode's x and p variance, squeezed in the plan's quadrature, xxpp."""
+    settings_of, n = dict(plan.squeezer_settings), len(plan.node_order)
+    variances = np.empty(2 * n)
+    for k, node in enumerate(plan.node_order):
+        db, quad = settings_of.get(node, (0.0, "p"))
+        low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
+        variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
+    return variances
+
+
+WIRES = {"wire-4": ClusterGraph.linear_wire(4), "signed-16": signed_wire(16), "signed-32": signed_wire(32)}
+PLANS = [
+    (f"{name}-{db}dB", lambda graph=graph, db=db: compile_network(graph, db))
+    for name, graph in WIRES.items()
+    for db in (1, 5, 10, 30, 60)
+] + [(f"preset-{db}dB", lambda db=db: preset_wire_network(db)) for db in (0, 3, 5, 7, 20)]
+
+
+@pytest.mark.parametrize("build", [build for _, build in PLANS], ids=[name for name, _ in PLANS])
+def test_plan_prepares_the_bytes_of_o_diag_o_transpose(build):
+    plan = build()
+    o = plan.interferometer_transform()
+    prepared = plan._prepare(o)
+    expected = symmetrized_reference(o @ np.diag(_plan_variances(plan)) @ o.T)
+    assert prepared.cov.tobytes() == expected.tobytes()
+    assert prepared.mean.tobytes() == np.zeros(o.shape[0]).tobytes()
 
 
 # Each analytic stage allocates its one new covariance and no other 2N x 2N or N x N array, and
