@@ -36,7 +36,6 @@ from .graphs import (
 )
 from .shaping import (
     FeedforwardTarget,
-    FormStats,
     HomodyneOutcome,
     MeasurementStep,
     ShapingResult,
@@ -52,9 +51,6 @@ from .shaping import (
 )
 from .criteria import (
     CriteriaReport,
-    NullifierCheck,
-    PairwiseCheck,
-    ResidualSqueezing,
     check_cluster_criteria,
     nullifier_db,
     residual_squeezing_db,

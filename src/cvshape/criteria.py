@@ -21,9 +21,6 @@ from .graphs import ClusterGraph, NullifierTable, nullifiers_of
 __all__ = [
     "NULLIFIER_BOUND",
     "PAIRWISE_BOUND",
-    "NullifierCheck",
-    "PairwiseCheck",
-    "ResidualSqueezing",
     "CriteriaReport",
     "check_cluster_criteria",
     "residual_squeezing_db",
@@ -57,78 +54,42 @@ def nullifier_db(variance, n_terms) -> float | np.ndarray:
 
 
 @dataclass(frozen=True)
-class NullifierCheck:
-    """One node's nullifier verdict; form is its text from NullifierTable.texts."""
-
-    node: int
-    form: str
-    n_terms: int
-    variance: float
-    bound: float
-    passed: bool
-    db: float
-
-
-@dataclass(frozen=True)
-class PairwiseCheck:
-    pair: tuple
-    sum_variance: float
-    bound: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ResidualSqueezing:
-    """Principal-axis squeezing of one isolated mode."""
-
-    node: int
-    squeezed_db: float
-    antisqueezed_db: float
-    angle: float
-
-
-@dataclass(frozen=True)
 class CriteriaReport:
-    """Nullifier, pairwise, and residual-squeezing verdicts for one state."""
+    """Nullifier, pairwise, and residual-squeezing verdicts for one state, as columns.
 
-    nullifiers: tuple
-    pairwise: tuple
-    residuals: tuple
+    Attributes:
+        table: the NullifierTable of the checked forms.
+        variances: each table row's nullifier variance.
+        db: each variance in dB against its form's vacuum level.
+        sums: each table edge's adjacent-pair variance sum.
+        residuals: (node, squeezed_db, antisqueezed_db, angle) rows, one per
+            isolated node.
+    """
+
+    table: NullifierTable
+    variances: list
+    db: list
+    sums: list
+    residuals: list
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.nullifiers) and all(c.passed for c in self.pairwise)
+        return all(v < NULLIFIER_BOUND for v in self.variances) and all(s < PAIRWISE_BOUND for s in self.sums)
 
     def to_dict(self) -> dict:
+        table, bound = self.table, NULLIFIER_BOUND
         return {
             "nullifiers": [
-                {
-                    "node": c.node,
-                    "form": c.form,
-                    "variance": c.variance,
-                    "bound": c.bound,
-                    "pass": c.passed,
-                    "db": c.db,
-                }
-                for c in self.nullifiers
+                {"node": node, "form": form, "variance": v, "bound": bound, "pass": v < bound, "db": db}
+                for node, form, v, db in zip(table.labels, table.texts, self.variances, self.db)
             ],
             "pairwise": [
-                {
-                    "pair": list(c.pair),
-                    "sum_variance": c.sum_variance,
-                    "bound": c.bound,
-                    "pass": c.passed,
-                }
-                for c in self.pairwise
+                {"pair": [i, j], "sum_variance": s, "bound": PAIRWISE_BOUND, "pass": s < PAIRWISE_BOUND}
+                for (i, j, _), s in zip(table.edges, self.sums)
             ],
             "residual_squeezing": [
-                {
-                    "node": r.node,
-                    "squeezed_db": r.squeezed_db,
-                    "antisqueezed_db": r.antisqueezed_db,
-                    "angle": r.angle,
-                }
-                for r in self.residuals
+                {"node": node, "squeezed_db": low, "antisqueezed_db": high, "angle": angle}
+                for node, low, high, angle in self.residuals
             ],
             "all_pass": self.all_pass,
         }
@@ -171,8 +132,9 @@ def check_cluster_criteria(
         node_order: node ids in mode order; defaults to graph.nodes.
 
     Returns:
-        CriteriaReport with one check per node, one per adjacent pair,
-        and a residual-squeezing entry per isolated node.
+        CriteriaReport with a variance and dB column over the table's rows,
+        a sum column over its edges, and a residual-squeezing row per
+        isolated node.
     """
     table = graph if isinstance(graph, NullifierTable) else nullifiers_of(graph)
     order = tuple(node_order) if node_order is not None else table.labels
@@ -181,19 +143,9 @@ def check_cluster_criteria(
         raise ValueError("node order length must match the state's mode count")
     values = quadrature_variances(state, table.rows(order))
     db = nullifier_db(values, table.counts)
-    checks = tuple(
-        NullifierCheck(node, text, count, var, NULLIFIER_BOUND, var < NULLIFIER_BOUND, level)
-        for node, text, count, var, level in zip(
-            table.labels, table.texts, table.counts, values.tolist(), db.tolist()
-        )
-    )
-    edges, row = table.edges, {node: r for r, node in enumerate(table.labels)}
-    sums = values[[row[i] for i, _, _ in edges]] + values[[row[j] for _, j, _ in edges]]
-    pairwise = tuple(
-        PairwiseCheck(pair=(i, j), sum_variance=total, bound=PAIRWISE_BOUND, passed=total < PAIRWISE_BOUND)
-        for (i, j, _), total in zip(edges, sums.tolist())
-    )
+    row = {node: r for r, node in enumerate(table.labels)}
+    sums = values[[row[i] for i, _, _ in table.edges]] + values[[row[j] for _, j, _ in table.edges]]
     mode = {node: k for k, node in enumerate(order)}
     isolated = [node for node, count in zip(table.labels, table.counts) if count == 1]  # bare p-terms
-    residuals = tuple(ResidualSqueezing(node, *residual_squeezing_db(state, mode[node])) for node in isolated)
-    return CriteriaReport(nullifiers=checks, pairwise=pairwise, residuals=residuals)
+    residuals = [(node, *residual_squeezing_db(state, mode[node])) for node in isolated]
+    return CriteriaReport(table, values.tolist(), db.tolist(), sums.tolist(), residuals)

@@ -11,7 +11,6 @@ the Monte Carlo readout statistics describe the same experiment.
 from __future__ import annotations
 
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import CriteriaReport, check_cluster_criteria
+from .criteria import NULLIFIER_BOUND, CriteriaReport, check_cluster_criteria
 from .gaussian import (
     GaussianState,
     LossModel,
@@ -143,11 +142,19 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be finite and non-negative, got {value}")
             if not np.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        for key in ("trials", "seed"):
+        if not isinstance(self.lossless, bool):
+            raise ConfigError(f"lossless must be true or false, got {self.lossless!r}")
+        integers = [("trials", self.trials), ("seed", self.seed)]
+        if self.remove_target is not None:
+            integers.append(("remove_node", self.remove_target))
+        if self.shorten_inner is not None:
             try:
-                operator.index(getattr(self, key))
+                integers += [("shorten_inner", node) for node in self.shorten_inner]
             except TypeError:
-                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
+                raise ConfigError(f"shorten_inner must be a pair of node ids, got {self.shorten_inner!r}") from None
+        for key, value in integers:  # a bool is an int, but neither a count nor a node id
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not 0 <= self.trials <= 2**53:  # up to 2**53, T - 1 is exact as a float
             raise ConfigError("trials must lie between 0 and 2**53 = 9007199254740992")
         if self.seed < 0:
@@ -315,23 +322,15 @@ class ExperimentReport:
             "final_criteria": final,
             "residual_squeezing": final["residual_squeezing"],
         }
-        if self.monte_carlo is not None:
-            out["monte_carlo"] = {
-                "trials": self.monte_carlo.trials,
-                "seed": self.monte_carlo.seed,
-                "forms": [
-                    {
-                        "form": f.label,
-                        "analytic_var": f.analytic_var,
-                        "sample_mean": f.sample_mean,
-                        "sample_var": f.sample_var,
-                        "stderr": f.stderr,
-                    }
-                    for f in self.monte_carlo.forms
-                ],
-            }
-        else:
-            out["monte_carlo"] = None
+        mc = self.monte_carlo
+        out["monte_carlo"] = None if mc is None else {
+            "trials": mc.trials,
+            "seed": mc.seed,
+            "forms": [
+                {"form": f, "analytic_var": a, "sample_mean": m, "sample_var": v, "stderr": e}
+                for f, a, m, v, e in zip(mc.labels, mc.analytic_var, mc.sample_mean, mc.sample_var, mc.stderr)
+            ],
+        }
         out["ring_route"] = self.ring_route
         out["all_pass"] = self.final_criteria.all_pass
         if include_timing:
@@ -625,21 +624,11 @@ def _json_tokens(value, out: list, pad: str) -> list:
 
 
 def _csv_text(report: ExperimentReport) -> str:
-    lines = ["stage,form,variance,bound,pass,db"]
+    lines, bound = ["stage,form,variance,bound,pass,db"], format(NULLIFIER_BOUND, _REPORT_FLOAT)
     for stage, criteria in (("initial", report.initial_criteria), ("final", report.final_criteria)):
-        for check in criteria.nullifiers:
-            lines.append(
-                ",".join(
-                    [
-                        stage,
-                        check.form.replace(" ", ""),
-                        format(check.variance, _REPORT_FLOAT),
-                        format(check.bound, _REPORT_FLOAT),
-                        str(check.passed).lower(),
-                        format(check.db, _REPORT_FLOAT),
-                    ]
-                )
-            )
+        for form, v, db in zip(criteria.table.texts, criteria.variances, criteria.db):
+            passed = "true" if v < NULLIFIER_BOUND else "false"
+            lines.append(f"{stage},{form.replace(' ', '')},{v:{_REPORT_FLOAT}},{bound},{passed},{db:{_REPORT_FLOAT}}")
     return "\n".join(lines) + "\n"
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "remove_node",
     "shorten_wire",
     "TrajectoryPlan",
-    "FormStats",
     "TrajectoryStats",
     "run_trajectory",
 ]
@@ -440,21 +439,24 @@ class TrajectoryPlan:
 
 
 @dataclass(frozen=True)
-class FormStats:
-    """Per-form ensemble statistics from a trajectory run."""
-
-    label: str
-    analytic_var: float
-    sample_mean: float
-    sample_var: float | None
-    stderr: float | None
-
-
-@dataclass(frozen=True)
 class TrajectoryStats:
+    """Ensemble statistics of a trajectory run, one column entry per recorded form.
+
+    Attributes:
+        labels: the forms' texts, from the plan's record.
+        analytic_var, sample_mean: each form's analytic variance and sample mean.
+        sample_var, stderr: each form's sample variance and its standard
+            error; None when trials == 1.
+        node_order: the surviving nodes, in the covariances' mode order.
+    """
+
     trials: int
     seed: int
-    forms: tuple
+    labels: list
+    analytic_var: list
+    sample_mean: list
+    sample_var: list
+    stderr: list
     node_order: tuple
     sample_cov: np.ndarray
     analytic_cov: np.ndarray
@@ -503,7 +505,7 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
         seed: generator seed.
 
     Returns:
-        TrajectoryStats with per-form statistics and the sample covariance
+        TrajectoryStats with per-form statistic columns and the sample covariance
         of the recorded readout values; sample variances are None and the
         sample covariance NaN when trials == 1.
     """
@@ -527,14 +529,14 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     form_loading = rows @ loading
     analytic_vars = np.einsum("ij,ij->i", form_loading, form_loading).tolist()
     sample_means = (rows @ mean + form_loading @ z_mean).tolist()
-    sample_vars = [None] * len(rows)
+    sample_vars, stderrs = [None] * len(rows), [None] * len(rows)
     sample_cov = np.full((n_read, n_read), np.nan)
     if trials > 1:
         read_factor, form_factor = loading @ factor, form_loading @ factor
         sample_cov = read_factor @ read_factor.T / (trials - 1)
-        sample_vars = (np.einsum("ij,ij->i", form_factor, form_factor) / (trials - 1)).tolist()
-    forms = tuple(
-        FormStats(text, a, m, v, None if v is None else v * np.sqrt(2.0 / (trials - 1)))
-        for text, a, m, v in zip(plan.record.texts, analytic_vars, sample_means, sample_vars)
+        variances = np.einsum("ij,ij->i", form_factor, form_factor) / (trials - 1)
+        sample_vars, stderrs = variances.tolist(), (variances * np.sqrt(2.0 / (trials - 1))).tolist()
+    return TrajectoryStats(
+        int(trials), int(seed), plan.record.texts, analytic_vars, sample_means, sample_vars, stderrs,
+        final_order, sample_cov, loading @ loading.T,
     )
-    return TrajectoryStats(int(trials), int(seed), forms, final_order, sample_cov, loading @ loading.T)

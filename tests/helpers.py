@@ -19,17 +19,9 @@ from cvshape import (
     squeezed_variance,
     vacuum,
 )
-from cvshape.criteria import (
-    NULLIFIER_BOUND,
-    PAIRWISE_BOUND,
-    CriteriaReport,
-    NullifierCheck,
-    PairwiseCheck,
-    ResidualSqueezing,
-    residual_squeezing_db,
-)
+from cvshape.criteria import CriteriaReport, residual_squeezing_db
 from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, quadrature_selector, quadrature_variances
-from cvshape.graphs import _squeezer_scales
+from cvshape.graphs import _squeezer_scales, nullifiers_of
 from cvshape.shaping import _check_order, _conditional_step, execute_ensemble
 
 
@@ -504,29 +496,40 @@ def nullifier_db_reference(variance: float, k: int) -> float:
 
 
 def check_cluster_criteria_reference(state, graph, node_order=None) -> CriteriaReport:
-    """Reference criteria: one coefficient vector and one scalar dB per form, pairs by lookup."""
+    """Reference criteria: one coefficient vector and one scalar dB per form, pairs by lookup.
+
+    The columns are filled form by form, in the order of the graph's
+    NullifierTable, whose rows the reference forms match one for one.
+    """
     order = tuple(node_order) if node_order is not None else graph.nodes
     if len(order) != state.n_modes:
         raise ValueError("node order length must match the state's mode count")
-    forms = nullifiers_reference(graph)
+    table, forms = nullifiers_of(graph), nullifiers_reference(graph)
+    assert [(f.label, f.describe(), f.n_terms) for f in forms] == list(zip(table.labels, table.texts, table.counts))
     rows = np.reshape([form_vector(form, len(order), order) for form in forms], (-1, 2 * len(order)))
-    variances = {}
-    checks = []
+    variance_of, variances, db = {}, [], []
     for form, var in zip(forms, quadrature_variances(state, rows).tolist()):
-        variances[form.label] = var
-        db = nullifier_db_reference(var, form.n_terms)
-        passed = bool(var < NULLIFIER_BOUND)
-        checks.append(NullifierCheck(form.label, form.describe(), form.n_terms, var, NULLIFIER_BOUND, passed, db))
-    pairwise = []
-    for i, j, _ in graph.edges():
-        total = variances[i] + variances[j]
-        pairwise.append(PairwiseCheck((i, j), total, PAIRWISE_BOUND, bool(total < PAIRWISE_BOUND)))
-    residuals = []
-    for form in forms:
-        if form.n_terms == 1:
-            low_db, high_db, angle = residual_squeezing_db(state, order.index(form.label))
-            residuals.append(ResidualSqueezing(form.label, low_db, high_db, angle))
-    return CriteriaReport(tuple(checks), tuple(pairwise), tuple(residuals))
+        variance_of[form.label] = var
+        variances.append(var)
+        db.append(nullifier_db_reference(var, form.n_terms))
+    sums = [variance_of[i] + variance_of[j] for i, j, _ in graph.edges()]
+    residuals = [
+        (form.label, *residual_squeezing_db(state, order.index(form.label))) for form in forms if form.n_terms == 1
+    ]
+    return CriteriaReport(table, variances, db, sums, residuals)
+
+
+#: The leaf types a report may hold: the writer looks each scalar's text up by exact type.
+REPORT_SCALARS = {int, float, bool, str, type(None)}
+
+
+def leaf_types(value) -> set:
+    """Exact types of every value below nested dicts, lists and tuples."""
+    if isinstance(value, dict):
+        return set().union(*map(leaf_types, value.values()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(leaf_types, value))
+    return {type(value)}
 
 
 # Whole-matrix formulas that the tiled and in-place covariance kernels replaced, kept verbatim.

@@ -1,5 +1,6 @@
 """Scenario runner, loss calibration, and report emission."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -32,7 +33,7 @@ from cvshape.experiments import (
     emit,
     run,
 )
-from helpers import json_tokens_reference, report_json_reference
+from helpers import REPORT_SCALARS, json_tokens_reference, leaf_types, report_json_reference
 
 # Closed-form calibration oracle: eta = (1/2 - target) / (1/2 - 2s) with
 # 2s the lossless two-term variance at 5 dB.
@@ -174,6 +175,23 @@ def test_config_rejects_bad_values():
         ExperimentConfig(squeezing_db="5")
     with pytest.raises(ConfigError, match="feedforward_gain must be a real number"):
         ExperimentConfig(feedforward_gain=None)
+    # a non-bool lossless, and a bool or a float where a count, a seed or a node id
+    # belongs, would otherwise run and be echoed back as given
+    for value in ("no", 1, None):
+        with pytest.raises(ConfigError, match="^lossless must be true or false, got "):
+            ExperimentConfig(scenario="remove-edge", lossless=value)
+    for key in ("trials", "seed"):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got True$"):
+            ExperimentConfig(**{key: True})
+    custom = {"scenario": "custom", "graph_file": "g"}
+    for value in (True, 2.0):
+        with pytest.raises(ConfigError, match=f"^remove_node must be an integer, got {value}$"):
+            ExperimentConfig(**custom, remove_target=value)
+    for pair, bad in (((2, False), False), ((True, 3), True), ((2, 3.0), 3.0), ("23", "'2'")):
+        with pytest.raises(ConfigError, match=f"^shorten_inner must be an integer, got {bad}$"):
+            ExperimentConfig(**custom, shorten_inner=pair)
+    with pytest.raises(ConfigError, match="^shorten_inner must be a pair of node ids, got 5$"):
+        ExperimentConfig(**custom, shorten_inner=5)
 
 
 @pytest.mark.parametrize(
@@ -204,15 +222,15 @@ def test_config_rejects_non_finite_floats(field, value):
 
 def test_remove_edge_lossless_preserves_initial_variances():
     report = run(ExperimentConfig(scenario="remove-edge", lossless=True))
-    initial = {c.node: c.variance for c in report.initial_criteria.nullifiers}
-    for check in report.final_criteria.nullifiers:
-        assert check.variance == pytest.approx(initial[check.node], abs=1e-10)
+    initial = dict(zip(report.initial_criteria.table.labels, report.initial_criteria.variances))
+    for node, variance in zip(report.final_criteria.table.labels, report.final_criteria.variances):
+        assert variance == pytest.approx(initial[node], abs=1e-10)
     assert report.final_criteria.all_pass
 
 
 def test_remove_edge_calibrated_lands_on_reference_targets():
     report = run(ExperimentConfig(scenario="remove-edge"))
-    values = [c.variance for c in report.final_criteria.nullifiers]
+    values = report.final_criteria.variances
     assert len(values) == len(REMOVE_EDGE_TARGETS)
     for got, target in zip(values, REMOVE_EDGE_TARGETS):
         assert abs(got - target) < 0.08
@@ -221,28 +239,29 @@ def test_remove_edge_calibrated_lands_on_reference_targets():
 
 def test_remove_inner_calibrated_lands_on_reference_targets():
     report = run(ExperimentConfig(scenario="remove-inner"))
-    pair_values = [c.variance for c in report.final_criteria.nullifiers if c.n_terms == 2]
+    final = report.final_criteria
+    pair_values = [v for v, count in zip(final.variances, final.table.counts) if count == 2]
     assert len(pair_values) == len(REMOVE_INNER_TARGETS)
     for got, target in zip(pair_values, REMOVE_INNER_TARGETS):
         assert abs(got - target) < 0.08
-    residuals = report.final_criteria.residuals
-    assert [r.node for r in residuals] == [4]
-    assert -2.0 < residuals[0].squeezed_db < -1.0
+    residuals = final.residuals
+    assert [r[0] for r in residuals] == [4]
+    assert -2.0 < residuals[0][1] < -1.0  # squeezed_db
 
 
 def test_remove_inner_lossless_residual():
     report = run(ExperimentConfig(scenario="remove-inner", lossless=True))
-    assert report.final_criteria.residuals[0].squeezed_db == pytest.approx(-5.0, abs=0.01)
+    assert report.final_criteria.residuals[0][1] == pytest.approx(-5.0, abs=0.01)  # squeezed_db
 
 
 def test_shorten_wire_scenario_values():
     lossless = run(ExperimentConfig(scenario="shorten-wire", lossless=True))
-    for check in lossless.final_criteria.nullifiers:
-        assert check.variance == pytest.approx(TWO_TERM_5DB, abs=1e-6)
-    calibrated = run(ExperimentConfig(scenario="shorten-wire"))
-    for check, target in zip(calibrated.final_criteria.nullifiers, SHORTEN_TARGETS):
-        assert abs(check.variance - target) < 0.08
-        assert -4.0 < check.db < -2.0
+    assert lossless.final_criteria.variances == pytest.approx([TWO_TERM_5DB] * 2, abs=1e-6)
+    calibrated = run(ExperimentConfig(scenario="shorten-wire")).final_criteria
+    assert len(calibrated.variances) == len(SHORTEN_TARGETS)
+    for variance, db, target in zip(calibrated.variances, calibrated.db, SHORTEN_TARGETS):
+        assert abs(variance - target) < 0.08
+        assert -4.0 < db < -2.0
 
 
 def test_initial_criteria_match_calibration_target():
@@ -251,7 +270,8 @@ def test_initial_criteria_match_calibration_target():
     # eta * 2s + (1 - eta) * 1/2 with the canonical variance s at the input
     eta = CALIBRATED_ETA
     expected_two_term = eta * 0.07905694150420949 + (1 - eta) * 0.5
-    ends = [c.variance for c in report.initial_criteria.nullifiers if c.n_terms == 2]
+    initial = report.initial_criteria
+    ends = [v for v, count in zip(initial.variances, initial.table.counts) if count == 2]
     for got in ends:
         assert got == pytest.approx(expected_two_term, abs=1e-6)
 
@@ -303,8 +323,12 @@ def test_monte_carlo_section():
     report = run(ExperimentConfig(scenario="shorten-wire", lossless=True, trials=3000, seed=17))
     stats = report.monte_carlo
     assert stats.trials == 3000
-    for form in stats.forms:
-        assert abs(form.sample_var - form.analytic_var) < 4 * form.stderr
+    assert len(stats.labels) == 2
+    for sample_var, analytic_var, stderr in zip(stats.sample_var, stats.analytic_var, stats.stderr):
+        assert abs(sample_var - analytic_var) < 4 * stderr
+    assert leaf_types(report.to_dict()["monte_carlo"]["forms"]) <= REPORT_SCALARS
+    numpy_stderr = dataclasses.replace(report, monte_carlo=dataclasses.replace(stats, stderr=np.asarray(stats.stderr)))
+    assert not leaf_types(numpy_stderr.to_dict()["monte_carlo"]["forms"]) <= REPORT_SCALARS
 
 
 def test_analytic_run_has_no_monte_carlo():
@@ -315,8 +339,8 @@ def test_analytic_run_has_no_monte_carlo():
 def test_feedforward_gain_detuning_degrades_variances():
     ideal = run(ExperimentConfig(scenario="remove-edge", lossless=True))
     detuned = run(ExperimentConfig(scenario="remove-edge", lossless=True, feedforward_gain=0.5))
-    v_ideal = {c.node: c.variance for c in ideal.final_criteria.nullifiers}
-    v_detuned = {c.node: c.variance for c in detuned.final_criteria.nullifiers}
+    v_ideal = dict(zip(ideal.final_criteria.table.labels, ideal.final_criteria.variances))
+    v_detuned = dict(zip(detuned.final_criteria.table.labels, detuned.final_criteria.variances))
     # the removed end node's neighbor absorbs the unbalanced correction
     assert v_detuned[3] > v_ideal[3] + 0.01
     assert v_detuned[1] == pytest.approx(v_ideal[1], abs=1e-12)
@@ -362,7 +386,7 @@ def test_each_graph_nullifier_table_is_built_once_per_run(monkeypatch):
         monkeypatch.setattr(module, "nullifiers_of", counted)
     report = run(ExperimentConfig(scenario="shorten-wire", trials=100))
     assert built == [(1, 2, 3, 4), (1, 4)]
-    assert [f.label for f in report.monte_carlo.forms] == [c.form for c in report.final_criteria.nullifiers]
+    assert report.monte_carlo.labels == report.final_criteria.table.texts == ["p_1 + x_4", "p_4 + x_1"]
 
 
 def test_compiled_precision_loss_is_a_config_error(monkeypatch):
@@ -512,6 +536,34 @@ def test_emit_csv_schema(tmp_path):
     for row in rows:
         float(row[2]), float(row[3]), float(row[5])
         assert row[4] in ("true", "false")
+
+
+def _signed_lattice_config(tmp_path) -> ExperimentConfig:
+    """3x3 lattice, odd-numbered nodes' edges signed -1, centre node 5 removed."""
+    pairs = [(1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9), (1, 4), (4, 7), (2, 5), (5, 8), (3, 6), (6, 9)]
+    lines = [f"node {n}" for n in range(1, 10)] + [f"edge {i} {j} sign={-1 if i % 2 else 1}" for i, j in pairs]
+    graph = tmp_path / "lattice.graph"
+    graph.write_text("\n".join(lines) + "\n")
+    return ExperimentConfig(scenario="custom", graph_file=str(graph), remove_target=5)
+
+
+@pytest.mark.parametrize("scenario", ["remove-edge", "remove-inner", "shorten-wire", "ring-route-check", "custom"])
+def test_csv_rows_match_the_json_nullifiers(tmp_path, scenario):
+    # both writers read the same columns: each CSV row is the JSON nullifier of its stage and form
+    config = _signed_lattice_config(tmp_path) if scenario == "custom" else ExperimentConfig(scenario=scenario)
+    report = run(config)
+    payload = json.loads(emit(report, fmt="json"))
+    nullifiers = {
+        (stage, check["form"].replace(" ", "")): check
+        for stage in ("initial", "final")
+        for check in payload[f"{stage}_criteria"]["nullifiers"]
+    }
+    rows = [line.split(",") for line in emit(report, fmt="csv").splitlines()[1:]]
+    assert sorted((row[0], row[1]) for row in rows) == sorted(nullifiers)
+    for stage, form, variance, bound, passed, db in rows:
+        check = nullifiers[stage, form]
+        assert [float(variance), float(bound), float(db)] == [check["variance"], check["bound"], check["db"]]
+        assert passed == ("true" if check["pass"] else "false")
 
 
 def test_emit_format_from_path_suffix(tmp_path):

@@ -323,35 +323,33 @@ def make_shorten_plan(readout=None):
 def test_trajectory_sample_variance_tracks_analytic():
     stats = run_trajectory(make_shorten_plan(), trials=4000, seed=7)
     assert stats.trials == 4000
-    for form in stats.forms:
-        assert form.analytic_var == pytest.approx(TWO_TERM_5DB, abs=1e-12)
-        assert abs(form.sample_var - form.analytic_var) < 4 * form.stderr
+    assert stats.analytic_var == pytest.approx([TWO_TERM_5DB] * 2, abs=1e-12)
+    for sample_var, analytic_var, stderr in zip(stats.sample_var, stats.analytic_var, stats.stderr):
+        assert abs(sample_var - analytic_var) < 4 * stderr
 
 
 def test_trajectory_deterministic_under_seed():
     a = run_trajectory(make_shorten_plan(), trials=500, seed=123)
     b = run_trajectory(make_shorten_plan(), trials=500, seed=123)
     c = run_trajectory(make_shorten_plan(), trials=500, seed=124)
-    for fa, fb in zip(a.forms, b.forms):
-        assert fa == fb
+    columns = lambda s: (s.labels, s.analytic_var, s.sample_mean, s.sample_var, s.stderr)
+    assert columns(a) == columns(b)
     np.testing.assert_allclose(a.sample_cov, b.sample_cov)
-    assert abs(a.forms[0].sample_var - c.forms[0].sample_var) > 0
+    assert abs(a.sample_var[0] - c.sample_var[0]) > 0
 
 
 def test_trajectory_single_trial_has_no_variance():
     stats = run_trajectory(make_shorten_plan(), trials=1, seed=5)
-    for form in stats.forms:
-        assert form.sample_var is None
-        assert form.stderr is None
+    assert stats.sample_var == stats.stderr == [None, None]
 
 
 def test_trajectory_readout_loss_mixes_analytic_variance():
     eta = 0.8
     stats = run_trajectory(make_shorten_plan(readout={1: eta, 4: eta}), trials=2000, seed=9)
     expected = eta * TWO_TERM_5DB + (1 - eta) * 0.5
-    for form in stats.forms:
-        assert form.analytic_var == pytest.approx(expected, abs=1e-12)
-        assert abs(form.sample_var - form.analytic_var) < 4 * form.stderr
+    assert stats.analytic_var == pytest.approx([expected] * 2, abs=1e-12)
+    for sample_var, analytic_var, stderr in zip(stats.sample_var, stats.analytic_var, stats.stderr):
+        assert abs(sample_var - analytic_var) < 4 * stderr
 
 
 def test_trajectory_sample_cov_matches_analytic_cov():
@@ -384,12 +382,13 @@ def test_trajectory_matches_batch_reference(trials, readout):
     assert _readout_map(plan)[1].shape[1] == SHORTEN_WIDTH
     stats = run_trajectory(plan, trials=trials, seed=17)
     ref_forms, ref_cov = batch_trajectory_reference(plan, trials, seed=17)
-    for form, (ref_mean, ref_var) in zip(stats.forms, ref_forms):
-        assert form.sample_mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12)
+    assert len(stats.labels) == len(ref_forms)
+    for sample_mean, sample_var, (ref_mean, ref_var) in zip(stats.sample_mean, stats.sample_var, ref_forms):
+        assert sample_mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12)
         if trials == 1:
-            assert form.sample_var is None and ref_var is None
+            assert sample_var is None and ref_var is None
         else:
-            assert form.sample_var == pytest.approx(ref_var, rel=1e-12)
+            assert sample_var == pytest.approx(ref_var, rel=1e-12)
     if trials == 1:
         assert np.isnan(stats.sample_cov).all()
     else:
@@ -405,9 +404,9 @@ def test_trajectory_sufficient_statistics_follow_their_laws(trials, n_seeds):
     plan = make_shorten_plan(readout=LOSSY_READOUT)
     runs = [run_trajectory(plan, trials=trials, seed=seed) for seed in range(n_seeds)]
     n, dof = len(runs), trials - 1
-    analytic = np.array([f.analytic_var for f in runs[0].forms])
-    ratios = np.array([[f.sample_var for f in r.forms] for r in runs]) / analytic
-    means = np.array([[f.sample_mean for f in r.forms] for r in runs])
+    analytic = np.array(runs[0].analytic_var)
+    ratios = np.array([r.sample_var for r in runs]) / analytic
+    means = np.array([r.sample_mean for r in runs])
     ratio_sd, kurtosis = np.sqrt(2.0 / dof), 3.0 + 12.0 / dof
     assert np.all(np.abs(ratios.mean(axis=0) - 1.0) < 5 * ratio_sd / np.sqrt(n))
     sd_se = ratio_sd * np.sqrt((kurtosis - 1.0) / (4 * n))
@@ -464,9 +463,8 @@ def test_trajectory_analytic_var_is_the_ensemble_reference(monkeypatch, name, tr
     plan = ANALYTIC_PLANS[name](monkeypatch)
     _, _, reference = ensemble_readout_reference(plan)
     stats = run_trajectory(plan, trials=trials, seed=5)
-    assert len(stats.forms) == len(reference) > 0
-    for form, expected in zip(stats.forms, reference):
-        assert form.analytic_var == pytest.approx(expected, rel=1e-12, abs=0)
+    assert len(stats.analytic_var) == len(reference) > 0
+    assert stats.analytic_var == pytest.approx(list(reference), rel=1e-12, abs=0)
 
 
 def _refuse(matrix):
@@ -479,9 +477,8 @@ def test_readout_eigh_fallback_matches_cholesky(monkeypatch, name):
     expected = run_trajectory(plan, trials=1000, seed=5)
     monkeypatch.setattr(np.linalg, "cholesky", _refuse)
     fallback = run_trajectory(plan, trials=1000, seed=5)
-    assert len(fallback.forms) == len(expected.forms) > 0
-    for form, reference in zip(fallback.forms, expected.forms):
-        assert form.analytic_var == pytest.approx(reference.analytic_var, rel=1e-12, abs=0)
+    assert len(fallback.analytic_var) == len(expected.analytic_var) > 0
+    assert fallback.analytic_var == pytest.approx(expected.analytic_var, rel=1e-12, abs=0)
 
 
 def test_readout_eigh_fallback_when_cholesky_fails(monkeypatch):
@@ -506,9 +503,8 @@ def test_readout_eigh_fallback_when_cholesky_fails(monkeypatch):
     )
     stats = run_trajectory(plan, trials=1000, seed=3)
     assert refused == [(30, 30)]
-    assert len(stats.forms) == 15
-    for form in stats.forms:
-        assert np.isfinite([form.analytic_var, form.sample_mean, form.sample_var, form.stderr]).all()
+    assert len(stats.labels) == 15
+    assert np.isfinite([stats.analytic_var, stats.sample_mean, stats.sample_var, stats.stderr]).all()
 
 
 def test_trajectory_memory_does_not_scale_with_trials_times_modes():
@@ -536,7 +532,7 @@ def test_trajectory_cost_does_not_grow_with_trials():
             peaks[trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for form in stats.forms:
-            assert abs(form.sample_var - form.analytic_var) < 5 * form.stderr
+        for sample_var, analytic_var, stderr in zip(stats.sample_var, stats.analytic_var, stats.stderr):
+            assert abs(sample_var - analytic_var) < 5 * stderr
     assert abs(peaks[10**12] - peaks[10**3]) < 0.1 * peaks[10**3]
     assert seconds[10**12] < 1.0
