@@ -135,6 +135,9 @@ def check_cluster_criteria(
         CriteriaReport with a variance and dB column over the table's rows,
         a sum column over its edges, and a residual-squeezing row per
         isolated node.
+
+    Raises:
+        numpy.linalg.LinAlgError: a variance lost to cancellation, zero or below, or not finite.
     """
     table = graph if isinstance(graph, NullifierTable) else nullifiers_of(graph)
     order = tuple(node_order) if node_order is not None else table.labels
@@ -142,7 +145,10 @@ def check_cluster_criteria(
     if n != state.n_modes:
         raise ValueError("node order length must match the state's mode count")
     values = quadrature_variances(state, table.rows(order))
-    db = nullifier_db(values, table.counts)
+    try:
+        db = nullifier_db(values, table.counts)
+    except ValueError as exc:  # a variance cancelled to zero or below, or not finite: precision lost
+        raise np.linalg.LinAlgError(str(exc)) from None
     row = {node: r for r, node in enumerate(table.labels)}
     sums = values[[row[i] for i, _, _ in table.edges]] + values[[row[j] for _, j, _ in table.edges]]
     mode = {node: k for k, node in enumerate(order)}

@@ -478,12 +478,7 @@ def _readout_map(plan: TrajectoryPlan):
     efficiency = dict(plan.readout_efficiency)
     eta = [efficiency.get(node, 1.0) for node in order]
     rows, cov_read = _mix_vacuum(rows, cov, eta)
-    try:
-        noise_shaper = np.linalg.cholesky(cov_read)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov_read)
-        noise_shaper = v * np.sqrt(np.clip(w, 0.0, None))
-    return rows[0], np.hstack([rows[1:].T, noise_shaper]), tuple(order)
+    return rows[0], np.hstack([rows[1:].T, np.linalg.cholesky(cov_read)]), tuple(order)
 
 
 def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectoryStats:
@@ -508,6 +503,11 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
         TrajectoryStats with per-form statistic columns and the sample covariance
         of the recorded readout values; sample variances are None and the
         sample covariance NaN when trials == 1.
+
+    Raises:
+        ValueError: trials below 1.
+        numpy.linalg.LinAlgError: Cholesky finds the readout covariance not
+            positive definite, as lost precision leaves it at high squeezing.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

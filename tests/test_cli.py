@@ -209,8 +209,13 @@ def test_compiled_shortening_at_60_db_passes(tmp_path, capsys, lossless):
             "error: compiled construction failed: compiled plan state deviates",
         ),
         ("scenario = remove-edge\nsqueezing_db = 200\n", "error: criteria check failed: "),
+        (
+            # Only the Monte Carlo readout loses precision: its covariance is not positive definite.
+            "scenario = remove-edge\nsqueezing_db.3 = 165\nsqueezing_db.4 = 0\nloss.source.3 = 0.8\ntrials = 1000\n",
+            "error: Monte Carlo readout failed: ",
+        ),
     ],
-    ids=["compiled-80db", "compiled-84db", "remove-edge-200db"],
+    ids=["compiled-80db", "compiled-84db", "remove-edge-200db", "monte-carlo-readout"],
 )
 def test_numerical_breakdown_exits_two(tmp_path, capsys, body, message):
     cfg = tmp_path / "hi.cfg"

@@ -1,6 +1,7 @@
 """Variance-inequality checks and residual squeezing extraction."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -244,3 +245,22 @@ def test_cancelled_variance_error_names_the_first_in_node_order():
     state = GaussianState(np.zeros(6), np.diag([0.0, 1.0, 0.0, 1.0, 0.0, -3.0]))
     with pytest.raises(ValueError, match=r"^variance must be positive and finite to convert to dB, got 0\.0$"):
         check_cluster_criteria(state, ClusterGraph.linear_wire(3))
+
+
+WIRE4 = ClusterGraph.linear_wire(4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: check_cluster_criteria(build_canonical(WIRE4, 5.0), WIRE4, (1, 2)),
+            "node order length must match the state's mode count",
+        ),
+    ],
+    ids=["order-too-short"],
+)
+def test_bad_criteria_input_raises_one_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is ValueError

@@ -1,5 +1,6 @@
 """Passive/active factorization of symplectic matrices."""
 
+import re
 import time
 
 import numpy as np
@@ -245,3 +246,23 @@ def test_symplectic_predicates():
     j = symplectic_form(2)
     assert is_symplectic(j)
     assert is_orthogonal(j)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: orthogonal_symplectic_to_unitary(2 * np.eye(4)), "matrix must be orthogonal symplectic"),
+        (lambda: unitary_to_orthogonal_symplectic(np.ones((2, 3))), "unitary must be square"),
+        (lambda: unitary_to_orthogonal_symplectic(2 * np.eye(2)), "matrix is not unitary"),
+        (lambda: unitary_to_elements(2 * np.eye(2)), "matrix is not unitary"),
+    ],
+    ids=["scaled-identity", "non-square-unitary", "non-unitary", "non-unitary-elements"],
+)
+def test_bad_matrix_raises_one_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is ValueError
+
+
+def test_a_non_square_matrix_is_not_orthogonal():
+    assert is_orthogonal(np.ones((2, 3))) is False

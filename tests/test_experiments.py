@@ -1,7 +1,9 @@
 """Scenario runner, loss calibration, and report emission."""
 
 import dataclasses
+import inspect
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import cvshape.criteria as cvshape_criteria
 import cvshape.experiments as experiments
 import cvshape.graphs as cvshape_graphs
+import cvshape.shaping as cvshape_shaping
 from cvshape import (
     ClusterGraph,
     FeedforwardTarget,
@@ -190,8 +193,39 @@ def test_config_rejects_bad_values():
     for pair, bad in (((2, False), False), ((True, 3), True), ((2, 3.0), 3.0), ("23", "'2'")):
         with pytest.raises(ConfigError, match=f"^shorten_inner must be an integer, got {bad}$"):
             ExperimentConfig(**custom, shorten_inner=pair)
-    with pytest.raises(ConfigError, match="^shorten_inner must be a pair of node ids, got 5$"):
-        ExperimentConfig(**custom, shorten_inner=5)
+    for pair in (5, (2, 3, 4), (2,), ()):
+        message = f"shorten_inner must be a pair of node ids, got {pair!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**custom, shorten_inner=pair)
+
+
+WIRE_GRAPH_TEXT = "node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3\nedge 3 4\n"
+
+
+@pytest.mark.parametrize(
+    "numpy_fields, fields",
+    [
+        ({"scenario": "shorten-wire", "trials": np.int64(50)}, {"scenario": "shorten-wire", "trials": 50}),
+        ({"trials": 50, "seed": np.int32(7)}, {"trials": 50, "seed": 7}),
+        ({"scenario": "custom", "remove_target": np.int64(3)}, {"scenario": "custom", "remove_target": 3}),
+        (
+            {"scenario": "custom", "shorten_inner": (np.int64(2), np.uint8(3))},
+            {"scenario": "custom", "shorten_inner": (2, 3)},
+        ),
+    ],
+    ids=["trials", "seed", "remove_target", "shorten_inner"],
+)
+def test_numpy_integer_config_values_become_python_ints(tmp_path, numpy_fields, fields):
+    # numpy integers are numbers.Integral, but the report writer prints only Python scalars
+    graph = tmp_path / "wire.graph"
+    graph.write_text(WIRE_GRAPH_TEXT)
+    extra = {"graph_file": str(graph)} if fields.get("scenario") == "custom" else {}
+    config, plain = ExperimentConfig(**numpy_fields, **extra), ExperimentConfig(**fields, **extra)
+    assert config == plain
+    assert leaf_types(config.to_dict()) <= REPORT_SCALARS
+    report, expected = run(config), run(plain)
+    for fmt in ("json", "csv"):
+        assert emit(report, fmt=fmt) == emit(expected, fmt=fmt)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +406,53 @@ def test_non_finite_nullifier_variance_is_a_config_error():
     state = GaussianState(np.zeros(2), np.diag([0.25, np.nan]))  # p_1 variance NaN
     with pytest.raises(ConfigError, match="criteria check failed"):
         experiments._verify(state, nullifiers_of(ClusterGraph((1,))), (1,))
+
+
+def test_criteria_failure_evaluates_the_variances_once(monkeypatch):
+    # the refused variances are not evaluated a second time to classify the refusal
+    calls, variances = [], cvshape_criteria.quadrature_variances
+
+    def counted(state, rows):
+        calls.append(np.shape(rows))
+        return variances(state, rows)
+
+    monkeypatch.setattr(cvshape_criteria, "quadrature_variances", counted)
+    monkeypatch.setattr(experiments, "quadrature_variances", counted, raising=False)
+    with pytest.raises(ConfigError, match="^criteria check failed: variance must be positive and finite"):
+        run(ExperimentConfig(scenario="remove-edge", squeezing_db=200))
+    assert calls == [(4, 8)]
+
+
+def test_each_run_stage_has_one_path():
+    # no eigh behind the Monte Carlo Cholesky, and no second variance evaluation in the runner
+    assert not re.search(r"\beigh\b", inspect.getsource(cvshape_shaping))
+    assert "quadrature_variances" not in inspect.getsource(experiments)
+
+
+STOCK_OPERATIONS = {
+    "remove-edge": {"remove_target": 4},
+    "remove-inner": {"remove_target": 3},
+    "shorten-wire": {"shorten_inner": (2, 3)},
+    "ring-route-check": {"shorten_inner": (2, 3)},
+}
+
+
+@pytest.mark.parametrize("trials", [0, 500])
+@pytest.mark.parametrize("lossless", [False, True], ids=["calibrated", "lossless"])
+@pytest.mark.parametrize("scenario", sorted(STOCK_OPERATIONS))
+def test_stock_scenario_is_its_custom_operation_on_the_wire(tmp_path, scenario, lossless, trials):
+    graph = tmp_path / "wire.graph"
+    graph.write_text(WIRE_GRAPH_TEXT)
+    stock = run(ExperimentConfig(scenario=scenario, lossless=lossless, trials=trials)).to_dict()
+    custom = ExperimentConfig(
+        scenario="custom", graph_file=str(graph), lossless=lossless, trials=trials, **STOCK_OPERATIONS[scenario]
+    )
+    custom = run(custom).to_dict()
+    # the config differs, and the ring route is ring-route-check's own extra section
+    del stock["config"], custom["config"]
+    assert custom.pop("ring_route") is None
+    assert (stock.pop("ring_route") is not None) == (scenario == "ring-route-check")
+    assert stock == custom
 
 
 def test_each_graph_nullifier_table_is_built_once_per_run(monkeypatch):
@@ -579,3 +660,13 @@ def test_report_to_dict_echoes_loss_budget():
     stages = payload["config"]["loss"]
     assert set(stages) == {"detection", "propagation"}
     assert payload["config"]["composite_efficiency"] == pytest.approx(CALIBRATED_ETA, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: emit(run(ExperimentConfig(scenario="remove-edge")), fmt="xml"), "format must be json or csv")],
+    ids=["xml-format"],
+)
+def test_bad_emission_raises_one_config_error(call, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()

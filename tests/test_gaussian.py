@@ -1,5 +1,7 @@
 """Core covariance conventions, transforms, test gates, and the loss model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,22 @@ def test_random_transforms_stay_symplectic():
                 t = phase_shift(n, int(rng.integers(0, n)), float(rng.uniform(0, 7))) @ t
         assert is_symplectic(t)
         assert apply(vacuum(n), t).uncertainty_eigenvalue() >= -PHYSICALITY_TOL
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vacuum(0), "need at least one mode"),
+        (lambda: apply_loss(vacuum(4), 9, 0.5), "mode index 9 out of range for 4 modes"),
+        (lambda: apply_loss(vacuum(4), 0, 1.5), "transmission eta must lie in (0, 1]"),
+        (
+            lambda: LossModel({"d": 0.9}).apply_stage(vacuum(4), "d", (1, 2)),
+            "node order length must match the state's mode count",
+        ),
+    ],
+    ids=["vacuum-of-no-modes", "loss-on-absent-mode", "loss-above-one", "stage-order-too-short"],
+)
+def test_bad_input_raises_one_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is ValueError

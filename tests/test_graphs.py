@@ -1,6 +1,7 @@
 """Graph model, nullifier algebra, and the cluster constructions."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -558,3 +559,23 @@ def test_parse_graph_text_errors():
 def test_parse_graph_text_rejects_bad_db(level):
     with pytest.raises(ValueError, match="graph text line 1"):
         parse_graph_text(f"node 1 db={level}\nnode 2\nedge 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ClusterGraph((1, 1)), "duplicate node ids"),
+        (lambda: ClusterGraph((1, 2), {frozenset((1,)): 1}), "edges must join two distinct nodes (no self-loops)"),
+        (lambda: ClusterGraph.linear_wire(0), "wire needs at least one node"),
+        (lambda: ClusterGraph.ring((1, 2)), "ring needs at least three nodes"),
+        (
+            lambda: nullifiers_of(ClusterGraph.linear_wire(2)).rows((1, 1)),
+            "node order length must match the state's mode count",
+        ),
+    ],
+    ids=["duplicate-node", "one-node-edge", "empty-wire", "two-node-ring", "repeated-row-node"],
+)
+def test_bad_graph_input_raises_one_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is ValueError

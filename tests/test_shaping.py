@@ -1,5 +1,6 @@
 """Homodyne conditioning, feedforward, node removal, wire shortening, trajectories."""
 
+import re
 import time
 import tracemalloc
 
@@ -467,33 +468,17 @@ def test_trajectory_analytic_var_is_the_ensemble_reference(monkeypatch, name, tr
     assert stats.analytic_var == pytest.approx(list(reference), rel=1e-12, abs=0)
 
 
-def _refuse(matrix):
-    raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-
-@pytest.mark.parametrize("name", ["lossy-shorten", "signed64-lossy-readout"])
-def test_readout_eigh_fallback_matches_cholesky(monkeypatch, name):
-    plan = ANALYTIC_PLANS[name](monkeypatch)
-    expected = run_trajectory(plan, trials=1000, seed=5)
-    monkeypatch.setattr(np.linalg, "cholesky", _refuse)
-    fallback = run_trajectory(plan, trials=1000, seed=5)
-    assert len(fallback.analytic_var) == len(expected.analytic_var) > 0
-    assert fallback.analytic_var == pytest.approx(expected.analytic_var, rel=1e-12, abs=0)
-
-
-def test_readout_eigh_fallback_when_cholesky_fails(monkeypatch):
+def test_readout_precision_loss_raises_without_an_eigh_fallback(monkeypatch):
     # Lossless at 80 dB the survivors' readout covariance spans about 1e-8
-    # to 1e8, and Cholesky refuses it as not positive definite.
-    cholesky, refused = np.linalg.cholesky, []
+    # to 1e8, and Cholesky refuses it as not positive definite; the refusal
+    # leaves run_trajectory, and no second factorisation is tried.
+    eigh, eigh_calls = np.linalg.eigh, []
 
-    def spy(matrix):
-        try:
-            return cholesky(matrix)
-        except np.linalg.LinAlgError:
-            refused.append(matrix.shape)
-            raise
+    def spy(matrix, *args, **kwargs):
+        eigh_calls.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     wire = signed_wire(16)
     plan = TrajectoryPlan(
         state=build_canonical(wire, 80.0),
@@ -501,10 +486,9 @@ def test_readout_eigh_fallback_when_cholesky_fails(monkeypatch):
         steps=removal_steps(wire, 8),
         record=nullifiers_of(wire.with_node_removed(8)),
     )
-    stats = run_trajectory(plan, trials=1000, seed=3)
-    assert refused == [(30, 30)]
-    assert len(stats.labels) == 15
-    assert np.isfinite([stats.analytic_var, stats.sample_mean, stats.sample_var, stats.stderr]).all()
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        run_trajectory(plan, trials=1000, seed=3)
+    assert eigh_calls == []
 
 
 def test_trajectory_memory_does_not_scale_with_trials_times_modes():
@@ -536,3 +520,33 @@ def test_trajectory_cost_does_not_grow_with_trials():
             assert abs(sample_var - analytic_var) < 5 * stderr
     assert abs(peaks[10**12] - peaks[10**3]) < 0.1 * peaks[10**3]
     assert seconds[10**12] < 1.0
+
+
+TRIANGLE = ClusterGraph.from_edges([(1, 2), (2, 3), (1, 3)])
+# inner node 3 of the segment 1-2-3 has the two outer neighbours 4 and 5
+FORKED = ClusterGraph.from_edges([(1, 2), (2, 3), (3, 4), (3, 5)])
+WIRE4 = ClusterGraph.linear_wire(4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: shorten_steps(TRIANGLE, 1, 2), "outer node 3 closes a loop; shortening needs distinct ends"),
+        (lambda: shorten_steps(FORKED, 2, 3), "inner node 3 must have exactly one neighbor besides 2"),
+        (
+            lambda: execute_ensemble(build_canonical(WIRE4, 5.0), WIRE4.nodes, removal_steps(WIRE4, 4) * 2),
+            "node 4 already measured or absent",
+        ),
+        (
+            lambda: execute_conditional(
+                build_canonical(WIRE4, 5.0), WIRE4.nodes, removal_steps(WIRE4, 4), values=[1.0, 2.0]
+            ),
+            "need one forced value per step",
+        ),
+    ],
+    ids=["triangle", "forked-inner-node", "repeated-removal", "two-values-for-one-step"],
+)
+def test_bad_plan_raises_one_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is ValueError
