@@ -69,6 +69,9 @@ CONSTRUCTIONS = ("canonical", "compiled", "preset-wire")
 
 _PRE_SHAPING_STAGES = ("source", "propagation")
 
+#: Every loss stage a run applies; the feedforward tap acts after shaping, detection at readout.
+_LOSS_STAGES = (*_PRE_SHAPING_STAGES, "feedforward_tap", "detection")
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True}
 _BOOLEANS |= {"0": False, "false": False, "no": False, "off": False}
 
@@ -138,6 +141,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown construction {self.construction!r}; choose from {CONSTRUCTIONS}"
             )
+        # node ids pass as Python ints, as remove_target does: a bool or a float is no node
+        overrides = {_integer("squeezing_overrides node", n): db for n, db in self.squeezing_overrides.items()}
+        object.__setattr__(self, "squeezing_overrides", overrides)
+        for stage in self.loss:
+            if stage not in _LOSS_STAGES:
+                raise ConfigError(f"unknown loss stage {stage!r}; choose from {_LOSS_STAGES}")
+        loss = {
+            stage: {_integer(f"loss.{stage} node", n): eta for n, eta in entry.items()}
+            if isinstance(entry, dict) else entry
+            for stage, entry in self.loss.items()
+        }
+        object.__setattr__(self, "loss", loss)
         levels = {"squeezing_db": self.squeezing_db}
         levels.update((f"squeezing_db.{n}", db) for n, db in self.squeezing_overrides.items())
         reals = {**levels, "calibrate_target": self.calibrate_target, "feedforward_gain": self.feedforward_gain}
@@ -354,7 +369,7 @@ def _resolve_graph(config: ExperimentConfig):
         if not graph.nodes:
             raise ConfigError(f"{config.graph_file}: graph has no nodes")
     per_node = [(f"squeezing_db.{n}", n) for n in sorted(config.squeezing_overrides)]
-    per_node += [(f"loss.{s}.{n}", int(n)) for s, e in config.loss.items() if isinstance(e, dict) for n in e]
+    per_node += [(f"loss.{s}.{n}", n) for s, e in config.loss.items() if isinstance(e, dict) for n in e]
     for key, node in per_node:
         if node not in graph.nodes:
             raise ConfigError(f"{key}: node {node} is not in the graph")

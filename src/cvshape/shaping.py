@@ -332,12 +332,9 @@ def execute_conditional(
     return GaussianState._adopt(mean, cov), tuple(order), tuple(outcomes)
 
 
-def _shape(state, graph, steps, new_edges, values, rng) -> ShapingResult:
-    """Execute steps (outcome-averaged unless values or rng is given) and edit the graph to match."""
-    if values is None and rng is None:
-        final, _, outcomes = execute_ensemble(state, graph.nodes, steps)
-    else:
-        final, _, outcomes = execute_conditional(state, graph.nodes, steps, values, rng)
+def _shape(state, graph, steps, new_edges) -> ShapingResult:
+    """Execute steps outcome-averaged and edit the graph to match."""
+    final, _, outcomes = execute_ensemble(state, graph.nodes, steps)
     for step in steps:
         graph = graph.with_node_removed(step.node)
     for i, j, sign in new_edges:
@@ -345,20 +342,13 @@ def _shape(state, graph, steps, new_edges, values, rng) -> ShapingResult:
     return ShapingResult(final, graph, tuple(steps), outcomes, tuple(new_edges))
 
 
-def remove_node(
-    state: GaussianState,
-    graph: ClusterGraph,
-    node: int,
-    gain: float = -1.0,
-    outcome: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> ShapingResult:
-    """Delete one node by an x measurement plus neighbor displacements.
+def remove_node(state: GaussianState, graph: ClusterGraph, node: int, gain: float = -1.0) -> ShapingResult:
+    """Delete one node by an x measurement plus neighbor displacements, outcome-averaged.
 
     With the default gain the variance of every surviving node's nullifier
     (taken over the output graph, which drops the node and its edges) is
-    exactly its pre-removal value.  Called with neither outcome nor rng
-    the execution is outcome-averaged; otherwise conditional.
+    exactly its pre-removal value.  A conditional removal is
+    execute_conditional over removal_steps.
 
     Args:
         state: state whose modes follow graph.nodes.
@@ -366,40 +356,29 @@ def remove_node(
         node: node to delete.
         gain: feedforward gain multiplier; -1 is the correlation-keeping
             value, 0 disables feedforward.
-        outcome: forced measurement value (conditional execution).
-        rng: generator to sample the outcome (conditional execution).
     """
-    values = None if outcome is None else [outcome]
-    return _shape(state, graph, removal_steps(graph, node, gain=gain), (), values, rng)
+    return _shape(state, graph, removal_steps(graph, node, gain=gain), ())
 
 
-def shorten_wire(
-    state: GaussianState,
-    graph: ClusterGraph,
-    inner: tuple,
-    gain: float = -1.0,
-    outcomes: Sequence[float] | None = None,
-    rng: np.random.Generator | None = None,
-) -> ShapingResult:
-    """Remove two adjacent inner nodes and bond their outer neighbors.
+def shorten_wire(state: GaussianState, graph: ClusterGraph, inner: tuple, gain: float = -1.0) -> ShapingResult:
+    """Remove two adjacent inner nodes and bond their outer neighbors, outcome-averaged.
 
     The inner nodes are measured in p and the outer nodes displaced, which
     deletes the pair while the outer nodes inherit a direct edge (sign
     fixed by the segment's signs; -1 on a plain wire).  Each new nullifier
     equals a difference of two original ones, so for the canonical build
-    its variance is the sum of the two corresponding input variances.
+    its variance is the sum of the two corresponding input variances.  A
+    conditional shortening is execute_conditional over shorten_steps.
 
     Args:
         state: state whose modes follow graph.nodes.
         graph: current cluster graph.
         inner: the two adjacent inner nodes (a, b).
         gain: feedforward gain multiplier; -1 ideal, 0 disables.
-        outcomes: forced values for (p_a, p_b) (conditional execution).
-        rng: generator to sample outcomes (conditional execution).
     """
     inner_a, inner_b = inner
     steps, new_edge = shorten_steps(graph, inner_a, inner_b, gain=gain)
-    return _shape(state, graph, steps, (new_edge,), outcomes, rng)
+    return _shape(state, graph, steps, (new_edge,))
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +464,14 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     """Sample shaping trajectories and accumulate form statistics.
 
     Readouts are m + W z (_readout_map) with z i.i.d. standard normal, so
-    only z's mean and scatter matter.  For T > width they are drawn from
-    their exact independent laws, N(0, I/T) and Wishart(T - 1, I) as A A^T
-    with A the Bartlett factor (Bartlett 1933; Odell & Feiveson, JASA 61,
-    199 (1966)), in O(width^2) whatever T is.  For T <= width the Wishart
-    is singular and z itself is drawn: each step's noise for all trials,
-    then the readout noise.  A form c is reduced to W^T c first:
-    nullifiers cancel at loading scale.  The analytic targets |W^T c|^2
-    and W W^T are the ensemble semantics' variances after readout loss.
+    only z's mean and scatter matter, drawn from their exact independent
+    laws: N(0, I/T), and Wishart(T - 1, I) as A A^T with A the width x
+    min(T - 1, width) lower-trapezoidal Bartlett factor (Bartlett 1933;
+    Odell & Feiveson, JASA 61, 199 (1966)), singular for T <= width
+    (Uhlig, Ann. Statist. 22, 395 (1994)).  This takes O(width^2) whatever
+    T is.  A form c is reduced to W^T c first: nullifiers cancel at
+    loading scale.  The analytic targets |W^T c|^2 and W W^T are the
+    ensemble semantics' variances after readout loss.
 
     Args:
         plan: trajectory plan.
@@ -512,18 +491,13 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     if trials < 1:
         raise ValueError("need at least one trial")
     mean, loading, final_order = _readout_map(plan)
-    (n_read, width), n_steps = loading.shape, len(plan.steps)
+    n_read, width = loading.shape
     rng = np.random.default_rng(seed)
-    # factor F with scatter F F^T: the centred z^T, or the Bartlett factor A
-    if trials <= width:
-        z = np.hstack([rng.standard_normal((n_steps, trials)).T, rng.standard_normal((trials, n_read))])
-        z_mean = z.mean(axis=0)
-        factor = (z - z_mean).T
-    else:
-        z_mean = rng.standard_normal(width) / np.sqrt(float(trials))
-        factor = np.tril(rng.standard_normal((width, width)), -1)
-        # degrees of freedom T - 1 - i in float, so no T overflows int64
-        np.fill_diagonal(factor, np.sqrt(rng.chisquare(float(trials - 1) - np.arange(width))))
+    z_mean = rng.standard_normal(width) / np.sqrt(float(trials))
+    # Bartlett factor A, width x rank, with scatter A A^T; degrees of freedom in float, so no T overflows int64
+    rank = min(trials - 1, width)
+    factor = np.tril(rng.standard_normal((width, rank)), -1)
+    np.fill_diagonal(factor[:rank], np.sqrt(rng.chisquare(float(trials - 1) - np.arange(rank))))
 
     rows = plan.record.rows(final_order)
     form_loading = rows @ loading

@@ -321,9 +321,10 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
     """Reference Monte Carlo: every trial's mean and readout as one trials x 2N batch.
 
     Draws each step's outcome noise for all trials, then one (trials,
-    2N_f) readout draw: the same numbers in the same order as
-    run_trajectory for trials up to its noise width.  Returns (per-form
-    (sample_mean, sample_var or None), sample_cov).
+    2N_f) readout draw.  For one trial these are the same numbers in the
+    same order as run_trajectory's draw of z; more trials follow the same
+    law through other draws.  Returns (per-form (sample_mean, sample_var
+    or None), sample_cov).
     """
     rng = np.random.default_rng(seed)
 

@@ -154,6 +154,12 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
             "scenario = remove-edge\nconstruction = compiled\nsqueezing_db = 5\nsqueezing_db.1 = 80",
             "compiled construction failed: element reduction failed to recompose the unitary",
         ),
+        (
+            WIRE_4,
+            "scenario = remove-edge\nloss.detecton = 0.5",
+            "error: unknown loss stage 'detecton'; choose from "
+            "('source', 'propagation', 'feedforward_tap', 'detection')\n",
+        ),
     ],
     ids=[
         "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
@@ -163,6 +169,7 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         "loss-per-node-then-uniform", "loss-uniform-then-per-node", "line-without-equals",
         "loss-key-too-deep", "format-xml", "preset-wire-on-3-nodes", "preset-wire-non-uniform-db",
         "graph-node-attribute", "graph-edge-attribute", "remove-only-node", "compiled-levels-5-and-80-db",
+        "loss-stage-misspelled",
     ],
 )
 def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):

@@ -228,6 +228,40 @@ def test_numpy_integer_config_values_become_python_ints(tmp_path, numpy_fields, 
         assert emit(report, fmt=fmt) == emit(expected, fmt=fmt)
 
 
+def test_config_rejects_a_loss_stage_the_run_does_not_apply():
+    # a misspelled stage would otherwise leave the run lossless while the report echoes its efficiency
+    stages = "('source', 'propagation', 'feedforward_tap', 'detection')"
+    for stage, loss in (("detecton", {"detecton": 0.5}), ("tap", {"detection": 0.9, "tap": {2: 0.5}})):
+        message = f"unknown loss stage {stage!r}; choose from {stages}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(scenario="remove-edge", loss=loss)
+    for stage in ("source", "propagation", "feedforward_tap", "detection"):
+        assert ExperimentConfig(loss={stage: 0.9}).loss == {stage: 0.9}
+
+
+@pytest.mark.parametrize("node", [True, 2.0, 1.5], ids=["bool", "float-2", "float-1.5"])
+def test_config_rejects_node_keys_that_are_not_integers(node):
+    # a bool or a float key would otherwise select node int(node) and be echoed back as given
+    cases = (
+        ({"squeezing_overrides": {node: 10.0}}, "squeezing_overrides node"),
+        ({"loss": {"propagation": {node: 0.5}}}, "loss.propagation node"),
+    )
+    for fields, key in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be an integer, got {node!r}$"):
+            ExperimentConfig(scenario="remove-edge", **fields)
+
+
+def test_numpy_integer_node_keys_become_python_ints():
+    numpy_keys = ExperimentConfig(
+        scenario="remove-edge", squeezing_overrides={np.int64(2): 7.0}, loss={"detection": {np.int32(3): 0.9}}
+    )
+    plain = ExperimentConfig(scenario="remove-edge", squeezing_overrides={2: 7.0}, loss={"detection": {3: 0.9}})
+    assert numpy_keys == plain
+    assert [type(n) for n in numpy_keys.squeezing_overrides] == [int]
+    assert [type(n) for n in numpy_keys.loss["detection"]] == [int]
+    assert emit(run(numpy_keys)) == emit(run(plain))
+
+
 @pytest.mark.parametrize(
     "config, key",
     [
@@ -363,6 +397,18 @@ def test_monte_carlo_section():
     assert leaf_types(report.to_dict()["monte_carlo"]["forms"]) <= REPORT_SCALARS
     numpy_stderr = dataclasses.replace(report, monte_carlo=dataclasses.replace(stats, stderr=np.asarray(stats.stderr)))
     assert not leaf_types(numpy_stderr.to_dict()["monte_carlo"]["forms"]) <= REPORT_SCALARS
+
+
+@pytest.mark.parametrize("db", [5.0, 10.0, 20.0])
+@pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "calibrated"])
+@pytest.mark.parametrize("scenario", ["remove-edge", "remove-inner", "shorten-wire", "ring-route-check"])
+def test_monte_carlo_analytic_variances_equal_the_final_criteria(scenario, lossless, db):
+    # the readout map and the ensemble criteria are two routes to one variance; at these
+    # levels they agree to rounding (worst case under 4e-13 relative)
+    config = ExperimentConfig(scenario=scenario, lossless=lossless, squeezing_db=db, trials=1000, seed=3)
+    report = run(config)
+    assert report.monte_carlo.labels == report.final_criteria.table.texts
+    np.testing.assert_allclose(report.monte_carlo.analytic_var, report.final_criteria.variances, rtol=1e-10, atol=0)
 
 
 def test_analytic_run_has_no_monte_carlo():

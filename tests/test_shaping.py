@@ -167,8 +167,8 @@ def test_remove_node_outcome_insensitive_covariance():
     st = build_canonical(wire, 5.0)
     covs = []
     for forced in (-2.0, 0.0, 2.0):
-        result = remove_node(st, wire, 2, outcome=forced)
-        covs.append(result.state.cov)
+        result, _, _ = execute_conditional(st, wire.nodes, removal_steps(wire, 2), values=[forced])
+        covs.append(result.cov)
     np.testing.assert_allclose(covs[0], covs[1], atol=1e-12)
     np.testing.assert_allclose(covs[1], covs[2], atol=1e-12)
 
@@ -375,10 +375,10 @@ SHORTEN_WIDTH = 6
 LOSSY_READOUT = {1: 0.7, 4: 0.9}
 
 
-@pytest.mark.parametrize("trials", [1, 2, SHORTEN_WIDTH])
+@pytest.mark.parametrize("trials", [1])
 @pytest.mark.parametrize("readout", [None, LOSSY_READOUT], ids=["ideal", "lossy"])
 def test_trajectory_matches_batch_reference(trials, readout):
-    # up to the noise width the trials' normals are drawn themselves, as in the reference
+    # one trial's mean is m + W z for its own normals, the same numbers in the same order as the reference
     plan = make_shorten_plan(readout=readout)
     assert _readout_map(plan)[1].shape[1] == SHORTEN_WIDTH
     stats = run_trajectory(plan, trials=trials, seed=17)
@@ -386,22 +386,18 @@ def test_trajectory_matches_batch_reference(trials, readout):
     assert len(stats.labels) == len(ref_forms)
     for sample_mean, sample_var, (ref_mean, ref_var) in zip(stats.sample_mean, stats.sample_var, ref_forms):
         assert sample_mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12)
-        if trials == 1:
-            assert sample_var is None and ref_var is None
-        else:
-            assert sample_var == pytest.approx(ref_var, rel=1e-12)
-    if trials == 1:
-        assert np.isnan(stats.sample_cov).all()
-    else:
-        scale = np.abs(ref_cov).max()
-        np.testing.assert_allclose(stats.sample_cov, ref_cov, rtol=0, atol=1e-12 * scale)
+        assert sample_var is None and ref_var is None
+    assert np.isnan(stats.sample_cov).all() and np.isnan(ref_cov).all()
 
 
-@pytest.mark.parametrize("trials, n_seeds", [(50, 2000), (SHORTEN_WIDTH + 1, 1000)])
+@pytest.mark.parametrize(
+    "trials, n_seeds", [(50, 2000), (SHORTEN_WIDTH + 1, 1000), (2, 2000), (3, 2000), (SHORTEN_WIDTH, 1000)]
+)
 def test_trajectory_sufficient_statistics_follow_their_laws(trials, n_seeds):
     # Over seeds, a form's sample variance is v chi2(T-1)/(T-1) and its
     # sample mean N(0, v/T); the sample covariance averages to the analytic one.
-    # T = width + 1 is the smallest trial count drawn through the Wishart law.
+    # T = width + 1 is the smallest trial count with a square Bartlett factor;
+    # T <= width draws the singular Wishart law through a rank T - 1 factor.
     plan = make_shorten_plan(readout=LOSSY_READOUT)
     runs = [run_trajectory(plan, trials=trials, seed=seed) for seed in range(n_seeds)]
     n, dof = len(runs), trials - 1
