@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import numbers
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import NULLIFIER_BOUND, CriteriaReport, check_cluster_criteria
+from .criteria import NULLIFIER_BOUND, PAIRWISE_BOUND, CriteriaReport, check_cluster_criteria
 from .gaussian import (
     GaussianState,
     LossModel,
@@ -93,6 +94,13 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _real(key: str, value):
+    """value, if a real number and no bool: True is 1, but no level, target, gain or transmission."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a scenario run depends on.
@@ -141,15 +149,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown construction {self.construction!r}; choose from {CONSTRUCTIONS}"
             )
+        for key in ("squeezing_overrides", "loss"):
+            if not isinstance(getattr(self, key), Mapping):
+                raise ConfigError(f"{key} must be a mapping, got {getattr(self, key)!r}")
         # node ids pass as Python ints, as remove_target does: a bool or a float is no node
         overrides = {_integer("squeezing_overrides node", n): db for n, db in self.squeezing_overrides.items()}
         object.__setattr__(self, "squeezing_overrides", overrides)
         for stage in self.loss:
             if stage not in _LOSS_STAGES:
                 raise ConfigError(f"unknown loss stage {stage!r}; choose from {_LOSS_STAGES}")
-        loss = {
-            stage: {_integer(f"loss.{stage} node", n): eta for n, eta in entry.items()}
-            if isinstance(entry, dict) else entry
+        loss = {  # LossModel checks each transmission's range
+            stage: {_integer(f"loss.{stage} node", n): _real(f"loss.{stage}.{n}", eta) for n, eta in entry.items()}
+            if isinstance(entry, dict) else _real(f"loss.{stage}", entry)
             for stage, entry in self.loss.items()
         }
         object.__setattr__(self, "loss", loss)
@@ -157,8 +168,7 @@ class ExperimentConfig:
         levels.update((f"squeezing_db.{n}", db) for n, db in self.squeezing_overrides.items())
         reals = {**levels, "calibrate_target": self.calibrate_target, "feedforward_gain": self.feedforward_gain}
         for key, value in reals.items():
-            if not isinstance(value, numbers.Real):
-                raise ConfigError(f"{key} must be a real number, got {value!r}")
+            _real(key, value)
             if key in levels and not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and non-negative, got {value}")
             if not np.isfinite(value):
@@ -325,36 +335,45 @@ class ExperimentReport:
     ring_route: dict | None
     wall_time_s: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def _fields(self, include_timing: bool) -> dict:
+        """Every field in report order; the criteria, residual and Monte Carlo ones hold None for a view to fill."""
         config = self.config.to_dict()
         config["loss"] = self.loss_model.to_dict()
         config["composite_efficiency"] = (
             self.loss_model.composite_efficiency(self.node_order[0]) if self.node_order else 1.0
         )
-        final = self.final_criteria.to_dict()
         out = {
             "schema_version": "1",
             "config": config,
             "node_order": list(self.node_order),
-            "initial_criteria": self.initial_criteria.to_dict(),
+            "initial_criteria": None,
             "transcript": [dict(entry) for entry in self.transcript],
             "final_node_order": list(self.final_node_order),
-            "final_criteria": final,
-            "residual_squeezing": final["residual_squeezing"],
+            "final_criteria": None,
+            "residual_squeezing": None,
+            "monte_carlo": None,
+            "ring_route": self.ring_route,
+            "all_pass": self.final_criteria.all_pass,
         }
-        mc = self.monte_carlo
-        out["monte_carlo"] = None if mc is None else {
-            "trials": mc.trials,
-            "seed": mc.seed,
-            "forms": [
-                {"form": f, "analytic_var": a, "sample_mean": m, "sample_var": v, "stderr": e}
-                for f, a, m, v, e in zip(mc.labels, mc.analytic_var, mc.sample_mean, mc.sample_var, mc.stderr)
-            ],
-        }
-        out["ring_route"] = self.ring_route
-        out["all_pass"] = self.final_criteria.all_pass
         if include_timing:
             out["wall_time_s"] = self.wall_time_s
+        return out
+
+    def to_dict(self, include_timing: bool = False) -> dict:
+        """The report as a tree of dicts, lists and scalars: the fields emit writes as text."""
+        out, mc = self._fields(include_timing), self.monte_carlo
+        out["initial_criteria"] = self.initial_criteria.to_dict()
+        final = out["final_criteria"] = self.final_criteria.to_dict()
+        out["residual_squeezing"] = final["residual_squeezing"]
+        if mc is not None:
+            out["monte_carlo"] = {
+                "trials": mc.trials,
+                "seed": mc.seed,
+                "forms": [
+                    {"form": f, "analytic_var": a, "sample_mean": m, "sample_var": v, "stderr": e}
+                    for f, a, m, v, e in zip(mc.labels, mc.analytic_var, mc.sample_mean, mc.sample_var, mc.stderr)
+                ],
+            }
         return out
 
 
@@ -640,6 +659,70 @@ def _json_tokens(value, out: list, pad: str) -> list:
     return out
 
 
+def _array_text(items: list, pad: str) -> str:
+    """JSON list of already written items, one per line below `pad`."""
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
+
+
+def _residuals_text(residuals, pad: str) -> str:
+    """A criteria report's residual rows as a JSON list at indent `pad`: in its section, or the top-level copy."""
+    f, r = pad + "    ", pad + "  "  # a row's fields, and its braces
+    return _array_text([
+        f'{{{f}"node": {node},{f}"squeezed_db": {_float_text(low)},{f}"antisqueezed_db": {_float_text(high)},'
+        f'{f}"angle": {_float_text(angle)}{r}}}'
+        for node, low, high, angle in residuals
+    ], pad)
+
+
+def _criteria_text(criteria: CriteriaReport, pad: str) -> str:
+    """CriteriaReport.to_dict() as JSON text: one f-string per row, straight from the columns."""
+    table, inner = criteria.table, pad + "  "
+    f, r = inner + "    ", inner + "  "  # a row's fields, and its braces
+    bound, pair_bound = _float_text(NULLIFIER_BOUND), _float_text(PAIRWISE_BOUND)
+    nullifiers = [
+        f'{{{f}"node": {node},{f}"form": {encode_basestring_ascii(form)},{f}"variance": {_float_text(v)},'
+        f'{f}"bound": {bound},{f}"pass": {"true" if v < NULLIFIER_BOUND else "false"},{f}"db": {_float_text(db)}{r}}}'
+        for node, form, v, db in zip(table.labels, table.texts, criteria.variances, criteria.db)
+    ]
+    pairs = [
+        f'{{{f}"pair": [{f}  {i},{f}  {j}{f}],{f}"sum_variance": {_float_text(s)},{f}"bound": {pair_bound},'
+        f'{f}"pass": {"true" if s < PAIRWISE_BOUND else "false"}{r}}}'
+        for (i, j, _), s in zip(table.edges, criteria.sums)
+    ]
+    return (
+        f'{{{inner}"nullifiers": {_array_text(nullifiers, inner)},{inner}"pairwise": {_array_text(pairs, inner)},'
+        f'{inner}"residual_squeezing": {_residuals_text(criteria.residuals, inner)},'
+        f'{inner}"all_pass": {"true" if criteria.all_pass else "false"}{pad}}}'
+    )
+
+
+def _report_json(report: ExperimentReport, include_timing: bool) -> str:
+    """ExperimentReport.to_dict() as JSON text; criteria and Monte Carlo rows are written from their columns."""
+    pad, final, mc = "\n  ", report.final_criteria, report.monte_carlo
+    texts = {key: "".join(_json_tokens(value, [], pad)) for key, value in report._fields(include_timing).items()}
+    texts["initial_criteria"] = _criteria_text(report.initial_criteria, pad)
+    texts["final_criteria"] = _criteria_text(final, pad)
+    texts["residual_squeezing"] = _residuals_text(final.residuals, pad)
+    if mc is not None:
+        inner = pad + "  "
+        f, r = inner + "    ", inner + "  "
+        forms = [
+            f'{{{f}"form": {encode_basestring_ascii(form)},{f}"analytic_var": {_float_text(a)},{f}"sample_mean": '
+            f'{_float_text(m)},{f}"sample_var": {"null" if v is None else _float_text(v)},'
+            f'{f}"stderr": {"null" if e is None else _float_text(e)}{r}}}'
+            for form, a, m, v, e in zip(mc.labels, mc.analytic_var, mc.sample_mean, mc.sample_var, mc.stderr)
+        ]
+        texts["monte_carlo"] = (
+            f'{{{inner}"trials": {mc.trials},{inner}"seed": {mc.seed},'
+            f'{inner}"forms": {_array_text(forms, inner)}{pad}}}'
+        )
+    parts = ["{"]
+    for key, text in texts.items():  # one join, so no section is copied twice
+        parts += (pad, f'"{key}": ', text, ",")
+    parts[-1] = "\n}\n"
+    return "".join(parts)
+
+
 def _csv_text(report: ExperimentReport) -> str:
     lines, bound = ["stage,form,variance,bound,pass,db"], format(NULLIFIER_BOUND, _REPORT_FLOAT)
     for stage, criteria in (("initial", report.initial_criteria), ("final", report.final_criteria)):
@@ -671,7 +754,7 @@ def emit(
     if fmt is None:
         fmt = report.config.format or ("csv" if str(path).endswith(".csv") else "json")
     if fmt == "json":
-        text = "".join(_json_tokens(report.to_dict(include_timing=include_timing), [], "\n")) + "\n"
+        text = _report_json(report, include_timing)
     elif fmt == "csv":
         text = _csv_text(report)
     else:

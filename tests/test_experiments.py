@@ -26,6 +26,7 @@ from cvshape import (
     remove_node,
     wire_to_ring_phases,
 )
+from cvshape.criteria import CriteriaReport
 from cvshape.experiments import (
     DETECTOR_EFFICIENCY,
     HOMODYNE_VISIBILITY,
@@ -273,6 +274,28 @@ def test_numpy_integer_node_keys_become_python_ints():
 def test_per_node_loss_must_name_graph_nodes(config, key):
     with pytest.raises(ConfigError, match=rf"^{key}: node \d+ is not in the graph$"):
         run(config)
+
+
+@pytest.mark.parametrize("value", [None, [], [(2, 7.0)]], ids=["none", "empty-list", "list"])
+@pytest.mark.parametrize("field", ["squeezing_overrides", "loss"])
+def test_config_rejects_a_stage_or_override_map_that_is_no_mapping(field, value):
+    # either would otherwise raise a bare TypeError or AttributeError from the item loop
+    message = f"{field} must be a mapping, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(scenario="remove-edge", **{field: value})
+
+
+@pytest.mark.parametrize("eta", ["0.5", True, None, [0.5]], ids=["str", "bool", "none", "list"])
+def test_config_rejects_a_transmission_that_is_no_real_number(eta):
+    # LossModel calls float(), which would take "0.5" and True as transmissions 0.5 and 1.0
+    for loss, key in (({"detection": eta}, "loss.detection"), ({"propagation": {2: eta}}, "loss.propagation.2")):
+        message = f"{key} must be a real number, got {eta!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(scenario="remove-edge", loss=loss)
+    assert ExperimentConfig(loss={"detection": np.float64(0.5), "source": {2: 1}}).loss == {
+        "detection": 0.5,
+        "source": {2: 1},
+    }
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -691,6 +714,66 @@ def test_csv_rows_match_the_json_nullifiers(tmp_path, scenario):
         check = nullifiers[stage, form]
         assert [float(variance), float(bound), float(db)] == [check["variance"], check["bound"], check["db"]]
         assert passed == ("true" if check["pass"] else "false")
+
+
+def _numpy_columns(report):
+    """The report with numpy criteria and Monte Carlo columns: np.float64 values, np.bool_ pass flags."""
+
+    def criteria(c):
+        residuals = [(node, *map(np.float64, rest)) for node, *rest in c.residuals]
+        return CriteriaReport(c.table, np.array(c.variances), np.array(c.db), np.array(c.sums), residuals)
+
+    def floats(column):
+        return [None if x is None else np.float64(x) for x in column]
+
+    mc = report.monte_carlo and dataclasses.replace(
+        report.monte_carlo,
+        analytic_var=np.array(report.monte_carlo.analytic_var),
+        sample_mean=np.array(report.monte_carlo.sample_mean),
+        sample_var=floats(report.monte_carlo.sample_var),
+        stderr=floats(report.monte_carlo.stderr),
+    )
+    initial, final = criteria(report.initial_criteria), criteria(report.final_criteria)
+    return dataclasses.replace(report, initial_criteria=initial, final_criteria=final, monte_carlo=mc)
+
+
+WRITER_CASES = [
+    (scenario, lossless, trials)
+    for scenario in ("remove-edge", "remove-inner", "shorten-wire", "ring-route-check", "custom")
+    for lossless in (False, True)
+    for trials in (0, 1, 3, 1000)
+    if scenario != "custom" or not lossless
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, lossless, trials",
+    WRITER_CASES,
+    ids=[f"{s}-{'lossless' if lossless else 'calibrated'}-{t}" for s, lossless, t in WRITER_CASES],
+)
+def test_emit_writes_the_tree_view_without_reading_it(tmp_path, monkeypatch, scenario, lossless, trials):
+    # emit writes the criteria and Monte Carlo rows from their columns; to_dict is the tree a reference
+    # json.dumps must print the same. The custom 3x3 lattice has no edges at node 9, so residual rows
+    # print inside final_criteria and in the top-level copy; one trial prints a null sample_var.
+    if scenario == "custom":
+        pairs = [(1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (1, 4), (4, 7), (2, 5), (5, 8), (3, 6)]
+        lines = [f"node {n}" for n in range(1, 10)] + [f"edge {i} {j} sign={-1 if i % 2 else 1}" for i, j in pairs]
+        (tmp_path / "lattice.graph").write_text("\n".join(lines) + "\n")
+        config = ExperimentConfig(scenario="custom", graph_file=str(tmp_path / "lattice.graph"), remove_target=5)
+    else:
+        config = ExperimentConfig(scenario=scenario, lossless=lossless)
+    report = run(dataclasses.replace(config, trials=trials, seed=7))
+    tree = report.to_dict(include_timing=True)
+    assert "wall_time_s" in tree and (tree["monte_carlo"] is None) == (trials == 0)
+    if scenario in ("remove-inner", "custom"):
+        assert tree["residual_squeezing"] and bool(tree["initial_criteria"]["residual_squeezing"]) == (scenario == "custom")
+    if trials == 1:
+        assert {form["sample_var"] for form in tree["monte_carlo"]["forms"]} == {None}
+    expected = {timing: report_json_reference(report.to_dict(include_timing=timing)) + "\n" for timing in (False, True)}
+    monkeypatch.setattr(CriteriaReport, "to_dict", _raiser(AssertionError("emit read the criteria tree")))
+    for timing, text in expected.items():
+        assert emit(report, include_timing=timing) == text
+        assert emit(_numpy_columns(report), include_timing=timing) == text
 
 
 def test_emit_format_from_path_suffix(tmp_path):

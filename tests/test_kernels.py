@@ -8,7 +8,8 @@ linear-optics plan prepares O diag O^T as one product, and the ring route
 turns modes by signed swaps.  Each must give the bytes of the formula it
 replaced (tests/helpers.py), signed zeros and NaNs included, and allocate
 one covariance per stage; the quarter turns agree with the dense rotation
-up to its cos(pi/2) residues.
+up to its cos(pi/2) residues.  The report writer holds about two copies of
+the report text at its peak.
 """
 
 import gc
@@ -30,6 +31,7 @@ from cvshape import (
     apply,
     build_canonical,
     compile_network,
+    emit,
     preset_wire_network,
     remove_node,
     run,
@@ -296,6 +298,28 @@ def test_run_peak_is_about_three_covariances(lattice, tmp_path):
     config = ExperimentConfig(scenario="custom", graph_file=str(path), remove_target=centre, squeezing_db=10.0)
     ratio = _traced_peak(lambda: run(config)) / state.cov.nbytes
     assert ratio <= 3.25, f"the run peaked at {ratio:.3f} covariances"
+
+
+# emit writes each report section once and joins the sections once, so its peak is about the report
+# text twice, plus the rows of the section it is writing: bytes per report byte, on the wide-lattice
+# and paper-mc benchmark reports.  A writer that kept one string per token peaked at 5.38 and 6.47.
+EMIT_CEILINGS = {"8x8 lattice": 2.125, "1e5-trial shorten-wire": 3.5}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_CEILINGS))
+def test_emit_peak_per_report_byte(tmp_path, case):
+    if case == "8x8 lattice":  # odd-numbered nodes' downward edges signed -1, centre node 37 removed
+        right = [(k, k + 1, 1) for k in range(1, 65) if k % 8]
+        down = [(k, k + 8, -1 if k % 2 else 1) for k in range(1, 57)]
+        path = tmp_path / "lattice8.graph"
+        path.write_text(_lattice_text(ClusterGraph.from_edges(right + down, nodes=range(1, 65))))
+        config = ExperimentConfig(scenario="custom", graph_file=str(path), remove_target=37, squeezing_db=10.0)
+    else:
+        config = ExperimentConfig(scenario="shorten-wire", trials=100_000, seed=7)
+    report = run(config)
+    size = len(emit(report))
+    ratio = _traced_peak(lambda: emit(report)) / size
+    assert ratio <= EMIT_CEILINGS[case], f"emit peaked at {ratio:.3f} bytes per report byte ({size} bytes)"
 
 
 def _writable_memory(array: np.ndarray) -> bool:
