@@ -71,6 +71,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.mean) or np.iscomplexobj(self.cov):
+            raise ValueError("state mean and covariance must be real, got complex entries")
         self._settle(self.mean, np.array(self.cov, dtype=float, order="C"))
 
     @classmethod
@@ -92,14 +94,16 @@ class GaussianState:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        # cov is checked and made (V + V^T)/2 a tile pair at a time; a NaN in V passes.
+        # cov is checked and made (V + V^T)/2 a tile pair at a time, unless every pair matches byte for byte
+        # (-0.0 facing +0.0 does not) and no entry is NaN or >= 2^1023, where a + a overflows; a NaN passes.
+        peak = max(cov.max(), -cov.min(), 1.0)  # max() keeps a leading NaN
         blocks = [slice(i, i + _TILE) for i in range(0, mean.size, _TILE)]
         tiles = [(cov[rows, cols], cov[cols, rows].T) for k, rows in enumerate(blocks) for cols in blocks[k:]]
-        bound = _SYMMETRY_RTOL * max(cov.max(), -cov.min(), 1.0)  # max() keeps a leading NaN
-        if max(np.abs(upper - lower).max() for upper, lower in tiles) > bound:
-            raise ValueError("covariance matrix must be symmetric")
-        for upper, lower in tiles:
-            upper[...] = lower[...] = 0.5 * (upper + lower)
+        if not (peak < 2.0**1023 and all(upper.tobytes() == lower.tobytes() for upper, lower in tiles)):
+            if _SYMMETRY_RTOL * peak < max(np.abs(upper - lower).max() for upper, lower in tiles):
+                raise ValueError("covariance matrix must be symmetric")
+            for upper, lower in tiles:
+                upper[...] = lower[...] = 0.5 * (upper + lower)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -123,6 +127,8 @@ class GaussianState:
         modes = list(modes)
         for m in modes:
             _check_mode(n, m)
+        if len(set(modes)) < len(modes):
+            raise ValueError(f"mode index {next(m for m in modes if modes.count(m) > 1)} repeated in marginal")
         idx = modes + [n + m for m in modes]
         return GaussianState._adopt(self.mean[idx], self.cov[np.ix_(idx, idx)])
 

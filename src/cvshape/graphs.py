@@ -266,7 +266,9 @@ def build_canonical(graph: ClusterGraph, db) -> GaussianState:
     cov = np.zeros((2 * n, 2 * n))
     vx_a = np.multiply(vx[:, None], a, out=cov[:n, n:])
     cov[n:, :n] = vx_a.T
-    np.matmul(a, vx_a, out=cov[n:, n:])
+    pp = np.matmul(a, vx_a, out=cov[n:, n:])
+    # BLAS may round mirrored entries of A Vx A apart: average them, as the state would, in a's buffer
+    np.multiply(0.5, np.add(pp, pp.T, out=a), out=pp)
     del a  # not kept alive while the state checks cov
     cov[np.diag_indices(2 * n)] += np.concatenate([vx, VACUUM_VARIANCE * down * down])
     return GaussianState._adopt(np.zeros(2 * n), cov)

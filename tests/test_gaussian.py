@@ -328,8 +328,22 @@ def test_random_transforms_stay_symplectic():
             lambda: LossModel({"d": 0.9}).apply_stage(vacuum(4), "d", (1, 2)),
             "node order length must match the state's mode count",
         ),
+        # a mode taken twice would duplicate its x and p: no physical state has that covariance
+        (lambda: vacuum(3).marginal([1, 0, 1]), "mode index 1 repeated in marginal"),
+        # a complex entry is refused, not cast to its real part
+        (
+            lambda: GaussianState(np.zeros(2), [[1, 1j], [-1j, 1]]),
+            "state mean and covariance must be real, got complex entries",
+        ),
+        (
+            lambda: GaussianState(np.array([0.5j, 0.0]), np.eye(2)),
+            "state mean and covariance must be real, got complex entries",
+        ),
     ],
-    ids=["vacuum-of-no-modes", "loss-on-absent-mode", "loss-above-one", "stage-order-too-short"],
+    ids=[
+        "vacuum-of-no-modes", "loss-on-absent-mode", "loss-above-one", "stage-order-too-short",
+        "marginal-repeated-mode", "complex-covariance", "complex-mean",
+    ],
 )
 def test_bad_input_raises_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:

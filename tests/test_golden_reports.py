@@ -45,6 +45,11 @@ SIGNED_LATTICE_4 = "".join(f"node {k}\n" for k in range(1, 17)) + "".join(
     f"edge {i} {j}" + (" sign=-1\n" if (i + j) % 3 == 0 else "\n") for i, j in _lattice_edges(4)
 )
 
+# 8x8 lattice, each odd-numbered node's downward edge signed -1; 2N = 128 spans four covariance tiles a side
+SIGNED_LATTICE_64 = "".join(f"node {k}\n" for k in range(1, 65)) + "".join(
+    f"edge {i} {j}" + (" sign=-1\n" if j == i + 8 and i % 2 else "\n") for i, j in _lattice_edges(8)
+)
+
 FILES = {
     "lossy.cfg": LOSSY_CFG,
     "compiled.cfg": "scenario = shorten-wire\nconstruction = compiled\ntrials = 2000\nseed = 11\n",
@@ -59,6 +64,11 @@ FILES = {
     "lattice16.cfg": "scenario = custom\ngraph_file = lattice16.graph\nremove_node = 7\n",
     "lattice16-compiled.cfg": (
         "scenario = custom\nconstruction = compiled\ngraph_file = lattice16.graph\nremove_node = 7\n"
+    ),
+    "lattice64.graph": SIGNED_LATTICE_64,
+    # centre node 37 removed at 10 dB: 2N goes from 128 to 126, so partial tiles run
+    "lattice64.cfg": (
+        "scenario = custom\ngraph_file = lattice64.graph\nremove_node = 37\nsqueezing_db = 10\n"
     ),
     # a non-ASCII file name, echoed ASCII-escaped in the report's config
     "gr\u00e4ph.graph": "node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3 sign=-1\nedge 3 4\n",
@@ -91,6 +101,7 @@ CASES = {
     "signed-lattice-16": ["--config", "lattice16.cfg"],
     "signed-lattice-16-csv": ["--config", "lattice16.cfg", "--format", "csv"],
     "signed-lattice-16-compiled": ["--config", "lattice16-compiled.cfg"],
+    "signed-lattice-64": ["--config", "lattice64.cfg"],
     # one trial: sample_var and stderr are null
     "shorten-wire-mc-1": ["--scenario", "shorten-wire", "--trials", "1", "--seed", "7"],
     "custom-non-ascii-graph-file": ["--config", "umlaut.cfg"],
@@ -124,6 +135,8 @@ GOLDEN = {
     "signed-lattice-16": "c149b8f81e57bec6d4fd4bdd1c9b47f5e9cfee58dc09b54c25219fb794139c84",
     "signed-lattice-16-csv": "571073283f2d2620cf1ba7600697189650e8f5a5d4641cc8399819db21bc1af0",
     "signed-lattice-16-compiled": "ba7d7b2ceab9581312810ed6631828d01681a2bb3192f3ebb8e17f0d22d6da92",
+    # past one covariance tile; recorded on the toleranced tile pass, before the bitwise fast path
+    "signed-lattice-64": "bc071f73021020c2c6b78be9b095f68571c7f35b91f51985e979613816c1f2a3",
     # recorded on the json.dumps writer, before the one-pass writer
     "shorten-wire-mc-1": "8ea9e07d3a6714f643abc0ac5d05fc62947e9ebc54f979dbefa38f992012fe4d",
     "custom-non-ascii-graph-file": "960e6e24f72bf88c7e237ed0281ad10dbf5fffd7112ee29f2347f8e77e89724b",
