@@ -28,7 +28,6 @@ from .graphs import (
     build_canonical,
     canonical_transform,
     compile_network,
-    format_graph_text,
     nullifiers_of,
     parse_graph_text,
     preset_wire_network,
@@ -61,7 +60,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     HOMODYNE_VISIBILITY,
-    REPORT_SCHEMA,
     calibrate_loss,
     emit,
     run,

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .experiments import ConfigError, ExperimentConfig, SCENARIOS, emit, run
+from .experiments import _FIELDS, FORMATS, SCENARIOS, ConfigError, ExperimentConfig, emit, run
 
 SEED_ENV_VAR = "CVSHAPE_SEED"
 
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--lossless", action="store_true", help="disable every loss stage")
     parser.add_argument("--output", metavar="PATH", help="report file (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format (default: json)")
+    parser.add_argument("--format", choices=FORMATS, help="report format (default: json)")
     parser.add_argument(
         "--timing", action="store_true", help="include wall time in the report (breaks byte determinism)"
     )
@@ -47,34 +47,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        if not args.scenario:
-            raise ConfigError("give --scenario or --config")
-        config = ExperimentConfig(scenario=args.scenario)
+    if not (args.config or args.scenario):
+        raise ConfigError("give --scenario or --config")
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
 
     updates = {}
-    if args.scenario:
-        updates["scenario"] = args.scenario
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            updates["seed"] = int(env_seed)
+            updates["seed"] = _FIELDS["seed"].metadata["parse"](env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.analytic_only:
-        updates["trials"] = 0
-    if args.lossless:
-        updates["lossless"] = True
-    if args.output:
-        updates["output"] = args.output
-    if args.format:
-        updates["format"] = args.format
+    flags = {"scenario": args.scenario, "seed": args.seed, "trials": 0 if args.analytic_only else args.trials}
+    flags |= {"lossless": args.lossless or None, "output": args.output or None, "format": args.format}
+    updates |= {name: value for name, value in flags.items() if value is not None}  # a flag beats the environment
     return replace(config, **updates) if updates else config
 
 

@@ -11,9 +11,11 @@ the Monte Carlo readout statistics describe the same experiment.
 from __future__ import annotations
 
 import numbers
+import os
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -50,13 +52,13 @@ __all__ = [
     "HOMODYNE_VISIBILITY",
     "SCENARIOS",
     "CONSTRUCTIONS",
+    "FORMATS",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentReport",
     "calibrate_loss",
     "run",
     "emit",
-    "REPORT_SCHEMA",
 ]
 
 #: Photodiode quantum efficiency of the detection stage.
@@ -67,6 +69,7 @@ HOMODYNE_VISIBILITY = 0.96
 
 SCENARIOS = ("remove-edge", "remove-inner", "shorten-wire", "ring-route-check", "custom")
 CONSTRUCTIONS = ("canonical", "compiled", "preset-wire")
+FORMATS = ("json", "csv")
 
 _PRE_SHAPING_STAGES = ("source", "propagation")
 
@@ -94,30 +97,110 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
-def _real(key: str, value):
-    """value, if a real number and no bool: True is 1, but no level, target, gain or transmission."""
+def _real(key: str, value, low=-np.inf) -> float:
+    """value as a finite Python float of at least low: True is 1, but no level, target, gain or transmission."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        number = np.inf if value > 0 else -np.inf
+    if not (np.isfinite(number) and number >= low):
+        raise ConfigError(f"{key} must be finite{' and non-negative' if low == 0 else ''}, got {number}")
+    return number
+
+
+_level = partial(_real, low=0.0)
+
+
+def _one_of(options: tuple, key: str, value) -> str:
+    if value not in options:
+        raise ConfigError(f"unknown {key} {value!r}; choose from {options}")
+    return options[options.index(value)]
+
+
+def _bool(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
+
+
+def _path(key: str, value) -> str:
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return str(os.fspath(value))
+
+
+def _pair(key: str, value) -> tuple:
+    try:
+        a, b = value
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ConfigError(f"{key} must be a pair of node ids, got {value!r}") from None
+    return _integer(key, a), _integer(key, b)
+
+
+def _node_map(name: str, key: str, value, entry) -> dict:
+    """node -> entry(f"{key}{node}", value) for a mapping named name; a bool or a float is no node."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    return {_integer(f"{name} node", n): entry(f"{key}{n}", v) for n, v in value.items()}
+
+
+def _losses(key: str, value) -> dict:
+    """Stage -> transmission, or -> node -> transmission; LossModel checks each transmission's range."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"loss must be a mapping, got {value!r}")
+    stages = {_one_of(_LOSS_STAGES, "loss stage", stage): entry for stage, entry in value.items()}
+    return {
+        stage: _node_map(f"{key}{stage}", f"{key}{stage}.", entry, _real)
+        if isinstance(entry, Mapping) else _real(f"{key}{stage}", entry)
+        for stage, entry in stages.items()
+    }
+
+
+def _parse_loss(loss: dict, tail: str, text: str):
+    """Add one loss.<stage> or loss.<stage>.<node> entry; a stage takes one of the two forms."""
+    stage, per_node, node = tail.partition(".")
+    if "." in node:
+        raise ConfigError(f"malformed loss key {'loss.' + tail!r}")
+    if stage in loss and isinstance(loss[stage], dict) != bool(per_node):
+        raise ConfigError(f"stage {stage} mixes uniform and per-node entries")
+    if per_node:
+        loss.setdefault(stage, {})[int(node)] = float(text)
+    else:
+        loss[stage] = float(text)
+
+
+def _field(default, parse, coerce, echo=lambda value: value, key=None):
+    """A config field: its parser of file text, its coercer of any Python value to the Python scalar that text
+    gives (or ConfigError naming the key), its report echo (None: not echoed), and its file key if not its name;
+    a map's file key ends in the dot its entries' keys continue from, and its parser adds one entry."""
+    metadata = {"key": key, "parse": parse, "coerce": coerce, "echo": echo}
+    if default is dict:
+        return field(default_factory=dict, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a scenario run depends on.
 
+    Each field is declared once, with its kind; any value is stored as
+    the Python scalar its file spelling gives, or raises ConfigError.
+
     Attributes:
         scenario: one of SCENARIOS.
         construction: one of CONSTRUCTIONS.
-        squeezing_db: base squeezing level applied to every node.
-        squeezing_overrides: node -> dB overrides on top of the base.
+        squeezing_db: level of every node the graph file and the overrides leave unset.
         lossless: disable all loss stages.
-        loss: explicit stage -> transmission map; overrides calibration.
         calibrate_target: initial two-term nullifier variance the default
             calibrated loss model is solved for.
         feedforward_gain: multiplier on the ideal feedforward gains;
             1 is ideal, 0 disables feedforward.
         trials: Monte Carlo trajectories, at most 2**53; 0 means analytic only.
         seed: Monte Carlo seed.
+        squeezing_overrides: node -> dB levels, ahead of the graph file's.
+        loss: explicit stage -> transmission map; overrides calibration.
         output: report path, None for stdout.
         format: "json" or "csv"; None infers from output suffix.
         graph_file: graph text file for the custom scenario.
@@ -126,159 +209,94 @@ class ExperimentConfig:
             custom run sets exactly one of remove_target and shorten_inner.
     """
 
-    scenario: str = "remove-edge"
-    construction: str = "canonical"
-    squeezing_db: float = 5.0
-    squeezing_overrides: dict = field(default_factory=dict)
-    lossless: bool = False
-    loss: dict = field(default_factory=dict)
-    calibrate_target: float = 0.25
-    feedforward_gain: float = 1.0
-    trials: int = 0
-    seed: int = 12345
-    output: str | None = None
-    format: str | None = None
-    graph_file: str | None = None
-    remove_target: int | None = None
-    shorten_inner: tuple | None = None
+    scenario: str = _field("remove-edge", str, partial(_one_of, SCENARIOS))
+    construction: str = _field("canonical", str, partial(_one_of, CONSTRUCTIONS))
+    squeezing_db: float = _field(5.0, float, _level)
+    lossless: bool = _field(False, lambda text: _BOOLEANS[text.lower()], _bool)
+    calibrate_target: float = _field(0.25, float, _real)
+    feedforward_gain: float = _field(1.0, float, _real)
+    trials: int = _field(0, int, _integer)
+    seed: int = _field(12345, int, _integer)
+    squeezing_overrides: dict = _field(
+        dict,
+        lambda levels, node, text: levels.update({int(node): float(text)}),
+        lambda key, value: _node_map("squeezing_overrides", key, value, _level),
+        lambda levels: {str(n): db for n, db in sorted(levels.items())} or None,
+        key="squeezing_db.",
+    )
+    loss: dict = _field(dict, _parse_loss, _losses, None, key="loss.")
+    output: str | None = _field(None, str, _path, None)
+    format: str | None = _field(None, str, partial(_one_of, FORMATS), None)
+    graph_file: str | None = _field(None, str, _path)
+    remove_target: int | None = _field(None, int, _integer, key="remove_node")
+    shorten_inner: tuple | None = _field(
+        None, lambda text: tuple(map(int, text.replace(",", " ").split())), _pair, lambda pair: pair and list(pair)
+    )
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.construction not in CONSTRUCTIONS:
-            raise ConfigError(
-                f"unknown construction {self.construction!r}; choose from {CONSTRUCTIONS}"
-            )
-        for key in ("squeezing_overrides", "loss"):
-            if not isinstance(getattr(self, key), Mapping):
-                raise ConfigError(f"{key} must be a mapping, got {getattr(self, key)!r}")
-        # node ids pass as Python ints, as remove_target does: a bool or a float is no node
-        overrides = {_integer("squeezing_overrides node", n): db for n, db in self.squeezing_overrides.items()}
-        object.__setattr__(self, "squeezing_overrides", overrides)
-        for stage in self.loss:
-            if stage not in _LOSS_STAGES:
-                raise ConfigError(f"unknown loss stage {stage!r}; choose from {_LOSS_STAGES}")
-        loss = {  # LossModel checks each transmission's range
-            stage: {_integer(f"loss.{stage} node", n): _real(f"loss.{stage}.{n}", eta) for n, eta in entry.items()}
-            if isinstance(entry, dict) else _real(f"loss.{stage}", entry)
-            for stage, entry in self.loss.items()
-        }
-        object.__setattr__(self, "loss", loss)
-        levels = {"squeezing_db": self.squeezing_db}
-        levels.update((f"squeezing_db.{n}", db) for n, db in self.squeezing_overrides.items())
-        reals = {**levels, "calibrate_target": self.calibrate_target, "feedforward_gain": self.feedforward_gain}
-        for key, value in reals.items():
-            _real(key, value)
-            if key in levels and not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{key} must be finite and non-negative, got {value}")
-            if not np.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-        if not isinstance(self.lossless, bool):
-            raise ConfigError(f"lossless must be true or false, got {self.lossless!r}")
-        object.__setattr__(self, "trials", _integer("trials", self.trials))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        if self.remove_target is not None:
-            object.__setattr__(self, "remove_target", _integer("remove_node", self.remove_target))
-        if self.shorten_inner is not None:
-            try:
-                a, b = self.shorten_inner
-            except (TypeError, ValueError):  # not iterable, or not two entries
-                raise ConfigError(f"shorten_inner must be a pair of node ids, got {self.shorten_inner!r}") from None
-            object.__setattr__(self, "shorten_inner", (_integer("shorten_inner", a), _integer("shorten_inner", b)))
+        for key, spec in _FIELDS.items():
+            value = getattr(self, spec.name)
+            if value is not None or spec.default is not None:  # an optional field may stay None
+                object.__setattr__(self, spec.name, spec.metadata["coerce"](key, value))
         if not 0 <= self.trials <= 2**53:  # up to 2**53, T - 1 is exact as a float
             raise ConfigError("trials must lie between 0 and 2**53 = 9007199254740992")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         try:
             LossModel(self.loss)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"loss: {exc}") from None
-        if self.format not in (None, "json", "csv"):
-            raise ConfigError("format must be json or csv")
         if self.scenario == "custom" and not self.graph_file:
             raise ConfigError("custom scenario needs graph_file")
         if self.scenario == "custom" and (self.remove_target, self.shorten_inner) == (None, None):
             raise ConfigError("custom scenario needs remove_node or shorten_inner")
         if self.remove_target is not None and self.shorten_inner is not None:
             raise ConfigError("remove_node and shorten_inner cannot be combined")
-        if self.scenario != "custom" and (self.remove_target, self.shorten_inner) != (None, None):
-            raise ConfigError("remove_node and shorten_inner need scenario = custom")
+        if self.scenario != "custom" and (self.remove_target, self.shorten_inner, self.graph_file) != (None,) * 3:
+            raise ConfigError("remove_node, shorten_inner and graph_file need scenario = custom")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         """Parse the key = value config format.
 
-        Dotted keys address structure: squeezing_db.3 overrides node 3,
-        loss.detection sets a stage, loss.propagation.2 one node of a
-        stage.  Blank lines and # comments are ignored.
+        Each key is a field's file key, or a map's key plus an entry:
+        squeezing_db.3 overrides node 3, loss.detection sets a stage,
+        loss.propagation.2 one node of a stage.  Blank lines and #
+        comments are ignored.
         """
-        text = Path(path).read_text()
         values: dict = {}
-        overrides: dict = {}
-        loss: dict = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = (piece.strip() for piece in line.partition("="))
             if not sep or not key:
                 raise ConfigError(f"config line {lineno}: expected key = value")
+            head, dot, entry = key.partition(".")
+            spec = _FIELDS.get(head + dot)
             try:
-                if key.startswith("loss."):
-                    parts = key.split(".")
-                    if len(parts) not in (2, 3):
-                        raise ConfigError(f"malformed loss key {key!r}")
-                    if parts[1] in loss and isinstance(loss[parts[1]], dict) != (len(parts) == 3):
-                        raise ConfigError(f"stage {parts[1]} mixes uniform and per-node entries")
-                    if len(parts) == 2:
-                        loss[parts[1]] = float(value)
-                    else:
-                        loss.setdefault(parts[1], {})[int(parts[2])] = float(value)
-                elif key.startswith("squeezing_db."):
-                    overrides[int(key.split(".", 1)[1])] = float(value)
-                elif key == "squeezing_db":
-                    values["squeezing_db"] = float(value)
-                elif key == "lossless":
-                    values[key] = _BOOLEANS[value.lower()]
-                elif key in ("trials", "seed"):
-                    values[key] = int(value)
-                elif key in ("calibrate_target", "feedforward_gain"):
-                    values[key] = float(value)
-                elif key == "remove_node":
-                    values["remove_target"] = int(value)
-                elif key == "shorten_inner":
-                    a, b = (int(p) for p in value.replace(",", " ").split())
-                    values["shorten_inner"] = (a, b)
-                elif key in ("scenario", "construction", "output", "format", "graph_file"):
-                    values[key] = value
-                else:
+                if spec is None:
                     raise ConfigError(f"unknown config key {key!r}")
+                if dot:
+                    spec.metadata["parse"](values.setdefault(spec.name, {}), entry, value)
+                else:
+                    values[spec.name] = spec.metadata["parse"](value)
             except (KeyError, TypeError, ValueError) as exc:
-                if isinstance(exc, ConfigError):
-                    raise ConfigError(f"config line {lineno}: {exc}") from None
-                raise ConfigError(f"config line {lineno}: bad value for {key!r}: {value!r}") from None
-        return cls(squeezing_overrides=overrides, loss=loss, **values)
+                detail = exc if isinstance(exc, ConfigError) else f"bad value for {key!r}: {value!r}"
+                raise ConfigError(f"config line {lineno}: {detail}") from None
+        return cls(**values)
 
     def to_dict(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "construction": self.construction,
-            "squeezing_db": self.squeezing_db,
-            "lossless": self.lossless,
-            "calibrate_target": self.calibrate_target,
-            "feedforward_gain": self.feedforward_gain,
-            "trials": self.trials,
-            "seed": self.seed,
+        """The echoed fields in declaration order, each under its file key; a map under its field name."""
+        return {
+            spec.name if key.endswith(".") else key: echo
+            for key, spec in _FIELDS.items()
+            if spec.metadata["echo"] and (echo := spec.metadata["echo"](getattr(self, spec.name))) is not None
         }
-        if self.squeezing_overrides:
-            out["squeezing_overrides"] = {str(k): v for k, v in sorted(self.squeezing_overrides.items())}
-        if self.graph_file:
-            out["graph_file"] = str(self.graph_file)
-        if self.remove_target is not None:
-            out["remove_node"] = self.remove_target
-        if self.shorten_inner is not None:
-            out["shorten_inner"] = list(self.shorten_inner)
-        return out
+
+
+#: The config's field table, keyed by file key in declaration order.
+_FIELDS = {spec.metadata["key"] or spec.name: spec for spec in fields(ExperimentConfig)}
 
 
 def calibrate_loss(target_initial_variance: float) -> LossModel:
@@ -392,12 +410,8 @@ def _resolve_graph(config: ExperimentConfig):
     for key, node in per_node:
         if node not in graph.nodes:
             raise ConfigError(f"{key}: node {node} is not in the graph")
-    # Precedence: config override, then a non-zero level from the file, then the default.
-    db = {
-        n: float(config.squeezing_overrides.get(n, file_db.get(n) or config.squeezing_db))
-        for n in graph.nodes
-    }
-    return graph, db
+    # Precedence: config override, then the file's level (0 included), then squeezing_db.
+    return graph, {n: config.squeezing_overrides.get(n, file_db.get(n, config.squeezing_db)) for n in graph.nodes}
 
 
 def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> GaussianState:
@@ -753,101 +767,11 @@ def emit(
     """
     if fmt is None:
         fmt = report.config.format or ("csv" if str(path).endswith(".csv") else "json")
-    if fmt == "json":
+    if _one_of(FORMATS, "format", fmt) == "json":
         text = _report_json(report, include_timing)
-    elif fmt == "csv":
-        text = _csv_text(report)
     else:
-        raise ConfigError("format must be json or csv")
+        text = _csv_text(report)
     if path is not None:
         Path(path).write_text(text)
     return text
 
-
-_CHECK_SCHEMA = {
-    "type": "object",
-    "required": ["node", "form", "variance", "bound", "pass", "db"],
-    "properties": {
-        "node": {"type": "integer"},
-        "form": {"type": "string"},
-        "variance": {"type": "number"},
-        "bound": {"type": "number"},
-        "pass": {"type": "boolean"},
-        "db": {"type": "number"},
-    },
-}
-
-_CRITERIA_SCHEMA = {
-    "type": "object",
-    "required": ["nullifiers", "pairwise", "residual_squeezing", "all_pass"],
-    "properties": {
-        "nullifiers": {"type": "array", "items": _CHECK_SCHEMA},
-        "pairwise": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["pair", "sum_variance", "bound", "pass"],
-                "properties": {
-                    "pair": {"type": "array", "items": {"type": "integer"}},
-                    "sum_variance": {"type": "number"},
-                    "bound": {"type": "number"},
-                    "pass": {"type": "boolean"},
-                },
-            },
-        },
-        "residual_squeezing": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["node", "squeezed_db", "antisqueezed_db", "angle"],
-            },
-        },
-        "all_pass": {"type": "boolean"},
-    },
-}
-
-#: JSON report schema, version 1.
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
-        "schema_version",
-        "config",
-        "node_order",
-        "initial_criteria",
-        "transcript",
-        "final_node_order",
-        "final_criteria",
-        "residual_squeezing",
-        "monte_carlo",
-        "ring_route",
-        "all_pass",
-    ],
-    "properties": {
-        "schema_version": {"const": "1"},
-        "config": {"type": "object"},
-        "node_order": {"type": "array", "items": {"type": "integer"}},
-        "initial_criteria": _CRITERIA_SCHEMA,
-        "transcript": {"type": "array", "items": {"type": "object"}},
-        "final_node_order": {"type": "array", "items": {"type": "integer"}},
-        "final_criteria": _CRITERIA_SCHEMA,
-        "residual_squeezing": {"type": "array"},
-        "monte_carlo": {
-            "anyOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "required": ["trials", "seed", "forms"],
-                    "properties": {
-                        "trials": {"type": "integer"},
-                        "seed": {"type": "integer"},
-                        "forms": {"type": "array"},
-                    },
-                },
-            ]
-        },
-        "ring_route": {"anyOf": [{"type": "null"}, {"type": "object"}]},
-        "all_pass": {"type": "boolean"},
-        "wall_time_s": {"type": "number"},
-    },
-}

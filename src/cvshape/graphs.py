@@ -42,7 +42,6 @@ __all__ = [
     "preset_wire_network",
     "wire_to_ring_phases",
     "parse_graph_text",
-    "format_graph_text",
 ]
 
 
@@ -485,9 +484,10 @@ def parse_graph_text(text: str):
     blank lines and # comments are ignored.
 
     Returns:
-        (graph, db_map) with db_map a node -> dB mapping (default 0).
+        (graph, db_map) with db_map the node -> dB levels the text declares,
+        0 included; a node without a db level has no entry.
     """
-    nodes: list[int] = []
+    nodes: dict[int, None] = {}
     db_map: dict[int, float] = {}
     edges = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -499,10 +499,9 @@ def parse_graph_text(text: str):
         try:
             if kind == "node":
                 node = int(parts[1])
-                if node in db_map:
+                if node in nodes:
                     raise ValueError(f"node {node} declared twice")
-                nodes.append(node)
-                db_map[node] = 0.0
+                nodes[node] = None
                 for extra in parts[2:]:
                     key, _, value = extra.partition("=")
                     if key != "db":
@@ -527,13 +526,3 @@ def parse_graph_text(text: str):
             raise ValueError(f"graph text line {lineno}: {exc}") from None
     return ClusterGraph(nodes, edges), db_map
 
-
-def format_graph_text(graph: ClusterGraph, db=None) -> str:
-    """Inverse of parse_graph_text."""
-    lines = []
-    for node in graph.nodes:
-        level = _db_of(db, node) if db is not None else 0.0
-        lines.append(f"node {node} db={level!r}" if level else f"node {node}")
-    for i, j, sign in graph.edges():
-        lines.append(f"edge {i} {j} sign={sign}" if sign != 1 else f"edge {i} {j}")
-    return "\n".join(lines) + "\n"

@@ -591,3 +591,99 @@ def canonical_cov_reference(graph, db) -> np.ndarray:
     a, vx, vp = graph.adjacency_matrix(), VACUUM_VARIANCE * up * up, VACUUM_VARIANCE * down * down
     vx_a = vx[:, None] * a
     return np.block([[np.diag(vx), vx_a], [vx_a.T, a @ vx_a + np.diag(vp)]])
+
+
+def format_graph_text(graph, db=None) -> str:
+    """Reference inverse of parse_graph_text: every level in db, 0 included, and no db for a node db leaves out."""
+    lines = [f"node {n} db={float(db[n])!r}" if db is not None and n in db else f"node {n}" for n in graph.nodes]
+    lines += [f"edge {i} {j} sign={sign}" if sign != 1 else f"edge {i} {j}" for i, j, sign in graph.edges()]
+    return "\n".join(lines) + "\n"
+
+
+_CHECK_SCHEMA = {
+    "type": "object",
+    "required": ["node", "form", "variance", "bound", "pass", "db"],
+    "properties": {
+        "node": {"type": "integer"},
+        "form": {"type": "string"},
+        "variance": {"type": "number"},
+        "bound": {"type": "number"},
+        "pass": {"type": "boolean"},
+        "db": {"type": "number"},
+    },
+}
+
+_CRITERIA_SCHEMA = {
+    "type": "object",
+    "required": ["nullifiers", "pairwise", "residual_squeezing", "all_pass"],
+    "properties": {
+        "nullifiers": {"type": "array", "items": _CHECK_SCHEMA},
+        "pairwise": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["pair", "sum_variance", "bound", "pass"],
+                "properties": {
+                    "pair": {"type": "array", "items": {"type": "integer"}},
+                    "sum_variance": {"type": "number"},
+                    "bound": {"type": "number"},
+                    "pass": {"type": "boolean"},
+                },
+            },
+        },
+        "residual_squeezing": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["node", "squeezed_db", "antisqueezed_db", "angle"],
+            },
+        },
+        "all_pass": {"type": "boolean"},
+    },
+}
+
+#: JSON report schema, version 1.
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": [
+        "schema_version",
+        "config",
+        "node_order",
+        "initial_criteria",
+        "transcript",
+        "final_node_order",
+        "final_criteria",
+        "residual_squeezing",
+        "monte_carlo",
+        "ring_route",
+        "all_pass",
+    ],
+    "properties": {
+        "schema_version": {"const": "1"},
+        "config": {"type": "object"},
+        "node_order": {"type": "array", "items": {"type": "integer"}},
+        "initial_criteria": _CRITERIA_SCHEMA,
+        "transcript": {"type": "array", "items": {"type": "object"}},
+        "final_node_order": {"type": "array", "items": {"type": "integer"}},
+        "final_criteria": _CRITERIA_SCHEMA,
+        "residual_squeezing": {"type": "array"},
+        "monte_carlo": {
+            "anyOf": [
+                {"type": "null"},
+                {
+                    "type": "object",
+                    "required": ["trials", "seed", "forms"],
+                    "properties": {
+                        "trials": {"type": "integer"},
+                        "seed": {"type": "integer"},
+                        "forms": {"type": "array"},
+                    },
+                },
+            ]
+        },
+        "ring_route": {"anyOf": [{"type": "null"}, {"type": "object"}]},
+        "all_pass": {"type": "boolean"},
+        "wall_time_s": {"type": "number"},
+    },
+}

@@ -10,8 +10,7 @@ import pytest
 
 import cvshape
 from cvshape.cli import build_parser, main
-from cvshape.graphs import format_graph_text
-from helpers import signed_wire
+from helpers import format_graph_text, signed_wire
 
 
 def run_cli(capsys, *argv):
@@ -80,9 +79,11 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, line):
 
 
 def _custom_config(tmp_path, graph_text, line):
+    """A config file of line: a custom run on graph_text, unless line names a stock scenario."""
     (tmp_path / "g.graph").write_text(graph_text)
     cfg = tmp_path / "custom.cfg"
-    cfg.write_text(f"scenario = custom\ngraph_file = {tmp_path / 'g.graph'}\n{line}\n")
+    custom = "" if line.startswith("scenario = ") else f"scenario = custom\ngraph_file = {tmp_path / 'g.graph'}\n"
+    cfg.write_text(f"{custom}{line}\n")
     return str(cfg)
 
 
@@ -139,7 +140,7 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         ),
         (WIRE_4, "scenario = remove-edge\nlossless", "expected key = value"),
         (WIRE_4, "scenario = remove-edge\nloss.a.b.c = 0.5", "malformed loss key 'loss.a.b.c'"),
-        (WIRE_4, "scenario = remove-edge\nformat = xml", "format must be json or csv"),
+        (WIRE_4, "scenario = remove-edge\nformat = xml", "unknown format 'xml'; choose from ('json', 'csv')"),
         (WIRE_3, "construction = preset-wire\nremove_node = 2", "plain 4-node wire only"),
         (
             WIRE_4,

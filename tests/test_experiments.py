@@ -3,12 +3,16 @@
 import dataclasses
 import inspect
 import json
+import numbers
 import re
+from collections.abc import Hashable
+from decimal import Decimal
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import cvshape.criteria as cvshape_criteria
@@ -30,14 +34,13 @@ from cvshape.criteria import CriteriaReport
 from cvshape.experiments import (
     DETECTOR_EFFICIENCY,
     HOMODYNE_VISIBILITY,
-    REPORT_SCHEMA,
     ConfigError,
     ExperimentConfig,
     calibrate_loss,
     emit,
     run,
 )
-from helpers import REPORT_SCALARS, json_tokens_reference, leaf_types, report_json_reference
+from helpers import REPORT_SCALARS, REPORT_SCHEMA, json_tokens_reference, leaf_types, report_json_reference
 
 # Closed-form calibration oracle: eta = (1/2 - target) / (1/2 - 2s) with
 # 2s the lossless two-term variance at 5 dB.
@@ -170,6 +173,9 @@ def test_config_rejects_bad_values():
         ExperimentConfig(scenario="remove-edge", remove_target=2)
     with pytest.raises(ConfigError, match="cannot be combined"):
         ExperimentConfig(scenario="custom", graph_file="g", remove_target=1, shorten_inner=(2, 3))
+    # a stock scenario runs on its own wire: a graph file there would be ignored, yet echoed
+    with pytest.raises(ConfigError, match="^remove_node, shorten_inner and graph_file need scenario = custom$"):
+        ExperimentConfig(scenario="remove-edge", graph_file="/nonexistent/x.graph")
     # values of the wrong type fail here, not later in the run with a traceback
     with pytest.raises(ConfigError, match="trials must be an integer"):
         ExperimentConfig(scenario="shorten-wire", trials=1.5)
@@ -201,6 +207,86 @@ def test_config_rejects_bad_values():
 
 
 WIRE_GRAPH_TEXT = "node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3\nedge 3 4\n"
+
+#: The strs a config value may take; each also names a wire graph file in the working directory.
+CONFIG_TEXTS = ("remove-edge", "canonical", "json", "detection", "5")
+_INTS = st.integers(-2, 40)
+_REALS = st.floats(-2.0, 40.0) | st.just(float("nan"))
+CONFIG_VALUES = st.one_of(
+    _INTS, _INTS.map(np.int64), _INTS.map(np.int32), _REALS, _REALS.map(np.float64), _REALS.map(np.float32),
+    st.fractions(-2, 40, max_denominator=8), _REALS.map(Decimal), st.sampled_from(CONFIG_TEXTS),
+    st.sampled_from((10**400, -(10**400))), st.booleans(), st.none(), st.lists(_INTS, max_size=3),
+)
+_CUSTOM = {"scenario": "custom", "graph_file": "remove-edge"}
+
+#: Every place a value can sit in a config: a field, or a key or an entry of a map or a pair.
+CONFIG_SLOTS = {
+    name: lambda value, name=name: {name: value}
+    for name in (
+        "scenario", "construction", "squeezing_db", "lossless", "calibrate_target", "feedforward_gain",
+        "trials", "seed", "squeezing_overrides", "loss", "output", "format",
+    )
+}
+CONFIG_SLOTS |= {
+    "squeezing_overrides node": lambda value: {"squeezing_overrides": {value: 7.0}},
+    "squeezing_overrides level": lambda value: {"squeezing_overrides": {2: value}},
+    "loss stage": lambda value: {"loss": {value: 0.9}},
+    "loss transmission": lambda value: {"loss": {"detection": value}},
+    "loss node": lambda value: {"loss": {"propagation": {value: 0.9}}},
+    "loss node transmission": lambda value: {"loss": {"propagation": {2: value}}},
+    "graph_file": lambda value: {**_CUSTOM, "remove_target": 2, "graph_file": value},
+    "remove_target": lambda value: {**_CUSTOM, "remove_target": value},
+    "shorten_inner": lambda value: {**_CUSTOM, "shorten_inner": value},
+    "shorten_inner entry": lambda value: {**_CUSTOM, "shorten_inner": (2, value)},
+}
+
+
+def _plain(value):
+    """The value as the Python int or float it equals; any other value as itself."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
+def _report_texts(config) -> tuple:
+    report = run(config)
+    return emit(report, fmt="json"), emit(report, fmt="csv")
+
+
+@settings(
+    max_examples=400, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(slot=st.sampled_from(sorted(CONFIG_SLOTS)), value=CONFIG_VALUES)
+@example(slot="squeezing_db", value=np.float32(5.0))
+@example(slot="calibrate_target", value=Fraction(1, 4))
+@example(slot="graph_file", value=5)
+@example(slot="output", value=5)
+def test_every_config_value_runs_as_its_plain_twin_or_raises_one_config_error(tmp_path, monkeypatch, slot, value):
+    # numpy scalars, Fractions and ints are stored as the Python scalar a config file gives, so the
+    # report matches the plain value's byte for byte; anything else is one ConfigError, not a traceback
+    assume(isinstance(value, Hashable) or slot not in ("squeezing_overrides node", "loss stage", "loss node"))
+    monkeypatch.chdir(tmp_path)
+    for name in CONFIG_TEXTS:
+        (tmp_path / name).write_text(WIRE_GRAPH_TEXT)
+    try:
+        config = ExperimentConfig(**CONFIG_SLOTS[slot](value))
+        texts = _report_texts(config)
+    except ConfigError:
+        return
+    assert leaf_types(config.to_dict()) <= REPORT_SCALARS
+    assert texts == _report_texts(ExperimentConfig(**CONFIG_SLOTS[slot](_plain(value))))
+
+
+def test_a_graph_file_level_of_zero_is_the_vacuum(tmp_path):
+    # a file's db=0 ranks with any other level the file gives: ahead of squeezing_db, behind an override
+    graph = tmp_path / "zero.graph"
+    graph.write_text("node 1 db=0\n" + WIRE_GRAPH_TEXT[len("node 1\n"):])
+    custom = {"scenario": "custom", "graph_file": str(graph), "remove_target": 4, "lossless": True}
+    report = run(ExperimentConfig(**custom)).to_dict()
+    override = run(ExperimentConfig(**custom, squeezing_overrides={1: 0.0})).to_dict()
+    assert report["initial_criteria"]["nullifiers"][0]["variance"] == 0.25  # p_1 - x_2 on vacuum in mode 1
+    assert {**report, "config": None} == {**override, "config": None}
 
 
 @pytest.mark.parametrize(
@@ -793,7 +879,7 @@ def test_report_to_dict_echoes_loss_budget():
 
 @pytest.mark.parametrize(
     "call, message",
-    [(lambda: emit(run(ExperimentConfig(scenario="remove-edge")), fmt="xml"), "format must be json or csv")],
+    [(lambda: emit(run(ExperimentConfig(scenario="remove-edge")), fmt="xml"), "unknown format 'xml'; choose from ('json', 'csv')")],
     ids=["xml-format"],
 )
 def test_bad_emission_raises_one_config_error(call, message):
