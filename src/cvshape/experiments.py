@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import reprlib
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -90,17 +91,27 @@ class ConfigError(ValueError):
     """Invalid configuration or scenario precondition."""
 
 
+class _BoundedRepr(reprlib.Repr):
+    """reprlib's bounded repr for messages; an int past 128 bits is named by its size, never spelled out."""
+
+    def repr_int(self, x, level):
+        return super().repr_int(x, level) if x.bit_length() <= 128 else f"<int of {x.bit_length()} bits>"
+
+
+_shown = _BoundedRepr().repr
+
+
 def _integer(key: str, value) -> int:
     """value as a Python int: a bool is an int, but neither a count nor a node id, and no report prints numpy's."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
     return int(value)
 
 
 def _real(key: str, value, low=-np.inf) -> float:
     """value as a finite Python float of at least low: True is 1, but no level, target, gain or transmission."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a real number, got {value!r}")
+        raise ConfigError(f"{key} must be a real number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an int or a Fraction beyond the float range
@@ -115,19 +126,19 @@ _level = partial(_real, low=0.0)
 
 def _one_of(options: tuple, key: str, value) -> str:
     if value not in options:
-        raise ConfigError(f"unknown {key} {value!r}; choose from {options}")
+        raise ConfigError(f"unknown {key} {_shown(value)}; choose from {options}")
     return options[options.index(value)]
 
 
 def _bool(key: str, value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{key} must be true or false, got {_shown(value)}")
     return value
 
 
 def _path(key: str, value) -> str:
     if not isinstance(value, (str, os.PathLike)):
-        raise ConfigError(f"{key} must be a path, got {value!r}")
+        raise ConfigError(f"{key} must be a path, got {_shown(value)}")
     return str(os.fspath(value))
 
 
@@ -135,21 +146,21 @@ def _pair(key: str, value) -> tuple:
     try:
         a, b = value
     except (TypeError, ValueError):  # not iterable, or not two entries
-        raise ConfigError(f"{key} must be a pair of node ids, got {value!r}") from None
+        raise ConfigError(f"{key} must be a pair of node ids, got {_shown(value)}") from None
     return _integer(key, a), _integer(key, b)
 
 
 def _node_map(name: str, key: str, value, entry) -> dict:
     """node -> entry(f"{key}{node}", value) for a mapping named name; a bool or a float is no node."""
     if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+        raise ConfigError(f"{name} must be a mapping, got {_shown(value)}")
     return {_integer(f"{name} node", n): entry(f"{key}{n}", v) for n, v in value.items()}
 
 
 def _losses(key: str, value) -> dict:
     """Stage -> transmission, or -> node -> transmission; LossModel checks each transmission's range."""
     if not isinstance(value, Mapping):
-        raise ConfigError(f"loss must be a mapping, got {value!r}")
+        raise ConfigError(f"loss must be a mapping, got {_shown(value)}")
     stages = {_one_of(_LOSS_STAGES, "loss stage", stage): entry for stage, entry in value.items()}
     return {
         stage: _node_map(f"{key}{stage}", f"{key}{stage}.", entry, _real)

@@ -45,59 +45,51 @@ __all__ = [
 ]
 
 
-def _edge(i: int, j: int) -> frozenset:
-    return frozenset((i, j))
-
-
 @dataclass(frozen=True, eq=False)
 class ClusterGraph:
-    """Signed simple graph over integer node ids.
+    """Signed simple graph over integer node ids, built from (i, j) or (i, j, sign) edge entries.
 
     Attributes:
-        nodes: node ids in mode order; mode k of any matching state is
-            nodes[k].
-        edges_signed: mapping from frozenset({i, j}) to sign +1 or -1.
+        nodes: node ids in mode order; mode k of any matching state is nodes[k].
+        signs: (i, j) -> sign +1 or -1 with i < j, in sorted order; an
+            entry's sign defaults to +1, and a repeated pair keeps its last.
     """
 
     nodes: tuple
-    edges_signed: dict
+    signs: dict
 
-    def __init__(self, nodes: Iterable[int], edges_signed: Mapping[frozenset, int] | None = None):
+    def __init__(self, nodes: Iterable[int], edges: Iterable = ()):
         nodes = tuple(int(n) for n in nodes)
         if len(known := set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids")
-        edges = {}
-        for key, sign in (edges_signed or {}).items():
-            pair = frozenset(int(n) for n in key)
-            if len(pair) != 2:
+        if isinstance(edges, Mapping):  # would silently read each key as a +1 edge
+            raise TypeError("edges are (i, j) or (i, j, sign) entries, not a mapping")
+        signs = {}
+        for entry in edges:
+            i, j, sign = entry if len(entry) == 3 else (*entry, 1)
+            i, j = sorted((int(i), int(j)))
+            if i == j:
                 raise ValueError("edges must join two distinct nodes (no self-loops)")
-            if not pair <= known:
-                raise ValueError(f"edge {sorted(pair)} references unknown nodes")
+            if i not in known or j not in known:
+                raise ValueError(f"edge {[i, j]} references unknown nodes")
             if sign not in (1, -1):
                 raise ValueError("edge signs must be +1 or -1")
-            edges[pair] = int(sign)
+            signs[i, j] = int(sign)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges_signed", edges)
+        object.__setattr__(self, "signs", dict(sorted(signs.items())))
 
     @classmethod
     def from_edges(cls, edges: Iterable, nodes: Iterable[int] | None = None) -> "ClusterGraph":
-        """Build from (i, j) or (i, j, sign) tuples; sign defaults to +1."""
-        signed = {}
-        seen: dict = {}  # insertion-ordered set: first-seen order in O(1) per node
-        for entry in edges:
-            i, j, sign = entry if len(entry) == 3 else (*entry, 1)
-            signed[_edge(i, j)] = sign
-            seen[i] = seen[j] = None
-        if nodes is None:
-            nodes = sorted(seen)
-        return cls(nodes, signed)
+        """Build from (i, j) or (i, j, sign) entries; nodes default to the ids they name, sorted."""
+        edges = list(edges)
+        return cls(sorted({n for entry in edges for n in entry[:2]}) if nodes is None else nodes, edges)
 
     @classmethod
     def linear_wire(cls, n: int) -> "ClusterGraph":
         """Path graph 1-2-...-n with all edge signs +1."""
         if n < 1:
             raise ValueError("wire needs at least one node")
-        return cls.from_edges([(k, k + 1) for k in range(1, n)], nodes=range(1, n + 1))
+        return cls(range(1, n + 1), [(k, k + 1) for k in range(1, n)])
 
     @classmethod
     def ring(cls, order: Sequence[int]) -> "ClusterGraph":
@@ -105,8 +97,7 @@ class ClusterGraph:
         order = [int(n) for n in order]
         if len(order) < 3:
             raise ValueError("ring needs at least three nodes")
-        edges = [(order[k], order[(k + 1) % len(order)]) for k in range(len(order))]
-        return cls.from_edges(edges, nodes=sorted(order))
+        return cls(sorted(order), zip(order, order[1:] + order[:1]))
 
     @property
     def n_nodes(self) -> int:
@@ -119,45 +110,38 @@ class ClusterGraph:
             raise ValueError(f"node {node} not in graph") from None
 
     def neighbors(self, node: int) -> tuple:
+        """Ascending: signs lists the pairs (i, node) by i before the pairs (node, j) by j."""
         self.index_of(node)
-        out = [other for pair in self.edges_signed for other in pair if node in pair and other != node]
-        return tuple(sorted(out))
+        return tuple(i if j == node else j for i, j in self.signs if node in (i, j))
 
     def sign(self, i: int, j: int) -> int:
-        pair = _edge(i, j)
-        if pair not in self.edges_signed:
+        if not self.has_edge(i, j):
             raise ValueError(f"no edge between {i} and {j}")
-        return self.edges_signed[pair]
+        return self.signs[min(i, j), max(i, j)]
 
     def edges(self) -> tuple:
         """Edges as (i, j, sign) with i < j, sorted."""
-        out = [(i, j, s) if i < j else (j, i, s) for (i, j), s in self.edges_signed.items()]
-        return tuple(sorted(out))
+        return tuple((i, j, s) for (i, j), s in self.signs.items())
 
     def has_edge(self, i: int, j: int) -> bool:
-        return _edge(i, j) in self.edges_signed
+        return (min(i, j), max(i, j)) in self.signs
 
     def with_node_removed(self, node: int) -> "ClusterGraph":
         self.index_of(node)
         nodes = tuple(n for n in self.nodes if n != node)
-        edges = {p: s for p, s in self.edges_signed.items() if node not in p}
-        return ClusterGraph(nodes, edges)
+        return ClusterGraph(nodes, ((i, j, s) for (i, j), s in self.signs.items() if node not in (i, j)))
 
     def with_edge(self, i: int, j: int, sign: int = 1) -> "ClusterGraph":
         if self.has_edge(i, j):
             raise ValueError(f"edge between {i} and {j} already present")
-        edges = dict(self.edges_signed)
-        edges[_edge(i, j)] = sign
-        return ClusterGraph(self.nodes, edges)
+        return ClusterGraph(self.nodes, (*self.edges(), (i, j, sign)))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Signed adjacency in node order."""
-        n = self.n_nodes
         index = {node: k for k, node in enumerate(self.nodes)}
-        a = np.zeros((n, n))
-        for i, j, s in self.edges():
-            a[index[i], index[j]] = s
-            a[index[j], index[i]] = s
+        a = np.zeros((self.n_nodes, self.n_nodes))
+        for (i, j), s in self.signs.items():
+            a[index[i], index[j]] = a[index[j], index[i]] = s
         return a
 
 
@@ -481,48 +465,49 @@ def parse_graph_text(text: str):
     """Parse the graph exchange format.
 
     Lines are "node <id> [db=<level>]" or "edge <i> <j> [sign=<+1|-1>]";
-    blank lines and # comments are ignored.
+    blank lines and # comments are ignored.  A ValueError names its line.
 
     Returns:
         (graph, db_map) with db_map the node -> dB levels the text declares,
         0 included; a node without a db level has no entry.
     """
-    nodes: dict[int, None] = {}
+    nodes: dict[int, int] = {}  # node -> its line
     db_map: dict[int, float] = {}
-    edges = {}
+    edges, lines = [], {}  # (i, j, sign) entries; (low, high) pair -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not (parts := raw.split("#", 1)[0].split()):
             continue
-        parts = line.split()
         kind = parts[0].lower()
         try:
             if kind == "node":
-                node = int(parts[1])
-                if node in nodes:
+                if nodes.setdefault(node := int(parts[1]), lineno) != lineno:
                     raise ValueError(f"node {node} declared twice")
-                nodes[node] = None
                 for extra in parts[2:]:
                     key, _, value = extra.partition("=")
                     if key != "db":
                         raise ValueError(f"unknown node attribute {key!r}")
-                    db_map[node] = float(value)
-                    if not math.isfinite(db_map[node]) or db_map[node] < 0:
-                        raise ValueError(f"db must be finite and non-negative, got {value!r}")
+                    db_map[node] = _db_of(float(value), node)
             elif kind == "edge":
-                i, j = int(parts[1]), int(parts[2])
-                sign = 1
+                i, j, sign = int(parts[1]), int(parts[2]), 1
                 for extra in parts[3:]:
                     key, _, value = extra.partition("=")
                     if key != "sign":
                         raise ValueError(f"unknown edge attribute {key!r}")
                     sign = int(value)
-                if _edge(i, j) in edges:
+                if lines.setdefault((min(i, j), max(i, j)), lineno) != lineno:
                     raise ValueError(f"edge {i} {j} declared twice")
-                edges[_edge(i, j)] = sign
+                edges.append((i, j, sign))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"graph text line {lineno}: {exc}") from None
-    return ClusterGraph(nodes, edges), db_map
+    try:
+        return ClusterGraph(nodes, edges), db_map
+    except ValueError:  # nodes may follow their edges: name the first edge that fails on its own
+        for (i, j, sign), lineno in zip(edges, lines.values()):
+            try:
+                ClusterGraph(nodes.keys() & {i, j}, [(i, j, sign)])
+            except ValueError as exc:
+                raise ValueError(f"graph text line {lineno}: {exc}") from None
+        raise
 

@@ -68,7 +68,7 @@ def test_nullifier_db_of_an_array_equals_the_scalar_calls():
 
 
 def test_criteria_read_graph_structure_from_one_edge_pass(monkeypatch):
-    graph = ClusterGraph((1, 2, 3, 4, 5), {frozenset((3, 1)): -1, frozenset((1, 2)): 1, frozenset((4, 1)): 1})
+    graph = ClusterGraph((1, 2, 3, 4, 5), [(3, 1, -1), (1, 2), (4, 1)])
     st = build_canonical(graph, 5.0)
     expected = check_cluster_criteria(st, graph).to_dict()
 
@@ -198,8 +198,7 @@ def scattered_graphs(draw):
     """Signed graph of 1-9 nodes with unsorted, gapped ids; isolated nodes allowed."""
     nodes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=9, unique=True))
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes), st.sampled_from((-1, 1)))
-    edges = {frozenset((i, j)): sign for i, j, sign in draw(st.lists(pairs, max_size=14)) if i != j}
-    return ClusterGraph(nodes, edges)
+    return ClusterGraph(nodes, [(i, j, sign) for i, j, sign in draw(st.lists(pairs, max_size=14)) if i != j])
 
 
 def _outcome(check, *args):
@@ -232,7 +231,7 @@ def test_closed_form_criteria_equal_the_per_form_reference(graph, data):
 
 def test_a_numpy_column_fails_the_scalar_type_check():
     # the writer looks each scalar's text up by exact type, so columns hold Python scalars
-    graph = ClusterGraph((1, 2, 3, 4), {frozenset((1, 2)): 1, frozenset((2, 3)): -1})  # node 4 isolated
+    graph = ClusterGraph((1, 2, 3, 4), [(1, 2), (2, 3, -1)])  # node 4 isolated
     report = check_cluster_criteria(build_canonical(graph, 5.0), graph)
     assert report.residuals and leaf_types(report.to_dict()) <= REPORT_SCALARS
     for column in ("variances", "db", "sums", "residuals"):

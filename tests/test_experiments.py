@@ -204,6 +204,10 @@ def test_config_rejects_bad_values():
         message = f"shorten_inner must be a pair of node ids, got {pair!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**custom, shorten_inner=pair)
+    # repr() of these raises ValueError past 4300 digits: the message shows each value bounded instead
+    for fields in ({"trials": Fraction(10**5000, 3)}, {"squeezing_db": [10**5000]}, {**custom, "remove_target": [10**5000]}):
+        with pytest.raises(ConfigError, match="^.{1,99}$"):
+            ExperimentConfig(**fields)
 
 
 WIRE_GRAPH_TEXT = "node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3\nedge 3 4\n"
@@ -216,6 +220,8 @@ CONFIG_VALUES = st.one_of(
     _INTS, _INTS.map(np.int64), _INTS.map(np.int32), _REALS, _REALS.map(np.float64), _REALS.map(np.float32),
     st.fractions(-2, 40, max_denominator=8), _REALS.map(Decimal), st.sampled_from(CONFIG_TEXTS),
     st.sampled_from((10**400, -(10**400))), st.booleans(), st.none(), st.lists(_INTS, max_size=3),
+    # values whose repr passes the int-to-str digit limit (hypothesis's own @example would print them)
+    st.sampled_from((Fraction(10**5000, 3), [10**5000])),
 )
 _CUSTOM = {"scenario": "custom", "graph_file": "remove-edge"}
 

@@ -72,9 +72,11 @@ def test_from_edges_signs_default_positive():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        ClusterGraph([1, 2], {frozenset((1, 3)): 1})  # unknown node
+        ClusterGraph([1, 2], [(1, 3)])  # unknown node
     with pytest.raises(ValueError):
-        ClusterGraph([1, 2], {frozenset((1, 2)): 2})  # bad sign
+        ClusterGraph([1, 2], [(1, 2, 2)])  # bad sign
+    with pytest.raises(TypeError, match="not a mapping"):
+        ClusterGraph([1, 2], {(1, 2): -1})  # iterating it would give edge (1, 2) the sign +1
     with pytest.raises(ValueError):
         ClusterGraph.linear_wire(4).sign(1, 4)
     with pytest.raises(ValueError):
@@ -155,8 +157,41 @@ def scattered_signed_graphs(draw):
     """Signed graph of 1-9 nodes with unsorted, gapped and negative ids; isolated nodes allowed."""
     nodes = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=9, unique=True))
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes), st.sampled_from((-1, 1)))
-    edges = {frozenset((i, j)): sign for i, j, sign in draw(st.lists(pairs, max_size=16)) if i != j}
-    return ClusterGraph(nodes, edges)
+    return ClusterGraph(nodes, [(i, j, sign) for i, j, sign in draw(st.lists(pairs, max_size=16)) if i != j])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph=scattered_signed_graphs(), data=st.data())
+def test_graph_queries_agree_with_plain_sets(graph, data):
+    edges = graph.edges()
+    assert list(edges) == sorted(edges) and all(i < j for i, j, _ in edges)
+    assert {(i, j): s for i, j, s in edges} == graph.signs
+    joined = {frozenset((i, j)): s for i, j, s in edges}
+    index = {node: k for k, node in enumerate(graph.nodes)}
+    a = graph.adjacency_matrix()
+    assert np.array_equal(a, a.T)
+    for i in graph.nodes:
+        assert graph.neighbors(i) == tuple(sorted(j for j in graph.nodes if frozenset((i, j)) in joined))
+        for j in graph.nodes:
+            pair = frozenset((i, j))
+            assert graph.has_edge(i, j) == graph.has_edge(j, i) == (pair in joined)
+            assert a[index[i], index[j]] == joined.get(pair, 0)
+            if pair in joined:
+                assert graph.sign(i, j) == graph.sign(j, i) == joined[pair]
+            else:
+                with pytest.raises(ValueError, match=f"^no edge between {i} and {j}$"):
+                    graph.sign(i, j)
+    node = data.draw(st.sampled_from(graph.nodes))
+    removed = graph.with_node_removed(node)
+    assert removed.nodes == tuple(n for n in graph.nodes if n != node)
+    assert set(removed.edges()) == {e for e in edges if node not in e[:2]}
+    absent = [(i, j) for i in graph.nodes for j in graph.nodes if i != j and frozenset((i, j)) not in joined]
+    if absent:
+        (i, j), sign = data.draw(st.sampled_from(absent)), data.draw(st.sampled_from((-1, 1)))
+        added = graph.with_edge(i, j, sign)
+        assert added.nodes == graph.nodes
+        assert set(added.edges()) - set(edges) == {(min(i, j), max(i, j), sign)}
+        assert len(added.edges()) == len(edges) + 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -320,7 +355,7 @@ def test_compiled_plan_matches_canonical_state():
 
 
 def test_compiled_edgeless_graph_has_no_interferometer():
-    graph = ClusterGraph([1, 2], {})
+    graph = ClusterGraph([1, 2])
     plan = compile_network(graph, {1: 5.0, 2: 7.0})
     assert plan.interferometer == ()
     assert dict(plan.squeezer_settings)[1] == (5.0, "p")
@@ -550,10 +585,19 @@ def test_parse_graph_text_errors():
         parse_graph_text("node 1\nedge 1 2\n")
     with pytest.raises(ValueError):
         parse_graph_text("wobble 3\n")
-    with pytest.raises(ValueError):
-        parse_graph_text("node 1\nnode 2\nedge 1 2 sign=0\n")
     with pytest.raises(ValueError, match="line 4: edge 2 1 declared twice"):
         parse_graph_text("node 1\nnode 2\nedge 1 2\nedge 2 1 sign=-1\n")
+    # the graph checks an edge once every node is read, and the error still names the edge's line
+    with pytest.raises(ValueError, match=r"^graph text line 3: edge \[1, 3\] references unknown nodes$"):
+        parse_graph_text("node 1\nnode 2\nedge 1 3\n")
+    with pytest.raises(ValueError, match=r"^graph text line 3: edge signs must be \+1 or -1$"):
+        parse_graph_text("node 1\nnode 2\nedge 1 2 sign=0\n")
+    with pytest.raises(ValueError, match=r"^graph text line 3: edges must join two distinct nodes \(no self-loops\)$"):
+        parse_graph_text("node 1\nnode 2\nedge 2 2\n")
+    # nodes may follow their edges; the first bad edge is the one named
+    with pytest.raises(ValueError, match=r"^graph text line 2: edge \[1, 9\] references unknown nodes$"):
+        parse_graph_text("edge 1 2\nedge 1 9\nedge 2 2\nnode 1\nnode 2\n")
+    assert parse_graph_text("edge 2 1 sign=-1\nnode 1\nnode 2\n")[0].signs == {(1, 2): -1}
 
 
 @pytest.mark.parametrize("level", ["nan", "inf", "-inf", "-1"])
@@ -566,7 +610,7 @@ def test_parse_graph_text_rejects_bad_db(level):
     "call, message",
     [
         (lambda: ClusterGraph((1, 1)), "duplicate node ids"),
-        (lambda: ClusterGraph((1, 2), {frozenset((1,)): 1}), "edges must join two distinct nodes (no self-loops)"),
+        (lambda: ClusterGraph((1, 2), [(1, 1)]), "edges must join two distinct nodes (no self-loops)"),
         (lambda: ClusterGraph.linear_wire(0), "wire needs at least one node"),
         (lambda: ClusterGraph.ring((1, 2)), "ring needs at least three nodes"),
         (

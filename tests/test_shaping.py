@@ -311,7 +311,7 @@ def make_shorten_plan(readout=None):
     wire = ClusterGraph.linear_wire(4)
     st = build_canonical(wire, 5.0)
     steps, (o1, o2, sign) = shorten_steps(wire, 2, 3)
-    shaped = ClusterGraph([o1, o2], {frozenset((o1, o2)): sign})
+    shaped = ClusterGraph([o1, o2], [(o1, o2, sign)])
     return TrajectoryPlan(
         state=st,
         node_order=wire.nodes,
