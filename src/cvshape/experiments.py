@@ -23,18 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import NULLIFIER_BOUND, PAIRWISE_BOUND, CriteriaReport, check_cluster_criteria
-from .gaussian import (
-    GaussianState,
-    LossModel,
-    VACUUM_VARIANCE,
-    _mix_vacuum,
-    squeezed_variance,
-)
+from .gaussian import GaussianState, LossModel, VACUUM_VARIANCE, squeezed_variance
 from .graphs import (
     ClusterGraph,
     NullifierTable,
-    _compile,
     build_canonical,
+    compile_network,
     nullifiers_of,
     parse_graph_text,
     preset_wire_network,
@@ -102,10 +96,14 @@ _shown = _BoundedRepr().repr
 
 
 def _integer(key: str, value) -> int:
-    """value as a Python int: a bool is an int, but neither a count nor a node id, and no report prints numpy's."""
+    """value as a Python int str() can print: not numpy's, and not a bool, which is neither count nor node id."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
-    return int(value)
+    try:
+        str(number := int(value))
+    except ValueError:
+        raise ConfigError(f"{key} has too many digits to print, got {_shown(value)}") from None
+    return number
 
 
 def _real(key: str, value, low=-np.inf) -> float:
@@ -430,7 +428,7 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
         return build_canonical(graph, db)
     if config.construction == "compiled":
         try:
-            return _compile(graph, db)[1]  # the state compile_network checked
+            return compile_network(graph, db)[1]  # the state it checked
         except np.linalg.LinAlgError as exc:  # precision lost at very high squeezing
             raise ConfigError(f"compiled construction failed: {exc}") from None
     wire = ClusterGraph.linear_wire(4)
@@ -584,13 +582,12 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
     del shaped
     state_in = state_in if ring or config.trials > 0 else None
 
-    tap_nodes = sorted({t.node for step in steps for t in step.feedforward})
-    tap_eff = {n: loss.efficiency("feedforward_tap", n) for n in tap_nodes}
-    if any(e < 1.0 for e in tap_eff.values()):
-        eta = [tap_eff.get(node, 1.0) for node in shaped_order]
-        state = GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, eta))
-        lossy = {str(n): e for n, e in tap_eff.items() if e < 1.0}
-        transcript.append({"op": "loss", "stage": "feedforward_tap", "efficiency": lossy})
+    # The tap acts on displaced nodes only: a tap-only model over those it attenuates.
+    displaced, stage = {t.node for step in steps for t in step.feedforward}, "feedforward_tap"
+    tap = LossModel({stage: {n: e for n in displaced if (e := loss.efficiency(stage, n)) < 1.0}})
+    if taps := tap.stages[stage]:
+        state = tap.apply_stage(state, stage, shaped_order)
+        transcript.append({"op": "loss", "stage": stage, "efficiency": tap.to_dict()[stage]})
 
     table, view = nullifiers_of(shaped_graph), loss.apply_stage(state, "detection", shaped_order)
     del state
@@ -599,14 +596,8 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
 
     monte_carlo = None
     if config.trials > 0:
-        readout = {n: loss.efficiency("detection", n) * tap_eff.get(n, 1.0) for n in shaped_order}
-        plan = TrajectoryPlan(
-            state=state_in,
-            node_order=order,
-            steps=steps,
-            record=table,
-            readout_efficiency=readout,
-        )
+        readout = {n: loss.efficiency("detection", n) * taps.get(n, 1.0) for n in shaped_order}
+        plan = TrajectoryPlan(state_in, order, steps, record=table, readout_efficiency=readout)
         try:
             monte_carlo = run_trajectory(plan, config.trials, config.seed)
         except np.linalg.LinAlgError as exc:  # the readout covariance lost its positive definiteness

@@ -12,6 +12,9 @@ a plain 2N x 2N array S acting as r -> S r.
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -220,45 +223,50 @@ class LossModel:
 
     stages maps a stage label (for example "source", "propagation",
     "detection", "feedforward_tap") to either a single transmission applied
-    to every node or a mapping from node id to transmission.  Stages
-    compose multiplicatively.
+    to every node or a node -> transmission dict sorted by node, in the
+    order given.  Stages compose multiplicatively.  A transmission is a
+    real number in (0, 1] and a node id an integer, neither a bool: any
+    other raises ValueError.
     """
 
-    stages: tuple
+    stages: dict
 
-    def __init__(self, stages: dict):
-        def checked(value) -> float:
-            eta = float(value)
-            if not 0.0 < eta <= 1.0:
-                raise ValueError(f"transmission {eta} outside (0, 1]")
-            return eta
+    def __init__(self, stages: Mapping):
+        def eta(value) -> float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"transmission must be a real number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an int or a Fraction beyond the float range
+                value = math.inf if value > 0 else -math.inf
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"transmission {value} outside (0, 1]")
+            return value
 
-        normalized = []
-        for label, value in stages.items():
-            if isinstance(value, dict):
-                entry = tuple(sorted((int(k), checked(v)) for k, v in value.items()))
-            else:
-                entry = checked(value)
-            normalized.append((str(label), entry))
-        object.__setattr__(self, "stages", tuple(normalized))
-        lookup = {label: entry if isinstance(entry, float) else dict(entry) for label, entry in normalized}
-        object.__setattr__(self, "_lookup", lookup)
+        def node(n) -> int:
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValueError(f"node id must be an integer, got {n!r}")
+            return int(n)
+
+        object.__setattr__(self, "stages", {
+            str(label): dict(sorted((node(n), eta(v)) for n, v in entry.items()))
+            if isinstance(entry, Mapping) else eta(entry)
+            for label, entry in stages.items()
+        })
 
     def efficiency(self, stage: str, node: int) -> float:
         """Transmission of one stage for one node; 1.0 when unspecified."""
-        entry = self._lookup.get(stage, 1.0)
-        return entry if isinstance(entry, float) else entry.get(node, 1.0)
+        entry = self.stages.get(stage, 1.0)
+        return entry.get(node, 1.0) if isinstance(entry, dict) else entry
 
     def composite_efficiency(self, node: int) -> float:
         """Product of every stage's transmission for the node."""
         eta = 1.0
-        for label, _ in self.stages:
+        for label in self.stages:
             eta *= self.efficiency(label, node)
         return eta
 
-    def apply_stage(
-        self, state: GaussianState, stage: str, node_order: Sequence[int]
-    ) -> GaussianState:
+    def apply_stage(self, state: GaussianState, stage: str, node_order: Sequence[int]) -> GaussianState:
         """Apply one stage's loss to a state whose modes follow node_order."""
         if len(node_order) != state.n_modes:
             raise ValueError("node order length must match the state's mode count")
@@ -267,8 +275,8 @@ class LossModel:
 
     def to_dict(self) -> dict:
         return {
-            label: entry if isinstance(entry, float) else {str(k): v for k, v in entry}
-            for label, entry in self.stages
+            label: {str(k): v for k, v in entry.items()} if isinstance(entry, dict) else entry
+            for label, entry in self.stages.items()
         }
 
 

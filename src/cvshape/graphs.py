@@ -267,7 +267,7 @@ class NetworkPlan:
     """Table-top recipe: squeeze each mode, then run the interferometer.
 
     Attributes:
-        squeezer_settings: mapping node -> (db, quadrature).
+        squeezer_settings: dict node -> (db, quadrature).
         interferometer: ("phase", node, theta) and ("splitter", node_a,
             node_b, reflectivity) tuples in application order: the format
             of unitary_to_elements, with node ids for mode indices.
@@ -281,12 +281,12 @@ class NetworkPlan:
             outside [0, 1] or NaN, or a non-finite phase.
     """
 
-    squeezer_settings: tuple
+    squeezer_settings: dict
     interferometer: tuple
     node_order: tuple
 
     def __init__(self, squeezer_settings, interferometer, node_order):
-        settings = tuple((int(n), (float(db), str(q))) for n, (db, q) in dict(squeezer_settings).items())
+        settings = {int(n): (float(db), str(q)) for n, (db, q) in squeezer_settings.items()}
         order = tuple(int(n) for n in node_order)
         known: set = set()
         for node in order:
@@ -294,7 +294,7 @@ class NetworkPlan:
                 raise ValueError(f"node {node} appears twice in the node order")
             known.add(node)
         elements = tuple(interferometer)
-        named = [n for n, _ in settings]
+        named = list(settings)
         # Python scalars only: a compiled plan carries O(N^2) elements.
         for element in elements:
             kind = element[0] if isinstance(element, tuple) and element else None
@@ -313,7 +313,7 @@ class NetworkPlan:
         for node in named:
             if node not in known:
                 raise ValueError(f"node {node} is not in the plan's node order")
-        for node, (db, quad) in settings:
+        for node, (db, quad) in settings.items():
             if quad not in ("x", "p"):
                 raise ValueError(f"node {node}: quadrature must be 'x' or 'p', got {quad!r}")
             _db_of(db, node)
@@ -331,11 +331,10 @@ class NetworkPlan:
 
     def _prepare(self, o: np.ndarray) -> GaussianState:
         """Squeezed vacua through the interferometer o: covariance O diag O^T, as one product."""
-        settings = dict(self.squeezer_settings)
         n = len(self.node_order)
         variances = np.empty(2 * n)
         for k, node in enumerate(self.node_order):
-            db, quad = settings.get(node, (0.0, "p"))
+            db, quad = self.squeezer_settings.get(node, (0.0, "p"))
             low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
             variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
         return GaussianState._adopt(np.zeros(2 * n), (o * variances) @ o.T)
@@ -347,7 +346,7 @@ _STATE_RTOL = 1e-8
 _NULLIFIER_RTOL = 1e-2
 
 
-def compile_network(graph: ClusterGraph, db) -> NetworkPlan:
+def compile_network(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
     """Compile the canonical build into squeezers plus a passive network.
 
     The canonical symplectic factors as O2 D O1 with O1, O2 passive and D
@@ -361,26 +360,19 @@ def compile_network(graph: ClusterGraph, db) -> NetworkPlan:
         graph: signed cluster graph.
         db: squeezing level in dB, single number or node -> dB mapping.
 
+    Returns:
+        (plan, state): the plan and the checked state it prepares, the
+        bytes of plan.prepare().
+
     Raises:
         numpy.linalg.LinAlgError: the factorization, the element reduction
             or the produced state lost the required precision, as at very
             high squeezing or with levels far apart.
     """
-    return _compile(graph, db)[0]
-
-
-def _compile(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState]:
-    """compile_network, also returning the checked state the plan prepares."""
     o2, d, _ = bloch_messiah(canonical_transform(graph, db))
 
-    settings = {}
-    for k, node in enumerate(graph.nodes):
-        x_scale = d[k, k]
-        # x scaled up by 10^(db/20) means p squeezed by db; scaled down
-        # means the squeezing sits in x.
-        level = abs(20.0 * np.log10(x_scale))
-        quad = "p" if x_scale >= 1.0 else "x"
-        settings[node] = (level, quad)
+    # x scaled up by 10^(db/20) means p squeezed by db; scaled down means the squeezing sits in x.
+    settings = {node: (abs(20.0 * np.log10(x)), "p" if x >= 1.0 else "x") for node, x in zip(graph.nodes, np.diag(d))}
 
     reduced, recomposed = _reduce(orthogonal_symplectic_to_unitary(o2), graph.nodes)
     plan = NetworkPlan(settings, reduced, graph.nodes)

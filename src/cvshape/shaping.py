@@ -404,7 +404,7 @@ class TrajectoryPlan:
     node_order: tuple
     steps: tuple
     record: NullifierTable
-    readout_efficiency: tuple
+    readout_efficiency: dict
 
     def __init__(self, state, node_order, steps, record, readout_efficiency=None):
         object.__setattr__(self, "state", state)
@@ -412,9 +412,7 @@ class TrajectoryPlan:
         object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "record", record)
         eff = readout_efficiency or {}
-        object.__setattr__(
-            self, "readout_efficiency", tuple(sorted((int(k), float(v)) for k, v in dict(eff).items()))
-        )
+        object.__setattr__(self, "readout_efficiency", {int(k): float(v) for k, v in eff.items()})
 
 
 @dataclass(frozen=True)
@@ -454,8 +452,7 @@ def _readout_map(plan: TrajectoryPlan):
     for k, step in enumerate(plan.steps):
         unit = np.eye(len(rows))[1 + k]
         rows, cov, *_ = _conditional_step(rows, cov, order, step, lambda y, var: y + np.sqrt(var) * unit)
-    efficiency = dict(plan.readout_efficiency)
-    eta = [efficiency.get(node, 1.0) for node in order]
+    eta = [plan.readout_efficiency.get(node, 1.0) for node in order]
     rows, cov_read = _mix_vacuum(rows, cov, eta)
     return rows[0], np.hstack([rows[1:].T, np.linalg.cholesky(cov_read)]), tuple(order)
 

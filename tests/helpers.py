@@ -335,8 +335,7 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
     means, cov = plan.state.mean, plan.state.cov
     for step in plan.steps:
         means, cov, _, _, _ = _conditional_step(means, cov, order, step, sample)
-    efficiency = dict(plan.readout_efficiency)
-    means, cov_read = _mix_vacuum(means, cov, [efficiency.get(node, 1.0) for node in order])
+    means, cov_read = _mix_vacuum(means, cov, [plan.readout_efficiency.get(node, 1.0) for node in order])
     n = 2 * len(order)
     readout = rng.standard_normal((trials, n)) @ np.linalg.cholesky(cov_read).T + means
     sample_cov = np.full((n, n), np.nan)
@@ -359,8 +358,7 @@ def ensemble_readout_reference(plan):
     per-form variances).
     """
     ensemble, order, _ = execute_ensemble(plan.state, plan.node_order, plan.steps)
-    efficiency = dict(plan.readout_efficiency)
-    eta = [efficiency.get(node, 1.0) for node in order]
+    eta = [plan.readout_efficiency.get(node, 1.0) for node in order]
     state = GaussianState(*_mix_vacuum(ensemble.mean, ensemble.cov, eta))
     return state, order, quadrature_variances(state, plan.record.rows(order))
 

@@ -234,7 +234,7 @@ def test_criterion_08_network_compilation_round_trips():
     golden_ok = np.abs(top - GOLDEN_RATIO).max() <= 1e-9
 
     wire = ClusterGraph.linear_wire(4)
-    compiled = compile_network(wire, 5.0).prepare()
+    compiled = compile_network(wire, 5.0)[0].prepare()
     target = build_canonical(wire, 5.0)
     compiled_dev = np.abs(compiled.cov - target.cov).max()
 

@@ -79,7 +79,7 @@ def test_calibrate_loss_mild_target_is_detection_only():
     lm = calibrate_loss(target)
     eta = (0.5 - target) / (0.5 - TWO_TERM_5DB)
     assert eta > DETECTION_ETA
-    assert tuple(label for label, _ in lm.stages) == ("detection",)
+    assert tuple(lm.stages) == ("detection",)
     assert lm.composite_efficiency(1) == pytest.approx(eta, abs=1e-12)
 
 
@@ -221,7 +221,7 @@ CONFIG_VALUES = st.one_of(
     st.fractions(-2, 40, max_denominator=8), _REALS.map(Decimal), st.sampled_from(CONFIG_TEXTS),
     st.sampled_from((10**400, -(10**400))), st.booleans(), st.none(), st.lists(_INTS, max_size=3),
     # values whose repr passes the int-to-str digit limit (hypothesis's own @example would print them)
-    st.sampled_from((Fraction(10**5000, 3), [10**5000])),
+    st.sampled_from((Fraction(10**5000, 3), [10**5000], 10**5000)),
 )
 _CUSTOM = {"scenario": "custom", "graph_file": "remove-edge"}
 
@@ -282,6 +282,13 @@ def test_every_config_value_runs_as_its_plain_twin_or_raises_one_config_error(tm
         return
     assert leaf_types(config.to_dict()) <= REPORT_SCALARS
     assert texts == _report_texts(ExperimentConfig(**CONFIG_SLOTS[slot](_plain(value))))
+
+
+@pytest.mark.parametrize("slot", ["seed", "trials", "squeezing_overrides node", "loss node", "remove_target"])
+def test_an_int_no_report_can_print_is_one_config_error(slot):
+    # int() takes it, but str() refuses past the int-to-str digit limit, so a report could not print it
+    with pytest.raises(ConfigError, match=r" has too many digits to print, got <int of 16610 bits>$"):
+        ExperimentConfig(**CONFIG_SLOTS[slot](10**5000))
 
 
 def test_a_graph_file_level_of_zero_is_the_vacuum(tmp_path):
@@ -409,6 +416,22 @@ def test_remove_edge_lossless_preserves_initial_variances():
     for node, variance in zip(report.final_criteria.table.labels, report.final_criteria.variances):
         assert variance == pytest.approx(initial[node], abs=1e-10)
     assert report.final_criteria.all_pass
+
+
+def test_uniform_tap_loss_acts_on_displaced_nodes_only():
+    # removing end node 4 displaces node 3 alone, so a uniform tap is node 3's tap and nothing else
+    uniform, per_node = (
+        run(ExperimentConfig(scenario="remove-edge", loss={"feedforward_tap": tap}, trials=200))
+        for tap in (0.9, {3: 0.9})
+    )
+    assert uniform.final_criteria.variances == per_node.final_criteria.variances
+    for column in ("labels", "analytic_var", "sample_mean", "sample_var", "stderr"):
+        assert getattr(uniform.monte_carlo, column) == getattr(per_node.monte_carlo, column)
+    taps = [[entry for entry in report.transcript if entry.get("stage") == "feedforward_tap"]
+            for report in (uniform, per_node)]
+    assert taps[0] == taps[1] == [{"op": "loss", "stage": "feedforward_tap", "efficiency": {"3": 0.9}}]
+    lossless = run(ExperimentConfig(scenario="remove-edge", lossless=True))
+    assert uniform.final_criteria.variances != lossless.final_criteria.variances  # the tap did act
 
 
 def test_remove_edge_calibrated_lands_on_reference_targets():
@@ -551,7 +574,7 @@ def _raiser(exc):
 @pytest.mark.parametrize(
     "name, config",
     [
-        ("_compile", ExperimentConfig(scenario="shorten-wire", construction="compiled")),
+        ("compile_network", ExperimentConfig(scenario="shorten-wire", construction="compiled")),
         ("check_cluster_criteria", ExperimentConfig(scenario="remove-edge")),
     ],
 )
@@ -632,7 +655,7 @@ def test_each_graph_nullifier_table_is_built_once_per_run(monkeypatch):
 
 
 def test_compiled_precision_loss_is_a_config_error(monkeypatch):
-    monkeypatch.setattr(experiments, "_compile", _raiser(np.linalg.LinAlgError("lost")))
+    monkeypatch.setattr(experiments, "compile_network", _raiser(np.linalg.LinAlgError("lost")))
     with pytest.raises(ConfigError, match="compiled construction failed: lost"):
         run(ExperimentConfig(scenario="shorten-wire", construction="compiled"))
 

@@ -1,9 +1,13 @@
 """Core covariance conventions, transforms, test gates, and the loss model."""
 
 import re
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvshape import (
     GaussianState,
@@ -20,6 +24,7 @@ from cvshape import (
     vacuum,
 )
 from cvshape.decompositions import is_symplectic
+from cvshape.gaussian import _mix_vacuum
 from helpers import (
     beam_splitter,
     displacement,
@@ -244,12 +249,72 @@ def test_loss_keeps_states_physical():
 
 def test_loss_model_stage_bookkeeping():
     lm = LossModel({"source": 0.9, "detection": {1: 0.8, 2: 0.7}})
-    assert tuple(label for label, _ in lm.stages) == ("source", "detection")
+    assert tuple(lm.stages) == ("source", "detection")
     assert lm.efficiency("source", 1) == 0.9
     assert lm.efficiency("detection", 2) == 0.7
     assert lm.efficiency("detection", 3) == 1.0  # unlisted node passes untouched
     assert lm.composite_efficiency(1) == pytest.approx(0.9 * 0.8)
     assert lm.to_dict() == {"source": 0.9, "detection": {"1": 0.8, "2": 0.7}}
+
+
+_STAGES = ("source", "propagation", "feedforward_tap", "detection")
+_ETAS = st.floats(0.01, 1.0) | st.just(1)
+
+
+@st.composite
+def _stage_tables(draw):
+    """A stage table as a caller may pass it: random stage order, each stage uniform or per-node, a
+    per-node entry a dict or a MappingProxyType with its node keys unsorted."""
+    nodes = draw(st.lists(st.integers(-5, 40), min_size=1, max_size=6, unique=True))
+    table = {}
+    for stage in draw(st.permutations(_STAGES))[: draw(st.integers(0, len(_STAGES)))]:
+        if draw(st.booleans()):
+            table[stage] = draw(_ETAS)
+        else:
+            keys = draw(st.permutations(nodes))[: draw(st.integers(0, len(nodes)))]
+            entry = {node: draw(_ETAS) for node in keys}
+            table[stage] = MappingProxyType(entry) if draw(st.booleans()) else entry
+    return nodes, table
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=_stage_tables(), seed=st.integers(0, 2**32 - 1))
+def test_loss_model_stores_its_table_as_the_dict_it_is_read_as(drawn, seed):
+    nodes, table = drawn
+    reference = {
+        stage: {n: float(e) for n, e in sorted(entry.items())} if isinstance(entry, Mapping) else float(entry)
+        for stage, entry in table.items()
+    }
+    model = LossModel(table)
+    assert model.stages == reference
+    assert list(model.stages) == list(reference)
+    for stage, entry in model.stages.items():
+        assert type(entry) is (dict if isinstance(reference[stage], dict) else float)
+        if isinstance(entry, dict):
+            assert list(entry) == sorted(entry)
+
+    def efficiency(stage, node):
+        entry = reference.get(stage, 1.0)
+        return entry.get(node, 1.0) if isinstance(entry, dict) else entry
+
+    queried = [*nodes, max(nodes) + 1]  # a node no stage names passes untouched
+    for node in queried:
+        composite = 1.0
+        for stage in reference:
+            composite *= efficiency(stage, node)
+        assert model.composite_efficiency(node) == composite
+        assert [model.efficiency(stage, node) for stage in _STAGES] == [efficiency(s, node) for s in _STAGES]
+    assert list(model.to_dict().items()) == [
+        (stage, {str(n): e for n, e in entry.items()} if isinstance(entry, dict) else entry)
+        for stage, entry in reference.items()
+    ]
+    rng = np.random.default_rng(seed)
+    order = [int(n) for n in rng.permutation(queried)]
+    state = random_symplectic_state(rng, len(order))
+    for stage in _STAGES:
+        mean, cov = _mix_vacuum(state.mean, state.cov, [efficiency(stage, node) for node in order])
+        lossy = model.apply_stage(state, stage, order)
+        assert lossy.cov.tobytes() == cov.tobytes() and lossy.mean.tobytes() == mean.tobytes()
 
 
 def test_loss_model_apply_stage():
@@ -328,6 +393,13 @@ def test_random_transforms_stay_symplectic():
             lambda: LossModel({"d": 0.9}).apply_stage(vacuum(4), "d", (1, 2)),
             "node order length must match the state's mode count",
         ),
+        # float() reads a str and a bool, and int() a bool, but none is a transmission or a node id
+        (lambda: LossModel({"detection": "0.5"}), "transmission must be a real number, got '0.5'"),
+        (lambda: LossModel({"detection": True}), "transmission must be a real number, got True"),
+        (lambda: LossModel({"propagation": {2: False}}), "transmission must be a real number, got False"),
+        (lambda: LossModel({"propagation": {True: 0.5}}), "node id must be an integer, got True"),
+        # past the float range float() overflows: the transmission is out of range, not an OverflowError
+        (lambda: LossModel({"detection": -(10**400)}), "transmission -inf outside (0, 1]"),
         # a mode taken twice would duplicate its x and p: no physical state has that covariance
         (lambda: vacuum(3).marginal([1, 0, 1]), "mode index 1 repeated in marginal"),
         # a complex entry is refused, not cast to its real part
@@ -342,6 +414,7 @@ def test_random_transforms_stay_symplectic():
     ],
     ids=[
         "vacuum-of-no-modes", "loss-on-absent-mode", "loss-above-one", "stage-order-too-short",
+        "str-transmission", "bool-transmission", "bool-node-transmission", "bool-node-id", "overflowing-transmission",
         "marginal-repeated-mode", "complex-covariance", "complex-mean",
     ],
 )

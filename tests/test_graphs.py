@@ -30,7 +30,7 @@ from cvshape import (
     wire_to_ring_phases,
 )
 from cvshape.decompositions import is_orthogonal, is_symplectic
-from cvshape.graphs import _compile, parse_graph_text
+from cvshape.graphs import parse_graph_text
 from helpers import (
     format_graph_text,
     form_vector,
@@ -348,7 +348,7 @@ def test_compiled_plan_matches_canonical_state():
     rng = np.random.default_rng(32)
     for _ in range(5):
         graph, db_map = random_signed_graph(rng, n_min=2, n_max=5)
-        plan = compile_network(graph, db_map)
+        plan, _ = compile_network(graph, db_map)
         produced = plan.prepare()
         target = build_canonical(graph, db_map)
         assert np.abs(produced.cov - target.cov).max() < 1e-8
@@ -356,17 +356,16 @@ def test_compiled_plan_matches_canonical_state():
 
 def test_compiled_edgeless_graph_has_no_interferometer():
     graph = ClusterGraph([1, 2])
-    plan = compile_network(graph, {1: 5.0, 2: 7.0})
+    plan, _ = compile_network(graph, {1: 5.0, 2: 7.0})
     assert plan.interferometer == ()
-    assert dict(plan.squeezer_settings)[1] == (5.0, "p")
-    assert dict(plan.squeezer_settings)[2] == (7.0, "p")
+    assert plan.squeezer_settings == {1: (5.0, "p"), 2: (7.0, "p")}
 
 
 @pytest.mark.parametrize(
     "graph", [ClusterGraph.linear_wire(4), signed_wire(16)], ids=["wire4", "signed16"]
 )
 def test_compiled_plan_at_60_db_matches_canonical_state(graph):
-    produced = compile_network(graph, 60.0).prepare()
+    produced = compile_network(graph, 60.0)[0].prepare()
     target = build_canonical(graph, 60.0)
     scale = np.abs(target.cov).max()
     assert np.abs(produced.cov - target.cov).max() <= 1e-12 * scale
@@ -431,9 +430,9 @@ def _signed_lattice(side: int) -> ClusterGraph:
     ids=["wire4", "signed16", "signed-lattice-4x4"],
 )
 def test_compile_checks_the_state_the_plan_prepares(graph):
-    # _compile builds its checked state from the reduction's own element
-    # product; prepare() composes the plan's elements afresh.
-    plan, checked = _compile(graph, 5.0)
+    # compile_network builds its checked state from the reduction's own
+    # element product; prepare() composes the plan's elements afresh.
+    plan, checked = compile_network(graph, 5.0)
     prepared = plan.prepare()
     assert np.array_equal(checked.mean, prepared.mean)
     assert np.array_equal(checked.cov, prepared.cov)
@@ -444,7 +443,7 @@ def test_compile_relabels_unsorted_node_ids():
     # relabel by sorted id or by position would mix the modes up.
     graph = ClusterGraph.from_edges([(30, 4), (4, 17, -1), (17, 9), (9, 30), (30, 17)], nodes=(30, 4, 17, 9))
     db = {30: 5.0, 4: 9.0, 17: 3.0, 9: 7.0}
-    plan, checked = _compile(graph, db)
+    plan, checked = compile_network(graph, db)
     assert plan.node_order == (30, 4, 17, 9)
     assert any(e[0] == "splitter" for e in plan.interferometer)
     prepared = plan.prepare()
@@ -483,7 +482,7 @@ def test_plan_rejects_negative_db(db):
 
 def test_compiled_factors_are_orthogonal_symplectic():
     graph = ClusterGraph.linear_wire(4)
-    plan = compile_network(graph, 5.0)
+    plan, _ = compile_network(graph, 5.0)
     o = plan.interferometer_transform()
     assert is_orthogonal(o)
     assert is_symplectic(o)

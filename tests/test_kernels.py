@@ -216,7 +216,7 @@ def test_quarter_turns_are_the_phase_shift_by_k_pi_over_2(n, data):
 
 def _plan_variances(plan) -> np.ndarray:
     """Each input mode's x and p variance, squeezed in the plan's quadrature, xxpp."""
-    settings_of, n = dict(plan.squeezer_settings), len(plan.node_order)
+    settings_of, n = plan.squeezer_settings, len(plan.node_order)
     variances = np.empty(2 * n)
     for k, node in enumerate(plan.node_order):
         db, quad = settings_of.get(node, (0.0, "p"))
@@ -227,7 +227,7 @@ def _plan_variances(plan) -> np.ndarray:
 
 WIRES = {"wire-4": ClusterGraph.linear_wire(4), "signed-16": signed_wire(16), "signed-32": signed_wire(32)}
 PLANS = [
-    (f"{name}-{db}dB", lambda graph=graph, db=db: compile_network(graph, db))
+    (f"{name}-{db}dB", lambda graph=graph, db=db: compile_network(graph, db)[0])
     for name, graph in WIRES.items()
     for db in (1, 5, 10, 30, 60)
 ] + [(f"preset-{db}dB", lambda db=db: preset_wire_network(db)) for db in (0, 3, 5, 7, 20)]
@@ -248,8 +248,8 @@ def test_plan_prepares_the_bytes_of_o_diag_o_transpose(build):
 # that drifts would cost only time, which no other test sees.  NetworkPlan._prepare's O diag O^T is
 # off by rounding and is the one producer that takes the toleranced path.
 PRODUCERS = {
-    "build_canonical", "apply_stage", "_run", "execute_ensemble", "execute_conditional", "_quarter_turns",
-    "marginal", "vacuum",
+    "build_canonical", "apply_stage", "execute_ensemble", "execute_conditional", "_quarter_turns", "marginal",
+    "vacuum",
 }
 
 
