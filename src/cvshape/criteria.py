@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variances
+from .gaussian import GaussianState, VACUUM_VARIANCE, _node_order, quadrature_variances
 from .graphs import ClusterGraph, NullifierTable, nullifiers_of
 
 __all__ = [
@@ -103,9 +103,7 @@ def residual_squeezing_db(state: GaussianState, mode: int):
         relative to 1/4, and the angle of the minimum-variance direction
         in [0, pi).  A fully symmetric marginal reports angle 0.
     """
-    marginal = state.marginal([mode])
-    block = np.array([[marginal.cov[0, 0], marginal.cov[0, 1]], [marginal.cov[1, 0], marginal.cov[1, 1]]])
-    values, vectors = np.linalg.eigh(block)
+    values, vectors = np.linalg.eigh(state.marginal([mode]).cov)
     low, high = float(values[0]), float(values[1])
     if low <= 0:
         raise ValueError("marginal covariance is not positive definite")
@@ -129,7 +127,7 @@ def check_cluster_criteria(
         state: state to verify.
         graph: cluster graph, whose nullifiers define the forms, or the
             NullifierTable that nullifiers_of already built for it.
-        node_order: node ids in mode order; defaults to graph.nodes.
+        node_order: node ids in mode order, none repeated; defaults to graph.nodes.
 
     Returns:
         CriteriaReport with a variance and dB column over the table's rows,
@@ -140,10 +138,7 @@ def check_cluster_criteria(
         numpy.linalg.LinAlgError: a variance lost to cancellation, zero or below, or not finite.
     """
     table = graph if isinstance(graph, NullifierTable) else nullifiers_of(graph)
-    order = tuple(node_order) if node_order is not None else table.labels
-    n = len(order)
-    if n != state.n_modes:
-        raise ValueError("node order length must match the state's mode count")
+    order = _node_order(table.labels if node_order is None else node_order, state.n_modes)
     values = quadrature_variances(state, table.rows(order))
     try:
         db = nullifier_db(values, table.counts)

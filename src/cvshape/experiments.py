@@ -10,9 +10,7 @@ the Monte Carlo readout statistics describe the same experiment.
 
 from __future__ import annotations
 
-import numbers
 import os
-import reprlib
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -23,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import NULLIFIER_BOUND, PAIRWISE_BOUND, CriteriaReport, check_cluster_criteria
-from .gaussian import GaussianState, LossModel, VACUUM_VARIANCE, squeezed_variance
+from .gaussian import GaussianState, LossModel, VACUUM_VARIANCE, _integer, _real, _shown, squeezed_variance
 from .graphs import (
     ClusterGraph,
     NullifierTable,
@@ -83,40 +81,6 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 class ConfigError(ValueError):
     """Invalid configuration or scenario precondition."""
-
-
-class _BoundedRepr(reprlib.Repr):
-    """reprlib's bounded repr for messages; an int past 128 bits is named by its size, never spelled out."""
-
-    def repr_int(self, x, level):
-        return super().repr_int(x, level) if x.bit_length() <= 128 else f"<int of {x.bit_length()} bits>"
-
-
-_shown = _BoundedRepr().repr
-
-
-def _integer(key: str, value) -> int:
-    """value as a Python int str() can print: not numpy's, and not a bool, which is neither count nor node id."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
-    try:
-        str(number := int(value))
-    except ValueError:
-        raise ConfigError(f"{key} has too many digits to print, got {_shown(value)}") from None
-    return number
-
-
-def _real(key: str, value, low=-np.inf) -> float:
-    """value as a finite Python float of at least low: True is 1, but no level, target, gain or transmission."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a real number, got {_shown(value)}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int or a Fraction beyond the float range
-        number = np.inf if value > 0 else -np.inf
-    if not (np.isfinite(number) and number >= low):
-        raise ConfigError(f"{key} must be finite{' and non-negative' if low == 0 else ''}, got {number}")
-    return number
 
 
 _level = partial(_real, low=0.0)
@@ -182,7 +146,7 @@ def _parse_loss(loss: dict, tail: str, text: str):
 
 def _field(default, parse, coerce, echo=lambda value: value, key=None):
     """A config field: its parser of file text, its coercer of any Python value to the Python scalar that text
-    gives (or ConfigError naming the key), its report echo (None: not echoed), and its file key if not its name;
+    gives (or a ValueError naming the key), its report echo (None: not echoed), and its file key if not its name;
     a map's file key ends in the dot its entries' keys continue from, and its parser adds one entry."""
     metadata = {"key": key, "parse": parse, "coerce": coerce, "echo": echo}
     if default is dict:
@@ -195,7 +159,8 @@ class ExperimentConfig:
     """Everything a scenario run depends on.
 
     Each field is declared once, with its kind; any value is stored as
-    the Python scalar its file spelling gives, or raises ConfigError.
+    the Python scalar its file spelling gives (README, value kinds), or
+    raises ConfigError.
 
     Attributes:
         scenario: one of SCENARIOS.
@@ -243,10 +208,13 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
-        for key, spec in _FIELDS.items():
-            value = getattr(self, spec.name)
-            if value is not None or spec.default is not None:  # an optional field may stay None
-                object.__setattr__(self, spec.name, spec.metadata["coerce"](key, value))
+        try:
+            for key, spec in _FIELDS.items():
+                value = getattr(self, spec.name)
+                if value is not None or spec.default is not None:  # an optional field may stay None
+                    object.__setattr__(self, spec.name, spec.metadata["coerce"](key, value))
+        except ValueError as exc:  # the value checks shared with the library raise plain ValueError
+            raise ConfigError(str(exc)) from None
         if not 0 <= self.trials <= 2**53:  # up to 2**53, T - 1 is exact as a float
             raise ConfigError("trials must lie between 0 and 2**53 = 9007199254740992")
         if self.seed < 0:
@@ -414,8 +382,9 @@ def _resolve_graph(config: ExperimentConfig):
             raise ConfigError(f"{config.graph_file}: {exc}") from None
         if not graph.nodes:
             raise ConfigError(f"{config.graph_file}: graph has no nodes")
-    per_node = [(f"squeezing_db.{n}", n) for n in sorted(config.squeezing_overrides)]
-    per_node += [(f"loss.{s}.{n}", n) for s, e in config.loss.items() if isinstance(e, dict) for n in e]
+    file_key = {spec.name: key for key, spec in _FIELDS.items()}
+    per_node = [(f"{file_key['squeezing_overrides']}{n}", n) for n in sorted(config.squeezing_overrides)]
+    per_node += [(f"{file_key['loss']}{s}.{n}", n) for s, e in config.loss.items() if isinstance(e, dict) for n in e]
     for key, node in per_node:
         if node not in graph.nodes:
             raise ConfigError(f"{key}: node {node} is not in the graph")
@@ -567,7 +536,7 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
             {
                 "op": "measure",
                 "node": step.node,
-                "angle": float(step.angle),
+                "angle": step.angle,
                 "feedforward": [
                     {"node": t.node, "quadrature": t.quadrature, "gain": t.gain}
                     for t in step.feedforward

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,6 +54,59 @@ _SYMMETRY_RTOL = 1e-12
 
 #: Side of the square tiles that a state checks and symmetrises its covariance in, a pair at a time.
 _TILE = 32
+
+# ---------------------------------------------------------------------------
+# value checks: one per kind, shared by every record and the config
+# ---------------------------------------------------------------------------
+
+
+class _BoundedRepr(reprlib.Repr):
+    """reprlib's bounded repr for messages; an int past 128 bits is named by its size, never spelled out."""
+
+    def repr_int(self, x, level):
+        return super().repr_int(x, level) if x.bit_length() <= 128 else f"<int of {x.bit_length()} bits>"
+
+
+_shown = _BoundedRepr().repr
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int that str() can print: a node id, count or sign; a bool is none of these."""
+    if type(value) is int and value.bit_length() <= 128:  # the common case: str() prints it
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
+    try:
+        str(number := int(value))
+    except ValueError:
+        raise ValueError(f"{name} has too many digits to print, got {_shown(value)}") from None
+    return number
+
+
+def _real(name: str, value, low: float = -sys.float_info.max) -> float:
+    """value as a finite Python float of at least low (a finite bound): a level, transmission, gain, angle or
+    outcome.  A bool, a str or any other non-real is refused; True equals 1, but is no quantity."""
+    if type(value) is float and low <= value < math.inf:  # NaN fails the comparison
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {_shown(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not low <= number < math.inf:
+        raise ValueError(f"{name} must be finite{' and non-negative' if low == 0 else ''}, got {number}")
+    return number
+
+
+def _node_order(node_order, n_modes: int | None = None) -> tuple:
+    """node_order as a tuple of integer node ids, none repeated, one per mode if n_modes is given."""
+    order = tuple([_integer("node id", node) for node in node_order])
+    if n_modes is not None and len(order) != n_modes:
+        raise ValueError("node order length must match the state's mode count")
+    if len(set(order)) < len(order):
+        raise ValueError(f"node {next(n for n in order if order.count(n) > 1)} appears twice in the node order")
+    return order
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -143,16 +198,14 @@ class GaussianState:
 
 def vacuum(n_modes: int) -> GaussianState:
     """Vacuum state of n_modes modes: zero mean, covariance I/4."""
-    if n_modes < 1:
+    if (n_modes := _integer("mode count", n_modes)) < 1:
         raise ValueError("need at least one mode")
     return GaussianState._adopt(np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes))
 
 
 def squeezed_variance(db: float) -> float:
     """Variance of the squeezed quadrature at a given squeezing level in dB."""
-    if not 0.0 <= db < np.inf:
-        raise ValueError(f"squeezing level in dB must be finite and non-negative, got {db}")
-    return VACUUM_VARIANCE * 10.0 ** (-db / 10.0)
+    return VACUUM_VARIANCE * 10.0 ** (-_real("squeezing level in dB", db, 0.0) / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +214,7 @@ def squeezed_variance(db: float) -> float:
 
 
 def _check_mode(n_modes: int, mode: int) -> None:
-    if not 0 <= mode < n_modes:
+    if not 0 <= _integer("mode index", mode) < n_modes:
         raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
 
 
@@ -213,7 +266,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """
     _check_mode(state.n_modes, mode)
     etas = np.ones(state.n_modes)
-    etas[mode] = eta
+    etas[mode] = _real("transmission", eta)
     return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, etas))
 
 
@@ -225,34 +278,22 @@ class LossModel:
     "detection", "feedforward_tap") to either a single transmission applied
     to every node or a node -> transmission dict sorted by node, in the
     order given.  Stages compose multiplicatively.  A transmission is a
-    real number in (0, 1] and a node id an integer, neither a bool: any
+    real in (0, 1] and a node id an integer (README, value kinds); any
     other raises ValueError.
     """
 
     stages: dict
 
     def __init__(self, stages: Mapping):
-        def eta(value) -> float:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"transmission must be a real number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:  # an int or a Fraction beyond the float range
-                value = math.inf if value > 0 else -math.inf
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"transmission {value} outside (0, 1]")
-            return value
-
-        def node(n) -> int:
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise ValueError(f"node id must be an integer, got {n!r}")
-            return int(n)
-
         object.__setattr__(self, "stages", {
-            str(label): dict(sorted((node(n), eta(v)) for n, v in entry.items()))
-            if isinstance(entry, Mapping) else eta(entry)
+            str(label): dict(sorted((_integer("node id", n), _real("transmission", v)) for n, v in entry.items()))
+            if isinstance(entry, Mapping) else _real("transmission", entry)
             for label, entry in stages.items()
         })
+        for entry in self.stages.values():
+            for eta in entry.values() if isinstance(entry, dict) else (entry,):
+                if not 0.0 < eta <= 1.0:
+                    raise ValueError(f"transmission {eta} outside (0, 1]")
 
     def efficiency(self, stage: str, node: int) -> float:
         """Transmission of one stage for one node; 1.0 when unspecified."""
@@ -268,9 +309,7 @@ class LossModel:
 
     def apply_stage(self, state: GaussianState, stage: str, node_order: Sequence[int]) -> GaussianState:
         """Apply one stage's loss to a state whose modes follow node_order."""
-        if len(node_order) != state.n_modes:
-            raise ValueError("node order length must match the state's mode count")
-        eta = [self.efficiency(stage, node) for node in node_order]
+        eta = [self.efficiency(stage, node) for node in _node_order(node_order, state.n_modes)]
         return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, eta))
 
     def to_dict(self) -> dict:

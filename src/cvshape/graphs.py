@@ -27,6 +27,9 @@ from .decompositions import (
 from .gaussian import (
     VACUUM_VARIANCE,
     GaussianState,
+    _integer,
+    _node_order,
+    _real,
     quadrature_variances,
     squeezed_variance,
 )
@@ -50,7 +53,7 @@ class ClusterGraph:
     """Signed simple graph over integer node ids, built from (i, j) or (i, j, sign) edge entries.
 
     Attributes:
-        nodes: node ids in mode order; mode k of any matching state is nodes[k].
+        nodes: integer node ids (README, value kinds) in mode order; mode k of any matching state is nodes[k].
         signs: (i, j) -> sign +1 or -1 with i < j, in sorted order; an
             entry's sign defaults to +1, and a repeated pair keeps its last.
     """
@@ -59,7 +62,7 @@ class ClusterGraph:
     signs: dict
 
     def __init__(self, nodes: Iterable[int], edges: Iterable = ()):
-        nodes = tuple(int(n) for n in nodes)
+        nodes = tuple([_integer("node id", n) for n in nodes])
         if len(known := set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids")
         if isinstance(edges, Mapping):  # would silently read each key as a +1 edge
@@ -67,14 +70,14 @@ class ClusterGraph:
         signs = {}
         for entry in edges:
             i, j, sign = entry if len(entry) == 3 else (*entry, 1)
-            i, j = sorted((int(i), int(j)))
+            i, j = sorted((_integer("node id", i), _integer("node id", j)))
             if i == j:
                 raise ValueError("edges must join two distinct nodes (no self-loops)")
             if i not in known or j not in known:
                 raise ValueError(f"edge {[i, j]} references unknown nodes")
-            if sign not in (1, -1):
+            if (sign := _integer("edge sign", sign)) not in (1, -1):
                 raise ValueError("edge signs must be +1 or -1")
-            signs[i, j] = int(sign)
+            signs[i, j] = sign
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "signs", dict(sorted(signs.items())))
 
@@ -87,14 +90,14 @@ class ClusterGraph:
     @classmethod
     def linear_wire(cls, n: int) -> "ClusterGraph":
         """Path graph 1-2-...-n with all edge signs +1."""
-        if n < 1:
+        if (n := _integer("node count", n)) < 1:
             raise ValueError("wire needs at least one node")
         return cls(range(1, n + 1), [(k, k + 1) for k in range(1, n)])
 
     @classmethod
     def ring(cls, order: Sequence[int]) -> "ClusterGraph":
         """Cycle graph visiting the given nodes in order, signs +1."""
-        order = [int(n) for n in order]
+        order = [_integer("node id", n) for n in order]
         if len(order) < 3:
             raise ValueError("ring needs at least three nodes")
         return cls(sorted(order), zip(order, order[1:] + order[:1]))
@@ -172,10 +175,8 @@ class NullifierTable(NamedTuple):
             ValueError: node_order repeats a node, or misses one a form
                 references (the first in row and term order is named).
         """
-        n = len(node_order)
+        n = len(node_order := _node_order(node_order))
         mode = {node: k for k, node in enumerate(node_order)}
-        if len(mode) < n and self.labels:
-            raise ValueError("node order length must match the state's mode count")
         try:
             columns = [mode[node] + (n if quad == "p" else 0) for _, node, quad, _ in self.entries]
         except KeyError:
@@ -203,10 +204,7 @@ def nullifiers_of(graph: ClusterGraph) -> NullifierTable:
 
 
 def _db_of(db, node: int) -> float:
-    level = float(db.get(node, 0.0) if isinstance(db, Mapping) else db)
-    if not 0.0 <= level < math.inf:
-        raise ValueError(f"node {node}: squeezing level in dB must be finite and non-negative, got {level}")
-    return level
+    return _real(f"node {node}: squeezing level in dB", db.get(node, 0.0) if isinstance(db, Mapping) else db, 0.0)
 
 
 def _squeezer_scales(graph: ClusterGraph, db) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +265,7 @@ class NetworkPlan:
     """Table-top recipe: squeeze each mode, then run the interferometer.
 
     Attributes:
-        squeezer_settings: dict node -> (db, quadrature).
+        squeezer_settings: dict node -> (db, quadrature), an integer and a real (README, value kinds).
         interferometer: ("phase", node, theta) and ("splitter", node_a,
             node_b, reflectivity) tuples in application order: the format
             of unitary_to_elements, with node ids for mode indices.
@@ -286,13 +284,9 @@ class NetworkPlan:
     node_order: tuple
 
     def __init__(self, squeezer_settings, interferometer, node_order):
-        settings = {int(n): (float(db), str(q)) for n, (db, q) in squeezer_settings.items()}
-        order = tuple(int(n) for n in node_order)
-        known: set = set()
-        for node in order:
-            if node in known:
-                raise ValueError(f"node {node} appears twice in the node order")
-            known.add(node)
+        settings = {_integer("node id", n): (db, q) for n, (db, q) in squeezer_settings.items()}
+        order = _node_order(node_order)
+        known = set(order)
         elements = tuple(interferometer)
         named = list(settings)
         # Python scalars only: a compiled plan carries O(N^2) elements.
@@ -316,7 +310,7 @@ class NetworkPlan:
         for node, (db, quad) in settings.items():
             if quad not in ("x", "p"):
                 raise ValueError(f"node {node}: quadrature must be 'x' or 'p', got {quad!r}")
-            _db_of(db, node)
+            settings[node] = (_db_of(db, node), quad)
         object.__setattr__(self, "squeezer_settings", settings)
         object.__setattr__(self, "interferometer", elements)
         object.__setattr__(self, "node_order", order)
@@ -424,7 +418,7 @@ def preset_wire_network(db: float = 5.0) -> NetworkPlan:
     elements = [("phase", node, theta) for node, theta in enumerate(_PRESET_INPUT_PHASES, start=1)]
     elements += [("splitter", a, b, r) for a, b, r in _PRESET_SPLITTERS]
     elements += [("phase", node, theta) for node, theta in enumerate(_PRESET_OUTPUT_PHASES, start=1)]
-    settings = {node: (float(db), "p") for node in (1, 2, 3, 4)}
+    settings = {node: (db, "p") for node in (1, 2, 3, 4)}
     return NetworkPlan(settings, elements, (1, 2, 3, 4))
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, _mix_vacuum, quadrature_selector
+from .gaussian import GaussianState, _integer, _mix_vacuum, _node_order, _real, quadrature_selector
 from .graphs import ClusterGraph, NullifierTable
 
 __all__ = [
@@ -80,9 +80,9 @@ class FeedforwardTarget:
     """Displacement of one survivor by gain times the step's outcome.
 
     Attributes:
-        node: graph node id of the displaced survivor.
+        node: graph node id of the displaced survivor, an integer (README, value kinds).
         quadrature: displaced quadrature, "x" or "p".
-        gain: finite multiplier on the measured value.
+        gain: multiplier on the measured value, a real.
     """
 
     node: int
@@ -90,19 +90,23 @@ class FeedforwardTarget:
     gain: float
 
     def __post_init__(self):
+        object.__setattr__(self, "node", _integer("node id", self.node))
         if self.quadrature not in ("x", "p"):
             raise ValueError("target quadrature must be 'x' or 'p'")
-        if not np.isfinite(self.gain):
-            raise ValueError(f"feedforward gain must be finite, got {self.gain}")
+        object.__setattr__(self, "gain", _real("feedforward gain", self.gain))
 
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """One node measurement plus the displacements its outcome drives."""
+    """One node measurement plus the displacements its outcome drives: an integer node, a real angle (README)."""
 
     node: int
     angle: float
     feedforward: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "node", _integer("node id", self.node))
+        object.__setattr__(self, "angle", _real("measurement angle", self.angle))
 
 
 @dataclass(frozen=True)
@@ -242,26 +246,19 @@ def _condition(cov: np.ndarray, order: list, step: MeasurementStep):
     return u, idx, marginal_var, (cov @ u)[idx], gains, kept
 
 
-def _check_order(state: GaussianState, node_order: Sequence[int]) -> list:
-    order = list(node_order)
-    if len(order) != state.n_modes:
-        raise ValueError("node order length must match the state's mode count")
-    return order
-
-
 def execute_ensemble(state: GaussianState, node_order: Sequence[int], steps: Sequence[MeasurementStep]):
     """Outcome-averaged execution of a measurement plan.
 
     Args:
         state: input state with modes following node_order.
-        node_order: node ids in mode order.
+        node_order: node ids in mode order, none repeated.
         steps: measurement steps; each node must appear in node_order and
             survive until its own step.
 
     Returns:
         (final state, final node order, outcome records with value None).
     """
-    order = _check_order(state, node_order)
+    order = list(_node_order(node_order, state.n_modes))
     mean, cov, outcomes = state.mean, state.cov, []
     for step in steps:
         u, idx, marginal_var, vu, gains, cov = _condition(cov, order, step)
@@ -305,18 +302,18 @@ def execute_conditional(
 
     Args:
         state: input state with modes following node_order.
-        node_order: node ids in mode order.
+        node_order: node ids in mode order, none repeated.
         steps: measurement steps.
-        values: forced outcome per step; sampled from rng when None.
+        values: forced outcome per step, a real each; sampled from rng when None.
         rng: random generator for sampling.
 
     Returns:
         (final state, final node order, outcome records).
     """
-    order = _check_order(state, node_order)
+    order = list(_node_order(node_order, state.n_modes))
     if values is None and rng is None:
         raise ValueError("provide outcome values or an rng to sample them")
-    if values is not None and len(values) != len(steps):
+    if values is not None and len(values := [_real("forced outcome", y) for y in values]) != len(steps):
         raise ValueError("need one forced value per step")
 
     def sample(projection, marginal_var):
@@ -324,11 +321,9 @@ def execute_conditional(
 
     mean, cov, outcomes = state.mean, state.cov, []
     for k, step in enumerate(steps):
-        draw = sample if values is None else lambda projection, var, y=values[k]: float(y)
+        draw = sample if values is None else lambda projection, var, y=values[k]: y
         mean, cov, projection, marginal_var, value = _conditional_step(mean, cov, order, step, draw)
-        outcomes.append(
-            HomodyneOutcome(step.node, float(step.angle), value, float(projection), marginal_var)
-        )
+        outcomes.append(HomodyneOutcome(step.node, step.angle, value, float(projection), marginal_var))
     return GaussianState._adopt(mean, cov), tuple(order), tuple(outcomes)
 
 
@@ -392,12 +387,12 @@ class TrajectoryPlan:
 
     Attributes:
         state: initial state, modes following node_order.
-        node_order: node ids in mode order.
+        node_order: node ids in mode order, none repeated (README, value kinds).
         steps: measurement steps executed in order.
         record: NullifierTable of the forms evaluated on the final state;
             its nodes must survive the steps.
-        readout_efficiency: node -> transmission applied at the final
-            variance readout (models detection loss); empty means ideal.
+        readout_efficiency: node -> transmission, a real, applied at the
+            final variance readout (models detection loss); empty means ideal.
     """
 
     state: GaussianState
@@ -408,11 +403,13 @@ class TrajectoryPlan:
 
     def __init__(self, state, node_order, steps, record, readout_efficiency=None):
         object.__setattr__(self, "state", state)
-        object.__setattr__(self, "node_order", tuple(int(n) for n in node_order))
+        object.__setattr__(self, "node_order", _node_order(node_order, state.n_modes))
         object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "record", record)
         eff = readout_efficiency or {}
-        object.__setattr__(self, "readout_efficiency", {int(k): float(v) for k, v in eff.items()})
+        object.__setattr__(
+            self, "readout_efficiency", {_integer("node id", k): _real("transmission", v) for k, v in eff.items()}
+        )
 
 
 @dataclass(frozen=True)
@@ -447,7 +444,7 @@ def _readout_map(plan: TrajectoryPlan):
     at the initial mean and draws no noise; row 1+k starts at zero and
     draws a unit noise at step k only.  Returns (m, W, order).
     """
-    order, cov = _check_order(plan.state, plan.node_order), plan.state.cov
+    order, cov = list(plan.node_order), plan.state.cov
     rows = np.vstack([plan.state.mean, np.zeros((len(plan.steps), plan.state.mean.size))])
     for k, step in enumerate(plan.steps):
         unit = np.eye(len(rows))[1 + k]
@@ -472,8 +469,8 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
 
     Args:
         plan: trajectory plan.
-        trials: number of trajectories, at least 1.
-        seed: generator seed.
+        trials: number of trajectories, an integer from 1 to 2**53.
+        seed: generator seed, a non-negative integer.
 
     Returns:
         TrajectoryStats with per-form statistic columns and the sample covariance
@@ -481,12 +478,13 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
         sample covariance NaN when trials == 1.
 
     Raises:
-        ValueError: trials below 1.
+        ValueError: trials outside [1, 2**53], or a trials or seed that is no integer.
         numpy.linalg.LinAlgError: Cholesky finds the readout covariance not
             positive definite, as lost precision leaves it at high squeezing.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= (trials := _integer("trials", trials)) <= 2**53:  # up to 2**53, T - 1 is exact as a float
+        raise ValueError("trials must lie between 1 and 2**53 = 9007199254740992")
+    seed = _integer("seed", seed)
     mean, loading, final_order = _readout_map(plan)
     n_read, width = loading.shape
     rng = np.random.default_rng(seed)
@@ -508,6 +506,6 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
         variances = np.einsum("ij,ij->i", form_factor, form_factor) / (trials - 1)
         sample_vars, stderrs = variances.tolist(), (variances * np.sqrt(2.0 / (trials - 1))).tolist()
     return TrajectoryStats(
-        int(trials), int(seed), plan.record.texts, analytic_vars, sample_means, sample_vars, stderrs,
+        trials, seed, plan.record.texts, analytic_vars, sample_means, sample_vars, stderrs,
         final_order, sample_cov, loading @ loading.T,
     )

@@ -5,11 +5,16 @@ property loop is reproducible from the test source alone.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cvshape import (
     VACUUM_VARIANCE,
@@ -22,7 +27,7 @@ from cvshape import (
 from cvshape.criteria import CriteriaReport, residual_squeezing_db
 from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, quadrature_selector, quadrature_variances
 from cvshape.graphs import _squeezer_scales, nullifiers_of
-from cvshape.shaping import _check_order, _conditional_step, execute_ensemble
+from cvshape.shaping import _conditional_step, execute_ensemble
 
 
 @dataclass(frozen=True)
@@ -331,7 +336,7 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
     def sample(projections, marginal_var):
         return projections + np.sqrt(marginal_var) * rng.standard_normal(trials)
 
-    order = _check_order(plan.state, plan.node_order)
+    order = list(plan.node_order)
     means, cov = plan.state.mean, plan.state.cov
     for step in plan.steps:
         means, cov, _, _, _ = _conditional_step(means, cov, order, step, sample)
@@ -685,3 +690,32 @@ REPORT_SCHEMA = {
         "wall_time_s": {"type": "number"},
     },
 }
+
+
+# ---------------------------------------------------------------------------
+# values of every kind, for the config's and the library's value checks
+# ---------------------------------------------------------------------------
+
+#: The strs a config value may take; each also names a wire graph file in the working directory.
+CONFIG_TEXTS = ("remove-edge", "canonical", "json", "detection", "5")
+_INTS = st.integers(-2, 40)
+_REALS = st.floats(-2.0, 40.0) | st.sampled_from((1.5, math.nan, math.inf, -math.inf))
+CONFIG_VALUES = st.one_of(
+    _INTS, _INTS.map(np.int64), _INTS.map(np.int32), _REALS, _REALS.map(np.float64), _REALS.map(np.float32),
+    st.fractions(-2, 40, max_denominator=8), _REALS.map(Decimal), st.sampled_from(CONFIG_TEXTS),
+    st.sampled_from((10**400, -(10**400))), st.booleans(), st.none(), st.lists(_INTS, max_size=3),
+    # values whose repr passes the int-to-str digit limit (hypothesis's own @example would print them)
+    st.sampled_from((Fraction(10**5000, 3), [10**5000], 10**5000)),
+)
+
+
+def plain_twin(value):
+    """The value as the Python int or float it equals (a real past the float range as +-inf); any other as itself."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

@@ -3,10 +3,8 @@
 import dataclasses
 import inspect
 import json
-import numbers
 import re
 from collections.abc import Hashable
-from decimal import Decimal
 from fractions import Fraction
 
 import jsonschema
@@ -40,7 +38,16 @@ from cvshape.experiments import (
     emit,
     run,
 )
-from helpers import REPORT_SCALARS, REPORT_SCHEMA, json_tokens_reference, leaf_types, report_json_reference
+from helpers import (
+    CONFIG_TEXTS,
+    CONFIG_VALUES,
+    REPORT_SCALARS,
+    REPORT_SCHEMA,
+    json_tokens_reference,
+    leaf_types,
+    plain_twin,
+    report_json_reference,
+)
 
 # Closed-form calibration oracle: eta = (1/2 - target) / (1/2 - 2s) with
 # 2s the lossless two-term variance at 5 dB.
@@ -212,17 +219,6 @@ def test_config_rejects_bad_values():
 
 WIRE_GRAPH_TEXT = "node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3\nedge 3 4\n"
 
-#: The strs a config value may take; each also names a wire graph file in the working directory.
-CONFIG_TEXTS = ("remove-edge", "canonical", "json", "detection", "5")
-_INTS = st.integers(-2, 40)
-_REALS = st.floats(-2.0, 40.0) | st.just(float("nan"))
-CONFIG_VALUES = st.one_of(
-    _INTS, _INTS.map(np.int64), _INTS.map(np.int32), _REALS, _REALS.map(np.float64), _REALS.map(np.float32),
-    st.fractions(-2, 40, max_denominator=8), _REALS.map(Decimal), st.sampled_from(CONFIG_TEXTS),
-    st.sampled_from((10**400, -(10**400))), st.booleans(), st.none(), st.lists(_INTS, max_size=3),
-    # values whose repr passes the int-to-str digit limit (hypothesis's own @example would print them)
-    st.sampled_from((Fraction(10**5000, 3), [10**5000], 10**5000)),
-)
 _CUSTOM = {"scenario": "custom", "graph_file": "remove-edge"}
 
 #: Every place a value can sit in a config: a field, or a key or an entry of a map or a pair.
@@ -245,13 +241,6 @@ CONFIG_SLOTS |= {
     "shorten_inner": lambda value: {**_CUSTOM, "shorten_inner": value},
     "shorten_inner entry": lambda value: {**_CUSTOM, "shorten_inner": (2, value)},
 }
-
-
-def _plain(value):
-    """The value as the Python int or float it equals; any other value as itself."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return value
-    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def _report_texts(config) -> tuple:
@@ -281,7 +270,7 @@ def test_every_config_value_runs_as_its_plain_twin_or_raises_one_config_error(tm
     except ConfigError:
         return
     assert leaf_types(config.to_dict()) <= REPORT_SCALARS
-    assert texts == _report_texts(ExperimentConfig(**CONFIG_SLOTS[slot](_plain(value))))
+    assert texts == _report_texts(ExperimentConfig(**CONFIG_SLOTS[slot](plain_twin(value))))
 
 
 @pytest.mark.parametrize("slot", ["seed", "trials", "squeezing_overrides node", "loss node", "remove_target"])

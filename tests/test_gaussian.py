@@ -398,8 +398,8 @@ def test_random_transforms_stay_symplectic():
         (lambda: LossModel({"detection": True}), "transmission must be a real number, got True"),
         (lambda: LossModel({"propagation": {2: False}}), "transmission must be a real number, got False"),
         (lambda: LossModel({"propagation": {True: 0.5}}), "node id must be an integer, got True"),
-        # past the float range float() overflows: the transmission is out of range, not an OverflowError
-        (lambda: LossModel({"detection": -(10**400)}), "transmission -inf outside (0, 1]"),
+        # past the float range float() overflows: the transmission is not finite, not an OverflowError
+        (lambda: LossModel({"detection": -(10**400)}), "transmission must be finite, got -inf"),
         # a mode taken twice would duplicate its x and p: no physical state has that covariance
         (lambda: vacuum(3).marginal([1, 0, 1]), "mode index 1 repeated in marginal"),
         # a complex entry is refused, not cast to its real part

@@ -614,7 +614,7 @@ def test_parse_graph_text_rejects_bad_db(level):
         (lambda: ClusterGraph.ring((1, 2)), "ring needs at least three nodes"),
         (
             lambda: nullifiers_of(ClusterGraph.linear_wire(2)).rows((1, 1)),
-            "node order length must match the state's mode count",
+            "node 1 appears twice in the node order",
         ),
     ],
     ids=["duplicate-node", "one-node-edge", "empty-wire", "two-node-ring", "repeated-row-node"],

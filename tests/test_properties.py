@@ -8,28 +8,44 @@ the marginal mean of the measured quadrature.  Trajectory execution maps
 each trial's noises z to its readout m + W z; with unit-variance noise the
 readout ensemble is (m, W W^T), which must equal a second, outcome-averaged
 pass through the ensemble semantics.
+
+Every entry point that takes a node id, a count or a real checks it
+through one function per kind: any value runs as the plain Python int or
+float it equals, or raises one ValueError that shows it.
 """
 
+import dataclasses
+import re
+from collections.abc import Hashable
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cvshape import (
     ClusterGraph,
+    ExperimentConfig,
     FeedforwardTarget,
     GaussianState,
     LossModel,
     MeasurementStep,
+    NetworkPlan,
     TrajectoryPlan,
+    apply_loss,
     build_canonical,
+    check_cluster_criteria,
+    compile_network,
     nullifiers_of,
     removal_steps,
     run_trajectory,
     shorten_steps,
+    squeezed_variance,
+    vacuum,
 )
-from cvshape.gaussian import quadrature_selector
+from cvshape.gaussian import _shown, quadrature_selector
 from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
-from helpers import ensemble_readout_reference
+from helpers import CONFIG_VALUES, ensemble_readout_reference, plain_twin
 
 SIGNS = st.sampled_from((-1, 1))
 GAINS = st.floats(-2.0, 2.0)
@@ -186,3 +202,144 @@ def test_trajectory_readout_map_is_the_ensemble(graph, data):
         loading @ loading.T, target.cov, rtol=0, atol=1e-12 * np.abs(target.cov).max()
     )
     assert np.array_equal(run_trajectory(plan, trials=1, seed=0).analytic_cov, loading @ loading.T)
+
+
+WIRE3 = ClusterGraph.linear_wire(3)
+STATE3 = build_canonical(WIRE3, 5.0)
+REMOVE3 = removal_steps(WIRE3, 3)
+TARGET2 = (FeedforwardTarget(2, "p", -1.0),)
+RECORD12 = nullifiers_of(WIRE3.with_node_removed(3))
+
+
+def _plan(order=(1, 2, 3), readout=None) -> TrajectoryPlan:
+    return TrajectoryPlan(STATE3, order, REMOVE3, RECORD12, readout)
+
+
+#: Each entry point with a value in one id, count or real position, the rest valid.
+VALUE_SLOTS = {
+    "ClusterGraph node": lambda v: ClusterGraph([v, 2, 3], [(2, 3)]),
+    "ClusterGraph edge end": lambda v: ClusterGraph([1, 2, 3], [(1, v)]),
+    "ClusterGraph edge sign": lambda v: ClusterGraph([1, 2], [(1, 2, v)]),
+    "ClusterGraph.with_edge sign": lambda v: WIRE3.with_edge(1, 3, v),
+    "ClusterGraph.ring node": lambda v: ClusterGraph.ring((1, 2, v)),
+    "ClusterGraph.linear_wire count": lambda v: ClusterGraph.linear_wire(v),
+    "vacuum count": lambda v: vacuum(v),
+    "squeezed_variance level": lambda v: squeezed_variance(v),
+    "apply_loss mode": lambda v: apply_loss(STATE3, v, 0.5),
+    "apply_loss transmission": lambda v: apply_loss(STATE3, 1, v),
+    "build_canonical level": lambda v: build_canonical(WIRE3, v),
+    "build_canonical node level": lambda v: build_canonical(WIRE3, {1: 5.0, 2: v, 3: 5.0}),
+    "compile_network level": lambda v: compile_network(WIRE3, {1: 5.0, 2: v, 3: 5.0}),
+    "LossModel transmission": lambda v: LossModel({"detection": v}),
+    "LossModel node": lambda v: LossModel({"detection": {v: 0.5}}),
+    "LossModel node transmission": lambda v: LossModel({"detection": {2: v}}),
+    "LossModel.apply_stage order": lambda v: LossModel({"d": 0.5}).apply_stage(STATE3, "d", (1, 2, v)),
+    "NetworkPlan node": lambda v: NetworkPlan({v: (5.0, "p")}, [("phase", 1, 0.3)], (1, 2)),
+    "NetworkPlan level": lambda v: NetworkPlan({1: (v, "p")}, [("phase", 1, 0.3)], (1, 2)).prepare(),
+    "NetworkPlan order": lambda v: NetworkPlan({1: (5.0, "p")}, [("phase", 1, 0.3)], (1, v)),
+    "FeedforwardTarget node": lambda v: FeedforwardTarget(v, "p", 1.0),
+    "FeedforwardTarget gain": lambda v: FeedforwardTarget(2, "p", v),
+    "MeasurementStep node": lambda v: MeasurementStep(v, 0.0, TARGET2),
+    "MeasurementStep angle": lambda v: execute_ensemble(STATE3, (1, 2, 3), [MeasurementStep(3, v, TARGET2)]),
+    "execute_ensemble order": lambda v: execute_ensemble(STATE3, (1, 2, v), REMOVE3),
+    "execute_conditional order": lambda v: execute_conditional(STATE3, (1, 2, v), REMOVE3, values=[0.5]),
+    "execute_conditional outcome": lambda v: execute_conditional(STATE3, (1, 2, 3), REMOVE3, values=[v]),
+    "check_cluster_criteria order": lambda v: check_cluster_criteria(STATE3, WIRE3, (1, 2, v)),
+    "NullifierTable.rows order": lambda v: nullifiers_of(WIRE3).rows((1, 2, v)),
+    "TrajectoryPlan order": lambda v: run_trajectory(_plan((1, 2, v)), 3, 1),
+    "TrajectoryPlan readout node": lambda v: run_trajectory(_plan(readout={v: 0.5}), 3, 1),
+    "TrajectoryPlan readout transmission": lambda v: run_trajectory(_plan(readout={2: v}), 3, 1),
+    "run_trajectory trials": lambda v: run_trajectory(_plan(), v, 1),
+    "run_trajectory seed": lambda v: run_trajectory(_plan(), 3, v),
+    "config count": lambda v: ExperimentConfig(trials=v),
+    "config node": lambda v: ExperimentConfig(squeezing_overrides={v: 7.0}),
+    "config real": lambda v: ExperimentConfig(feedforward_gain=v),
+}
+
+
+#: The slots whose value is a mapping key, which a list cannot be.
+KEY_SLOTS = ("LossModel node", "NetworkPlan node", "TrajectoryPlan readout node", "config node")
+
+
+def _canonical(value):
+    """Plain data equal for two results exactly when they hold the same values of the same types."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(_canonical(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, dict):
+        return ("dict", *((_canonical(k), _canonical(v)) for k, v in value.items()))
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, *map(_canonical, value))
+    return (type(value).__name__, repr(value))
+
+
+def _outcome(call, value):
+    try:
+        return "returned", _canonical(call(value))
+    except ValueError as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+@settings(
+    max_examples=1000, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(slot=st.sampled_from(sorted(VALUE_SLOTS)), value=CONFIG_VALUES)
+def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, value):
+    # a numpy scalar, a Fraction or an int runs as the Python int or float it equals; a bool, a str, None, a
+    # list, a Decimal, a float where an integer belongs, NaN or +-inf raises one ValueError (a non-ValueError
+    # escapes and fails the test), whose message shows the value bounded, or is the plain twin's message
+    assume(isinstance(value, Hashable) or slot not in KEY_SLOTS)
+    # a wire of 10**400 nodes is a valid count, but building it would not end
+    assume(not (slot == "ClusterGraph.linear_wire count" and plain_twin(value) == 10**400))
+    outcome = _outcome(VALUE_SLOTS[slot], value)
+    if outcome[0] == "raised" and _shown(value) in outcome[2]:
+        return
+    assert outcome == _outcome(VALUE_SLOTS[slot], plain_twin(value))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ClusterGraph([1.5, 2]), "node id must be an integer, got 1.5"),
+        (lambda: ClusterGraph([True, 2]), "node id must be an integer, got True"),
+        (lambda: ClusterGraph([1, 2], [(1.7, 2, True)]), "node id must be an integer, got 1.7"),
+        (lambda: WIRE3.with_edge(1, 3, 1.0), "edge sign must be an integer, got 1.0"),
+        (lambda: NetworkPlan({3.7: ("5", "p")}, [], (3,)), "node id must be an integer, got 3.7"),
+        (lambda: NetworkPlan({3: (5.0, "p")}, [], (2.9,)), "node id must be an integer, got 2.9"),
+        (lambda: TrajectoryPlan(vacuum(1), (1.9,), (), None), "node id must be an integer, got 1.9"),
+        (lambda: TrajectoryPlan(vacuum(1), (1,), (), None, {True: "0.5"}), "node id must be an integer, got True"),
+        (
+            lambda: LossModel({"detection": {10**5000: 0.5}}),
+            "node id has too many digits to print, got <int of 16610 bits>",
+        ),
+        (
+            lambda: build_canonical(WIRE3, "5"),
+            "node 1: squeezing level in dB must be a real number, got '5'",
+        ),
+        (lambda: squeezed_variance(True), "squeezing level in dB must be a real number, got True"),
+        (lambda: FeedforwardTarget(1.5, "p", True), "node id must be an integer, got 1.5"),
+        (lambda: FeedforwardTarget(1, "p", "1"), "feedforward gain must be a real number, got '1'"),
+        (lambda: MeasurementStep(3, float("nan"), TARGET2), "measurement angle must be finite, got nan"),
+        (
+            lambda: execute_conditional(STATE3, (1, 2, 3), REMOVE3, values=[float("nan")]),
+            "forced outcome must be finite, got nan",
+        ),
+        (lambda: execute_ensemble(STATE3, (1, 1, 3), REMOVE3), "node 1 appears twice in the node order"),
+        (lambda: nullifiers_of(WIRE3).rows((1, 1, 3)), "node 1 appears twice in the node order"),
+        (lambda: run_trajectory(_plan(), True, 1), "trials must be an integer, got True"),
+        (lambda: run_trajectory(_plan(), 10**400, 1), "trials must lie between 1 and 2**53 = 9007199254740992"),
+        (lambda: vacuum(True), "mode count must be an integer, got True"),
+        (lambda: ClusterGraph.linear_wire(True), "node count must be an integer, got True"),
+    ],
+    ids=[
+        "float-node", "bool-node", "float-edge-end", "float-sign", "float-plan-node", "float-plan-order",
+        "float-trajectory-order", "bool-readout-node", "huge-loss-node", "str-level", "bool-level",
+        "float-target-node", "str-gain", "nan-angle", "nan-forced-outcome", "repeated-ensemble-order",
+        "repeated-row-order", "bool-trials", "too-many-trials", "bool-mode-count", "bool-wire-length",
+    ],
+)
+def test_a_value_outside_its_kind_raises_one_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is ValueError
