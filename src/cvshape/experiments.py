@@ -24,7 +24,6 @@ from .criteria import NULLIFIER_BOUND, PAIRWISE_BOUND, CriteriaReport, check_clu
 from .gaussian import GaussianState, LossModel, VACUUM_VARIANCE, _integer, _real, _shown, squeezed_variance
 from .graphs import (
     ClusterGraph,
-    NullifierTable,
     build_canonical,
     compile_network,
     nullifiers_of,
@@ -77,6 +76,13 @@ _REPORT_FLOAT = ".6g"
 
 #: JSON spellings of the non-finite floats, keyed by their repr.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: The kind and hint of each numeric failure's error line, by the exception class run turns into it.
+_NUMERIC_FAILURES = {
+    np.linalg.LinAlgError: ("precision lost", "; lower squeezing_db"),
+    ArithmeticError: ("numbers out of floating-point range", "; lower squeezing_db or feedforward_gain"),
+    MemoryError: ("out of memory", ""),
+}
 
 
 class ConfigError(ValueError):
@@ -396,10 +402,7 @@ def _construct(config: ExperimentConfig, graph: ClusterGraph, db: dict) -> Gauss
     if config.construction == "canonical":
         return build_canonical(graph, db)
     if config.construction == "compiled":
-        try:
-            return compile_network(graph, db)[1]  # the state it checked
-        except np.linalg.LinAlgError as exc:  # precision lost at very high squeezing
-            raise ConfigError(f"compiled construction failed: {exc}") from None
+        return compile_network(graph, db)[1]  # the state it checked
     wire = ClusterGraph.linear_wire(4)
     if graph.nodes != wire.nodes or graph.edges() != wire.edges():
         raise ConfigError("preset-wire construction is defined for the plain 4-node wire only")
@@ -430,14 +433,6 @@ def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: Clust
         return shorten_wire(state, graph, inner, gain=gain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _verify(view: GaussianState, table: NullifierTable, order) -> CriteriaReport:
-    """Criteria of a detection view; a nullifier variance lost to cancellation is an input error."""
-    try:
-        return check_cluster_criteria(view, table, order)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"criteria check failed: {exc}; lower squeezing_db") from None
 
 
 def _quarter_turns(state: GaussianState, order, turns) -> GaussianState:
@@ -488,19 +483,26 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     verifies the final criteria the same way, and optionally samples
     Monte Carlo trajectories of the identical pipeline.
 
-    An overflow, division by zero or invalid value anywhere in the run
-    raises ConfigError, so no report carries a non-finite number.
+    This is the one place a numeric failure becomes an input error.
+    Lost precision (LinAlgError), an overflow, division by zero or
+    invalid value (ArithmeticError, so no report carries a non-finite
+    number) and running out of memory raise ConfigError
+    "<stage>: <kind>: <detail>[; <hint>]", naming the stage of _run that
+    failed.  Any other exception passes through unchanged.
     """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _run(config)
-    except ArithmeticError as exc:  # FloatingPointError, or OverflowError from float powers
-        raise ConfigError(
-            f"numbers out of floating-point range: {exc}; lower squeezing_db or feedforward_gain"
-        ) from None
+            for stage in _run(config):  # each stage's name as it starts, then the report
+                pass
+    except (np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
+        kind, hint = next(text for failure, text in _NUMERIC_FAILURES.items() if isinstance(exc, failure))
+        raise ConfigError(f"{stage}: {kind}: {exc}{hint}") from None
+    return stage
 
 
-def _run(config: ExperimentConfig) -> ExperimentReport:
+def _run(config: ExperimentConfig):
+    """The run as a generator: it yields each stage's name before the stage's work, then the report."""
+    yield "construct"
     started = time.perf_counter()
     graph, db = _resolve_graph(config)
     order = graph.nodes
@@ -513,36 +515,26 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
     else:
         loss = calibrate_loss(config.calibrate_target)
 
-    transcript = [
-        {
-            "op": "construct",
-            "construction": config.construction,
-            "nodes": list(order),
-            "edges": [list(e) for e in graph.edges()],
-        }
-    ]
+    edges = [list(e) for e in graph.edges()]
+    transcript = [{"op": "construct", "construction": config.construction, "nodes": list(order), "edges": edges}]
     for stage in _PRE_SHAPING_STAGES:
+        yield f"loss.{stage}"
         efficiency = {str(n): loss.efficiency(stage, n) for n in order}
         if min(efficiency.values(), default=1.0) < 1.0:
             state_in = loss.apply_stage(state_in, stage, order)
             transcript.append({"op": "loss", "stage": stage, "efficiency": efficiency})
 
-    initial_criteria = _verify(loss.apply_stage(state_in, "detection", order), nullifiers_of(graph), order)
+    yield "criteria.initial"
+    initial_criteria = check_cluster_criteria(
+        loss.apply_stage(state_in, "detection", order), nullifiers_of(graph), order
+    )
 
+    yield "shape"
     shaped = _shape_scenario(config, state_in, graph)
     steps, shaped_graph, shaped_order = shaped.steps, shaped.graph, shaped.graph.nodes
     for step in steps:
-        transcript.append(
-            {
-                "op": "measure",
-                "node": step.node,
-                "angle": step.angle,
-                "feedforward": [
-                    {"node": t.node, "quadrature": t.quadrature, "gain": t.gain}
-                    for t in step.feedforward
-                ],
-            }
-        )
+        targets = [{"node": t.node, "quadrature": t.quadrature, "gain": t.gain} for t in step.feedforward]
+        transcript.append({"op": "measure", "node": step.node, "angle": step.angle, "feedforward": targets})
     for i, j, sign in shaped.new_edges:
         transcript.append({"op": "new_edge", "nodes": [i, j], "sign": sign})
     # Each state is dropped after its last reader, so a run holds about three covariances.
@@ -551,6 +543,7 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
     del shaped
     state_in = state_in if ring or config.trials > 0 else None
 
+    yield "loss.feedforward_tap"
     # The tap acts on displaced nodes only: a tap-only model over those it attenuates.
     displaced, stage = {t.node for step in steps for t in step.feedforward}, "feedforward_tap"
     tap = LossModel({stage: {n: e for n in displaced if (e := loss.efficiency(stage, n)) < 1.0}})
@@ -558,25 +551,23 @@ def _run(config: ExperimentConfig) -> ExperimentReport:
         state = tap.apply_stage(state, stage, shaped_order)
         transcript.append({"op": "loss", "stage": stage, "efficiency": tap.to_dict()[stage]})
 
+    yield "criteria.final"
     table, view = nullifiers_of(shaped_graph), loss.apply_stage(state, "detection", shaped_order)
     del state
-    final_criteria = _verify(view, table, shaped_order)
+    final_criteria = check_cluster_criteria(view, table, shaped_order)
     del view
 
+    yield "monte_carlo"
     monte_carlo = None
     if config.trials > 0:
         readout = {n: loss.efficiency("detection", n) * taps.get(n, 1.0) for n in shaped_order}
         plan = TrajectoryPlan(state_in, order, steps, record=table, readout_efficiency=readout)
-        try:
-            monte_carlo = run_trajectory(plan, config.trials, config.seed)
-        except np.linalg.LinAlgError as exc:  # the readout covariance lost its positive definiteness
-            raise ConfigError(f"Monte Carlo readout failed: {exc}; lower squeezing_db") from None
+        monte_carlo = run_trajectory(plan, config.trials, config.seed)
 
-    ring_route = None
-    if ring:
-        ring_route = _ring_route_section(config, graph, state_in, loss, order, direct, shaped_order)
+    yield "ring_route"
+    ring_route = _ring_route_section(config, graph, state_in, loss, order, direct, shaped_order) if ring else None
 
-    return ExperimentReport(
+    yield ExperimentReport(
         config=config,
         loss_model=loss,
         node_order=order,

@@ -83,9 +83,11 @@ class ClusterGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable, nodes: Iterable[int] | None = None) -> "ClusterGraph":
-        """Build from (i, j) or (i, j, sign) entries; nodes default to the ids they name, sorted."""
+        """Build from (i, j) or (i, j, sign) entries; nodes default to the ids they name, checked, then sorted."""
         edges = list(edges)
-        return cls(sorted({n for entry in edges for n in entry[:2]}) if nodes is None else nodes, edges)
+        if nodes is None:
+            nodes = sorted({_integer("node id", n) for entry in edges for n in entry[:2]})
+        return cls(nodes, edges)
 
     @classmethod
     def linear_wire(cls, n: int) -> "ClusterGraph":

@@ -143,6 +143,7 @@ def removal_steps(graph: ClusterGraph, node: int, gain: float = -1.0) -> list:
     their variances are untouched.
     """
     graph.index_of(node)
+    gain = _real("feedforward gain", gain)
     targets = tuple(
         FeedforwardTarget(nbr, "p", gain * graph.sign(nbr, node))
         for nbr in graph.neighbors(node)
@@ -167,6 +168,7 @@ def shorten_steps(graph: ClusterGraph, inner_a: int, inner_b: int, gain: float =
         ValueError: if a or b has neighbors beyond the segment, the outer
             nodes coincide, or they are already adjacent.
     """
+    gain = _real("feedforward gain", gain)
     if not graph.has_edge(inner_a, inner_b):
         raise ValueError(f"inner nodes {inner_a} and {inner_b} are not adjacent")
     nbrs_a = set(graph.neighbors(inner_a)) - {inner_b}

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -153,7 +154,7 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         (
             WIRE_4,
             "scenario = remove-edge\nconstruction = compiled\nsqueezing_db = 5\nsqueezing_db.1 = 80",
-            "compiled construction failed: element reduction failed to recompose the unitary",
+            "construct: precision lost: element reduction failed to recompose the unitary",
         ),
         (
             WIRE_4,
@@ -208,19 +209,19 @@ def test_compiled_shortening_at_60_db_passes(tmp_path, capsys, lossless):
     [
         (
             "scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 80\n",
-            "error: compiled construction failed: ",
+            "error: construct: precision lost: ",
         ),
         (
             # The canonical symplectic passes the input check on its own
             # |S|^2 scale; the compiled plan's nullifier precision refuses.
             "scenario = shorten-wire\nconstruction = compiled\nsqueezing_db = 84\n",
-            "error: compiled construction failed: compiled plan state deviates",
+            "error: construct: precision lost: compiled plan state deviates",
         ),
-        ("scenario = remove-edge\nsqueezing_db = 200\n", "error: criteria check failed: "),
+        ("scenario = remove-edge\nsqueezing_db = 200\n", "error: criteria.initial: precision lost: "),
         (
             # Only the Monte Carlo readout loses precision: its covariance is not positive definite.
             "scenario = remove-edge\nsqueezing_db.3 = 165\nsqueezing_db.4 = 0\nloss.source.3 = 0.8\ntrials = 1000\n",
-            "error: Monte Carlo readout failed: ",
+            "error: monte_carlo: precision lost: ",
         ),
     ],
     ids=["compiled-80db", "compiled-84db", "remove-edge-200db", "monte-carlo-readout"],
@@ -232,6 +233,22 @@ def test_numerical_breakdown_exits_two(tmp_path, capsys, body, message):
     assert code == 2
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_two_with_one_line(tmp_path):
+    # A 6,000-node wire's covariance is 12,000 x 12,000 floats, 1.07 GiB: the child, its address space
+    # capped at 1.5 GB, cannot allocate it.  The cap and the one BLAS thread apply to the child only.
+    graph, cfg, cap = tmp_path / "wire.graph", tmp_path / "wire.cfg", 1_500_000_000
+    graph.write_text(format_graph_text(cvshape.ClusterGraph.linear_wire(6000)))
+    cfg.write_text(f"scenario = custom\ngraph_file = {graph}\nremove_node = 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cvshape.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-m", "cvshape.cli", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error: construct: out of memory") and child.stderr.count("\n") == 1
 
 
 def test_trial_count_up_to_2_to_the_53(capsys):

@@ -23,6 +23,7 @@ from cvshape import (
     GaussianState,
     MeasurementStep,
     build_canonical,
+    check_cluster_criteria,
     execute_ensemble,
     nullifiers_of,
     remove_node,
@@ -565,6 +566,7 @@ def _raiser(exc):
     [
         ("compile_network", ExperimentConfig(scenario="shorten-wire", construction="compiled")),
         ("check_cluster_criteria", ExperimentConfig(scenario="remove-edge")),
+        ("run_trajectory", ExperimentConfig(scenario="shorten-wire", trials=10)),
     ],
 )
 def test_only_precision_loss_becomes_a_config_error(monkeypatch, name, config):
@@ -575,10 +577,14 @@ def test_only_precision_loss_becomes_a_config_error(monkeypatch, name, config):
     assert not isinstance(info.value, ConfigError)
 
 
-def test_non_finite_nullifier_variance_is_a_config_error():
-    state = GaussianState(np.zeros(2), np.diag([0.25, np.nan]))  # p_1 variance NaN
-    with pytest.raises(ConfigError, match="criteria check failed"):
-        experiments._verify(state, nullifiers_of(ClusterGraph((1,))), (1,))
+def test_non_finite_nullifier_variance_is_a_config_error(monkeypatch):
+    state = GaussianState(np.zeros(8), np.diag([0.25] * 4 + [np.nan] + [0.25] * 3))  # p_1 variance NaN
+    with pytest.raises(np.linalg.LinAlgError, match="^variance must be positive and finite"):
+        check_cluster_criteria(state, ClusterGraph.linear_wire(4))
+    # run names the stage the NaN reached
+    monkeypatch.setattr(experiments, "build_canonical", lambda graph, db: state)
+    with pytest.raises(ConfigError, match=r"^criteria\.initial: precision lost: variance must be positive and finite"):
+        run(ExperimentConfig(scenario="remove-edge", lossless=True))
 
 
 def test_criteria_failure_evaluates_the_variances_once(monkeypatch):
@@ -591,7 +597,7 @@ def test_criteria_failure_evaluates_the_variances_once(monkeypatch):
 
     monkeypatch.setattr(cvshape_criteria, "quadrature_variances", counted)
     monkeypatch.setattr(experiments, "quadrature_variances", counted, raising=False)
-    with pytest.raises(ConfigError, match="^criteria check failed: variance must be positive and finite"):
+    with pytest.raises(ConfigError, match=r"^criteria\.initial: precision lost: variance must be positive and finite"):
         run(ExperimentConfig(scenario="remove-edge", squeezing_db=200))
     assert calls == [(4, 8)]
 
@@ -645,7 +651,7 @@ def test_each_graph_nullifier_table_is_built_once_per_run(monkeypatch):
 
 def test_compiled_precision_loss_is_a_config_error(monkeypatch):
     monkeypatch.setattr(experiments, "compile_network", _raiser(np.linalg.LinAlgError("lost")))
-    with pytest.raises(ConfigError, match="compiled construction failed: lost"):
+    with pytest.raises(ConfigError, match="^construct: precision lost: lost; lower squeezing_db$"):
         run(ExperimentConfig(scenario="shorten-wire", construction="compiled"))
 
 

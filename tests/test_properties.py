@@ -331,12 +331,19 @@ def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, valu
         (lambda: run_trajectory(_plan(), 10**400, 1), "trials must lie between 1 and 2**53 = 9007199254740992"),
         (lambda: vacuum(True), "mode count must be an integer, got True"),
         (lambda: ClusterGraph.linear_wire(True), "node count must be an integer, got True"),
+        (lambda: ClusterGraph.from_edges([("a", 2)]), "node id must be an integer, got 'a'"),
+        (lambda: removal_steps(WIRE3, 2, gain=True), "feedforward gain must be a real number, got True"),
+        (
+            lambda: shorten_steps(ClusterGraph.linear_wire(4), 2, 3, gain=True),
+            "feedforward gain must be a real number, got True",
+        ),
     ],
     ids=[
         "float-node", "bool-node", "float-edge-end", "float-sign", "float-plan-node", "float-plan-order",
         "float-trajectory-order", "bool-readout-node", "huge-loss-node", "str-level", "bool-level",
         "float-target-node", "str-gain", "nan-angle", "nan-forced-outcome", "repeated-ensemble-order",
         "repeated-row-order", "bool-trials", "too-many-trials", "bool-mode-count", "bool-wire-length",
+        "str-edge-end", "bool-removal-gain", "bool-shortening-gain",
     ],
 )
 def test_a_value_outside_its_kind_raises_one_value_error(call, message):
