@@ -73,6 +73,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # outside run, which names its stage: reading the config or writing the report
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     if config.output is None:
         sys.stdout.write(text)
     return 0 if report.final_criteria.all_pass else 1

@@ -11,11 +11,9 @@ choice of reference can never hide in a log scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .gaussian import GaussianState, VACUUM_VARIANCE, _node_order, quadrature_variances
+from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variances
 from .graphs import ClusterGraph, NullifierTable, nullifiers_of
 
 __all__ = [
@@ -118,16 +116,13 @@ def residual_squeezing_db(state: GaussianState, mode: int):
     )
 
 
-def check_cluster_criteria(
-    state: GaussianState, graph: ClusterGraph | NullifierTable, node_order: Sequence[int] | None = None
-) -> CriteriaReport:
+def check_cluster_criteria(state: GaussianState, graph: ClusterGraph | NullifierTable) -> CriteriaReport:
     """Evaluate all nullifier and adjacent-pair criteria for a state.
 
     Args:
-        state: state to verify.
+        state: state to verify; its nodes must include every node a form references.
         graph: cluster graph, whose nullifiers define the forms, or the
             NullifierTable that nullifiers_of already built for it.
-        node_order: node ids in mode order, none repeated; defaults to graph.nodes.
 
     Returns:
         CriteriaReport with a variance and dB column over the table's rows,
@@ -138,15 +133,14 @@ def check_cluster_criteria(
         numpy.linalg.LinAlgError: a variance lost to cancellation, zero or below, or not finite.
     """
     table = graph if isinstance(graph, NullifierTable) else nullifiers_of(graph)
-    order = _node_order(table.labels if node_order is None else node_order, state.n_modes)
-    values = quadrature_variances(state, table.rows(order))
+    values = quadrature_variances(state, table.rows(state.nodes))
     try:
         db = nullifier_db(values, table.counts)
     except ValueError as exc:  # a variance cancelled to zero or below, or not finite: precision lost
         raise np.linalg.LinAlgError(str(exc)) from None
     row = {node: r for r, node in enumerate(table.labels)}
     sums = values[[row[i] for i, _, _ in table.edges]] + values[[row[j] for _, j, _ in table.edges]]
-    mode = {node: k for k, node in enumerate(order)}
+    mode = {node: k for k, node in enumerate(state.nodes)}
     isolated = [node for node, count in zip(table.labels, table.counts) if count == 1]  # bare p-terms
     residuals = [(node, *residual_squeezing_db(state, mode[node])) for node in isolated]
     return CriteriaReport(table, values.tolist(), db.tolist(), sums.tolist(), residuals)

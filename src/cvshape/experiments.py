@@ -435,22 +435,22 @@ def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: Clust
         raise ConfigError(str(exc)) from None
 
 
-def _quarter_turns(state: GaussianState, order, turns) -> GaussianState:
+def _quarter_turns(state: GaussianState, turns) -> GaussianState:
     """Turn each (node, k) of turns by k quarter turns, the phase shift by k pi/2, as exact signed swaps.
 
     One turn maps x to -p and p to x; the + 0.0 keeps a negated zero from printing as -0.0.
     """
-    n = len(order)
+    order, n = state.nodes, state.n_modes
     index, sign = np.arange(2 * n), np.ones(2 * n)
     for node, k in turns:
         x, p = order.index(node), n + order.index(node)
         for _ in range(k % 4):
             index[[x, p]], sign[[x, p]] = index[[p, x]], sign[[p, x]] * (-1.0, 1.0)
     cov = state.cov[np.ix_(index, index)] * np.outer(sign, sign) + 0.0
-    return GaussianState._adopt(state.mean[index] * sign + 0.0, cov)
+    return GaussianState._adopt(state.mean[index] * sign + 0.0, cov, order)
 
 
-def _ring_route_section(config, graph, state_in, loss, order, direct, direct_order):
+def _ring_route_section(config, graph, state_in, loss, direct):
     """Shorten the wire the ring way and report its discrepancy from the direct route.
 
     Quarter turns make the wire the four-cycle 1-3-2-4, and removing its
@@ -458,16 +458,15 @@ def _ring_route_section(config, graph, state_in, loss, order, direct, direct_ord
     """
     gain = -1.0 * config.feedforward_gain
     turns = [(node, round(theta / (np.pi / 2))) for node, theta in wire_to_ring_phases(graph)]
-    ring = remove_node(_quarter_turns(state_in, order, turns), ClusterGraph.ring((1, 3, 2, 4)), 2, gain=gain)
+    ring = remove_node(_quarter_turns(state_in, turns), ClusterGraph.ring((1, 3, 2, 4)), 2, gain=gain)
     ring = remove_node(ring.state, ring.graph, 3, gain=gain)
     # The route leaves mode 1 still carrying its pi rotation; undo it so
     # both routes express the survivors in the same local frame.
-    ring_order = ring.graph.nodes
-    ring_view = loss.apply_stage(_quarter_turns(ring.state, ring_order, [(1, 2)]), "detection", ring_order)
-    direct_view = loss.apply_stage(direct, "detection", direct_order)
+    ring_view = loss.apply_stage(_quarter_turns(ring.state, [(1, 2)]), "detection")
+    direct_view = loss.apply_stage(direct, "detection")
     gaps = np.abs(direct_view.cov - ring_view.cov).max(), np.abs(direct_view.mean - ring_view.mean).max()
     return {
-        "node_order": list(direct_order),
+        "node_order": list(direct.nodes),
         "direct_cov": direct_view.cov.tolist(),
         "ring_cov": ring_view.cov.tolist(),
         "discrepancy": float(max(gaps)),
@@ -521,13 +520,11 @@ def _run(config: ExperimentConfig):
         yield f"loss.{stage}"
         efficiency = {str(n): loss.efficiency(stage, n) for n in order}
         if min(efficiency.values(), default=1.0) < 1.0:
-            state_in = loss.apply_stage(state_in, stage, order)
+            state_in = loss.apply_stage(state_in, stage)
             transcript.append({"op": "loss", "stage": stage, "efficiency": efficiency})
 
     yield "criteria.initial"
-    initial_criteria = check_cluster_criteria(
-        loss.apply_stage(state_in, "detection", order), nullifiers_of(graph), order
-    )
+    initial_criteria = check_cluster_criteria(loss.apply_stage(state_in, "detection"), nullifiers_of(graph))
 
     yield "shape"
     shaped = _shape_scenario(config, state_in, graph)
@@ -548,24 +545,24 @@ def _run(config: ExperimentConfig):
     displaced, stage = {t.node for step in steps for t in step.feedforward}, "feedforward_tap"
     tap = LossModel({stage: {n: e for n in displaced if (e := loss.efficiency(stage, n)) < 1.0}})
     if taps := tap.stages[stage]:
-        state = tap.apply_stage(state, stage, shaped_order)
+        state = tap.apply_stage(state, stage)
         transcript.append({"op": "loss", "stage": stage, "efficiency": tap.to_dict()[stage]})
 
     yield "criteria.final"
-    table, view = nullifiers_of(shaped_graph), loss.apply_stage(state, "detection", shaped_order)
+    table, view = nullifiers_of(shaped_graph), loss.apply_stage(state, "detection")
     del state
-    final_criteria = check_cluster_criteria(view, table, shaped_order)
+    final_criteria = check_cluster_criteria(view, table)
     del view
 
     yield "monte_carlo"
     monte_carlo = None
     if config.trials > 0:
         readout = {n: loss.efficiency("detection", n) * taps.get(n, 1.0) for n in shaped_order}
-        plan = TrajectoryPlan(state_in, order, steps, record=table, readout_efficiency=readout)
+        plan = TrajectoryPlan(state_in, steps, record=table, readout_efficiency=readout)
         monte_carlo = run_trajectory(plan, config.trials, config.seed)
 
     yield "ring_route"
-    ring_route = _ring_route_section(config, graph, state_in, loss, order, direct, shaped_order) if ring else None
+    ring_route = _ring_route_section(config, graph, state_in, loss, direct) if ring else None
 
     yield ExperimentReport(
         config=config,

@@ -118,40 +118,42 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Mean vector and covariance matrix of an N-mode Gaussian state.
+    """Mean vector and covariance matrix of an N-mode Gaussian state, and the node id of each mode.
 
     Attributes:
         mean: length-2N quadrature mean vector, xxpp ordering.
         cov: 2N x 2N symmetric covariance matrix.
+        nodes: integer node ids (README, value kinds), none repeated, 0 ... N-1 unless given; mode k is nodes[k].
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    nodes: tuple = None
 
     def __post_init__(self):
         if np.iscomplexobj(self.mean) or np.iscomplexobj(self.cov):
             raise ValueError("state mean and covariance must be real, got complex entries")
-        self._settle(self.mean, np.array(self.cov, dtype=float, order="C"))
+        nodes = None if self.nodes is None else _node_order(self.nodes, np.size(self.mean) // 2)  # checked once, here
+        self._settle(self.mean, np.array(self.cov, dtype=float, order="C"), nodes)
 
     @classmethod
-    def _adopt(cls, mean, cov: np.ndarray) -> "GaussianState":
+    def _adopt(cls, mean, cov: np.ndarray, nodes: tuple) -> "GaussianState":
         """State that takes cov itself, a new float C array no caller can still reach: no copy.
 
-        A read-only cov is another state's own, as after zero shaping steps, and is copied.
+        A read-only cov is another state's own, as after zero shaping steps, and is copied.  nodes
+        come checked, as a graph's, a plan's or some of a state's; None means 0 ... N-1.
         """
         state = object.__new__(cls)
-        state._settle(mean, cov if cov.flags.writeable else np.array(cov))
+        state._settle(mean, cov if cov.flags.writeable else np.array(cov), nodes)
         return state
 
-    def _settle(self, mean, cov: np.ndarray) -> None:
-        """Check and symmetrise cov, which this state owns, in place; then freeze mean and cov."""
+    def _settle(self, mean, cov: np.ndarray, nodes) -> None:
+        """Check and symmetrise cov, which this state owns, in place; then freeze mean, cov and nodes."""
         mean = np.asarray(mean, dtype=float).flatten()
         if mean.size == 0 or mean.size % 2 != 0:
             raise ValueError("state needs an even, positive number of quadratures")
         if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match mean length {mean.size}"
-            )
+            raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
         # cov is checked and made (V + V^T)/2 a tile pair at a time, unless every pair matches byte for byte
         # (-0.0 facing +0.0 does not) and no entry is NaN or >= 2^1023, where a + a overflows; a NaN passes.
         peak = max(cov.max(), -cov.min(), 1.0)  # max() keeps a leading NaN
@@ -166,6 +168,7 @@ class GaussianState:
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "nodes", tuple(range(mean.size // 2)) if nodes is None else nodes)
 
     @property
     def n_modes(self) -> int:
@@ -180,7 +183,7 @@ class GaussianState:
         return float(np.linalg.eigvalsh(self.cov + 0.25j * j)[0].real)
 
     def marginal(self, modes: Sequence[int]) -> "GaussianState":
-        """Reduced state of the given modes (partial trace over the rest)."""
+        """Reduced state of the given modes, by index (partial trace over the rest); it keeps their node ids."""
         n = self.n_modes
         modes = list(modes)
         for m in modes:
@@ -188,7 +191,7 @@ class GaussianState:
         if len(set(modes)) < len(modes):
             raise ValueError(f"mode index {next(m for m in modes if modes.count(m) > 1)} repeated in marginal")
         idx = modes + [n + m for m in modes]
-        return GaussianState._adopt(self.mean[idx], self.cov[np.ix_(idx, idx)])
+        return GaussianState._adopt(self.mean[idx], self.cov[np.ix_(idx, idx)], tuple(self.nodes[m] for m in modes))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def vacuum(n_modes: int) -> GaussianState:
     """Vacuum state of n_modes modes: zero mean, covariance I/4."""
     if (n_modes := _integer("mode count", n_modes)) < 1:
         raise ValueError("need at least one mode")
-    return GaussianState._adopt(np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes))
+    return GaussianState._adopt(np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes), None)
 
 
 def squeezed_variance(db: float) -> float:
@@ -227,7 +230,7 @@ def apply(state: GaussianState, matrix: np.ndarray) -> GaussianState:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != state.cov.shape:
         raise ValueError(f"transform of shape {matrix.shape} does not act on {state.n_modes} modes")
-    return GaussianState._adopt(matrix @ state.mean, matrix @ state.cov @ matrix.T)
+    return GaussianState._adopt(matrix @ state.mean, matrix @ state.cov @ matrix.T, state.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +270,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     _check_mode(state.n_modes, mode)
     etas = np.ones(state.n_modes)
     etas[mode] = _real("transmission", eta)
-    return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, etas))
+    return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, etas), state.nodes)
 
 
 @dataclass(frozen=True)
@@ -307,10 +310,10 @@ class LossModel:
             eta *= self.efficiency(label, node)
         return eta
 
-    def apply_stage(self, state: GaussianState, stage: str, node_order: Sequence[int]) -> GaussianState:
-        """Apply one stage's loss to a state whose modes follow node_order."""
-        eta = [self.efficiency(stage, node) for node in _node_order(node_order, state.n_modes)]
-        return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, eta))
+    def apply_stage(self, state: GaussianState, stage: str) -> GaussianState:
+        """Apply one stage's loss to a state, each mode at its node's transmission."""
+        eta = [self.efficiency(stage, node) for node in state.nodes]
+        return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, eta), state.nodes)
 
     def to_dict(self) -> dict:
         return {

@@ -30,6 +30,7 @@ from .gaussian import (
     _integer,
     _node_order,
     _real,
+    _shown,
     quadrature_variances,
     squeezed_variance,
 )
@@ -46,6 +47,16 @@ __all__ = [
     "wire_to_ring_phases",
     "parse_graph_text",
 ]
+
+
+def _edge(entry) -> tuple:
+    """An (i, j) or (i, j, sign) edge entry as (i, j, sign), the sign +1 when not given."""
+    try:
+        if len(entry) in (2, 3):
+            return (*entry, 1)[:3]
+    except TypeError:  # no length: a number, a generator, a 0-d array
+        pass
+    raise ValueError(f"edge entry must be (i, j) or (i, j, sign), got {_shown(entry)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +80,7 @@ class ClusterGraph:
             raise TypeError("edges are (i, j) or (i, j, sign) entries, not a mapping")
         signs = {}
         for entry in edges:
-            i, j, sign = entry if len(entry) == 3 else (*entry, 1)
+            i, j, sign = _edge(entry)
             i, j = sorted((_integer("node id", i), _integer("node id", j)))
             if i == j:
                 raise ValueError("edges must join two distinct nodes (no self-loops)")
@@ -84,9 +95,9 @@ class ClusterGraph:
     @classmethod
     def from_edges(cls, edges: Iterable, nodes: Iterable[int] | None = None) -> "ClusterGraph":
         """Build from (i, j) or (i, j, sign) entries; nodes default to the ids they name, checked, then sorted."""
-        edges = list(edges)
+        edges = [_edge(entry) for entry in edges]
         if nodes is None:
-            nodes = sorted({_integer("node id", n) for entry in edges for n in entry[:2]})
+            nodes = sorted({_integer("node id", n) for i, j, _ in edges for n in (i, j)})
         return cls(nodes, edges)
 
     @classmethod
@@ -254,7 +265,7 @@ def build_canonical(graph: ClusterGraph, db) -> GaussianState:
     np.multiply(0.5, np.add(pp, pp.T, out=a), out=pp)
     del a  # not kept alive while the state checks cov
     cov[np.diag_indices(2 * n)] += np.concatenate([vx, VACUUM_VARIANCE * down * down])
-    return GaussianState._adopt(np.zeros(2 * n), cov)
+    return GaussianState._adopt(np.zeros(2 * n), cov, graph.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +344,7 @@ class NetworkPlan:
             db, quad = self.squeezer_settings.get(node, (0.0, "p"))
             low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
             variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
-        return GaussianState._adopt(np.zeros(2 * n), (o * variances) @ o.T)
+        return GaussianState._adopt(np.zeros(2 * n), (o * variances) @ o.T, self.node_order)
 
 
 #: Largest deviation of a compiled plan's state, relative to its largest covariance entry.

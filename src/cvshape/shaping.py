@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, _integer, _mix_vacuum, _node_order, _real, quadrature_selector
+from .gaussian import GaussianState, _integer, _mix_vacuum, _real, _shown, quadrature_selector
 from .graphs import ClusterGraph, NullifierTable
 
 __all__ = [
@@ -111,7 +111,7 @@ class MeasurementStep:
 
 @dataclass(frozen=True)
 class ShapingResult:
-    """Record of one shaping; the state's modes follow graph.nodes.
+    """Record of one shaping; the state's nodes are graph.nodes.
 
     steps are the executed measurements with one outcome each, and
     new_edges the (i, j, sign) bonds the shaping added to graph.
@@ -248,19 +248,17 @@ def _condition(cov: np.ndarray, order: list, step: MeasurementStep):
     return u, idx, marginal_var, (cov @ u)[idx], gains, kept
 
 
-def execute_ensemble(state: GaussianState, node_order: Sequence[int], steps: Sequence[MeasurementStep]):
+def execute_ensemble(state: GaussianState, steps: Sequence[MeasurementStep]):
     """Outcome-averaged execution of a measurement plan.
 
     Args:
-        state: input state with modes following node_order.
-        node_order: node ids in mode order, none repeated.
-        steps: measurement steps; each node must appear in node_order and
-            survive until its own step.
+        state: input state.
+        steps: measurement steps, each on a node of state.nodes that no earlier step measured.
 
     Returns:
-        (final state, final node order, outcome records with value None).
+        (final state, outcome records with value None); the final state's nodes are the survivors.
     """
-    order = list(_node_order(node_order, state.n_modes))
+    order = list(state.nodes)
     mean, cov, outcomes = state.mean, state.cov, []
     for step in steps:
         u, idx, marginal_var, vu, gains, cov = _condition(cov, order, step)
@@ -272,7 +270,7 @@ def execute_ensemble(state: GaussianState, node_order: Sequence[int], steps: Seq
         for rows in (slice(r, r + _ROWS) for r in range(0, len(idx), _ROWS)):
             cov[rows] += np.outer(vu[rows], gains) + np.outer(gains[rows], vu)
             cov[rows] += marginal_var * np.outer(gains[rows], gains)
-    return GaussianState._adopt(mean, cov), tuple(order), tuple(outcomes)
+    return GaussianState._adopt(mean, cov, tuple(order)), tuple(outcomes)
 
 
 def _conditional_step(means, cov, order, step, draw):
@@ -295,7 +293,6 @@ def _conditional_step(means, cov, order, step, draw):
 
 def execute_conditional(
     state: GaussianState,
-    node_order: Sequence[int],
     steps: Sequence[MeasurementStep],
     values: Sequence[float] | None = None,
     rng: np.random.Generator | None = None,
@@ -303,16 +300,15 @@ def execute_conditional(
     """Single-trajectory execution with sampled or forced outcomes.
 
     Args:
-        state: input state with modes following node_order.
-        node_order: node ids in mode order, none repeated.
+        state: input state.
         steps: measurement steps.
         values: forced outcome per step, a real each; sampled from rng when None.
         rng: random generator for sampling.
 
     Returns:
-        (final state, final node order, outcome records).
+        (final state, outcome records); the final state's nodes are the survivors.
     """
-    order = list(_node_order(node_order, state.n_modes))
+    order = list(state.nodes)
     if values is None and rng is None:
         raise ValueError("provide outcome values or an rng to sample them")
     if values is not None and len(values := [_real("forced outcome", y) for y in values]) != len(steps):
@@ -326,12 +322,14 @@ def execute_conditional(
         draw = sample if values is None else lambda projection, var, y=values[k]: y
         mean, cov, projection, marginal_var, value = _conditional_step(mean, cov, order, step, draw)
         outcomes.append(HomodyneOutcome(step.node, step.angle, value, float(projection), marginal_var))
-    return GaussianState._adopt(mean, cov), tuple(order), tuple(outcomes)
+    return GaussianState._adopt(mean, cov, tuple(order)), tuple(outcomes)
 
 
 def _shape(state, graph, steps, new_edges) -> ShapingResult:
     """Execute steps outcome-averaged and edit the graph to match."""
-    final, _, outcomes = execute_ensemble(state, graph.nodes, steps)
+    if state.nodes != graph.nodes:
+        raise ValueError(f"state nodes {_shown(state.nodes)} are not the graph's nodes {_shown(graph.nodes)}")
+    final, outcomes = execute_ensemble(state, steps)
     for step in steps:
         graph = graph.with_node_removed(step.node)
     for i, j, sign in new_edges:
@@ -348,7 +346,7 @@ def remove_node(state: GaussianState, graph: ClusterGraph, node: int, gain: floa
     execute_conditional over removal_steps.
 
     Args:
-        state: state whose modes follow graph.nodes.
+        state: state whose nodes are graph.nodes.
         graph: current cluster graph.
         node: node to delete.
         gain: feedforward gain multiplier; -1 is the correlation-keeping
@@ -368,7 +366,7 @@ def shorten_wire(state: GaussianState, graph: ClusterGraph, inner: tuple, gain: 
     conditional shortening is execute_conditional over shorten_steps.
 
     Args:
-        state: state whose modes follow graph.nodes.
+        state: state whose nodes are graph.nodes.
         graph: current cluster graph.
         inner: the two adjacent inner nodes (a, b).
         gain: feedforward gain multiplier; -1 ideal, 0 disables.
@@ -388,8 +386,7 @@ class TrajectoryPlan:
     """Everything needed to sample shaping trajectories.
 
     Attributes:
-        state: initial state, modes following node_order.
-        node_order: node ids in mode order, none repeated (README, value kinds).
+        state: initial state.
         steps: measurement steps executed in order.
         record: NullifierTable of the forms evaluated on the final state;
             its nodes must survive the steps.
@@ -398,20 +395,14 @@ class TrajectoryPlan:
     """
 
     state: GaussianState
-    node_order: tuple
     steps: tuple
     record: NullifierTable
-    readout_efficiency: dict
+    readout_efficiency: dict = None
 
-    def __init__(self, state, node_order, steps, record, readout_efficiency=None):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "node_order", _node_order(node_order, state.n_modes))
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "record", record)
-        eff = readout_efficiency or {}
-        object.__setattr__(
-            self, "readout_efficiency", {_integer("node id", k): _real("transmission", v) for k, v in eff.items()}
-        )
+    def __post_init__(self):
+        eff = {_integer("node id", k): _real("transmission", v) for k, v in (self.readout_efficiency or {}).items()}
+        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "readout_efficiency", eff)
 
 
 @dataclass(frozen=True)
@@ -446,7 +437,7 @@ def _readout_map(plan: TrajectoryPlan):
     at the initial mean and draws no noise; row 1+k starts at zero and
     draws a unit noise at step k only.  Returns (m, W, order).
     """
-    order, cov = list(plan.node_order), plan.state.cov
+    order, cov = list(plan.state.nodes), plan.state.cov
     rows = np.vstack([plan.state.mean, np.zeros((len(plan.steps), plan.state.mean.size))])
     for k, step in enumerate(plan.steps):
         unit = np.eye(len(rows))[1 + k]

@@ -141,8 +141,8 @@ def squeezed_vacuum(db: float, quadrature: str = "p") -> GaussianState:
     return GaussianState(np.zeros(2), np.diag(diag))
 
 
-def tensor(*states: GaussianState) -> GaussianState:
-    """Product state of the given states, modes concatenated in order."""
+def tensor(*states: GaussianState, nodes=None) -> GaussianState:
+    """Product state of the given states, modes concatenated in order, with the given node ids."""
     if not states:
         raise ValueError("need at least one state")
     total = sum(s.n_modes for s in states)
@@ -160,7 +160,7 @@ def tensor(*states: GaussianState) -> GaussianState:
         cov[xs, ps] = s.cov[:n, n:]
         cov[ps, xs] = s.cov[n:, :n]
         offset += n
-    return GaussianState(mean, cov)
+    return GaussianState(mean, cov, nodes)
 
 
 def identity_transform(n_modes: int) -> np.ndarray:
@@ -248,7 +248,7 @@ def displacement(state: GaussianState, mode: int, quadrature: str, amount: float
         raise ValueError("quadrature must be 'x' or 'p'")
     shift = np.zeros(2 * state.n_modes)
     shift[mode if quadrature == "x" else state.n_modes + mode] = amount
-    return GaussianState(state.mean + shift, state.cov)
+    return GaussianState(state.mean + shift, state.cov, state.nodes)
 
 
 def random_signed_graph(rng: np.random.Generator, n_min: int = 2, n_max: int = 8):
@@ -309,7 +309,7 @@ def gate_chain_transform(graph, db_map):
 
 def gate_chain_state(graph, db_map):
     """Reference canonical state: squeezed vacua, then one sum gate per edge."""
-    st = tensor(*(squeezed_vacuum(db_map[node], "p") for node in graph.nodes))
+    st = tensor(*(squeezed_vacuum(db_map[node], "p") for node in graph.nodes), nodes=graph.nodes)
     for i, j, sign in graph.edges():
         st = apply(st, qnd_gate(graph.n_nodes, graph.index_of(i), graph.index_of(j), float(sign)))
     return st
@@ -336,7 +336,7 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
     def sample(projections, marginal_var):
         return projections + np.sqrt(marginal_var) * rng.standard_normal(trials)
 
-    order = list(plan.node_order)
+    order = list(plan.state.nodes)
     means, cov = plan.state.mean, plan.state.cov
     for step in plan.steps:
         means, cov, _, _, _ = _conditional_step(means, cov, order, step, sample)
@@ -359,13 +359,12 @@ def ensemble_readout_reference(plan):
 
     execute_ensemble, then the readout loss mixed in with vacuum, then the
     record's variances on that state.  run_trajectory must give the same
-    numbers from its readout map alone.  Returns (state, final order,
-    per-form variances).
+    numbers from its readout map alone.  Returns (state, per-form variances).
     """
-    ensemble, order, _ = execute_ensemble(plan.state, plan.node_order, plan.steps)
-    eta = [plan.readout_efficiency.get(node, 1.0) for node in order]
-    state = GaussianState(*_mix_vacuum(ensemble.mean, ensemble.cov, eta))
-    return state, order, quadrature_variances(state, plan.record.rows(order))
+    ensemble, _ = execute_ensemble(plan.state, plan.steps)
+    eta = [plan.readout_efficiency.get(node, 1.0) for node in ensemble.nodes]
+    state = GaussianState(*_mix_vacuum(ensemble.mean, ensemble.cov, eta), ensemble.nodes)
+    return state, quadrature_variances(state, plan.record.rows(state.nodes))
 
 
 def _two_mode_elements_reference(t: np.ndarray, i: int) -> list:
@@ -499,15 +498,13 @@ def nullifier_db_reference(variance: float, k: int) -> float:
     return float(10.0 * np.log10(variance / (k * VACUUM_VARIANCE)))
 
 
-def check_cluster_criteria_reference(state, graph, node_order=None) -> CriteriaReport:
+def check_cluster_criteria_reference(state, graph) -> CriteriaReport:
     """Reference criteria: one coefficient vector and one scalar dB per form, pairs by lookup.
 
     The columns are filled form by form, in the order of the graph's
     NullifierTable, whose rows the reference forms match one for one.
     """
-    order = tuple(node_order) if node_order is not None else graph.nodes
-    if len(order) != state.n_modes:
-        raise ValueError("node order length must match the state's mode count")
+    order = state.nodes
     table, forms = nullifiers_of(graph), nullifiers_reference(graph)
     assert [(f.label, f.describe(), f.n_terms) for f in forms] == list(zip(table.labels, table.texts, table.counts))
     rows = np.reshape([form_vector(form, len(order), order) for form in forms], (-1, 2 * len(order)))

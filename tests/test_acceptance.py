@@ -85,7 +85,7 @@ def test_criterion_01_erasure_identity():
         st = random_product_state(rng, 2)
         before = st.marginal([0])
         coupled = apply(st, qnd_gate(2, 0, 1, 1.0))
-        restored, _, _ = execute_conditional(coupled, (0, 1), erase, rng=rng)
+        restored, _ = execute_conditional(coupled, erase, rng=rng)
         worst = max(
             worst,
             np.abs(restored.cov - before.cov).max(),
@@ -128,7 +128,7 @@ def test_criterion_03_shortened_wire_correlations():
     _pool("shorten", result.state)
 
     steps, _ = shorten_steps(wire, 2, 3)
-    plan = TrajectoryPlan(state=state, node_order=wire.nodes, steps=steps, record=record)
+    plan = TrajectoryPlan(state=state, steps=steps, record=record)
     stats = run_trajectory(plan, trials=100_000, seed=2)
     mc_ok = all(
         abs(sample_var - analytic_var) < 3 * stderr and abs(analytic_var - 0.158114) <= 1e-6
@@ -157,7 +157,7 @@ def test_criterion_04_calibrated_inequalities():
     loss = calibrate_loss(0.25)
     st = build_canonical(wire, 5.0)
     for stage in ("source", "propagation"):
-        st = loss.apply_stage(st, stage, wire.nodes)
+        st = loss.apply_stage(st, stage)
     _pool(
         "calibrated",
         st,
@@ -206,7 +206,7 @@ def test_criterion_07_every_state_is_physical():
     wire = ClusterGraph.linear_wire(4)
     baseline = [build_canonical(wire, db) for db in (0.0, 5.0, 60.0)]
     loss = calibrate_loss(0.25)
-    baseline.append(loss.apply_stage(baseline[1], "propagation", wire.nodes))
+    baseline.append(loss.apply_stage(baseline[1], "propagation"))
     pool = [("baseline", s) for s in baseline] + STATE_POOL
     bad = [tag for tag, s in pool if s.uncertainty_eigenvalue() < -PHYSICALITY_TOL]
     _verdict(
@@ -250,7 +250,7 @@ def test_criterion_08_network_compilation_round_trips():
 def test_criterion_09_large_ensemble_matches_analytic():
     wire, state, _, record = _shorten_setup()
     steps, _ = shorten_steps(wire, 2, 3)
-    plan = TrajectoryPlan(state=state, node_order=wire.nodes, steps=steps, record=record)
+    plan = TrajectoryPlan(state=state, steps=steps, record=record)
     start = time.perf_counter()
     stats = run_trajectory(plan, trials=1_000_000, seed=99)
     elapsed = time.perf_counter() - start

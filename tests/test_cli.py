@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cvshape
+from cvshape import cli
 from cvshape.cli import build_parser, main
 from helpers import format_graph_text, signed_wire
 
@@ -249,6 +250,20 @@ def test_running_out_of_memory_exits_two_with_one_line(tmp_path):
     )
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("error: construct: out of memory") and child.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "owner, name", [(cli, "emit"), (cvshape.ExperimentConfig, "from_file")], ids=["emit", "from_file"]
+)
+def test_running_out_of_memory_outside_run_exits_two_with_one_line(tmp_path, capsys, monkeypatch, owner, name):
+    # run names the stage that ran out; reading the config and writing the report are not in run
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate the text")
+
+    monkeypatch.setattr(owner, name, exhausted)
+    cfg = tmp_path / "remove-edge.cfg"
+    cfg.write_text("scenario = remove-edge\n")
+    assert run_cli(capsys, "--config", str(cfg)) == (2, "", "error: out of memory: cannot allocate the text\n")
 
 
 def test_trial_count_up_to_2_to_the_53(capsys):

@@ -110,7 +110,7 @@ def test_canonical_zero_db_still_entangles():
 
 def test_product_vacuum_fails_strictly_at_the_bound():
     wire = ClusterGraph.linear_wire(2)
-    report = check_cluster_criteria(vacuum(2), wire)
+    report = check_cluster_criteria(dataclasses.replace(vacuum(2), nodes=wire.nodes), wire)
     # uncorrelated vacuum gives exactly 0.5 per two-term form: the
     # inequality is strict, so sitting on the bound does not pass
     assert report.variances == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -179,13 +179,15 @@ def test_report_dict_shape():
     assert set(pair_row) == {"pair", "sum_variance", "bound", "pass"}
 
 
-def test_node_order_override():
+def test_criteria_follow_the_state_nodes():
     wire = ClusterGraph.linear_wire(2)
     st = build_canonical(wire, 5.0)
-    swapped = tensor(st.marginal([1]), st.marginal([0]))
-    # marginal-swapped state loses correlations; with the right order the
+    second, first = st.marginal([1]), st.marginal([0])
+    swapped = tensor(second, first, nodes=second.nodes + first.nodes)
+    # marginal-swapped state loses correlations; with its nodes (2, 1) the
     # forms still evaluate, just at separable values
-    report = check_cluster_criteria(swapped, wire, node_order=(2, 1))
+    assert swapped.nodes == (2, 1)
+    report = check_cluster_criteria(swapped, wire)
     assert len(report.variances) == 2
     assert not report.all_pass
 
@@ -213,20 +215,21 @@ def _outcome(check, *args):
 def test_closed_form_criteria_equal_the_per_form_reference(graph, data):
     order = data.draw(st.permutations(graph.nodes))
     state = random_symplectic_state(np.random.default_rng(data.draw(st.integers(0, 2**32))), graph.n_nodes)
-    report = check_cluster_criteria(state, graph, order)
-    reference = check_cluster_criteria_reference(state, graph, order)
+    state = dataclasses.replace(state, nodes=order)
+    report = check_cluster_criteria(state, graph)
+    reference = check_cluster_criteria_reference(state, graph)
     assert report == reference  # every column, db included, compared with ==
     assert leaf_types(report.to_dict()) <= REPORT_SCALARS
     # a variance cancelled to zero or below names the first offending value in node order
     diag = data.draw(st.lists(st.sampled_from((0.0, -0.5, 0.25, 1.5)), min_size=2 * graph.n_nodes,
                               max_size=2 * graph.n_nodes))
-    degenerate = GaussianState(np.zeros(2 * graph.n_nodes), np.diag(diag))
-    expected = _outcome(check_cluster_criteria_reference, degenerate, graph, order)
-    assert _outcome(check_cluster_criteria, degenerate, graph, order) == expected
-    # an order that misses a node fails as the forms do
-    foreign = order[:-1] + [61]
-    expected = _outcome(check_cluster_criteria_reference, state, graph, foreign)
-    assert expected.startswith("ValueError") and _outcome(check_cluster_criteria, state, graph, foreign) == expected
+    degenerate = GaussianState(np.zeros(2 * graph.n_nodes), np.diag(diag), order)
+    expected = _outcome(check_cluster_criteria_reference, degenerate, graph)
+    assert _outcome(check_cluster_criteria, degenerate, graph) == expected
+    # nodes that miss one of the graph's fail as the forms do
+    foreign = dataclasses.replace(state, nodes=order[:-1] + [61])
+    expected = _outcome(check_cluster_criteria_reference, foreign, graph)
+    assert expected.startswith("ValueError") and _outcome(check_cluster_criteria, foreign, graph) == expected
 
 
 def test_a_numpy_column_fails_the_scalar_type_check():
@@ -241,7 +244,7 @@ def test_a_numpy_column_fails_the_scalar_type_check():
 
 def test_cancelled_variance_error_names_the_first_in_node_order():
     # diagonal (x1, x2, x3, p1, p2, p3): node 1 reads 2, node 2 reads 0, node 3 reads -2
-    state = GaussianState(np.zeros(6), np.diag([0.0, 1.0, 0.0, 1.0, 0.0, -3.0]))
+    state = GaussianState(np.zeros(6), np.diag([0.0, 1.0, 0.0, 1.0, 0.0, -3.0]), (1, 2, 3))
     with pytest.raises(ValueError, match=r"^variance must be positive and finite to convert to dB, got 0\.0$"):
         check_cluster_criteria(state, ClusterGraph.linear_wire(3))
 
@@ -253,11 +256,11 @@ WIRE4 = ClusterGraph.linear_wire(4)
     "call, message",
     [
         (
-            lambda: check_cluster_criteria(build_canonical(WIRE4, 5.0), WIRE4, (1, 2)),
-            "node order length must match the state's mode count",
+            lambda: check_cluster_criteria(vacuum(2), WIRE4),
+            "form references node 2 outside the node order",
         ),
     ],
-    ids=["order-too-short"],
+    ids=["state-misses-a-node"],
 )
 def test_bad_criteria_input_raises_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:

@@ -493,18 +493,18 @@ def test_ring_route_removals_equal_the_hand_built_ring_steps(db, lossless):
     if not lossless:
         loss = calibrate_loss(0.25)
         for stage in ("source", "propagation"):
-            state = loss.apply_stage(state, stage, wire.nodes)
+            state = loss.apply_stage(state, stage)
     turns = [(node, round(theta / (np.pi / 2))) for node, theta in wire_to_ring_phases(wire)]
-    rotated = experiments._quarter_turns(state, wire.nodes, turns)
+    rotated = experiments._quarter_turns(state, turns)
     # the route's former plan: measure x of nodes 2 and 3, feeding each outcome forward to one end
     steps = [
         MeasurementStep(node=2, angle=0.0, feedforward=(FeedforwardTarget(4, "p", -1.0),)),
         MeasurementStep(node=3, angle=0.0, feedforward=(FeedforwardTarget(1, "p", -1.0),)),
     ]
-    expected, expected_order, _ = execute_ensemble(rotated, wire.nodes, steps)
+    expected, _ = execute_ensemble(rotated, steps)
     ring = remove_node(rotated, ClusterGraph.ring((1, 3, 2, 4)), 2)
     ring = remove_node(ring.state, ring.graph, 3)
-    assert ring.graph.nodes == expected_order == (1, 4)
+    assert ring.graph.nodes == ring.state.nodes == expected.nodes == (1, 4)
     assert ring.state.cov.tobytes() == expected.cov.tobytes()
     assert ring.state.mean.tobytes() == expected.mean.tobytes()
 
@@ -578,7 +578,7 @@ def test_only_precision_loss_becomes_a_config_error(monkeypatch, name, config):
 
 
 def test_non_finite_nullifier_variance_is_a_config_error(monkeypatch):
-    state = GaussianState(np.zeros(8), np.diag([0.25] * 4 + [np.nan] + [0.25] * 3))  # p_1 variance NaN
+    state = GaussianState(np.zeros(8), np.diag([0.25] * 4 + [np.nan] + [0.25] * 3), (1, 2, 3, 4))  # p_1 variance NaN
     with pytest.raises(np.linalg.LinAlgError, match="^variance must be positive and finite"):
         check_cluster_criteria(state, ClusterGraph.linear_wire(4))
     # run names the stage the NaN reached

@@ -1,5 +1,6 @@
 """Core covariance conventions, transforms, test gates, and the loss model."""
 
+import dataclasses
 import re
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvshape import (
+    ClusterGraph,
     GaussianState,
     LossModel,
     ORDERING,
@@ -17,6 +19,8 @@ from cvshape import (
     VACUUM_VARIANCE,
     apply,
     apply_loss,
+    build_canonical,
+    preset_wire_network,
     quadrature_selector,
     quadrature_variances,
     squeezed_variance,
@@ -310,17 +314,31 @@ def test_loss_model_stores_its_table_as_the_dict_it_is_read_as(drawn, seed):
     ]
     rng = np.random.default_rng(seed)
     order = [int(n) for n in rng.permutation(queried)]
-    state = random_symplectic_state(rng, len(order))
+    state = dataclasses.replace(random_symplectic_state(rng, len(order)), nodes=order)
     for stage in _STAGES:
         mean, cov = _mix_vacuum(state.mean, state.cov, [efficiency(stage, node) for node in order])
-        lossy = model.apply_stage(state, stage, order)
+        lossy = model.apply_stage(state, stage)
         assert lossy.cov.tobytes() == cov.tobytes() and lossy.mean.tobytes() == mean.tobytes()
+        assert lossy.nodes == state.nodes
+
+
+def test_a_state_carries_its_node_ids():
+    # without ids the modes are nodes 0 ... N-1; a transform keeps the ids, a marginal those of the modes it picks
+    assert GaussianState(np.zeros(4), np.eye(4)).nodes == vacuum(2).nodes == (0, 1)
+    state = GaussianState(np.zeros(6), np.eye(6), nodes=[7, 3, np.int64(5)])
+    assert state.nodes == (7, 3, 5) and [type(node) for node in state.nodes] == [int] * 3
+    assert apply(state, phase_shift(3, 1, 0.3)).nodes == apply_loss(state, 2, 0.5).nodes == state.nodes
+    lossy = LossModel({"d": {3: 0.5}}).apply_stage(state, "d")  # node 3 is mode 1
+    assert lossy.nodes == state.nodes and lossy.cov.diagonal() == pytest.approx([1.0, 0.625, 1.0, 1.0, 0.625, 1.0])
+    assert state.marginal([2, 0]).nodes == (5, 7)
+    assert build_canonical(ClusterGraph((4, 2, 9), [(4, 2), (2, 9)]), 5.0).nodes == (4, 2, 9)
+    assert preset_wire_network(5.0).prepare().nodes == (1, 2, 3, 4)
 
 
 def test_loss_model_apply_stage():
     lm = LossModel({"propagation": 0.5})
-    st = tensor(squeezed_vacuum(5.0, "p"), squeezed_vacuum(5.0, "p"))
-    out = lm.apply_stage(st, "propagation", (1, 2))
+    st = tensor(squeezed_vacuum(5.0, "p"), squeezed_vacuum(5.0, "p"), nodes=(1, 2))
+    out = lm.apply_stage(st, "propagation")
     expected = 0.5 * SQUEEZED_5DB + 0.5 * VACUUM_VARIANCE
     assert out.cov[2, 2] == pytest.approx(expected)
     assert out.cov[3, 3] == pytest.approx(expected)
@@ -390,7 +408,7 @@ def test_random_transforms_stay_symplectic():
         (lambda: apply_loss(vacuum(4), 9, 0.5), "mode index 9 out of range for 4 modes"),
         (lambda: apply_loss(vacuum(4), 0, 1.5), "transmission eta must lie in (0, 1]"),
         (
-            lambda: LossModel({"d": 0.9}).apply_stage(vacuum(4), "d", (1, 2)),
+            lambda: GaussianState(np.zeros(8), np.eye(8), nodes=(1, 2)),
             "node order length must match the state's mode count",
         ),
         # float() reads a str and a bool, and int() a bool, but none is a transmission or a node id
@@ -413,7 +431,7 @@ def test_random_transforms_stay_symplectic():
         ),
     ],
     ids=[
-        "vacuum-of-no-modes", "loss-on-absent-mode", "loss-above-one", "stage-order-too-short",
+        "vacuum-of-no-modes", "loss-on-absent-mode", "loss-above-one", "state-nodes-too-short",
         "str-transmission", "bool-transmission", "bool-node-transmission", "bool-node-id", "overflowing-transmission",
         "marginal-repeated-mode", "complex-covariance", "complex-mean",
     ],

@@ -141,8 +141,8 @@ def _shaping_case(data, max_modes: int):
     cov = _covariance(rng, 2 * n)
     cov *= 0.1 / max(1.0, np.abs(cov).max())
     cov[np.diag_indices(2 * n)] = rng.uniform(1.0, 2.0, 2 * n)
-    state = GaussianState(rng.standard_normal(2 * n), cov)
     nodes = list(range(1, n + 1))
+    state = GaussianState(rng.standard_normal(2 * n), cov, nodes)
     node = data.draw(st.sampled_from(nodes))
     survivors = [m for m in nodes if m != node]
     targets = data.draw(
@@ -168,7 +168,7 @@ def _shaping_case(data, max_modes: int):
 @given(data=st.data())
 def test_ensemble_step_has_the_bytes_of_the_gathered_outer_product_formula(data):
     state, nodes, step, gains = _shaping_case(data, 90)
-    final, _, _ = execute_ensemble(state, nodes, [step])
+    final, _ = execute_ensemble(state, [step])
     mean, cov = ensemble_step_reference(state.mean, state.cov, nodes.index(step.node), step.angle, gains)
     assert final.cov.tobytes() == symmetrized_reference(cov).tobytes()
     assert final.mean.tobytes() == mean.tobytes()
@@ -178,7 +178,7 @@ def test_ensemble_step_has_the_bytes_of_the_gathered_outer_product_formula(data)
 @given(value=st.floats(-3.0, 3.0), data=st.data())
 def test_conditional_step_has_the_bytes_of_the_gathered_outer_product_formula(value, data):
     state, nodes, step, gains = _shaping_case(data, 90)
-    final, _, _ = execute_conditional(state, nodes, [step], values=[value])
+    final, _ = execute_conditional(state, [step], values=[value])
     mean, cov = conditional_step_reference(state.mean, state.cov, nodes.index(step.node), step.angle, gains, value)
     assert final.cov.tobytes() == symmetrized_reference(cov).tobytes()
     assert final.mean.tobytes() == mean.tobytes()
@@ -199,19 +199,20 @@ def test_canonical_build_has_the_bytes_of_the_block_formula(n, data):
 @given(n=st.integers(1, 6), data=st.data())
 def test_quarter_turns_are_the_phase_shift_by_k_pi_over_2(n, data):
     rng = _rng(data)
-    state = GaussianState(rng.standard_normal(2 * n), random_symplectic_state(rng, n).cov)
     order = tuple(int(node) for node in rng.permutation(np.arange(10, 10 + n)))
+    state = GaussianState(rng.standard_normal(2 * n), random_symplectic_state(rng, n).cov, order)
     turns = [(node, data.draw(st.sampled_from((-1, 0, 1, 2, 3)))) for node in order]
     dense = state
     for node, k in turns:
         dense = apply(dense, phase_shift(n, order.index(node), k * np.pi / 2))
-    turned = _quarter_turns(state, order, turns)
+    turned = _quarter_turns(state, turns)
     scale = np.abs(state.cov).max()
     assert np.abs(turned.cov - dense.cov).max() <= 1e-15 * scale
     assert np.abs(turned.mean - dense.mean).max() <= 1e-15 * np.abs(state.mean).max()
     for _ in range(3):
-        turned = _quarter_turns(turned, order, turns)
+        turned = _quarter_turns(turned, turns)
     assert turned.cov.tobytes() == state.cov.tobytes() and turned.mean.tobytes() == state.mean.tobytes()
+    assert turned.nodes == order
 
 
 def _plan_variances(plan) -> np.ndarray:
@@ -277,9 +278,9 @@ def test_every_producer_but_the_plan_hands_over_a_bitwise_symmetric_covariance(d
     adopted = []
     adopt = GaussianState._adopt.__func__
 
-    def spy(cls, mean, cov):
+    def spy(cls, mean, cov, nodes):
         adopted.append((sys._getframe(1).f_code.co_name, cov.tobytes() == cov.T.tobytes()))
-        return adopt(cls, mean, cov)
+        return adopt(cls, mean, cov, nodes)
 
     with patch.object(GaussianState, "_adopt", classmethod(spy)):
         config = ExperimentConfig(
@@ -288,11 +289,11 @@ def test_every_producer_but_the_plan_hands_over_a_bitwise_symmetric_covariance(d
             feedforward_gain=float(rng.uniform(-2.0, 2.0)), remove_target=int(rng.choice(nodes)),
         )
         run(config)
-        state = LossModel(loss).apply_stage(build_canonical(graph, db), "source", nodes)
+        state = LossModel(loss).apply_stage(build_canonical(graph, db), "source")
         steps = _random_steps(rng, nodes)
-        execute_ensemble(state, nodes, steps)
-        execute_conditional(state, nodes, steps, values=rng.uniform(-3.0, 3.0, len(steps)).tolist())
-        _quarter_turns(state, nodes, [(node, int(rng.integers(-1, 4))) for node in nodes])
+        execute_ensemble(state, steps)
+        execute_conditional(state, steps, values=rng.uniform(-3.0, 3.0, len(steps)).tolist())
+        _quarter_turns(state, [(node, int(rng.integers(-1, 4))) for node in nodes])
         state.marginal(rng.permutation(len(nodes))[: rng.integers(1, len(nodes) + 1)].tolist())
         vacuum(len(nodes))
     drifted = sorted({name for name, symmetric in adopted if not symmetric} - {"_prepare"})
@@ -335,7 +336,7 @@ def test_stage_peak_is_one_covariance_per_new_state(lattice, stage):
     cov = np.array(state.cov)
     calls = {
         "state": lambda: GaussianState(state.mean, cov),
-        "loss stage": lambda: LossModel({"detection": 0.9}).apply_stage(state, "detection", graph.nodes),
+        "loss stage": lambda: LossModel({"detection": 0.9}).apply_stage(state, "detection"),
         "remove_node": lambda: remove_node(state, graph, graph.nodes[len(graph.nodes) // 2 + SIDE]),
         "build_canonical": lambda: build_canonical(graph, 10.0),
     }
@@ -394,10 +395,10 @@ def _writable_memory(array: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("execute", [execute_ensemble, execute_conditional])
 def test_zero_step_execution_copies_the_input_covariance(execute):
-    state = GaussianState(np.arange(4.0), np.diag([1.0, 2.0, 3.0, 4.0]))
+    state = GaussianState(np.arange(4.0), np.diag([1.0, 2.0, 3.0, 4.0]), [1, 2])
     forced = {"values": []} if execute is execute_conditional else {}
-    final, order, outcomes = execute(state, [1, 2], [], **forced)
-    assert (order, outcomes) == ((1, 2), ())
+    final, outcomes = execute(state, [], **forced)
+    assert (final.nodes, outcomes) == ((1, 2), ())
     assert not np.shares_memory(final.cov, state.cov) and not _writable_memory(final.cov)
     assert final.cov.tobytes() == state.cov.tobytes() and final.mean.tobytes() == state.mean.tobytes()
 

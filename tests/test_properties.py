@@ -37,6 +37,7 @@ from cvshape import (
     check_cluster_criteria,
     compile_network,
     nullifiers_of,
+    remove_node,
     removal_steps,
     run_trajectory,
     shorten_steps,
@@ -45,7 +46,7 @@ from cvshape import (
 )
 from cvshape.gaussian import _shown, quadrature_selector
 from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
-from helpers import CONFIG_VALUES, ensemble_readout_reference, plain_twin
+from helpers import CONFIG_VALUES, ensemble_readout_reference, plain_twin, random_signed_graph
 
 SIGNS = st.sampled_from((-1, 1))
 GAINS = st.floats(-2.0, 2.0)
@@ -80,8 +81,8 @@ def lossy_states(draw, graph):
     eta = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     shift = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n))
     state = build_canonical(graph, dict(zip(graph.nodes, db)))
-    state = LossModel({"loss": dict(zip(graph.nodes, eta))}).apply_stage(state, "loss", graph.nodes)
-    return GaussianState(state.mean + np.array(shift), state.cov)
+    state = LossModel({"loss": dict(zip(graph.nodes, eta))}).apply_stage(state, "loss")
+    return GaussianState(state.mean + np.array(shift), state.cov, state.nodes)
 
 
 @st.composite
@@ -110,13 +111,14 @@ def test_arbitrary_feedforward_semantics_agree(graph, data):
     state = data.draw(lossy_states(graph))
     step = data.draw(feedforward_steps(graph.nodes))
 
-    ensemble, order, (record,) = execute_ensemble(state, graph.nodes, [step])
-    at_0, order_0, _ = execute_conditional(state, graph.nodes, [step], values=[0.0])
-    at_1, _, _ = execute_conditional(state, graph.nodes, [step], values=[1.0])
-    at_mean, _, _ = execute_conditional(state, graph.nodes, [step], values=[record.marginal_mean])
+    ensemble, (record,) = execute_ensemble(state, [step])
+    at_0, _ = execute_conditional(state, [step], values=[0.0])
+    at_1, _ = execute_conditional(state, [step], values=[1.0])
+    at_mean, _ = execute_conditional(state, [step], values=[record.marginal_mean])
     b = at_1.mean - at_0.mean
     tol = 1e-10 * max(1.0, np.abs(ensemble.cov).max())
-    assert order == order_0
+    order = ensemble.nodes
+    assert order == at_0.nodes
     np.testing.assert_allclose(
         ensemble.cov, at_0.cov + record.marginal_var * np.outer(b, b), rtol=0, atol=tol
     )
@@ -129,10 +131,10 @@ def test_arbitrary_feedforward_semantics_agree(graph, data):
         column[order.index(target.node) + (len(order) if target.quadrature == "p" else 0)] += target.gain
     np.testing.assert_allclose(b, vu / record.marginal_var + column, rtol=0, atol=tol)
 
-    plan = TrajectoryPlan(state, graph.nodes, [step], record=NO_FORMS)
+    plan = TrajectoryPlan(state, [step], record=NO_FORMS)
     mean, loading, final_order = _readout_map(plan)
-    target, target_order, _ = ensemble_readout_reference(plan)
-    assert final_order == target_order == order
+    target, _ = ensemble_readout_reference(plan)
+    assert final_order == target.nodes == order
     np.testing.assert_allclose(
         mean, target.mean, rtol=0, atol=1e-12 * max(1.0, np.abs(target.mean).max())
     )
@@ -148,14 +150,14 @@ def test_removal_ensemble_is_conditional_plus_outcome_spread(graph, gain, data):
     node = data.draw(st.sampled_from(graph.nodes))
     steps = removal_steps(graph, node, gain=gain)
 
-    ensemble, order, (record,) = execute_ensemble(state, graph.nodes, steps)
-    at_0, order_0, _ = execute_conditional(state, graph.nodes, steps, values=[0.0])
-    at_1, _, _ = execute_conditional(state, graph.nodes, steps, values=[1.0])
-    at_mean, _, _ = execute_conditional(state, graph.nodes, steps, values=[record.marginal_mean])
+    ensemble, (record,) = execute_ensemble(state, steps)
+    at_0, _ = execute_conditional(state, steps, values=[0.0])
+    at_1, _ = execute_conditional(state, steps, values=[1.0])
+    at_mean, _ = execute_conditional(state, steps, values=[record.marginal_mean])
 
     b = at_1.mean - at_0.mean
     tol = 1e-10 * max(1.0, np.abs(ensemble.cov).max())
-    assert order == order_0
+    assert ensemble.nodes == at_0.nodes
     np.testing.assert_allclose(
         ensemble.cov, at_0.cov + record.marginal_var * np.outer(b, b), rtol=0, atol=tol
     )
@@ -171,9 +173,9 @@ def test_shortening_conditional_covariance_ignores_outcomes(wire, gain, data):
     first = data.draw(st.lists(OUTCOMES, min_size=2, max_size=2))
     second = data.draw(st.lists(OUTCOMES, min_size=2, max_size=2))
 
-    out_1, order_1, _ = execute_conditional(state, wire.nodes, steps, values=first)
-    out_2, order_2, _ = execute_conditional(state, wire.nodes, steps, values=second)
-    assert order_1 == order_2
+    out_1, _ = execute_conditional(state, steps, values=first)
+    out_2, _ = execute_conditional(state, steps, values=second)
+    assert out_1.nodes == out_2.nodes
     np.testing.assert_array_equal(out_1.cov, out_2.cov)
 
 
@@ -189,11 +191,11 @@ def test_trajectory_readout_map_is_the_ensemble(graph, data):
     measured = {step.node for step in steps}
     order = tuple(node for node in graph.nodes if node not in measured)
     eta = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(order), max_size=len(order)))
-    plan = TrajectoryPlan(state, graph.nodes, steps, record=NO_FORMS, readout_efficiency=dict(zip(order, eta)))
+    plan = TrajectoryPlan(state, steps, record=NO_FORMS, readout_efficiency=dict(zip(order, eta)))
 
     mean, loading, final_order = _readout_map(plan)
-    target, target_order, _ = ensemble_readout_reference(plan)
-    assert final_order == target_order == order
+    target, _ = ensemble_readout_reference(plan)
+    assert final_order == target.nodes == order
     assert loading.shape == (2 * len(order), len(steps) + 2 * len(order))
     np.testing.assert_allclose(
         mean, target.mean, rtol=0, atol=1e-12 * max(1.0, np.abs(target.mean).max())
@@ -211,8 +213,8 @@ TARGET2 = (FeedforwardTarget(2, "p", -1.0),)
 RECORD12 = nullifiers_of(WIRE3.with_node_removed(3))
 
 
-def _plan(order=(1, 2, 3), readout=None) -> TrajectoryPlan:
-    return TrajectoryPlan(STATE3, order, REMOVE3, RECORD12, readout)
+def _plan(readout=None) -> TrajectoryPlan:
+    return TrajectoryPlan(STATE3, REMOVE3, RECORD12, readout)
 
 
 #: Each entry point with a value in one id, count or real position, the rest valid.
@@ -233,20 +235,16 @@ VALUE_SLOTS = {
     "LossModel transmission": lambda v: LossModel({"detection": v}),
     "LossModel node": lambda v: LossModel({"detection": {v: 0.5}}),
     "LossModel node transmission": lambda v: LossModel({"detection": {2: v}}),
-    "LossModel.apply_stage order": lambda v: LossModel({"d": 0.5}).apply_stage(STATE3, "d", (1, 2, v)),
     "NetworkPlan node": lambda v: NetworkPlan({v: (5.0, "p")}, [("phase", 1, 0.3)], (1, 2)),
     "NetworkPlan level": lambda v: NetworkPlan({1: (v, "p")}, [("phase", 1, 0.3)], (1, 2)).prepare(),
     "NetworkPlan order": lambda v: NetworkPlan({1: (5.0, "p")}, [("phase", 1, 0.3)], (1, v)),
     "FeedforwardTarget node": lambda v: FeedforwardTarget(v, "p", 1.0),
     "FeedforwardTarget gain": lambda v: FeedforwardTarget(2, "p", v),
     "MeasurementStep node": lambda v: MeasurementStep(v, 0.0, TARGET2),
-    "MeasurementStep angle": lambda v: execute_ensemble(STATE3, (1, 2, 3), [MeasurementStep(3, v, TARGET2)]),
-    "execute_ensemble order": lambda v: execute_ensemble(STATE3, (1, 2, v), REMOVE3),
-    "execute_conditional order": lambda v: execute_conditional(STATE3, (1, 2, v), REMOVE3, values=[0.5]),
-    "execute_conditional outcome": lambda v: execute_conditional(STATE3, (1, 2, 3), REMOVE3, values=[v]),
-    "check_cluster_criteria order": lambda v: check_cluster_criteria(STATE3, WIRE3, (1, 2, v)),
+    "MeasurementStep angle": lambda v: execute_ensemble(STATE3, [MeasurementStep(3, v, TARGET2)]),
+    "execute_conditional outcome": lambda v: execute_conditional(STATE3, REMOVE3, values=[v]),
+    "GaussianState node": lambda v: GaussianState(STATE3.mean, STATE3.cov, nodes=(1, 2, v)),
     "NullifierTable.rows order": lambda v: nullifiers_of(WIRE3).rows((1, 2, v)),
-    "TrajectoryPlan order": lambda v: run_trajectory(_plan((1, 2, v)), 3, 1),
     "TrajectoryPlan readout node": lambda v: run_trajectory(_plan(readout={v: 0.5}), 3, 1),
     "TrajectoryPlan readout transmission": lambda v: run_trajectory(_plan(readout={2: v}), 3, 1),
     "run_trajectory trials": lambda v: run_trajectory(_plan(), v, 1),
@@ -307,8 +305,8 @@ def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, valu
         (lambda: WIRE3.with_edge(1, 3, 1.0), "edge sign must be an integer, got 1.0"),
         (lambda: NetworkPlan({3.7: ("5", "p")}, [], (3,)), "node id must be an integer, got 3.7"),
         (lambda: NetworkPlan({3: (5.0, "p")}, [], (2.9,)), "node id must be an integer, got 2.9"),
-        (lambda: TrajectoryPlan(vacuum(1), (1.9,), (), None), "node id must be an integer, got 1.9"),
-        (lambda: TrajectoryPlan(vacuum(1), (1,), (), None, {True: "0.5"}), "node id must be an integer, got True"),
+        (lambda: GaussianState(np.zeros(2), np.eye(2), nodes=(1.9,)), "node id must be an integer, got 1.9"),
+        (lambda: TrajectoryPlan(vacuum(1), (), None, {True: "0.5"}), "node id must be an integer, got True"),
         (
             lambda: LossModel({"detection": {10**5000: 0.5}}),
             "node id has too many digits to print, got <int of 16610 bits>",
@@ -322,16 +320,20 @@ def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, valu
         (lambda: FeedforwardTarget(1, "p", "1"), "feedforward gain must be a real number, got '1'"),
         (lambda: MeasurementStep(3, float("nan"), TARGET2), "measurement angle must be finite, got nan"),
         (
-            lambda: execute_conditional(STATE3, (1, 2, 3), REMOVE3, values=[float("nan")]),
+            lambda: execute_conditional(STATE3, REMOVE3, values=[float("nan")]),
             "forced outcome must be finite, got nan",
         ),
-        (lambda: execute_ensemble(STATE3, (1, 1, 3), REMOVE3), "node 1 appears twice in the node order"),
+        (lambda: GaussianState(STATE3.mean, STATE3.cov, (1, 1, 3)), "node 1 appears twice in the node order"),
         (lambda: nullifiers_of(WIRE3).rows((1, 1, 3)), "node 1 appears twice in the node order"),
         (lambda: run_trajectory(_plan(), True, 1), "trials must be an integer, got True"),
         (lambda: run_trajectory(_plan(), 10**400, 1), "trials must lie between 1 and 2**53 = 9007199254740992"),
         (lambda: vacuum(True), "mode count must be an integer, got True"),
         (lambda: ClusterGraph.linear_wire(True), "node count must be an integer, got True"),
         (lambda: ClusterGraph.from_edges([("a", 2)]), "node id must be an integer, got 'a'"),
+        (lambda: ClusterGraph([1, 2], [5]), "edge entry must be (i, j) or (i, j, sign), got 5"),
+        (lambda: ClusterGraph.from_edges([5]), "edge entry must be (i, j) or (i, j, sign), got 5"),
+        (lambda: ClusterGraph([1, 2], [(1,)]), "edge entry must be (i, j) or (i, j, sign), got (1,)"),
+        (lambda: ClusterGraph([1, 2], [(1, 2, 1, 0)]), "edge entry must be (i, j) or (i, j, sign), got (1, 2, 1, 0)"),
         (lambda: removal_steps(WIRE3, 2, gain=True), "feedforward gain must be a real number, got True"),
         (
             lambda: shorten_steps(ClusterGraph.linear_wire(4), 2, 3, gain=True),
@@ -340,13 +342,51 @@ def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, valu
     ],
     ids=[
         "float-node", "bool-node", "float-edge-end", "float-sign", "float-plan-node", "float-plan-order",
-        "float-trajectory-order", "bool-readout-node", "huge-loss-node", "str-level", "bool-level",
-        "float-target-node", "str-gain", "nan-angle", "nan-forced-outcome", "repeated-ensemble-order",
+        "float-state-node", "bool-readout-node", "huge-loss-node", "str-level", "bool-level",
+        "float-target-node", "str-gain", "nan-angle", "nan-forced-outcome", "repeated-state-node",
         "repeated-row-order", "bool-trials", "too-many-trials", "bool-mode-count", "bool-wire-length",
-        "str-edge-end", "bool-removal-gain", "bool-shortening-gain",
+        "str-edge-end", "int-edge", "int-edge-from-edges", "one-end-edge", "four-entry-edge", "bool-removal-gain",
+        "bool-shortening-gain",
     ],
 )
 def test_a_value_outside_its_kind_raises_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is ValueError
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_permuting_modes_with_their_nodes_changes_no_result(seed, data):
+    # a state names its modes by node id, so criteria, shaping and trajectories read ids, never positions
+    rng = np.random.default_rng(seed)
+    graph, db = random_signed_graph(rng, 2, 8)
+    lossy = LossModel({"source": {node: float(rng.uniform(0.3, 1.0)) for node in graph.nodes}})
+    state = lossy.apply_stage(build_canonical(graph, db), "source")
+    moved = state.marginal(data.draw(st.permutations(range(graph.n_nodes))))
+    node = data.draw(st.sampled_from(graph.nodes))
+
+    def assert_close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def assert_same_criteria(got, want):
+        for column in ("variances", "db", "sums"):
+            assert_close(getattr(got, column), getattr(want, column))
+        assert [r[0] for r in got.residuals] == [r[0] for r in want.residuals]
+        assert_close([r[1:] for r in got.residuals], [r[1:] for r in want.residuals])
+
+    assert_same_criteria(check_cluster_criteria(moved, graph), check_cluster_criteria(state, graph))
+    shaped = remove_node(state, graph, node)
+    moved_shaped = remove_node(moved, ClusterGraph(moved.nodes, graph.edges()), node)
+    back = moved_shaped.state.marginal([moved_shaped.state.nodes.index(n) for n in shaped.state.nodes])
+    assert back.nodes == shaped.state.nodes
+    scale = np.abs(shaped.state.cov).max()
+    np.testing.assert_allclose(back.cov, shaped.state.cov, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(back.mean, shaped.state.mean, rtol=1e-12, atol=1e-12 * scale)
+    assert_close([r.marginal_var for r in moved_shaped.outcomes], [r.marginal_var for r in shaped.outcomes])
+    criteria = [check_cluster_criteria(s, shaped.graph) for s in (back, shaped.state)]
+    assert_same_criteria(*criteria)
+
+    steps, record = removal_steps(graph, node), nullifiers_of(shaped.graph)
+    want = run_trajectory(TrajectoryPlan(state, steps, record), 3, seed).analytic_var
+    assert_close(run_trajectory(TrajectoryPlan(moved, steps, record), 3, seed).analytic_var, want)

@@ -10,6 +10,7 @@ import pytest
 from cvshape import (
     ClusterGraph,
     FeedforwardTarget,
+    GaussianState,
     MeasurementStep,
     TrajectoryPlan,
     apply,
@@ -49,8 +50,8 @@ def test_homodyne_collapses_and_drops_the_mode():
     wire = ClusterGraph.linear_wire(2)
     st = build_canonical(wire, 60.0)
     step = MeasurementStep(node=2, angle=0.0, feedforward=())
-    out, order, (rec,) = execute_conditional(st, wire.nodes, [step], values=[1.3])
-    assert order == (1,)
+    out, (rec,) = execute_conditional(st, [step], values=[1.3])
+    assert out.nodes == (1,)
     assert out.n_modes == 1
     assert rec.value == 1.3
     # nullifier p_1 - x_2 ~ 0 at high squeezing: p_1 follows the outcome,
@@ -69,7 +70,7 @@ def test_erasure_restores_the_marginal():
         st = random_product_state(rng, 2)
         before = st.marginal([0])
         coupled = apply(st, qnd_gate(2, 0, 1, 1.0))
-        restored, _, _ = execute_conditional(coupled, (0, 1), ERASE_MODE_1, rng=rng)
+        restored, _ = execute_conditional(coupled, ERASE_MODE_1, rng=rng)
         np.testing.assert_allclose(restored.cov, before.cov, atol=1e-10)
         np.testing.assert_allclose(restored.mean, before.mean, atol=1e-10)
 
@@ -77,14 +78,14 @@ def test_erasure_restores_the_marginal():
 def test_homodyne_requires_value_or_rng():
     st = squeezed_vacuum(5.0, "p")
     with pytest.raises(ValueError):
-        execute_conditional(st, (0,), [MeasurementStep(node=0, angle=0.0, feedforward=())])
+        execute_conditional(st, [MeasurementStep(node=0, angle=0.0, feedforward=())])
 
 
 def test_homodyne_floor_rejects_near_eigenstates():
     st = squeezed_vacuum(200.0, "p")
     step = MeasurementStep(node=0, angle=np.pi / 2, feedforward=())
     with pytest.raises(ValueError):
-        execute_conditional(st, (0,), [step], values=[0.0])
+        execute_conditional(st, [step], values=[0.0])
 
 
 def test_feedforward_dangling_references():
@@ -94,9 +95,9 @@ def test_feedforward_dangling_references():
     to_measured = MeasurementStep(node=2, angle=0.0, feedforward=(FeedforwardTarget(2, "p", -1.0),))
     for step in (to_absent, to_measured):
         with pytest.raises(ValueError):
-            execute_ensemble(st, wire.nodes, [step])
+            execute_ensemble(st, [step])
         with pytest.raises(ValueError):
-            execute_conditional(st, wire.nodes, [step], values=[0.5])
+            execute_conditional(st, [step], values=[0.5])
     with pytest.raises(ValueError):
         FeedforwardTarget(1, "y", -1.0)
     for gain in (float("nan"), float("inf")):
@@ -167,7 +168,7 @@ def test_remove_node_outcome_insensitive_covariance():
     st = build_canonical(wire, 5.0)
     covs = []
     for forced in (-2.0, 0.0, 2.0):
-        result, _, _ = execute_conditional(st, wire.nodes, removal_steps(wire, 2), values=[forced])
+        result, _ = execute_conditional(st, removal_steps(wire, 2), values=[forced])
         covs.append(result.cov)
     np.testing.assert_allclose(covs[0], covs[1], atol=1e-12)
     np.testing.assert_allclose(covs[1], covs[2], atol=1e-12)
@@ -268,11 +269,11 @@ def test_ensemble_covariance_dominates_conditional():
     wire = ClusterGraph.linear_wire(4)
     st = build_canonical(wire, 5.0)
     steps = removal_steps(wire, 2, gain=-0.4)  # detuned gain leaves spread
-    ens_state, order, _ = execute_ensemble(st, wire.nodes, steps)
-    cond_state, _, _ = execute_conditional(st, wire.nodes, steps, values=[0.7])
+    ens_state, _ = execute_ensemble(st, steps)
+    cond_state, _ = execute_conditional(st, steps, values=[0.7])
     gap = ens_state.cov - cond_state.cov
     assert np.linalg.eigvalsh(gap).min() > -1e-12
-    assert order == (1, 3, 4)
+    assert ens_state.nodes == cond_state.nodes == (1, 3, 4)
 
 
 def test_conditional_covariance_is_outcome_independent():
@@ -281,7 +282,7 @@ def test_conditional_covariance_is_outcome_independent():
     steps, _ = shorten_steps(wire, 2, 3)
     reference = None
     for values in ([-2.0, -2.0], [0.0, 0.0], [2.0, -1.0]):
-        out, _, recs = execute_conditional(st, wire.nodes, steps, values=values)
+        out, recs = execute_conditional(st, steps, values=values)
         assert [r.value for r in recs] == values
         if reference is None:
             reference = out.cov
@@ -292,7 +293,7 @@ def test_conditional_covariance_is_outcome_independent():
 def test_ensemble_records_have_no_values():
     wire = ClusterGraph.linear_wire(4)
     st = build_canonical(wire, 5.0)
-    _, _, recs = execute_ensemble(st, wire.nodes, removal_steps(wire, 2))
+    _, recs = execute_ensemble(st, removal_steps(wire, 2))
     assert [r.value for r in recs] == [None]
 
 
@@ -300,8 +301,8 @@ def test_execute_rejects_unknown_step_node():
     wire = ClusterGraph.linear_wire(3)
     st = build_canonical(wire, 5.0)
     steps = removal_steps(wire, 2)
-    with pytest.raises(ValueError):
-        execute_ensemble(st, (1, 2), steps)  # state/node-order mismatch
+    with pytest.raises(ValueError, match="^node 2 already measured or absent$"):
+        execute_ensemble(st.marginal([0, 2]), steps)  # the marginal keeps nodes 1 and 3
 
 
 # ------------------------------------------------------------- trajectories
@@ -314,7 +315,6 @@ def make_shorten_plan(readout=None):
     shaped = ClusterGraph([o1, o2], [(o1, o2, sign)])
     return TrajectoryPlan(
         state=st,
-        node_order=wire.nodes,
         steps=steps,
         record=nullifiers_of(shaped),
         readout_efficiency=readout,
@@ -435,7 +435,6 @@ def make_signed64_plan(readout=None):
     wire = signed_wire(64)
     return TrajectoryPlan(
         state=build_canonical(wire, 5.0),
-        node_order=wire.nodes,
         steps=removal_steps(wire, 30),
         record=nullifiers_of(wire.with_node_removed(30)),
         readout_efficiency=readout,
@@ -458,7 +457,7 @@ ANALYTIC_PLANS = {
 def test_trajectory_analytic_var_is_the_ensemble_reference(monkeypatch, name, trials):
     # the readout map's |W^T c|^2 against a second pass: ensemble, readout loss, variances
     plan = ANALYTIC_PLANS[name](monkeypatch)
-    _, _, reference = ensemble_readout_reference(plan)
+    _, reference = ensemble_readout_reference(plan)
     stats = run_trajectory(plan, trials=trials, seed=5)
     assert len(stats.analytic_var) == len(reference) > 0
     assert stats.analytic_var == pytest.approx(list(reference), rel=1e-12, abs=0)
@@ -478,7 +477,6 @@ def test_readout_precision_loss_raises_without_an_eigh_fallback(monkeypatch):
     wire = signed_wire(16)
     plan = TrajectoryPlan(
         state=build_canonical(wire, 80.0),
-        node_order=wire.nodes,
         steps=removal_steps(wire, 8),
         record=nullifiers_of(wire.with_node_removed(8)),
     )
@@ -530,13 +528,11 @@ WIRE4 = ClusterGraph.linear_wire(4)
         (lambda: shorten_steps(TRIANGLE, 1, 2), "outer node 3 closes a loop; shortening needs distinct ends"),
         (lambda: shorten_steps(FORKED, 2, 3), "inner node 3 must have exactly one neighbor besides 2"),
         (
-            lambda: execute_ensemble(build_canonical(WIRE4, 5.0), WIRE4.nodes, removal_steps(WIRE4, 4) * 2),
+            lambda: execute_ensemble(build_canonical(WIRE4, 5.0), removal_steps(WIRE4, 4) * 2),
             "node 4 already measured or absent",
         ),
         (
-            lambda: execute_conditional(
-                build_canonical(WIRE4, 5.0), WIRE4.nodes, removal_steps(WIRE4, 4), values=[1.0, 2.0]
-            ),
+            lambda: execute_conditional(build_canonical(WIRE4, 5.0), removal_steps(WIRE4, 4), values=[1.0, 2.0]),
             "need one forced value per step",
         ),
     ],
@@ -546,3 +542,17 @@ def test_bad_plan_raises_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "nodes", [(0, 1, 2, 3), (2, 1, 3, 4), (1, 2, 3, 5)], ids=["default-ids", "reordered", "renamed"]
+)
+def test_shaping_refuses_a_state_on_other_nodes(nodes):
+    # remove_node and shorten_wire pair the state's modes with the graph's nodes by id, never by position
+    canonical = build_canonical(WIRE4, 5.0)
+    state = GaussianState(canonical.mean, canonical.cov, nodes)
+    message = f"state nodes {nodes} are not the graph's nodes (1, 2, 3, 4)"
+    for shape in (lambda: remove_node(state, WIRE4, 4), lambda: shorten_wire(state, WIRE4, (2, 3))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            shape()
+        assert type(info.value) is ValueError
