@@ -15,7 +15,6 @@ from .gaussian import (
     apply,
     apply_loss,
     quadrature_selector,
-    quadrature_variances,
     squeezed_variance,
     symplectic_form,
     vacuum,

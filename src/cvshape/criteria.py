@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gaussian import GaussianState, VACUUM_VARIANCE, quadrature_variances
+from .gaussian import GaussianState, LossModel, VACUUM_VARIANCE
 from .graphs import ClusterGraph, NullifierTable, nullifiers_of
 
 __all__ = [
@@ -116,31 +116,33 @@ def residual_squeezing_db(state: GaussianState, mode: int):
     )
 
 
-def check_cluster_criteria(state: GaussianState, graph: ClusterGraph | NullifierTable) -> CriteriaReport:
-    """Evaluate all nullifier and adjacent-pair criteria for a state.
+def check_cluster_criteria(
+    state: GaussianState, graph: ClusterGraph | NullifierTable, loss: LossModel = LossModel({})
+) -> CriteriaReport:
+    """Evaluate all nullifier and adjacent-pair criteria for a state, as its detection stage sees it.
 
     Args:
         state: state to verify; its nodes must include every node a form references.
         graph: cluster graph, whose nullifiers define the forms, or the
             NullifierTable that nullifiers_of already built for it.
+        loss: the budget whose "detection" stage each mode is read through; lossless by default.
 
     Returns:
         CriteriaReport with a variance and dB column over the table's rows,
         a sum column over its edges, and a residual-squeezing row per
-        isolated node.
+        isolated node, each as loss.apply_stage(state, "detection") gives it.
 
     Raises:
         numpy.linalg.LinAlgError: a variance lost to cancellation, zero or below, or not finite.
     """
     table = graph if isinstance(graph, NullifierTable) else nullifiers_of(graph)
-    values = quadrature_variances(state, table.rows(state.nodes))
+    values = table.variances(state, loss)
     try:
         db = nullifier_db(values, table.counts)
     except ValueError as exc:  # a variance cancelled to zero or below, or not finite: precision lost
         raise np.linalg.LinAlgError(str(exc)) from None
     row = {node: r for r, node in enumerate(table.labels)}
     sums = values[[row[i] for i, _, _ in table.edges]] + values[[row[j] for _, j, _ in table.edges]]
-    mode = {node: k for k, node in enumerate(state.nodes)}
-    isolated = [node for node, count in zip(table.labels, table.counts) if count == 1]  # bare p-terms
-    residuals = [(node, *residual_squeezing_db(state, mode[node])) for node in isolated]
+    isolated = [state.marginal([state.nodes.index(node)]) for node, k in zip(table.labels, table.counts) if k == 1]
+    residuals = [(one.nodes[0], *residual_squeezing_db(loss.apply_stage(one, "detection"), 0)) for one in isolated]
     return CriteriaReport(table, values.tolist(), db.tolist(), sums.tolist(), residuals)

@@ -524,7 +524,7 @@ def _run(config: ExperimentConfig):
             transcript.append({"op": "loss", "stage": stage, "efficiency": efficiency})
 
     yield "criteria.initial"
-    initial_criteria = check_cluster_criteria(loss.apply_stage(state_in, "detection"), nullifiers_of(graph))
+    initial_criteria = check_cluster_criteria(state_in, nullifiers_of(graph), loss)
 
     yield "shape"
     shaped = _shape_scenario(config, state_in, graph)
@@ -534,7 +534,7 @@ def _run(config: ExperimentConfig):
         transcript.append({"op": "measure", "node": step.node, "angle": step.angle, "feedforward": targets})
     for i, j, sign in shaped.new_edges:
         transcript.append({"op": "new_edge", "nodes": [i, j], "sign": sign})
-    # Each state is dropped after its last reader, so a run holds about three covariances.
+    # Each state is dropped after its last reader, so a run holds about two covariances.
     ring = config.scenario == "ring-route-check"
     state, direct = shaped.state, (shaped.state if ring else None)
     del shaped
@@ -549,16 +549,14 @@ def _run(config: ExperimentConfig):
         transcript.append({"op": "loss", "stage": stage, "efficiency": tap.to_dict()[stage]})
 
     yield "criteria.final"
-    table, view = nullifiers_of(shaped_graph), loss.apply_stage(state, "detection")
+    final_criteria = check_cluster_criteria(state, nullifiers_of(shaped_graph), loss)
     del state
-    final_criteria = check_cluster_criteria(view, table)
-    del view
 
     yield "monte_carlo"
     monte_carlo = None
     if config.trials > 0:
         readout = {n: loss.efficiency("detection", n) * taps.get(n, 1.0) for n in shaped_order}
-        plan = TrajectoryPlan(state_in, steps, record=table, readout_efficiency=readout)
+        plan = TrajectoryPlan(state_in, steps, record=final_criteria.table, readout_efficiency=readout)
         monte_carlo = run_trajectory(plan, config.trials, config.seed)
 
     yield "ring_route"

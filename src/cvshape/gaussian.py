@@ -35,7 +35,6 @@ __all__ = [
     "apply",
     "apply_loss",
     "quadrature_selector",
-    "quadrature_variances",
 ]
 
 #: Variance of each quadrature of the vacuum state (hbar = 1/2).
@@ -221,6 +220,15 @@ def _check_mode(n_modes: int, mode: int) -> None:
         raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
 
 
+def quadrature_selector(n_modes: int, mode: int, angle: float) -> np.ndarray:
+    """Unit vector selecting x_mode cos(angle) + p_mode sin(angle)."""
+    _check_mode(n_modes, mode)
+    u = np.zeros(2 * n_modes)
+    u[mode] = np.cos(angle)
+    u[n_modes + mode] = np.sin(angle)
+    return u
+
+
 def apply(state: GaussianState, matrix: np.ndarray) -> GaussianState:
     """Apply a linear Gaussian unitary, the square 2N x 2N array S, to an N-mode state.
 
@@ -320,31 +328,3 @@ class LossModel:
             label: {str(k): v for k, v in entry.items()} if isinstance(entry, dict) else entry
             for label, entry in self.stages.items()
         }
-
-
-# ---------------------------------------------------------------------------
-# quadrature combinations
-# ---------------------------------------------------------------------------
-
-
-def quadrature_selector(n_modes: int, mode: int, angle: float) -> np.ndarray:
-    """Unit vector selecting x_mode cos(angle) + p_mode sin(angle)."""
-    _check_mode(n_modes, mode)
-    u = np.zeros(2 * n_modes)
-    u[mode] = np.cos(angle)
-    u[n_modes + mode] = np.sin(angle)
-    return u
-
-
-def quadrature_variances(state: GaussianState, rows) -> np.ndarray:
-    """Variances c^T V c of linear quadrature combinations, one per row c of C.
-
-    Every reported variance is evaluated here: the row matrix C gives one
-    product C V, whose row-wise dot with C is the diagonal of C V C^T.
-
-    Raises:
-        ValueError: rows is not a 2-D matrix with one column per quadrature.
-    """
-    if np.ndim(rows) != 2 or np.shape(rows)[1] != state.mean.size:
-        raise ValueError(f"forms must be a row matrix of {state.mean.size} columns, got shape {np.shape(rows)}")
-    return np.einsum("ij,ij->i", rows @ state.cov, rows)

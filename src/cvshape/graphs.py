@@ -27,11 +27,11 @@ from .decompositions import (
 from .gaussian import (
     VACUUM_VARIANCE,
     GaussianState,
+    LossModel,
     _integer,
     _node_order,
     _real,
     _shown,
-    quadrature_variances,
     squeezed_variance,
 )
 
@@ -181,6 +181,15 @@ class NullifierTable(NamedTuple):
     entries: list
     edges: tuple
 
+    def _columns(self, nodes: tuple) -> list:
+        """Each entry's xxpp column over modes in nodes, an order already checked."""
+        n, mode = len(nodes), {node: k for k, node in enumerate(nodes)}
+        try:
+            return [mode[node] + (n if quad == "p" else 0) for _, node, quad, _ in self.entries]
+        except KeyError:
+            missing = min((r, k, node) for k, (r, node, _, _) in enumerate(self.entries) if node not in mode)
+            raise ValueError(f"form references node {missing[2]} outside the node order") from None
+
     def rows(self, node_order: Sequence[int]) -> np.ndarray:
         """The forms as a row matrix over modes in node_order, +0.0 off the terms.
 
@@ -188,16 +197,26 @@ class NullifierTable(NamedTuple):
             ValueError: node_order repeats a node, or misses one a form
                 references (the first in row and term order is named).
         """
-        n = len(node_order := _node_order(node_order))
-        mode = {node: k for k, node in enumerate(node_order)}
-        try:
-            columns = [mode[node] + (n if quad == "p" else 0) for _, node, quad, _ in self.entries]
-        except KeyError:
-            missing = min((r, k, node) for k, (r, node, _, _) in enumerate(self.entries) if node not in mode)
-            raise ValueError(f"form references node {missing[2]} outside the node order") from None
-        rows = np.zeros((len(self.labels), 2 * n))
-        rows[[entry[0] for entry in self.entries], columns] = [entry[3] for entry in self.entries]
+        rows = np.zeros((len(self.labels), 2 * len(node_order := _node_order(node_order))))
+        rows[[entry[0] for entry in self.entries], self._columns(node_order)] = [entry[3] for entry in self.entries]
         return rows
+
+    def variances(self, state: GaussianState, loss: LossModel = LossModel({})) -> np.ndarray:
+        """Each form's variance in loss.apply_stage(state, "detection"), lossless by default, without making that
+        state: over its term pairs (a, b) in term order, the sum of c_a c_b times _mix_vacuum's entry, sqrt(eta_a)
+        sqrt(eta_b) V_ab plus (1 - eta_a)/4 when a = b.  Work and memory: the sum over forms of (1 + degree)^2."""
+        eta = np.array([loss.efficiency("detection", node) for node in state.nodes] * 2)
+        form = np.array([entry[0] for entry in self.entries], np.intp)
+        terms = form.argsort(kind="stable")  # each form's terms together, its p-term first
+        columns, c = np.array(self._columns(state.nodes), int)[terms], np.array([e[3] for e in self.entries])[terms]
+        form, k = form[terms], np.asarray(self.counts, np.intp)[form[terms]]
+        a = np.arange(form.size).repeat(k)  # pairs (a, b), b running over the terms of a's form
+        b = np.arange(a.size) + (form.searchsorted(form) - k.cumsum() + k).repeat(k)
+        weights, form, a, b = c[a] * c[b], form[a], columns[a], columns[b]
+        view = np.sqrt(eta[a]) * np.sqrt(eta[b])
+        view *= state.cov[a, b]
+        view[a == b] += (1.0 - eta[a[a == b]]) * VACUUM_VARIANCE
+        return np.bincount(form, view * weights, len(self.labels))
 
 
 def nullifiers_of(graph: ClusterGraph) -> NullifierTable:
@@ -393,12 +412,9 @@ def compile_network(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState
         float(np.abs(produced.cov - target.cov).max()),
         float(np.abs(produced.mean - target.mean).max()),
     ) / max(1.0, float(np.abs(target.cov).max()))
-    # Lossless, each canonical nullifier evaluates to its node's squeezed
-    # input p, so the reference is closed-form rather than a dense product
-    # that cancels at high squeezing.
-    variances = quadrature_variances(produced, nullifiers_of(graph).rows(graph.nodes))
+    # Lossless, each canonical nullifier evaluates to its node's squeezed input p: the reference is closed-form.
     expected = np.array([squeezed_variance(_db_of(db, node)) for node in graph.nodes])
-    nullifier_err = float(np.abs(variances / expected - 1.0).max())
+    nullifier_err = float(np.abs(nullifiers_of(graph).variances(produced) / expected - 1.0).max())
     if state_err > _STATE_RTOL or nullifier_err > _NULLIFIER_RTOL:
         raise np.linalg.LinAlgError(
             f"compiled plan state deviates from the canonical build by {state_err:.3e} of the "

@@ -52,8 +52,7 @@ __all__ = [
 #: conditioning on one would divide by ~0 and must fail loudly instead.
 MARGINAL_VARIANCE_FLOOR = 1e-12
 
-#: Height of the row blocks that a step adds its rank-one terms in.  An ensemble step
-#: holds three blocks at once, 48 rows, under 1/16 of a covariance once 2N passes 768.
+#: Rows per block of a conditional step's rank-one term: two blocks at once, under 1/16 covariance past 2N = 512.
 _ROWS = 16
 
 @dataclass(frozen=True)
@@ -265,11 +264,17 @@ def execute_ensemble(state: GaussianState, steps: Sequence[MeasurementStep]):
         projection = float(u @ mean)
         outcomes.append(HomodyneOutcome(step.node, step.angle, None, projection, marginal_var))
         mean = mean[idx] + gains * projection
-        # A V A^T for A = P + G u^T, expanded so that entries no gain touches
-        # stay exactly V[idx, idx]; the terms are added a block of rows at a time.
-        for rows in (slice(r, r + _ROWS) for r in range(0, len(idx), _ROWS)):
-            cov[rows] += np.outer(vu[rows], gains) + np.outer(gains[rows], vu)
-            cov[rows] += marginal_var * np.outer(gains[rows], gains)
+        # A V A^T, A = P + G u^T: rows of nonzero gains take its terms, their columns the finished rows (it is
+        # symmetric), and the other rows only its + 0.0, which turns -0.0 into +0.0
+        touched, start = gains.nonzero()[0].tolist(), 0
+        for k in touched:
+            cov[k] += vu[k] * gains + gains[k] * vu
+            cov[k] += marginal_var * (gains[k] * gains)
+            cov[start:k] += 0.0
+            start = k + 1
+        cov[start:] += 0.0
+        for k in touched:
+            cov[:, k] = cov[k]
     return GaussianState._adopt(mean, cov, tuple(order)), tuple(outcomes)
 
 

@@ -25,7 +25,7 @@ from cvshape import (
     vacuum,
 )
 from cvshape.criteria import CriteriaReport, residual_squeezing_db
-from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, quadrature_selector, quadrature_variances
+from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, quadrature_selector
 from cvshape.graphs import _squeezer_scales, nullifiers_of
 from cvshape.shaping import _conditional_step, execute_ensemble
 
@@ -113,6 +113,20 @@ def form_vector(form, n_modes: int, node_order=None) -> np.ndarray:
     if vec.size != 2 * n_modes:
         raise ValueError(f"form has {vec.size} coefficients, expected {2 * n_modes}")
     return vec
+
+
+def quadrature_variances(state: GaussianState, rows) -> np.ndarray:
+    """Dense reference: variances c^T V c of linear quadrature combinations, one per row c of C.
+
+    One matrix product C V, whose row-wise dot with C is the diagonal of
+    C V C^T; NullifierTable.variances reads each form's own entries instead.
+
+    Raises:
+        ValueError: rows is not a 2-D matrix with one column per quadrature.
+    """
+    if np.ndim(rows) != 2 or np.shape(rows)[1] != state.mean.size:
+        raise ValueError(f"forms must be a row matrix of {state.mean.size} columns, got shape {np.shape(rows)}")
+    return np.einsum("ij,ij->i", rows @ state.cov, rows)
 
 
 def quadrature_variance(state: GaussianState, form, node_order=None) -> float:
@@ -498,24 +512,54 @@ def nullifier_db_reference(variance: float, k: int) -> float:
     return float(10.0 * np.log10(variance / (k * VACUUM_VARIANCE)))
 
 
-def check_cluster_criteria_reference(state, graph) -> CriteriaReport:
-    """Reference criteria: one coefficient vector and one scalar dB per form, pairs by lookup.
+def nullifier_variances_reference(state, forms, eta=None) -> list:
+    """Per-term reference: each form's variance as a scalar loop over the pairs of its terms.
+
+    The pairs run in term order, p-term first, and each pair adds
+    (c_a c_b) view_ab to a total that starts at 0.0, where view_ab =
+    (sqrt(eta_a) sqrt(eta_b)) V_ab, plus (1 - eta_a)/4 when a = b: the
+    scalar arithmetic and order of NullifierTable.variances.
+    """
+    n, cov = state.n_modes, state.cov.tolist()
+    mode = {node: k for k, node in enumerate(state.nodes)}
+    eta = [1.0] * n if eta is None else [float(e) for e in eta]
+    variances = []
+    for form in forms:
+        total = 0.0
+        for node_a, quad_a, c_a in form.terms:
+            for node_b, quad_b, c_b in form.terms:
+                a, b = mode[node_a] + (n if quad_a == "p" else 0), mode[node_b] + (n if quad_b == "p" else 0)
+                view = (math.sqrt(eta[a % n]) * math.sqrt(eta[b % n])) * cov[a][b]
+                if a == b:
+                    view += (1.0 - eta[a % n]) * VACUUM_VARIANCE
+                total += (c_a * c_b) * view
+        variances.append(total)
+    return variances
+
+
+def check_cluster_criteria_reference(state, graph, loss=None) -> CriteriaReport:
+    """Reference criteria: per-term scalar variances and one scalar dB per form, pairs by lookup.
 
     The columns are filled form by form, in the order of the graph's
-    NullifierTable, whose rows the reference forms match one for one.
+    NullifierTable, whose rows the reference forms match one for one.  The
+    detection stage of loss, if given, is read per mode; a residual row
+    reads the detection view of the whole state.
     """
     order = state.nodes
     table, forms = nullifiers_of(graph), nullifiers_reference(graph)
     assert [(f.label, f.describe(), f.n_terms) for f in forms] == list(zip(table.labels, table.texts, table.counts))
-    rows = np.reshape([form_vector(form, len(order), order) for form in forms], (-1, 2 * len(order)))
+    for form in forms:
+        form_vector(form, len(order), order)  # a form on a node outside the order raises its ValueError
+    eta = None if loss is None else [loss.efficiency("detection", node) for node in order]
     variance_of, variances, db = {}, [], []
-    for form, var in zip(forms, quadrature_variances(state, rows).tolist()):
+    for form, var in zip(forms, nullifier_variances_reference(state, forms, eta)):
         variance_of[form.label] = var
         variances.append(var)
         db.append(nullifier_db_reference(var, form.n_terms))
     sums = [variance_of[i] + variance_of[j] for i, j, _ in graph.edges()]
+    view = state if loss is None else loss.apply_stage(state, "detection")
     residuals = [
-        (form.label, *residual_squeezing_db(state, order.index(form.label))) for form in forms if form.n_terms == 1
+        (form.label, *residual_squeezing_db(view, order.index(form.label))) for form in forms if form.n_terms == 1
     ]
     return CriteriaReport(table, variances, db, sums, residuals)
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvshape.graphs as cvshape_graphs
 from cvshape import (
     ClusterGraph,
     GaussianState,
+    LossModel,
     apply,
     apply_loss,
     build_canonical,
@@ -27,6 +29,7 @@ from helpers import (
     check_cluster_criteria_reference,
     leaf_types,
     phase_shift,
+    quadrature_variances,
     random_symplectic_state,
     squeezed_vacuum,
     tensor,
@@ -218,8 +221,11 @@ def test_closed_form_criteria_equal_the_per_form_reference(graph, data):
     state = dataclasses.replace(state, nodes=order)
     report = check_cluster_criteria(state, graph)
     reference = check_cluster_criteria_reference(state, graph)
-    assert report == reference  # every column, db included, compared with ==
+    assert report == reference  # every column, db included, compared with ==, against a per-term scalar loop
     assert leaf_types(report.to_dict()) <= REPORT_SCALARS
+    # the dense C V C^T sums in another order: the same variances to the last few bits
+    dense = quadrature_variances(state, nullifiers_of(graph).rows(order))
+    np.testing.assert_array_max_ulp(np.array(report.variances), dense, maxulp=4)
     # a variance cancelled to zero or below names the first offending value in node order
     diag = data.draw(st.lists(st.sampled_from((0.0, -0.5, 0.25, 1.5)), min_size=2 * graph.n_nodes,
                               max_size=2 * graph.n_nodes))
@@ -230,6 +236,51 @@ def test_closed_form_criteria_equal_the_per_form_reference(graph, data):
     foreign = dataclasses.replace(state, nodes=order[:-1] + [61])
     expected = _outcome(check_cluster_criteria_reference, foreign, graph)
     assert expected.startswith("ValueError") and _outcome(check_cluster_criteria, foreign, graph) == expected
+
+
+DETECTION = st.floats(0.01, 1.0) | st.just(1.0)
+
+
+def _verdicts(report):
+    return [v < NULLIFIER_BOUND for v in report.variances], [s < PAIRWISE_BOUND for s in report.sums], report.all_pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=scattered_graphs(), isolated=st.booleans(), data=st.data())
+def test_criteria_through_detection_loss_are_the_criteria_of_the_detection_view(graph, isolated, data):
+    if isolated:  # one more node, joined to none
+        graph = ClusterGraph(graph.nodes + (61,), graph.edges())
+    order = data.draw(st.permutations(graph.nodes))
+    state = random_symplectic_state(np.random.default_rng(data.draw(st.integers(0, 2**32))), graph.n_nodes)
+    state = dataclasses.replace(state, nodes=order)
+    detection = data.draw(DETECTION | st.dictionaries(st.sampled_from(graph.nodes), DETECTION))
+    loss = LossModel({"source": 0.5, "detection": detection})  # only the detection stage is read
+    report = check_cluster_criteria(state, graph, loss)
+    on_view = check_cluster_criteria(loss.apply_stage(state, "detection"), graph)
+    assert report == check_cluster_criteria_reference(state, graph, loss)
+    np.testing.assert_array_max_ulp(np.array(report.variances), np.array(on_view.variances), maxulp=4)
+    np.testing.assert_array_max_ulp(np.array(report.sums), np.array(on_view.sums), maxulp=4)
+    # each residual row is the 2 x 2 marginal mixed with its node's transmission, as the view's is
+    assert report.residuals == on_view.residuals
+    assert len(report.residuals) == report.table.counts.count(1) >= isolated
+    assert _verdicts(report) == _verdicts(on_view)
+
+
+def test_a_graph_of_no_forms_gives_empty_columns():
+    report = check_cluster_criteria(vacuum(1), ClusterGraph(()), LossModel({"detection": 0.5}))
+    assert report.to_dict() == {"nullifiers": [], "pairwise": [], "residual_squeezing": [], "all_pass": True}
+
+
+def test_criteria_read_the_state_nodes_without_checking_them_again(monkeypatch):
+    # a state's nodes were checked where it was made; rows() still checks an order a caller passes in
+    def refuse(*args):
+        raise AssertionError("node order checked a second time")
+
+    state = build_canonical(WIRE4, 5.0)
+    monkeypatch.setattr(cvshape_graphs, "_node_order", refuse)
+    assert check_cluster_criteria(state, WIRE4).all_pass
+    with pytest.raises(AssertionError):
+        nullifiers_of(WIRE4).rows(state.nodes)
 
 
 def test_a_numpy_column_fails_the_scalar_type_check():

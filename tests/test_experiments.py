@@ -22,6 +22,7 @@ from cvshape import (
     FeedforwardTarget,
     GaussianState,
     MeasurementStep,
+    NullifierTable,
     build_canonical,
     check_cluster_criteria,
     execute_ensemble,
@@ -589,23 +590,24 @@ def test_non_finite_nullifier_variance_is_a_config_error(monkeypatch):
 
 def test_criteria_failure_evaluates_the_variances_once(monkeypatch):
     # the refused variances are not evaluated a second time to classify the refusal
-    calls, variances = [], cvshape_criteria.quadrature_variances
+    calls, variances = [], NullifierTable.variances
 
-    def counted(state, rows):
-        calls.append(np.shape(rows))
-        return variances(state, rows)
+    def counted(table, state, loss):
+        calls.append((len(table.labels), state.n_modes))
+        return variances(table, state, loss)
 
-    monkeypatch.setattr(cvshape_criteria, "quadrature_variances", counted)
-    monkeypatch.setattr(experiments, "quadrature_variances", counted, raising=False)
+    monkeypatch.setattr(NullifierTable, "variances", counted)
     with pytest.raises(ConfigError, match=r"^criteria\.initial: precision lost: variance must be positive and finite"):
         run(ExperimentConfig(scenario="remove-edge", squeezing_db=200))
-    assert calls == [(4, 8)]
+    assert calls == [(4, 4)]
 
 
 def test_each_run_stage_has_one_path():
-    # no eigh behind the Monte Carlo Cholesky, and no second variance evaluation in the runner
+    # no eigh behind the Monte Carlo Cholesky, no second variance evaluation in the runner, and no
+    # detection view of a whole state behind the criteria: they read it through NullifierTable.variances
     assert not re.search(r"\beigh\b", inspect.getsource(cvshape_shaping))
     assert "quadrature_variances" not in inspect.getsource(experiments)
+    assert '"detection")' not in inspect.getsource(experiments._run)
 
 
 STOCK_OPERATIONS = {

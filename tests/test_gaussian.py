@@ -22,7 +22,6 @@ from cvshape import (
     build_canonical,
     preset_wire_network,
     quadrature_selector,
-    quadrature_variances,
     squeezed_variance,
     symplectic_form,
     vacuum,
@@ -36,6 +35,7 @@ from helpers import (
     phase_shift,
     qnd_gate,
     quadrature_variance,
+    quadrature_variances,
     random_product_state,
     random_symplectic_state,
     squeeze_gate,

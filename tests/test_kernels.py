@@ -32,8 +32,10 @@ from cvshape import (
     MeasurementStep,
     apply,
     build_canonical,
+    check_cluster_criteria,
     compile_network,
     emit,
+    nullifiers_of,
     preset_wire_network,
     remove_node,
     run,
@@ -305,9 +307,11 @@ def test_every_producer_but_the_plan_hands_over_a_bitwise_symmetric_covariance(d
 # a state adopts the covariance its producer built: the tracemalloc peak of one call, in
 # covariances, on a 512-node lattice.  The allowance of 1/16 covariance covers tiles, rows of
 # outer products and Python objects; one stray N x N array is a quarter of a covariance, and
-# build_canonical's signed adjacency is that quarter.
+# build_canonical's signed adjacency is that quarter.  A criteria check at detection makes no
+# state: it reads each form's own entries, so it stays within 1/8 covariance all told, where
+# the dense rows with their detection view read 2.005 (this one 0.090).
 SIDE = 16
-STAGE_CEILINGS = {"state": 1, "loss stage": 1, "remove_node": 1, "build_canonical": 1.25}
+STAGE_CEILINGS = {"state": 1, "loss stage": 1, "remove_node": 1, "build_canonical": 1.25, "criteria": 1 / 16}
 
 
 @pytest.fixture(scope="module")
@@ -333,15 +337,27 @@ def _traced_peak(call) -> int:
 def test_stage_peak_is_one_covariance_per_new_state(lattice, stage):
     graph, state = lattice
     assert graph.n_nodes == 512
-    cov = np.array(state.cov)
+    cov, table = np.array(state.cov), nullifiers_of(graph)
     calls = {
         "state": lambda: GaussianState(state.mean, cov),
         "loss stage": lambda: LossModel({"detection": 0.9}).apply_stage(state, "detection"),
         "remove_node": lambda: remove_node(state, graph, graph.nodes[len(graph.nodes) // 2 + SIDE]),
         "build_canonical": lambda: build_canonical(graph, 10.0),
+        "criteria": lambda: check_cluster_criteria(state, table, LossModel({"detection": 0.9})),
     }
     ratio = _traced_peak(calls[stage]) / state.cov.nbytes
     assert ratio <= STAGE_CEILINGS[stage] + 1 / 16, f"{stage} peaked at {ratio:.3f} covariances"
+
+
+def test_criteria_peak_follows_the_term_pairs_not_a_padded_layout():
+    # The hub of a 400-node star has a 400-term form: its term pairs are the work, 1.6e5 in all,
+    # about 56 bytes each.  A forms x K x K gather padded to the largest form would hold 6.4e7.
+    graph = ClusterGraph.from_edges([(1, k) for k in range(2, 401)])
+    table = nullifiers_of(graph)
+    state = GaussianState(np.zeros(800), VACUUM_VARIANCE * np.eye(800), graph.nodes)
+    pairs = sum(k * k for k in table.counts)
+    peak = _traced_peak(lambda: check_cluster_criteria(state, table, LossModel({"detection": 0.9})))
+    assert peak <= 64 * pairs, f"{peak / pairs:.1f} bytes per term pair"
 
 
 def _lattice_text(graph) -> str:
@@ -349,17 +365,17 @@ def _lattice_text(graph) -> str:
     return "\n".join(lines + [f"edge {i} {j} sign={sign}" for i, j, sign in graph.edges()]) + "\n"
 
 
-def test_run_peak_is_about_three_covariances(lattice, tmp_path):
-    # A calibrated centre removal, analytic only: the run's peak is the initial criteria, where
-    # the input state, its detection view and the N x 2N rows with their product are live.
-    # A run that keeps the input and the shaped state to its end peaks at 4.16.
+def test_run_peak_is_about_two_covariances(lattice, tmp_path):
+    # A calibrated centre removal, analytic only: the run's peak is the shaping step, where the
+    # input state and the survivors' covariance are live; the criteria read each form's own
+    # entries.  Dense criteria, with a detection view and the N x 2N rows, peaked at 3.10.
     graph, state = lattice
     path = tmp_path / "lattice.graph"
     path.write_text(_lattice_text(graph))
     centre = graph.nodes[len(graph.nodes) // 2 + SIDE]
     config = ExperimentConfig(scenario="custom", graph_file=str(path), remove_target=centre, squeezing_db=10.0)
     ratio = _traced_peak(lambda: run(config)) / state.cov.nbytes
-    assert ratio <= 3.25, f"the run peaked at {ratio:.3f} covariances"
+    assert ratio <= 2.28, f"the run peaked at {ratio:.3f} covariances"
 
 
 # emit writes each report section once and joins the sections once, so its peak is about the report
