@@ -67,9 +67,10 @@ def bloch_messiah(matrix: np.ndarray):
 
     The factors come from one SVD of S.  J maps a left singular vector of
     singular value d to one of 1/d, so the left singular vectors V with
-    d > 1 are J-orthogonal to each other, degenerate ones included, and
-    W = [V | -J V] is orthogonal symplectic once the unit singular values
-    contribute an isotropic half.
+    d > 1 are J-orthogonal to each other, degenerate ones included.  The
+    unit ones span a J-closed space of complex dimension m in columns
+    x + i p, on which J acts as -i; its first m complex singular vectors,
+    as (Re; Im), complete V, and W = [V | -J V] is orthogonal symplectic.
 
     Args:
         matrix: real 2N x 2N symplectic matrix.
@@ -102,28 +103,11 @@ def bloch_messiah(matrix: np.ndarray):
         # Singular values come sorted descending.
         left, sigma, _ = np.linalg.svd(s)
         upper = int(np.count_nonzero(sigma > 1.0 + _UNIT_BAND))
-        chosen = [_fix_sign(col) for col in left[:, :upper].T]
-
-        # Unit singular values: their singular space contains both a vector
-        # and its J image, so keep only an isotropic half.
-        unit = np.flatnonzero(np.abs(sigma - 1.0) <= _UNIT_BAND)
-        space = left[:, unit]
-        picked: list[np.ndarray] = []
-        while 2 * len(picked) < len(unit):
-            blocked = picked + [j @ v for v in picked]
-            candidate = None
-            for col in space.T:
-                v = col.astype(float).copy()
-                for u in blocked:
-                    v -= (u @ v) * u
-                norm = np.linalg.norm(v)
-                if norm > 1e-8:
-                    candidate = v / norm
-                    break
-            if candidate is None:
-                raise np.linalg.LinAlgError("failed to build an isotropic basis on the unit block")
-            picked.append(_fix_sign(candidate))
-        chosen.extend(picked)
+        # Unit singular values span a J-closed space.  As columns x + i p, on which J acts as -i,
+        # orthonormal complex vectors are orthonormal, J-orthogonal real ones: an isotropic half.
+        unit = left[:, np.abs(sigma - 1.0) <= _UNIT_BAND]
+        basis = np.linalg.svd(unit[:n] + 1j * unit[n:], full_matrices=False)[0][:, : unit.shape[1] // 2]
+        chosen = [_fix_sign(col) for col in np.hstack([left[:, :upper], np.vstack([basis.real, basis.imag])]).T]
 
         if len(chosen) != n:
             raise np.linalg.LinAlgError(

@@ -250,12 +250,9 @@ def _mix_vacuum(mean: np.ndarray, cov: np.ndarray, eta) -> tuple:
     """Mix mode k with vacuum at transmission eta[k]; returns new (mean, cov).
 
     mean may be one mean vector or a trials x 2N batch.  eta = 1 leaves a
-    mode untouched.
+    mode untouched.  Each eta was checked to lie in (0, 1] by LossModel.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all((eta > 0.0) & (eta <= 1.0)):
-        raise ValueError("transmission eta must lie in (0, 1]")
-    eta = np.concatenate([eta, eta])
+    eta = np.concatenate([eta, eta], dtype=float)
     root = np.sqrt(eta)
     mixed = np.einsum("i,j->ij", root, root)  # np.outer's bits for roots >= 0, without its buffer
     mixed *= cov
@@ -276,9 +273,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
         eta: transmission in (0, 1]; 1 is the identity channel.
     """
     _check_mode(state.n_modes, mode)
-    etas = np.ones(state.n_modes)
-    etas[mode] = _real("transmission", eta)
-    return GaussianState._adopt(*_mix_vacuum(state.mean, state.cov, etas), state.nodes)
+    return LossModel({"loss": {state.nodes[mode]: eta}}).apply_stage(state, "loss")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, _integer, _mix_vacuum, _real, _shown, quadrature_selector
+from .gaussian import GaussianState, LossModel, _integer, _mix_vacuum, _real, _shown, quadrature_selector
 from .graphs import ClusterGraph, NullifierTable
 
 __all__ = [
@@ -395,7 +395,7 @@ class TrajectoryPlan:
         steps: measurement steps executed in order.
         record: NullifierTable of the forms evaluated on the final state;
             its nodes must survive the steps.
-        readout_efficiency: node -> transmission, a real, applied at the
+        readout_efficiency: node -> transmission in (0, 1], applied at the
             final variance readout (models detection loss); empty means ideal.
     """
 
@@ -405,7 +405,7 @@ class TrajectoryPlan:
     readout_efficiency: dict = None
 
     def __post_init__(self):
-        eff = {_integer("node id", k): _real("transmission", v) for k, v in (self.readout_efficiency or {}).items()}
+        eff = LossModel({"readout": dict(self.readout_efficiency or {})}).stages["readout"]
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "readout_efficiency", eff)
 

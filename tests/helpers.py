@@ -336,6 +336,11 @@ def signed_wire(n: int):
     )
 
 
+def star(n: int):
+    """Star of n nodes, centre 1 joined to each of 2..n: its adjacency has the zero eigenvalue n - 2 times."""
+    return ClusterGraph.from_edges([(1, k) for k in range(2, n + 1)], nodes=range(1, n + 1))
+
+
 def batch_trajectory_reference(plan, trials: int, seed: int):
     """Reference Monte Carlo: every trial's mean and readout as one trials x 2N batch.
 

@@ -28,6 +28,7 @@ from helpers import (
     elements_to_unitary_reference,
     qnd_gate,
     random_signed_graph,
+    star,
     unitary_to_elements_reference,
 )
 
@@ -89,14 +90,32 @@ def test_sum_gate_squeeze_factors_are_golden():
         unitary_to_orthogonal_symplectic(random_unitary(np.random.default_rng(25), 3)),
         beam_splitter(3, 0, 1, 0.3),
         qnd_gate(4, 0, 1),
+        # a star's adjacency has rank 2: fourteen zero eigenvalues, m = 14
+        canonical_transform(star(16), 0.0),
+        # eigenvalue 2 cos(k pi / 6) of the 5-wire vanishes at k = 3
+        canonical_transform(ClusterGraph.linear_wire(5), 0.0),
+        unitary_to_orthogonal_symplectic(
+            np.block([[random_unitary(np.random.default_rng(26), 3), np.zeros((3, 2))], [np.zeros((2, 3)), np.eye(2)]])
+        ),
     ],
-    ids=["passive-3-mode", "beam-splitter-3-mode", "qnd-two-idle"],
+    ids=[
+        "passive-3-mode", "beam-splitter-3-mode", "qnd-two-idle", "star-16-0db", "wire-5-0db", "passive-mesh-two-idle"
+    ],
 )
 def test_unit_block_of_two_or_more_directions_factors(s):
-    # Every unit direction after the first is projected off the J-closed
-    # span of those already picked.
+    # The unit block's isotropic half is the leading left singular vectors
+    # of its columns read as complex vectors x + i p.
     o2, d, o1 = bloch_messiah(s)
     assert_valid_factors(s, o2, d, o1, tol=1e-9)
+
+
+def test_unit_block_of_a_128_node_star_factors_in_one_svd():
+    s = canonical_transform(star(128), 0.0)
+    start = time.perf_counter()
+    o2, d, o1 = bloch_messiah(s)
+    elapsed = time.perf_counter() - start
+    assert_valid_factors(s, o2, d, o1, tol=1e-9)
+    assert elapsed < 0.5
 
 
 def test_random_graph_symplectics_recompose():

@@ -406,7 +406,7 @@ def test_random_transforms_stay_symplectic():
     [
         (lambda: vacuum(0), "need at least one mode"),
         (lambda: apply_loss(vacuum(4), 9, 0.5), "mode index 9 out of range for 4 modes"),
-        (lambda: apply_loss(vacuum(4), 0, 1.5), "transmission eta must lie in (0, 1]"),
+        (lambda: apply_loss(vacuum(4), 0, 1.5), "transmission 1.5 outside (0, 1]"),
         (
             lambda: GaussianState(np.zeros(8), np.eye(8), nodes=(1, 2)),
             "node order length must match the state's mode count",

@@ -73,6 +73,12 @@ FILES = {
     # a non-ASCII file name, echoed ASCII-escaped in the report's config
     "gr\u00e4ph.graph": "node 1\nnode 2\nnode 3\nnode 4\nedge 1 2\nedge 2 3 sign=-1\nedge 3 4\n",
     "umlaut.cfg": "scenario = custom\ngraph_file = gr\u00e4ph.graph\nremove_node = 2\n",
+    "wire5.graph": "node 1\nnode 2\nnode 3\nnode 4\nnode 5\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\n",
+    # at 0 dB the 5-wire's zero adjacency eigenvalue gives the canonical symplectic a unit singular value
+    "wire5-vacuum.cfg": (
+        "scenario = custom\nconstruction = compiled\ngraph_file = wire5.graph\nremove_node = 3\n"
+        "squeezing_db = 0\nlossless = true\n"
+    ),
 }
 
 # name -> CLI arguments; every case exits 0
@@ -105,6 +111,7 @@ CASES = {
     # one trial: sample_var and stderr are null
     "shorten-wire-mc-1": ["--scenario", "shorten-wire", "--trials", "1", "--seed", "7"],
     "custom-non-ascii-graph-file": ["--config", "umlaut.cfg"],
+    "wire-5-vacuum-compiled": ["--config", "wire5-vacuum.cfg"],
 }
 
 # name -> sha256 of the report bytes, recorded on the gate-chain build
@@ -140,6 +147,8 @@ GOLDEN = {
     # recorded on the json.dumps writer, before the one-pass writer
     "shorten-wire-mc-1": "8ea9e07d3a6714f643abc0ac5d05fc62947e9ebc54f979dbefa38f992012fe4d",
     "custom-non-ascii-graph-file": "960e6e24f72bf88c7e237ed0281ad10dbf5fffd7112ee29f2347f8e77e89724b",
+    # recorded on the Gram-Schmidt unit block, before the complex SVD
+    "wire-5-vacuum-compiled": "89a038d7d6ce4f47869864595d8781c458c32197a09141aeb13c1a14b01789a6",
 }
 
 

@@ -41,6 +41,7 @@ from helpers import (
     quadrature_variance,
     random_signed_graph,
     signed_wire,
+    star,
 )
 
 SQUEEZED_5DB = 0.07905694150420949
@@ -425,14 +426,25 @@ def _signed_lattice(side: int) -> ClusterGraph:
 
 
 @pytest.mark.parametrize(
-    "graph",
-    [ClusterGraph.linear_wire(4), signed_wire(16), _signed_lattice(4)],
-    ids=["wire4", "signed16", "signed-lattice-4x4"],
+    "graph, db",
+    [
+        (ClusterGraph.linear_wire(4), 5.0),
+        (signed_wire(16), 5.0),
+        (_signed_lattice(4), 5.0),
+        # a 0-dB node on a zero adjacency eigenvalue gives the canonical symplectic unit singular values
+        (ClusterGraph.linear_wire(5), 0.0),
+        (star(16), 0.0),
+        (
+            ClusterGraph(list(range(1, 7)), [(k, k + 1) for k in range(1, 5)]),
+            {**dict.fromkeys(range(1, 6), 5.0), 6: 0.0},
+        ),
+    ],
+    ids=["wire4", "signed16", "signed-lattice-4x4", "wire5-0db", "star16-0db", "wire5-beside-a-vacuum-node"],
 )
-def test_compile_checks_the_state_the_plan_prepares(graph):
+def test_compile_checks_the_state_the_plan_prepares(graph, db):
     # compile_network builds its checked state from the reduction's own
     # element product; prepare() composes the plan's elements afresh.
-    plan, checked = compile_network(graph, 5.0)
+    plan, checked = compile_network(graph, db)
     prepared = plan.prepare()
     assert np.array_equal(checked.mean, prepared.mean)
     assert np.array_equal(checked.cov, prepared.cov)

@@ -353,6 +353,12 @@ def test_trajectory_readout_loss_mixes_analytic_variance():
         assert abs(sample_var - analytic_var) < 4 * stderr
 
 
+def test_trajectory_plan_refuses_a_readout_transmission_above_one():
+    # LossModel checks the range when the plan is made, not when it runs
+    with pytest.raises(ValueError, match=r"^transmission 1\.5 outside \(0, 1\]$"):
+        make_shorten_plan(readout={1: 1.5})
+
+
 def test_trajectory_sample_cov_matches_analytic_cov():
     stats = run_trajectory(make_shorten_plan(), trials=20000, seed=11)
     scale = np.sqrt(2.0 / (stats.trials - 1))
