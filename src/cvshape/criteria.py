@@ -94,7 +94,7 @@ class CriteriaReport:
 
 
 def residual_squeezing_db(state: GaussianState, mode: int):
-    """Principal-axis analysis of one mode's 2x2 marginal covariance.
+    """Principal-axis analysis of one mode's 2x2 marginal covariance; a LinAlgError if it is not positive definite.
 
     Returns:
         (squeezed_db, antisqueezed_db, angle): min and max variance in dB
@@ -102,9 +102,9 @@ def residual_squeezing_db(state: GaussianState, mode: int):
         in [0, pi).  A fully symmetric marginal reports angle 0.
     """
     values, vectors = np.linalg.eigh(state.marginal([mode]).cov)
-    low, high = float(values[0]), float(values[1])
+    low, high = values  # numpy scalars: a level past the float range overflows under the caller's errstate
     if low <= 0:
-        raise ValueError("marginal covariance is not positive definite")
+        raise np.linalg.LinAlgError("marginal covariance is not positive definite")
     direction = vectors[:, 0]
     angle = float(np.arctan2(direction[1], direction[0])) % np.pi
     if abs(high - low) < 1e-14 * max(1.0, high):

@@ -51,7 +51,7 @@ SYMPLECTIC_TOL = 1e-10
 
 _SYMMETRY_RTOL = 1e-12
 
-#: Side of the square tiles that a state checks and symmetrises its covariance in, a pair at a time.
+#: Side of the square tiles that the public constructor checks and symmetrises its copy in, a pair at a time.
 _TILE = 32
 
 # ---------------------------------------------------------------------------
@@ -133,32 +133,28 @@ class GaussianState:
         if np.iscomplexobj(self.mean) or np.iscomplexobj(self.cov):
             raise ValueError("state mean and covariance must be real, got complex entries")
         nodes = None if self.nodes is None else _node_order(self.nodes, np.size(self.mean) // 2)  # checked once, here
-        self._settle(self.mean, np.array(self.cov, dtype=float, order="C"), nodes)
+        self._settle(self.mean, np.array(self.cov, dtype=float, order="C"), nodes, outside=True)
 
     @classmethod
     def _adopt(cls, mean, cov: np.ndarray, nodes: tuple) -> "GaussianState":
-        """State that takes cov itself, a new float C array no caller can still reach: no copy.
-
-        A read-only cov is another state's own, as after zero shaping steps, and is copied.  nodes
-        come checked, as a graph's, a plan's or some of a state's; None means 0 ... N-1.
-        """
+        """State that holds cov as its producer built it, exactly symmetric: no copy and no check, when cov is a
+        new float C array no caller can still reach.  A read-only cov is another state's own, as after zero shaping
+        steps, and is copied.  nodes come checked, as a graph's, a plan's or some of a state's; None is 0 ... N-1."""
         state = object.__new__(cls)
-        state._settle(mean, cov if cov.flags.writeable else np.array(cov), nodes)
+        state._settle(mean, cov if cov.flags.writeable else np.array(cov), nodes, outside=False)
         return state
 
-    def _settle(self, mean, cov: np.ndarray, nodes) -> None:
-        """Check and symmetrise cov, which this state owns, in place; then freeze mean, cov and nodes."""
+    def _settle(self, mean, cov: np.ndarray, nodes, outside: bool) -> None:
+        """Check the shapes of mean and cov, which this state owns; symmetrise an outside cov in place; freeze both."""
         mean = np.asarray(mean, dtype=float).flatten()
         if mean.size == 0 or mean.size % 2 != 0:
             raise ValueError("state needs an even, positive number of quadratures")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
-        # cov is checked and made (V + V^T)/2 a tile pair at a time, unless every pair matches byte for byte
-        # (-0.0 facing +0.0 does not) and no entry is NaN or >= 2^1023, where a + a overflows; a NaN passes.
-        peak = max(cov.max(), -cov.min(), 1.0)  # max() keeps a leading NaN
-        blocks = [slice(i, i + _TILE) for i in range(0, mean.size, _TILE)]
-        tiles = [(cov[rows, cols], cov[cols, rows].T) for k, rows in enumerate(blocks) for cols in blocks[k:]]
-        if not (peak < 2.0**1023 and all(upper.tobytes() == lower.tobytes() for upper, lower in tiles)):
+        if outside:  # checked and made (V + V^T)/2 a tile pair at a time; a NaN passes
+            peak = max(cov.max(), -cov.min(), 1.0)  # max() keeps a leading NaN
+            blocks = [slice(i, i + _TILE) for i in range(0, mean.size, _TILE)]
+            tiles = [(cov[rows, cols], cov[cols, rows].T) for k, rows in enumerate(blocks) for cols in blocks[k:]]
             if _SYMMETRY_RTOL * peak < max(np.abs(upper - lower).max() for upper, lower in tiles):
                 raise ValueError("covariance matrix must be symmetric")
             for upper, lower in tiles:
@@ -238,7 +234,7 @@ def apply(state: GaussianState, matrix: np.ndarray) -> GaussianState:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != state.cov.shape:
         raise ValueError(f"transform of shape {matrix.shape} does not act on {state.n_modes} modes")
-    return GaussianState._adopt(matrix @ state.mean, matrix @ state.cov @ matrix.T, state.nodes)
+    return GaussianState(matrix @ state.mean, matrix @ state.cov @ matrix.T, state.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,7 @@ def run_trajectory(plan: TrajectoryPlan, trials: int, seed: int) -> TrajectorySt
     factor = np.tril(rng.standard_normal((width, rank)), -1)
     np.fill_diagonal(factor[:rank], np.sqrt(rng.chisquare(float(trials - 1) - np.arange(rank))))
 
-    rows = plan.record.rows(final_order)
+    rows = plan.record._rows(final_order)  # a state's ids, checked where it was made
     form_loading = rows @ loading
     analytic_vars = np.einsum("ij,ij->i", form_loading, form_loading).tolist()
     sample_means = (rows @ mean + form_loading @ z_mean).tolist()

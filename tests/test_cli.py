@@ -91,6 +91,7 @@ def _custom_config(tmp_path, graph_text, line):
 
 WIRE_3 = "node 1\nnode 2\nnode 3\nedge 1 2\nedge 2 3\n"
 WIRE_4 = WIRE_3 + "node 4\nedge 3 4\n"
+ISOLATED_3087_DB = "node 1\nnode 2\nnode 3 db=3087\nedge 1 2\n"
 
 
 def test_custom_removal_of_absent_node_exits_two(tmp_path, capsys):
@@ -152,6 +153,10 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         ("node 1 foo=2\n" + WIRE_3[len("node 1\n"):], "remove_node = 2", "unknown node attribute 'foo'"),
         ("node 1\nnode 2\nedge 1 2 weight=3\n", "remove_node = 2", "unknown edge attribute 'weight'"),
         ("node 1\n", "remove_node = 1", "remove_node = 1: no node would remain"),
+        # node 3 sits alone at 3087 dB: its x variance, about 1.25e308, builds, and its antisqueezed level overflows
+        (ISOLATED_3087_DB, "remove_node = 1", "criteria.initial: numbers out of floating-point range: overflow"),
+        # lossless, its p variance of about 5e-310 is lost to the 2 x 2 eigensolver, which finds 0
+        (ISOLATED_3087_DB, "remove_node = 1\nlossless = true", "criteria.initial: precision lost: marginal covariance"),
         (
             WIRE_4,
             "scenario = remove-edge\nconstruction = compiled\nsqueezing_db = 5\nsqueezing_db.1 = 80",
@@ -171,7 +176,8 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         "custom-without-operation", "trials-above-2-to-the-53", "trials-1e400",
         "loss-per-node-then-uniform", "loss-uniform-then-per-node", "line-without-equals",
         "loss-key-too-deep", "format-xml", "preset-wire-on-3-nodes", "preset-wire-non-uniform-db",
-        "graph-node-attribute", "graph-edge-attribute", "remove-only-node", "compiled-levels-5-and-80-db",
+        "graph-node-attribute", "graph-edge-attribute", "remove-only-node", "isolated-node-at-3087-db",
+        "isolated-node-at-3087-db-lossless", "compiled-levels-5-and-80-db",
         "loss-stage-misspelled",
     ],
 )

@@ -1,12 +1,17 @@
 """Golden report bytes: fixed CLI runs must keep their exact output.
 
 Each case runs the command-line entry point in a fresh directory and
-compares the sha256 of the emitted report with a recorded value.  A
-mismatch means a change altered report bytes; such a change has to be
-deliberate and recorded with its cause, and the hash updated with it.
+compares the emitted report with its stored copy in tests/golden/, whose
+sha256 is recorded below.  A mismatch names each moved JSON path or CSV
+row with its old and new value.  It means a change altered report bytes;
+such a change has to be deliberate and recorded with its cause, and the
+stored report and its hash updated with it.
 """
 
 import hashlib
+import json
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +157,51 @@ GOLDEN = {
 }
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN_DIR / (name + (".csv" if name.endswith("-csv") else ".json"))
+
+
+ABSENT = object()
+
+
+def _text(value) -> str:
+    """A JSON value as the report spelled it; a float keeps its digits, as Decimal."""
+    return "<absent>" if value is ABSENT else str(value) if isinstance(value, Decimal) else json.dumps(value)
+
+
+def _moved_values(old, new, path: str, out: list) -> list:
+    """Append "path: old -> new" for each JSON value that differs, walking dicts by key and lists by index."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [key for key in new if key not in old]:
+            _moved_values(old.get(key, ABSENT), new.get(key, ABSENT), f"{path}.{key}" if path else key, out)
+    elif isinstance(old, list) and isinstance(new, list):
+        for k in range(max(len(old), len(new))):
+            _moved_values(old[k] if k < len(old) else ABSENT, new[k] if k < len(new) else ABSENT, f"{path}[{k}]", out)
+    elif type(old) is not type(new) or old != new:
+        out.append(f"{path or '<report>'}: {_text(old)} -> {_text(new)}")
+    return out
+
+
+def report_changes(old: str, new: str, csv: bool) -> list:
+    """The moved JSON paths, or CSV rows, of two report texts, each with its old and new value."""
+    if csv:
+        old_rows, new_rows = old.splitlines(), new.splitlines()
+        return [
+            f"row {k}: {old_rows[k] if k < len(old_rows) else '<absent>'} -> "
+            f"{new_rows[k] if k < len(new_rows) else '<absent>'}"
+            for k in range(max(len(old_rows), len(new_rows)))
+            if old_rows[k:k + 1] != new_rows[k:k + 1]
+        ]
+    moved = _moved_values(json.loads(old, parse_float=Decimal), json.loads(new, parse_float=Decimal), "", [])
+    if moved or old == new:
+        return moved
+    k = next(k for k, (a, b) in enumerate(zip(old.splitlines() + [""], new.splitlines() + [""])) if a != b)
+    return [f"same values, layout moved at line {k + 1}: {old.splitlines()[k:k + 1]} -> {new.splitlines()[k:k + 1]}"]
+
+
 def report_bytes(argv, capsys):
     """Exit status and stdout bytes of one CLI run in the current directory."""
     for name, text in FILES.items():
@@ -162,9 +212,49 @@ def report_bytes(argv, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_stored_report_is_the_recorded_one(name):
+    assert hashlib.sha256(golden_path(name).read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def test_every_stored_report_is_a_case():
+    assert sorted(path.name for path in GOLDEN_DIR.iterdir()) == sorted(golden_path(name).name for name in CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CVSHAPE_SEED", raising=False)
     code, out = report_bytes(CASES[name], capsys)
     assert code == 0
-    assert hashlib.sha256(out).hexdigest() == GOLDEN[name]
+    stored = golden_path(name).read_bytes()
+    if out != stored:
+        moved = report_changes(stored.decode(), out.decode(), csv=name.endswith("-csv"))
+        pytest.fail(f"{name}: report bytes moved from tests/golden\n" + "\n".join(moved), pytrace=False)
+
+
+def test_a_moved_json_value_is_named_by_its_path():
+    old = golden_path("remove-edge").read_text()
+    report = json.loads(old)
+    variance = report["final_criteria"]["nullifiers"][1]["variance"]
+    report["final_criteria"]["nullifiers"][1]["variance"] = 0.5
+    report["final_criteria"]["all_pass"] = "maybe"
+    moved = report_changes(old, json.dumps(report, indent=2) + "\n", csv=False)
+    assert moved == [
+        f"final_criteria.nullifiers[1].variance: {variance} -> 0.5", 'final_criteria.all_pass: true -> "maybe"'
+    ]
+
+
+def test_a_moved_csv_row_is_named_by_its_index():
+    old = golden_path("remove-edge-csv").read_text()
+    rows = old.splitlines()
+    new = "\n".join(rows[:2] + [rows[2].replace("true", "false")] + rows[3:-1]) + "\n"
+    assert report_changes(old, new, csv=True) == [
+        f"row 2: {rows[2]} -> {rows[2].replace('true', 'false')}", f"row {len(rows) - 1}: {rows[-1]} -> <absent>"
+    ]
+
+
+def test_a_layout_move_with_the_same_values_names_its_line():
+    old = golden_path("remove-edge").read_text()
+    assert report_changes(old, json.dumps(json.loads(old)) + "\n", csv=False)[0].startswith(
+        "same values, layout moved at line 1: "
+    )

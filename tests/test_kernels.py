@@ -1,10 +1,11 @@
 """The in-place covariance kernels: bitwise against the whole-matrix formulas, and their memory.
 
-GaussianState checks and symmetrises its one copy a tile at a time,
-vacuum mixing scales its outer product in place, the shaping steps gather
+The public constructor checks and symmetrises its one copy a tile at a
+time, vacuum mixing scales its outer product in place, the shaping steps gather
 survivors by block copies and add their rank-one terms a block of rows at
 a time, the canonical build writes its four blocks into one array, a
-linear-optics plan prepares O diag O^T as one product, and the ring route
+linear-optics plan prepares O diag O^T as one averaged product, a state
+adopts what its producer built as it stands, and the ring route
 turns modes by signed swaps.  Each must give the bytes of the formula it
 replaced (tests/helpers.py), signed zeros and NaNs included, and allocate
 one covariance per stage; the quarter turns agree with the dense rotation
@@ -246,13 +247,12 @@ def test_plan_prepares_the_bytes_of_o_diag_o_transpose(build):
     assert prepared.mean.tobytes() == np.zeros(o.shape[0]).tobytes()
 
 
-# Every internal producer hands GaussianState._adopt an exactly symmetric covariance, so the state
-# settles it with one bitwise comparison per tile pair and skips the toleranced average; a producer
-# that drifts would cost only time, which no other test sees.  NetworkPlan._prepare's O diag O^T is
-# off by rounding and is the one producer that takes the toleranced path.
+# Every internal producer hands GaussianState._adopt an exactly symmetric covariance, and the state
+# holds it as built: adoption neither checks nor averages it.  A producer that drifts would yield a
+# state whose covariance is asymmetric in its last bits, which no other test sees.
 PRODUCERS = {
     "build_canonical", "apply_stage", "execute_ensemble", "execute_conditional", "_quarter_turns", "marginal",
-    "vacuum",
+    "vacuum", "_prepare",
 }
 
 
@@ -269,7 +269,7 @@ def _random_steps(rng: np.random.Generator, nodes: list) -> list:
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_every_producer_but_the_plan_hands_over_a_bitwise_symmetric_covariance(data, tmp_path_factory):
+def test_every_producer_hands_over_a_bitwise_symmetric_covariance(data, tmp_path_factory):
     rng = _rng(data)
     graph, db = random_signed_graph(rng, 2, 40)  # 2N up to 80: partial tiles and tile pairs
     nodes = list(graph.nodes)
@@ -298,7 +298,8 @@ def test_every_producer_but_the_plan_hands_over_a_bitwise_symmetric_covariance(d
         _quarter_turns(state, [(node, int(rng.integers(-1, 4))) for node in nodes])
         state.marginal(rng.permutation(len(nodes))[: rng.integers(1, len(nodes) + 1)].tolist())
         vacuum(len(nodes))
-    drifted = sorted({name for name, symmetric in adopted if not symmetric} - {"_prepare"})
+        preset_wire_network(db[nodes[0]]).prepare()
+    drifted = sorted({name for name, symmetric in adopted if not symmetric})
     assert not drifted, f"not bitwise symmetric on adoption: {drifted}"
     assert PRODUCERS <= {name for name, _ in adopted}
 
@@ -417,6 +418,14 @@ def test_zero_step_execution_copies_the_input_covariance(execute):
     assert (final.nodes, outcomes) == ((1, 2), ())
     assert not np.shares_memory(final.cov, state.cov) and not _writable_memory(final.cov)
     assert final.cov.tobytes() == state.cov.tobytes() and final.mean.tobytes() == state.mean.tobytes()
+
+
+def test_adoption_holds_the_covariance_as_built():
+    # symmetry is the producer's job: the state freezes the array it is handed, and neither checks nor averages it
+    cov = np.array([[1.0, 0.5], [0.25, 1.0]])
+    state = GaussianState._adopt(np.zeros(2), cov, None)
+    assert state.cov is cov and not cov.flags.writeable
+    assert cov.tolist() == [[1.0, 0.5], [0.25, 1.0]]
 
 
 def test_public_constructor_copies_its_input():

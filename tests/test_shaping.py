@@ -24,6 +24,7 @@ from cvshape import (
     shorten_wire,
     squeezed_variance,
 )
+import cvshape.graphs as cvshape_graphs
 from cvshape import experiments
 from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
 from helpers import (
@@ -327,6 +328,19 @@ def test_trajectory_sample_variance_tracks_analytic():
     assert stats.analytic_var == pytest.approx([TWO_TERM_5DB] * 2, abs=1e-12)
     for sample_var, analytic_var, stderr in zip(stats.sample_var, stats.analytic_var, stats.stderr):
         assert abs(sample_var - analytic_var) < 4 * stderr
+
+
+def test_trajectory_reads_the_state_nodes_without_checking_them_again(monkeypatch):
+    # the readout's ids are the final state's, checked where it was made; rows() still checks an order passed in
+    def refuse(*args):
+        raise AssertionError("node order checked a second time")
+
+    plan = make_shorten_plan()
+    monkeypatch.setattr(cvshape_graphs, "_node_order", refuse)
+    stats = run_trajectory(plan, trials=100, seed=7)
+    assert stats.node_order == (1, 4) and stats.analytic_var == pytest.approx([TWO_TERM_5DB] * 2, abs=1e-12)
+    with pytest.raises(AssertionError):
+        plan.record.rows(stats.node_order)
 
 
 def test_trajectory_deterministic_under_seed():
