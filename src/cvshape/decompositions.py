@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .gaussian import SYMPLECTIC_TOL, symplectic_form
+from .gaussian import SYMPLECTIC_TOL
 
 __all__ = [
     "is_symplectic",
@@ -29,23 +29,22 @@ def is_symplectic(matrix: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
         return False
-    j = symplectic_form(matrix.shape[0] // 2)
-    return bool(np.abs(matrix.T @ j @ matrix - j).max() <= tol)
+    # M^T J as its C-ordered, sign-permuted copy [-M_p^T | M_x^T]: the dense operands up to signed zeros
+    n, left = matrix.shape[0] // 2, np.empty(matrix.shape)
+    left[:, :n], left[:, n:] = -matrix[n:].T, matrix[:n].T
+    gap = left @ matrix
+    gap[:n, n:].flat[:: n + 1] -= 1.0
+    gap[n:, :n].flat[:: n + 1] += 1.0  # - J, in place
+    return bool(np.abs(gap, out=gap).max() <= tol)
 
 
 def is_orthogonal(matrix: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    return bool(np.abs(matrix.T @ matrix - np.eye(matrix.shape[0])).max() <= tol)
-
-
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Deterministic overall sign: first significant entry positive."""
-    for entry in vec:
-        if abs(entry) > 1e-10:
-            return vec if entry > 0 else -vec
-    return vec
+    gap = matrix.T @ matrix
+    gap.flat[:: len(gap) + 1] -= 1.0
+    return bool(np.abs(gap, out=gap).max() <= tol)
 
 
 #: Singular values within this distance of 1 belong to unsqueezed directions.
@@ -91,41 +90,41 @@ def bloch_messiah(matrix: np.ndarray):
     if not (np.isfinite(tol) and is_symplectic(s, tol=tol)):
         raise np.linalg.LinAlgError("input matrix is not symplectic")
     n = s.shape[0] // 2
-    j = symplectic_form(n)
 
     if float(np.abs(s - np.diag(np.diag(s))).max()) <= _FACTOR_TOL * 1e-2:
         # Shortcut: S is already a squeezer, so D is |S| and the second
         # interferometer is trivial.  This keeps squeezer-only circuits
         # exactly squeezer-only.
-        d = np.diag(np.abs(np.diag(s)))
-        o2 = np.eye(2 * n)
+        o2, d = np.eye(2 * n), np.abs(np.diag(s))
     else:
-        # Singular values come sorted descending.
-        left, sigma, _ = np.linalg.svd(s)
+        # Singular values come sorted descending; V^T is not needed.
+        left, sigma = np.linalg.svd(s)[:2]
         upper = int(np.count_nonzero(sigma > 1.0 + _UNIT_BAND))
         # Unit singular values span a J-closed space.  As columns x + i p, on which J acts as -i,
         # orthonormal complex vectors are orthonormal, J-orthogonal real ones: an isotropic half.
         unit = left[:, np.abs(sigma - 1.0) <= _UNIT_BAND]
         basis = np.linalg.svd(unit[:n] + 1j * unit[n:], full_matrices=False)[0][:, : unit.shape[1] // 2]
-        chosen = [_fix_sign(col) for col in np.hstack([left[:, :upper], np.vstack([basis.real, basis.imag])]).T]
-
-        if len(chosen) != n:
-            raise np.linalg.LinAlgError(
-                f"collected {len(chosen)} squeezer directions, expected {n}"
-            )
-        v_cols = np.array(chosen).T
+        v = np.hstack([left[:, :upper], np.vstack([basis.real, basis.imag])])
+        del left, unit  # the factor checks below hold only the factors
+        if v.shape[1] != n:
+            raise np.linalg.LinAlgError(f"collected {v.shape[1]} squeezer directions, expected {n}")
+        # Each column's sign makes its first significant entry positive.
+        v *= [next((1.0 if e > 0 else -1.0 for e in col if abs(e) > 1e-10), 1.0) for col in v.T]
+        # O2 = [V | -J V], -J V = [-V_p; V_x] with each zero +0.0 in J V, as the dense product sums it
+        o2 = np.hstack([v, np.vstack([-(v[n:] + 0.0), -(0.0 - v[:n])])])
         lam = np.concatenate([sigma[:upper], np.ones(n - upper)])
-        o2 = np.hstack([v_cols, -(j @ v_cols)])
-        d = np.diag(np.concatenate([lam, 1.0 / lam]))
+        d = np.concatenate([lam, 1.0 / lam])
 
     # S = O2 D O1, so O1 = D^-1 O2^T S; no inverse of an ill-conditioned factor.
-    o1 = (o2.T @ s) / np.diag(d)[:, None]
+    o1 = (o2.T @ s) / d[:, None]
     for name, o in (("left", o2), ("right", o1)):
         if not (is_orthogonal(o, 10 * _FACTOR_TOL) and is_symplectic(o, 10 * _FACTOR_TOL)):
             raise np.linalg.LinAlgError(f"{name} factor failed the orthogonal-symplectic check")
-    if float(np.abs(o2 @ d @ o1 - s).max()) > _FACTOR_TOL:
+    # O2 D scales O2's columns, the dense product's operands up to the signs of zeros; S is subtracted in place.
+    gap = (o2 * d) @ o1
+    if float(np.abs(np.subtract(gap, s, out=gap), out=gap).max()) > _FACTOR_TOL:
         raise np.linalg.LinAlgError("factorization does not recompose to the input matrix")
-    return o2, d, o1
+    return o2, np.diag(d), o1
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +152,7 @@ def unitary_to_orthogonal_symplectic(u: np.ndarray) -> np.ndarray:
         raise ValueError("unitary must be square")
     if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
         raise ValueError("matrix is not unitary")
-    x = u.real
-    y = -u.imag
-    return np.block([[x, y], [-y, x]])
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
 def _over(z: complex, inv: float) -> complex:
@@ -209,15 +206,21 @@ def unitary_to_elements(u: np.ndarray) -> list:
 def _reduce(u: np.ndarray, labels) -> tuple[list, np.ndarray]:
     """unitary_to_elements with mode k named labels[k], also returning the checked element product."""
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-10:
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
         raise ValueError("matrix is not unitary")
+    elements = _sweep(u, labels)
+    recomposed = _elements_to_unitary(elements, labels)
+    if np.abs(recomposed - u).max() > _RECOMPOSE_TOL:
+        raise np.linalg.LinAlgError("element reduction failed to recompose the unitary")
+    return elements, recomposed
 
-    # Rotation g = [[a*, b*], [b, -a]] / h zeroes the entry b below a.  Its
-    # scalars are Python complex; the rows still go through one 2x2 product.
-    work = u.copy()
-    modes: list = []
-    inverses: list = []  # t00, t01, t10, t11 of each t = g^H
+
+def _sweep(u: np.ndarray, labels) -> list:
+    """The elements of u, phases within 1e-12 of 0 left out: the rotations' arrays die with the call."""
+    n = u.shape[0]
+    # Rotation g = [[a*, b*], [b, -a]] / h zeroes the entry b below a.  Its Python complex scalars go into g[k],
+    # the operand of the rows' one 2x2 product; conjugated in place, g[k, j, i] is t_ij of t = g^H.
+    work, pair, g, modes = u.copy(), np.empty((2, n), complex), np.empty((n * (n - 1) // 2, 2, 2), complex), []
     for col in range(n):
         for row in range(n - 1, col, -1):
             b = work.item(row, col)
@@ -225,31 +228,29 @@ def _reduce(u: np.ndarray, labels) -> tuple[list, np.ndarray]:
                 continue
             a = work.item(row - 1, col)
             inv = 1.0 / math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            g = [_over(z, inv) for z in (a.conjugate(), b.conjugate(), b, -a)]
-            work[row - 1 : row + 1] = np.array(g).reshape(2, 2) @ work[row - 1 : row + 1]
+            g[len(modes)].flat = [_over(z, inv) for z in (a.conjugate(), b.conjugate(), b, -a)]
+            work[row - 1 : row + 1] = np.matmul(g[len(modes)], work[row - 1 : row + 1], out=pair)
             modes.append(row - 1)
-            inverses += [g[0].conjugate(), g[2].conjugate(), g[1].conjugate(), g[3].conjugate()]
-    stacked = np.concatenate([work.diagonal(), np.array(inverses, dtype=complex)])
-    angles = np.angle(stacked).tolist()  # one call: vectorised np.angle rounds as the scalar one
+    t = np.conjugate(g[: len(modes)], out=g[: len(modes)])
 
     # Each t is P(a on i) B(r) P(p on i, q on i+1) with B(r) the real
     # splitter [[sqrt(r), sqrt(1-r)], [sqrt(1-r), -sqrt(r)]].  |t01| = |t10|,
-    # so a t with no coupling is diagonal: two phases, no splitter.
-    elements: list = [("phase", labels[mode], angles[mode]) for mode in range(n)]
+    # so a t with no coupling is diagonal: two phases, no splitter.  |z| as
+    # np.hypot and z^2 as np.float_power round as Python's abs(z) and z ** 2.
+    # The leftover diagonal gives the leading phases.
+    p = np.angle(t)  # vectorised np.angle rounds as the scalar one
+    coupled = np.hypot(t[:, 1, 0].real, t[:, 1, 0].imag) >= 1e-12
+    r = np.minimum(np.float_power(np.hypot(t[:, 0, 0].real, t[:, 0, 0].imag), 2.0), 1.0)
+    a = p[:, 0, 0] - p[:, 0, 1]
+    first, second = np.where(coupled, p[:, 0, 1], p[:, 0, 0]), np.where(coupled, p[:, 1, 0] - a, p[:, 1, 1])
+
+    def phases(pairs) -> list:
+        return [("phase", node, theta) for node, theta in pairs if abs(theta) > 1e-12]
+
+    elements = phases(zip(labels, np.angle(work.diagonal()).tolist()))
     for k in reversed(range(len(modes))):
         i, j = labels[modes[k]], labels[modes[k] + 1]
-        t00, t01 = inverses[4 * k : 4 * k + 2]
-        p00, p01, p10, p11 = angles[n + 4 * k : n + 4 * k + 4]
-        if abs(t01) < 1e-12:
-            elements += [("phase", i, p00), ("phase", j, p11)]
-            continue
-        a = p00 - p10
-        r = min(abs(t00) ** 2, 1.0)
-        elements += [("phase", i, p10), ("phase", j, p01 - a)]
-        elements += [("splitter", i, j, r), ("phase", i, a)]
-
-    elements = [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
-    recomposed = _elements_to_unitary(elements, labels)
-    if np.abs(recomposed - u).max() > _RECOMPOSE_TOL:
-        raise np.linalg.LinAlgError("element reduction failed to recompose the unitary")
-    return elements, recomposed
+        elements += phases([(i, first.item(k)), (j, second.item(k))])
+        if coupled[k]:
+            elements += [("splitter", i, j, r.item(k)), *phases([(i, a.item(k))])]
+    return elements

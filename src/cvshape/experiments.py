@@ -438,7 +438,7 @@ def _shape_scenario(config: ExperimentConfig, state: GaussianState, graph: Clust
 def _quarter_turns(state: GaussianState, turns) -> GaussianState:
     """Turn each (node, k) of turns by k quarter turns, the phase shift by k pi/2, as exact signed swaps.
 
-    One turn maps x to -p and p to x; the + 0.0 keeps a negated zero from printing as -0.0.
+    One turn maps x to -p and p to x, on the gathered copy in place; the + 0.0 keeps a -0.0 from printing.
     """
     order, n = state.nodes, state.n_modes
     index, sign = np.arange(2 * n), np.ones(2 * n)
@@ -446,7 +446,10 @@ def _quarter_turns(state: GaussianState, turns) -> GaussianState:
         x, p = order.index(node), n + order.index(node)
         for _ in range(k % 4):
             index[[x, p]], sign[[x, p]] = index[[p, x]], sign[[p, x]] * (-1.0, 1.0)
-    cov = state.cov[np.ix_(index, index)] * np.outer(sign, sign) + 0.0
+    cov = state.cov[np.ix_(index, index)]
+    cov *= sign
+    cov *= sign[:, None]
+    cov += 0.0
     return GaussianState._adopt(state.mean[index] * sign + 0.0, cov, order)
 
 

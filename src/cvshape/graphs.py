@@ -190,17 +190,8 @@ class NullifierTable(NamedTuple):
             missing = min((r, k, node) for k, (r, node, _, _) in enumerate(self.entries) if node not in mode)
             raise ValueError(f"form references node {missing[2]} outside the node order") from None
 
-    def rows(self, node_order: Sequence[int]) -> np.ndarray:
-        """The forms as a row matrix over modes in node_order, +0.0 off the terms.
-
-        Raises:
-            ValueError: node_order repeats a node, or misses one a form
-                references (the first in row and term order is named).
-        """
-        return self._rows(_node_order(node_order))
-
     def _rows(self, nodes: tuple) -> np.ndarray:
-        """rows over modes in nodes, an order already checked, as a state's."""
+        """The forms as a row matrix over modes in nodes, a checked order as a state's; +0.0 off the terms."""
         rows = np.zeros((len(self.labels), 2 * len(nodes)))
         rows[[entry[0] for entry in self.entries], self._columns(nodes)] = [entry[3] for entry in self.entries]
         return rows
@@ -401,23 +392,27 @@ def compile_network(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState
             or the produced state lost the required precision, as at very
             high squeezing or with levels far apart.
     """
-    o2, d, _ = bloch_messiah(canonical_transform(graph, db))
-
+    # The plan drops O1, which is passive and therefore fixes the vacuum: the produced state, not the
+    # full circuit, is the contract.  Each intermediate is dropped once the next one is made.
+    o2, d = bloch_messiah(canonical_transform(graph, db))[:2]
     # x scaled up by 10^(db/20) means p squeezed by db; scaled down means the squeezing sits in x.
     settings = {node: (abs(20.0 * np.log10(x)), "p" if x >= 1.0 else "x") for node, x in zip(graph.nodes, np.diag(d))}
-
-    reduced, recomposed = _reduce(orthogonal_symplectic_to_unitary(o2), graph.nodes)
+    u = orthogonal_symplectic_to_unitary(o2)
+    del o2, d
+    reduced, recomposed = _reduce(u, graph.nodes)
+    del u
     plan = NetworkPlan(settings, reduced, graph.nodes)
-    # The plan drops O1, which is passive and therefore fixes the vacuum:
-    # the produced state, not the full circuit, is the contract.  Covariance
-    # entries grow as 10^(dB/10) and nullifier variances shrink as
-    # 10^(-dB/10), so each is compared on its own scale.
     produced = plan._prepare(unitary_to_orthogonal_symplectic(recomposed))
-    target = build_canonical(graph, db)
-    state_err = float(np.abs(produced.cov - target.cov).max()) / max(1.0, float(np.abs(target.cov).max()))
-    # Lossless, each canonical nullifier evaluates to its node's squeezed input p: the reference is closed-form.
+    del recomposed
+    # Covariance entries grow as 10^(dB/10) and nullifier variances shrink as 10^(-dB/10), so each is
+    # compared on its own scale.  Lossless, each canonical nullifier evaluates to its node's squeezed
+    # input p: that reference is closed-form.
     expected = np.array([squeezed_variance(_db_of(db, node)) for node in graph.nodes])
     nullifier_err = float(np.abs(nullifiers_of(graph).variances(produced) / expected - 1.0).max())
+    target = build_canonical(graph, db).cov
+    scale = max(1.0, float(np.abs(target).max()))
+    gap = produced.cov - target
+    state_err = float(np.abs(gap, out=gap).max()) / scale
     if state_err > _STATE_RTOL or nullifier_err > _NULLIFIER_RTOL:
         raise np.linalg.LinAlgError(
             f"compiled plan state deviates from the canonical build by {state_err:.3e} of the "

@@ -25,7 +25,8 @@ from cvshape import (
     vacuum,
 )
 from cvshape.criteria import CriteriaReport, residual_squeezing_db
-from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, quadrature_selector
+from cvshape.decompositions import _FACTOR_TOL, _UNIT_BAND
+from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, _node_order, quadrature_selector, symplectic_form
 from cvshape.graphs import _squeezer_scales, nullifiers_of
 from cvshape.shaping import _conditional_step, execute_ensemble
 
@@ -113,6 +114,18 @@ def form_vector(form, n_modes: int, node_order=None) -> np.ndarray:
     if vec.size != 2 * n_modes:
         raise ValueError(f"form has {vec.size} coefficients, expected {2 * n_modes}")
     return vec
+
+
+def nullifier_rows(table, node_order) -> np.ndarray:
+    """Reference dense layout: a NullifierTable's forms as a row matrix over modes in node_order, +0.0 off the terms.
+
+    The criteria and the Monte Carlo read each form's own entries instead.
+
+    Raises:
+        ValueError: node_order repeats a node, or misses one a form
+            references (the first in row and term order is named).
+    """
+    return table._rows(_node_order(node_order))
 
 
 def quadrature_variances(state: GaussianState, rows) -> np.ndarray:
@@ -367,7 +380,7 @@ def batch_trajectory_reference(plan, trials: int, seed: int):
         centered = readout - readout.mean(axis=0)
         sample_cov = centered.T @ centered / (trials - 1)
     forms = []
-    for row in plan.record.rows(order):
+    for row in nullifier_rows(plan.record, order):
         values = readout @ row
         forms.append((float(values.mean()), float(values.var(ddof=1)) if trials > 1 else None))
     return forms, sample_cov
@@ -383,7 +396,7 @@ def ensemble_readout_reference(plan):
     ensemble, _ = execute_ensemble(plan.state, plan.steps)
     eta = [plan.readout_efficiency.get(node, 1.0) for node in ensemble.nodes]
     state = GaussianState(*_mix_vacuum(ensemble.mean, ensemble.cov, eta), ensemble.nodes)
-    return state, quadrature_variances(state, plan.record.rows(state.nodes))
+    return state, quadrature_variances(state, nullifier_rows(plan.record, state.nodes))
 
 
 def _two_mode_elements_reference(t: np.ndarray, i: int) -> list:
@@ -456,6 +469,53 @@ def unitary_to_elements_reference(u: np.ndarray) -> list:
     for i, g in reversed(rotations):
         elements.extend(_two_mode_elements_reference(g.conj().T, i))
     return [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
+
+
+def symplectic_gap_reference(matrix: np.ndarray) -> float:
+    """Dense reference: the largest entry of |M^T J M - J|, J built; is_symplectic(M, tol) is whether it is <= tol."""
+    j = symplectic_form(len(matrix) // 2)
+    return float(np.abs(matrix.T @ j @ matrix - j).max())
+
+
+def orthogonal_gap_reference(matrix: np.ndarray) -> float:
+    """Dense reference: the largest entry of |M^T M - I|; is_orthogonal(M, tol) is whether it is <= tol."""
+    return float(np.abs(matrix.T @ matrix - np.eye(len(matrix))).max())
+
+
+def bloch_messiah_reference(matrix: np.ndarray):
+    """Reference factorization with J and D built dense: bloch_messiah must return its bytes, or its error."""
+    s = np.asarray(matrix, dtype=float)
+    size = max(1.0, float(np.abs(s).max()))
+    tol = _FACTOR_TOL * size * size
+    if not (np.isfinite(tol) and symplectic_gap_reference(s) <= tol):
+        raise np.linalg.LinAlgError("input matrix is not symplectic")
+    n = s.shape[0] // 2
+    j = symplectic_form(n)
+    if float(np.abs(s - np.diag(np.diag(s))).max()) <= _FACTOR_TOL * 1e-2:
+        d = np.diag(np.abs(np.diag(s)))
+        o2 = np.eye(2 * n)
+    else:
+        left, sigma, _ = np.linalg.svd(s)
+        upper = int(np.count_nonzero(sigma > 1.0 + _UNIT_BAND))
+        unit = left[:, np.abs(sigma - 1.0) <= _UNIT_BAND]
+        basis = np.linalg.svd(unit[:n] + 1j * unit[n:], full_matrices=False)[0][:, : unit.shape[1] // 2]
+        chosen = []
+        for col in np.hstack([left[:, :upper], np.vstack([basis.real, basis.imag])]).T:
+            first = next((entry for entry in col if abs(entry) > 1e-10), 1.0)
+            chosen.append(col if first > 0 else -col)
+        if len(chosen) != n:
+            raise np.linalg.LinAlgError(f"collected {len(chosen)} squeezer directions, expected {n}")
+        v_cols = np.array(chosen).T
+        lam = np.concatenate([sigma[:upper], np.ones(n - upper)])
+        o2 = np.hstack([v_cols, -(j @ v_cols)])
+        d = np.diag(np.concatenate([lam, 1.0 / lam]))
+    o1 = (o2.T @ s) / np.diag(d)[:, None]
+    for name, o in (("left", o2), ("right", o1)):
+        if not (orthogonal_gap_reference(o) <= 10 * _FACTOR_TOL and symplectic_gap_reference(o) <= 10 * _FACTOR_TOL):
+            raise np.linalg.LinAlgError(f"{name} factor failed the orthogonal-symplectic check")
+    if float(np.abs(o2 @ d @ o1 - s).max()) > _FACTOR_TOL:
+        raise np.linalg.LinAlgError("factorization does not recompose to the input matrix")
+    return o2, d, o1
 
 
 def _round_floats(value):

@@ -35,6 +35,7 @@ from cvshape import (
 )
 from helpers import (
     Nullifier,
+    nullifier_rows,
     nullifiers_reference,
     qnd_gate,
     quadrature_variance,
@@ -72,7 +73,7 @@ def _shorten_setup():
     )
     # the Monte Carlo records the same forms as the table of the shortened graph 1-4
     record = nullifiers_of(ClusterGraph.from_edges([(1, 4, -1)]))
-    assert np.array_equal(record.rows((1, 4)), [f.coefficient_vector((1, 4)) for f in forms])
+    assert np.array_equal(nullifier_rows(record, (1, 4)), [f.coefficient_vector((1, 4)) for f in forms])
     return wire, state, forms, record
 
 

@@ -13,6 +13,7 @@ from cvshape import (
     ClusterGraph,
     GaussianState,
     LossModel,
+    NetworkPlan,
     apply,
     apply_loss,
     build_canonical,
@@ -28,6 +29,7 @@ from helpers import (
     REPORT_SCALARS,
     check_cluster_criteria_reference,
     leaf_types,
+    nullifier_rows,
     phase_shift,
     quadrature_variances,
     random_symplectic_state,
@@ -224,7 +226,7 @@ def test_closed_form_criteria_equal_the_per_form_reference(graph, data):
     assert report == reference  # every column, db included, compared with ==, against a per-term scalar loop
     assert leaf_types(report.to_dict()) <= REPORT_SCALARS
     # the dense C V C^T sums in another order: the same variances to the last few bits
-    dense = quadrature_variances(state, nullifiers_of(graph).rows(order))
+    dense = quadrature_variances(state, nullifier_rows(nullifiers_of(graph), order))
     np.testing.assert_array_max_ulp(np.array(report.variances), dense, maxulp=4)
     # a variance cancelled to zero or below names the first offending value in node order
     diag = data.draw(st.lists(st.sampled_from((0.0, -0.5, 0.25, 1.5)), min_size=2 * graph.n_nodes,
@@ -272,7 +274,7 @@ def test_a_graph_of_no_forms_gives_empty_columns():
 
 
 def test_criteria_read_the_state_nodes_without_checking_them_again(monkeypatch):
-    # a state's nodes were checked where it was made; rows() still checks an order a caller passes in
+    # a state's nodes were checked where it was made; a plan still checks an order a caller passes in
     def refuse(*args):
         raise AssertionError("node order checked a second time")
 
@@ -280,7 +282,7 @@ def test_criteria_read_the_state_nodes_without_checking_them_again(monkeypatch):
     monkeypatch.setattr(cvshape_graphs, "_node_order", refuse)
     assert check_cluster_criteria(state, WIRE4).all_pass
     with pytest.raises(AssertionError):
-        nullifiers_of(WIRE4).rows(state.nodes)
+        NetworkPlan({}, (), state.nodes)
 
 
 def test_a_numpy_column_fails_the_scalar_type_check():

@@ -23,12 +23,16 @@ from cvshape.decompositions import (
     unitary_to_orthogonal_symplectic,
 )
 from cvshape.graphs import NetworkPlan, canonical_transform
+from cvshape.gaussian import SYMPLECTIC_TOL
 from helpers import (
     beam_splitter,
+    bloch_messiah_reference,
     elements_to_unitary_reference,
+    orthogonal_gap_reference,
     qnd_gate,
     random_signed_graph,
     star,
+    symplectic_gap_reference,
     unitary_to_elements_reference,
 )
 
@@ -285,3 +289,73 @@ def test_bad_matrix_raises_one_value_error(call, message):
 
 def test_a_non_square_matrix_is_not_orthogonal():
     assert is_orthogonal(np.ones((2, 3))) is False
+
+
+def _outcome(call):
+    try:
+        return [factor.tobytes() for factor in call()]
+    except np.linalg.LinAlgError as error:
+        return repr(error)
+
+
+@st.composite
+def canonical_symplectics(draw):
+    """Canonical symplectics of random signed graphs, isolated nodes and 0-dB levels included, or passive meshes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("graph", "levels", "star", "isolated", "passive")))
+    n = draw(st.integers(1, 12))
+    db = draw(st.sampled_from((0.0, 1.0, 5.0, 10.0, 30.0, 60.0, 75.0)))
+    if kind == "graph":
+        return canonical_transform(random_signed_graph(rng, 1, 12)[0], db)
+    if kind == "levels":
+        return canonical_transform(*random_signed_graph(rng, 1, 12))
+    if kind == "star":
+        return canonical_transform(star(n + 1), db)
+    if kind == "isolated":
+        return canonical_transform(ClusterGraph(range(1, n + 1), [(1, 2)] if n > 1 else ()), db)
+    return unitary_to_orthogonal_symplectic(random_unitary(rng, n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(canonical_symplectics())
+def test_factorization_matches_the_dense_reference_bit_for_bit(s):
+    # -J V and M^T J are sign-permuted copies and D scales columns: no factor moves a bit, no check flips
+    assert _outcome(lambda: bloch_messiah(s)) == _outcome(lambda: bloch_messiah_reference(s))
+
+
+@st.composite
+def predicate_inputs(draw):
+    """Orthogonal symplectic, symplectic and random matrices, some nudged by a small error; odd and non-square too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("passive", "canonical", "random", "odd", "non-square")))
+    n = draw(st.integers(1, 6))
+    if kind == "passive":
+        matrix = unitary_to_orthogonal_symplectic(random_unitary(rng, n))
+    elif kind == "canonical":
+        matrix = canonical_transform(random_signed_graph(rng, 1, 6)[0], draw(st.sampled_from((0.0, 3.0, 20.0))))
+    elif kind == "random":
+        matrix = rng.standard_normal((2 * n, 2 * n))
+    elif kind == "odd":
+        matrix = rng.standard_normal((2 * n - 1, 2 * n - 1))
+    else:
+        matrix = rng.standard_normal((n, n + draw(st.integers(1, 3))))
+    scale = draw(st.sampled_from((0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6)))
+    return matrix + scale * rng.standard_normal(matrix.shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(predicate_inputs())
+def test_predicates_return_what_the_dense_formulas_return(matrix):
+    # At the dense gap itself, one ulp either side and the default tolerance: the same answer means the same gap,
+    # so the in-place forms compute the dense formulas' largest entry bit for bit.
+    rows, cols = matrix.shape
+    for predicate, gap_of, shaped in (
+        (is_symplectic, symplectic_gap_reference, rows == cols and rows % 2 == 0),
+        (is_orthogonal, orthogonal_gap_reference, rows == cols),
+    ):
+        if not shaped:
+            assert predicate(matrix) is False
+            continue
+        gap = gap_of(matrix)
+        for tol in (gap, float(np.nextafter(gap, -np.inf)), float(np.nextafter(gap, np.inf)), SYMPLECTIC_TOL):
+            assert predicate(matrix, tol) is (gap <= tol)

@@ -32,7 +32,9 @@ from cvshape import (
     LossModel,
     MeasurementStep,
     apply,
+    bloch_messiah,
     build_canonical,
+    canonical_transform,
     check_cluster_criteria,
     compile_network,
     emit,
@@ -310,9 +312,12 @@ def test_every_producer_hands_over_a_bitwise_symmetric_covariance(data, tmp_path
 # outer products and Python objects; one stray N x N array is a quarter of a covariance, and
 # build_canonical's signed adjacency is that quarter.  A criteria check at detection makes no
 # state: it reads each form's own entries, so it stays within 1/8 covariance all told, where
-# the dense rows with their detection view read 2.005 (this one 0.090).
+# the dense rows with their detection view read 2.005 (this one 0.090).  The ring route's quarter
+# turns sign their gathered copy in place: with a separate sign matrix they read 2.02.
 SIDE = 16
-STAGE_CEILINGS = {"state": 1, "loss stage": 1, "remove_node": 1, "build_canonical": 1.25, "criteria": 1 / 16}
+STAGE_CEILINGS = {
+    "state": 1, "loss stage": 1, "remove_node": 1, "build_canonical": 1.25, "criteria": 1 / 16, "quarter turns": 1,
+}
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +350,7 @@ def test_stage_peak_is_one_covariance_per_new_state(lattice, stage):
         "remove_node": lambda: remove_node(state, graph, graph.nodes[len(graph.nodes) // 2 + SIDE]),
         "build_canonical": lambda: build_canonical(graph, 10.0),
         "criteria": lambda: check_cluster_criteria(state, table, LossModel({"detection": 0.9})),
+        "quarter turns": lambda: _quarter_turns(state, [(node, 1) for node in graph.nodes]),
     }
     ratio = _traced_peak(calls[stage]) / state.cov.nbytes
     assert ratio <= STAGE_CEILINGS[stage] + 1 / 16, f"{stage} peaked at {ratio:.3f} covariances"
@@ -364,6 +370,23 @@ def test_criteria_peak_follows_the_term_pairs_not_a_padded_layout():
 def _lattice_text(graph) -> str:
     lines = [f"node {node}" for node in graph.nodes]
     return "\n".join(lines + [f"edge {i} {j} sign={sign}" for i, j, sign in graph.edges()]) + "\n"
+
+
+# The compiled construction holds only what it still needs: the factorization checks its factors in one
+# or two buffers and builds neither J nor a product with the dense D, and the compile drops O1, D, O2 and
+# the unitary once their successors exist.  On a signed 64-node wire at 10 dB, in covariances, with the
+# result kept (the plan's 5,460 element tuples are about 4.5 of them), they read 8.6 and 4.6; with dense
+# checks and every factor held, 17.1 and 10.3.
+COMPILE_CEILINGS = {"compile_network": 10, "bloch_messiah": 6}
+
+
+@pytest.mark.parametrize("layer", sorted(COMPILE_CEILINGS))
+def test_compiled_construction_peak(layer):
+    graph = signed_wire(64)
+    symplectic = canonical_transform(graph, 10.0)
+    calls = {"compile_network": lambda: compile_network(graph, 10.0), "bloch_messiah": lambda: bloch_messiah(symplectic)}
+    ratio = _traced_peak(calls[layer]) / symplectic.nbytes
+    assert ratio <= COMPILE_CEILINGS[layer], f"{layer} peaked at {ratio:.3f} covariances"
 
 
 def test_run_peak_is_about_two_covariances(lattice, tmp_path):

@@ -46,7 +46,7 @@ from cvshape import (
 )
 from cvshape.gaussian import _shown, quadrature_selector
 from cvshape.shaping import _readout_map, execute_conditional, execute_ensemble
-from helpers import CONFIG_VALUES, ensemble_readout_reference, plain_twin, random_signed_graph
+from helpers import CONFIG_VALUES, ensemble_readout_reference, nullifier_rows, plain_twin, random_signed_graph
 
 SIGNS = st.sampled_from((-1, 1))
 GAINS = st.floats(-2.0, 2.0)
@@ -244,7 +244,7 @@ VALUE_SLOTS = {
     "MeasurementStep angle": lambda v: execute_ensemble(STATE3, [MeasurementStep(3, v, TARGET2)]),
     "execute_conditional outcome": lambda v: execute_conditional(STATE3, REMOVE3, values=[v]),
     "GaussianState node": lambda v: GaussianState(STATE3.mean, STATE3.cov, nodes=(1, 2, v)),
-    "NullifierTable.rows order": lambda v: nullifiers_of(WIRE3).rows((1, 2, v)),
+    "nullifier_rows order": lambda v: nullifier_rows(nullifiers_of(WIRE3), (1, 2, v)),
     "TrajectoryPlan readout node": lambda v: run_trajectory(_plan(readout={v: 0.5}), 3, 1),
     "TrajectoryPlan readout transmission": lambda v: run_trajectory(_plan(readout={2: v}), 3, 1),
     "run_trajectory trials": lambda v: run_trajectory(_plan(), v, 1),
@@ -324,7 +324,7 @@ def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, valu
             "forced outcome must be finite, got nan",
         ),
         (lambda: GaussianState(STATE3.mean, STATE3.cov, (1, 1, 3)), "node 1 appears twice in the node order"),
-        (lambda: nullifiers_of(WIRE3).rows((1, 1, 3)), "node 1 appears twice in the node order"),
+        (lambda: nullifier_rows(nullifiers_of(WIRE3), (1, 1, 3)), "node 1 appears twice in the node order"),
         (lambda: run_trajectory(_plan(), True, 1), "trials must be an integer, got True"),
         (lambda: run_trajectory(_plan(), 10**400, 1), "trials must lie between 1 and 2**53 = 9007199254740992"),
         (lambda: vacuum(True), "mode count must be an integer, got True"),

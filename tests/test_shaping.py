@@ -12,6 +12,7 @@ from cvshape import (
     FeedforwardTarget,
     GaussianState,
     MeasurementStep,
+    NetworkPlan,
     TrajectoryPlan,
     apply,
     apply_loss,
@@ -331,7 +332,7 @@ def test_trajectory_sample_variance_tracks_analytic():
 
 
 def test_trajectory_reads_the_state_nodes_without_checking_them_again(monkeypatch):
-    # the readout's ids are the final state's, checked where it was made; rows() still checks an order passed in
+    # the readout's ids are the final state's, checked where it was made; a plan still checks an order passed in
     def refuse(*args):
         raise AssertionError("node order checked a second time")
 
@@ -340,7 +341,7 @@ def test_trajectory_reads_the_state_nodes_without_checking_them_again(monkeypatc
     stats = run_trajectory(plan, trials=100, seed=7)
     assert stats.node_order == (1, 4) and stats.analytic_var == pytest.approx([TWO_TERM_5DB] * 2, abs=1e-12)
     with pytest.raises(AssertionError):
-        plan.record.rows(stats.node_order)
+        NetworkPlan({}, (), stats.node_order)
 
 
 def test_trajectory_deterministic_under_seed():
