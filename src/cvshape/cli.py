@@ -34,12 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--trials", type=int, metavar="N", help="Monte Carlo trajectories (0 = analytic only)")
     parser.add_argument("--seed", type=int, metavar="S", help="Monte Carlo seed")
-    parser.add_argument(
-        "--analytic-only", action="store_true", help="skip Monte Carlo regardless of configured trials"
-    )
     parser.add_argument("--lossless", action="store_true", help="disable every loss stage")
     parser.add_argument("--output", metavar="PATH", help="report file (default: stdout)")
-    parser.add_argument("--format", choices=FORMATS, help="report format (default: json)")
+    parser.add_argument("--format", choices=FORMATS, help="report format (default: csv for a .csv output, else json)")
     parser.add_argument(
         "--timing", action="store_true", help="include wall time in the report (breaks byte determinism)"
     )
@@ -58,8 +55,8 @@ def _resolve_config(args) -> ExperimentConfig:
             updates["seed"] = _FIELDS["seed"].metadata["parse"](env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-    flags = {"scenario": args.scenario, "seed": args.seed, "trials": 0 if args.analytic_only else args.trials}
-    flags |= {"lossless": args.lossless or None, "output": args.output or None, "format": args.format}
+    flags = {"scenario": args.scenario, "seed": args.seed, "trials": args.trials, "lossless": args.lossless or None}
+    flags |= {"output": args.output or None, "format": args.format}
     updates |= {name: value for name, value in flags.items() if value is not None}  # a flag beats the environment
     return replace(config, **updates) if updates else config
 
@@ -69,7 +66,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         report = run(config)
-        text = emit(report, path=config.output, include_timing=args.timing)
+        text = emit(report, include_timing=args.timing)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

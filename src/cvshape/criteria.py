@@ -74,24 +74,6 @@ class CriteriaReport:
     def all_pass(self) -> bool:
         return all(v < NULLIFIER_BOUND for v in self.variances) and all(s < PAIRWISE_BOUND for s in self.sums)
 
-    def to_dict(self) -> dict:
-        table, bound = self.table, NULLIFIER_BOUND
-        return {
-            "nullifiers": [
-                {"node": node, "form": form, "variance": v, "bound": bound, "pass": v < bound, "db": db}
-                for node, form, v, db in zip(table.labels, table.texts, self.variances, self.db)
-            ],
-            "pairwise": [
-                {"pair": [i, j], "sum_variance": s, "bound": PAIRWISE_BOUND, "pass": s < PAIRWISE_BOUND}
-                for (i, j, _), s in zip(table.edges, self.sums)
-            ],
-            "residual_squeezing": [
-                {"node": node, "squeezed_db": low, "antisqueezed_db": high, "angle": angle}
-                for node, low, high, angle in self.residuals
-            ],
-            "all_pass": self.all_pass,
-        }
-
 
 def residual_squeezing_db(state: GaussianState, mode: int):
     """Principal-axis analysis of one mode's 2x2 marginal covariance; a LinAlgError if it is not positive definite.

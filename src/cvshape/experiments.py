@@ -336,47 +336,6 @@ class ExperimentReport:
     ring_route: dict | None
     wall_time_s: float
 
-    def _fields(self, include_timing: bool) -> dict:
-        """Every field in report order; the criteria, residual and Monte Carlo ones hold None for a view to fill."""
-        config = self.config.to_dict()
-        config["loss"] = self.loss_model.to_dict()
-        config["composite_efficiency"] = (
-            self.loss_model.composite_efficiency(self.node_order[0]) if self.node_order else 1.0
-        )
-        out = {
-            "schema_version": "1",
-            "config": config,
-            "node_order": list(self.node_order),
-            "initial_criteria": None,
-            "transcript": [dict(entry) for entry in self.transcript],
-            "final_node_order": list(self.final_node_order),
-            "final_criteria": None,
-            "residual_squeezing": None,
-            "monte_carlo": None,
-            "ring_route": self.ring_route,
-            "all_pass": self.final_criteria.all_pass,
-        }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        """The report as a tree of dicts, lists and scalars: the fields emit writes as text."""
-        out, mc = self._fields(include_timing), self.monte_carlo
-        out["initial_criteria"] = self.initial_criteria.to_dict()
-        final = out["final_criteria"] = self.final_criteria.to_dict()
-        out["residual_squeezing"] = final["residual_squeezing"]
-        if mc is not None:
-            out["monte_carlo"] = {
-                "trials": mc.trials,
-                "seed": mc.seed,
-                "forms": [
-                    {"form": f, "analytic_var": a, "sample_mean": m, "sample_var": v, "stderr": e}
-                    for f, a, m, v, e in zip(mc.labels, mc.analytic_var, mc.sample_mean, mc.sample_var, mc.stderr)
-                ],
-            }
-        return out
-
 
 def _resolve_graph(config: ExperimentConfig):
     if config.scenario != "custom":
@@ -649,7 +608,7 @@ def _residuals_text(residuals, pad: str) -> str:
 
 
 def _criteria_text(criteria: CriteriaReport, pad: str) -> str:
-    """CriteriaReport.to_dict() as JSON text: one f-string per row, straight from the columns."""
+    """A criteria report as its JSON section: one f-string per row, straight from the columns."""
     table, inner = criteria.table, pad + "  "
     f, r = inner + "    ", inner + "  "  # a row's fields, and its braces
     bound, pair_bound = _float_text(NULLIFIER_BOUND), _float_text(PAIRWISE_BOUND)
@@ -671,9 +630,27 @@ def _criteria_text(criteria: CriteriaReport, pad: str) -> str:
 
 
 def _report_json(report: ExperimentReport, include_timing: bool) -> str:
-    """ExperimentReport.to_dict() as JSON text; criteria and Monte Carlo rows are written from their columns."""
-    pad, final, mc = "\n  ", report.final_criteria, report.monte_carlo
-    texts = {key: "".join(_json_tokens(value, [], pad)) for key, value in report._fields(include_timing).items()}
+    """The report as JSON text in report order; criteria and Monte Carlo rows are written from their columns."""
+    pad, final, mc, loss = "\n  ", report.final_criteria, report.monte_carlo, report.loss_model
+    fields = {
+        "schema_version": "1",
+        "config": report.config.to_dict() | {
+            "loss": loss.to_dict(),
+            "composite_efficiency": loss.composite_efficiency(report.node_order[0]) if report.node_order else 1.0,
+        },
+        "node_order": report.node_order,
+        "initial_criteria": None,  # this and the other None sections are written from their columns below
+        "transcript": report.transcript,
+        "final_node_order": report.final_node_order,
+        "final_criteria": None,
+        "residual_squeezing": None,
+        "monte_carlo": None,
+        "ring_route": report.ring_route,
+        "all_pass": final.all_pass,
+    }
+    if include_timing:
+        fields["wall_time_s"] = report.wall_time_s
+    texts = {key: "".join(_json_tokens(value, [], pad)) for key, value in fields.items()}
     texts["initial_criteria"] = _criteria_text(report.initial_criteria, pad)
     texts["final_criteria"] = _criteria_text(final, pad)
     texts["residual_squeezing"] = _residuals_text(final.residuals, pad)
@@ -706,32 +683,21 @@ def _csv_text(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(
-    report: ExperimentReport,
-    path=None,
-    fmt: str | None = None,
-    include_timing: bool = False,
-) -> str:
-    """Serialize a report with stable ordering and 6-significant-digit floats.
+def emit(report: ExperimentReport, include_timing: bool = False) -> str:
+    """Serialize a report with stable ordering and 6-significant-digit floats, writing it to config.output if set.
 
     Identical runs serialize byte-identically; wall time is only included
-    on request since it would break that.  JSON text has the layout of
-    ``json.dumps(report.to_dict(), indent=2)`` with ASCII escaping plus a
-    final newline; each float is rounded to 6 significant digits, then
-    printed shortest round-trip, and every dict key must be a ``str``.
-
-    Args:
-        report: report to serialize.
-        path: output file; None returns the text without writing.
-        fmt: "json" or "csv"; None infers from the path suffix (json default).
+    on request since it would break that.  The format is config.format,
+    else CSV for an output ending in .csv in any case, else JSON.  JSON
+    text is ``json.dumps(json.loads(text), indent=2)`` with ASCII escaping
+    plus a final newline; each float is rounded to 6 significant digits,
+    then printed shortest round-trip, and every dict key must be a ``str``.
     """
-    if fmt is None:
-        fmt = report.config.format or ("csv" if str(path).endswith(".csv") else "json")
-    if _one_of(FORMATS, "format", fmt) == "json":
+    config = report.config
+    if (config.format or ("csv" if str(config.output).lower().endswith(".csv") else "json")) == "json":
         text = _report_json(report, include_timing)
     else:
         text = _csv_text(report)
-    if path is not None:
-        Path(path).write_text(text)
+    if config.output is not None:
+        Path(config.output).write_text(text)
     return text
-

@@ -495,17 +495,21 @@ def parse_graph_text(text: str):
             if kind == "node":
                 if nodes.setdefault(node := int(parts[1]), lineno) != lineno:
                     raise ValueError(f"node {node} declared twice")
-                for extra in parts[2:]:
+                for repeat, extra in enumerate(parts[2:]):
                     key, _, value = extra.partition("=")
                     if key != "db":
                         raise ValueError(f"unknown node attribute {key!r}")
+                    if repeat:
+                        raise ValueError(f"node {node} gives db twice")
                     db_map[node] = _db_of(float(value), node)
             elif kind == "edge":
                 i, j, sign = int(parts[1]), int(parts[2]), 1
-                for extra in parts[3:]:
+                for repeat, extra in enumerate(parts[3:]):
                     key, _, value = extra.partition("=")
                     if key != "sign":
                         raise ValueError(f"unknown edge attribute {key!r}")
+                    if repeat:
+                        raise ValueError(f"edge {i} {j} gives sign twice")
                     sign = int(value)
                 if lines.setdefault((min(i, j), max(i, j)), lineno) != lineno:
                     raise ValueError(f"edge {i} {j} declared twice")

@@ -7,7 +7,7 @@ property loop is reproducible from the test source alone.
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -24,8 +24,9 @@ from cvshape import (
     squeezed_variance,
     vacuum,
 )
-from cvshape.criteria import CriteriaReport, residual_squeezing_db
+from cvshape.criteria import NULLIFIER_BOUND, PAIRWISE_BOUND, CriteriaReport, residual_squeezing_db
 from cvshape.decompositions import _FACTOR_TOL, _UNIT_BAND
+from cvshape.experiments import emit
 from cvshape.gaussian import _SYMMETRY_RTOL, _check_mode, _mix_vacuum, _node_order, quadrature_selector, symplectic_form
 from cvshape.graphs import _squeezer_scales, nullifiers_of
 from cvshape.shaping import _conditional_step, execute_ensemble
@@ -535,6 +536,63 @@ def report_json_reference(tree) -> str:
     one-pass writer must produce the same text, less the final newline.
     """
     return json.dumps(_round_floats(tree), indent=2)
+
+
+def criteria_tree(report: CriteriaReport) -> dict:
+    """A criteria report as the tree of its JSON section: one dict per nullifier, pair and residual row."""
+    table, bound = report.table, NULLIFIER_BOUND
+    return {
+        "nullifiers": [
+            {"node": node, "form": form, "variance": v, "bound": bound, "pass": v < bound, "db": db}
+            for node, form, v, db in zip(table.labels, table.texts, report.variances, report.db)
+        ],
+        "pairwise": [
+            {"pair": [i, j], "sum_variance": s, "bound": PAIRWISE_BOUND, "pass": s < PAIRWISE_BOUND}
+            for (i, j, _), s in zip(table.edges, report.sums)
+        ],
+        "residual_squeezing": [
+            {"node": node, "squeezed_db": low, "antisqueezed_db": high, "angle": angle}
+            for node, low, high, angle in report.residuals
+        ],
+        "all_pass": report.all_pass,
+    }
+
+
+def report_tree(report, include_timing: bool = False) -> dict:
+    """A run's report as a tree of dicts, lists and scalars: emit's JSON text is report_json_reference of it."""
+    loss, mc = report.loss_model, report.monte_carlo
+    config = report.config.to_dict()
+    config["loss"] = loss.to_dict()
+    config["composite_efficiency"] = loss.composite_efficiency(report.node_order[0]) if report.node_order else 1.0
+    final = criteria_tree(report.final_criteria)
+    tree = {
+        "schema_version": "1",
+        "config": config,
+        "node_order": list(report.node_order),
+        "initial_criteria": criteria_tree(report.initial_criteria),
+        "transcript": [dict(entry) for entry in report.transcript],
+        "final_node_order": list(report.final_node_order),
+        "final_criteria": final,
+        "residual_squeezing": final["residual_squeezing"],
+        "monte_carlo": None if mc is None else {
+            "trials": mc.trials,
+            "seed": mc.seed,
+            "forms": [
+                {"form": f, "analytic_var": a, "sample_mean": m, "sample_var": v, "stderr": e}
+                for f, a, m, v, e in zip(mc.labels, mc.analytic_var, mc.sample_mean, mc.sample_var, mc.stderr)
+            ],
+        },
+        "ring_route": report.ring_route,
+        "all_pass": final["all_pass"],
+    }
+    if include_timing:
+        tree["wall_time_s"] = report.wall_time_s
+    return tree
+
+
+def emit_as(report, fmt: str) -> str:
+    """emit's text of a run's report in the format fmt, written to no file."""
+    return emit(replace(report, config=replace(report.config, format=fmt, output=None)))
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

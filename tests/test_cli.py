@@ -22,7 +22,7 @@ def run_cli(capsys, *argv):
 
 
 def test_passing_scenario_exits_zero(capsys):
-    code, out, err = run_cli(capsys, "--scenario", "remove-edge", "--lossless", "--analytic-only")
+    code, out, err = run_cli(capsys, "--scenario", "remove-edge", "--lossless")
     assert code == 0
     assert err == ""
     payload = json.loads(out)
@@ -152,6 +152,8 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         ),
         ("node 1 foo=2\n" + WIRE_3[len("node 1\n"):], "remove_node = 2", "unknown node attribute 'foo'"),
         ("node 1\nnode 2\nedge 1 2 weight=3\n", "remove_node = 2", "unknown edge attribute 'weight'"),
+        ("node 1 db=5 db=7\n" + WIRE_3[len("node 1\n"):], "remove_node = 2", "line 1: node 1 gives db twice"),
+        (WIRE_3 + "node 4\nedge 3 4 sign=1 sign=-1\n", "remove_node = 2", "line 7: edge 3 4 gives sign twice"),
         ("node 1\n", "remove_node = 1", "remove_node = 1: no node would remain"),
         # node 3 sits alone at 3087 dB: its x variance, about 1.25e308, builds, and its antisqueezed level overflows
         (ISOLATED_3087_DB, "remove_node = 1", "criteria.initial: numbers out of floating-point range: overflow"),
@@ -176,7 +178,8 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         "custom-without-operation", "trials-above-2-to-the-53", "trials-1e400",
         "loss-per-node-then-uniform", "loss-uniform-then-per-node", "line-without-equals",
         "loss-key-too-deep", "format-xml", "preset-wire-on-3-nodes", "preset-wire-non-uniform-db",
-        "graph-node-attribute", "graph-edge-attribute", "remove-only-node", "isolated-node-at-3087-db",
+        "graph-node-attribute", "graph-edge-attribute", "graph-db-given-twice", "graph-sign-given-twice",
+        "remove-only-node", "isolated-node-at-3087-db",
         "isolated-node-at-3087-db-lossless", "compiled-levels-5-and-80-db",
         "loss-stage-misspelled",
     ],
@@ -289,12 +292,13 @@ def test_negative_seed_exits_two(capsys):
     assert err == "error: seed must be non-negative\n"
 
 
-def test_analytic_only_overrides_trials(capsys):
-    code, out, _ = run_cli(
-        capsys, "--scenario", "shorten-wire", "--lossless", "--trials", "500", "--analytic-only"
-    )
+def test_zero_trials_flag_overrides_configured_trials(tmp_path, capsys):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text("scenario = shorten-wire\nlossless = true\ntrials = 500\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "--trials", "0")
     assert code == 0
-    assert json.loads(out)["monte_carlo"] is None
+    assert '"monte_carlo": null' in out
+    assert json.loads(out)["config"]["trials"] == 0
 
 
 def test_env_seed_applies(capsys, monkeypatch):
@@ -347,8 +351,9 @@ def test_repeat_runs_byte_identical(capsys):
         (("--trials", "1.5"), "argument --trials: invalid int value: '1.5'"),
         (("--scenario", "bogus"), "argument --scenario: invalid choice: 'bogus'"),
         (("--frobnicate",), "unrecognized arguments: --frobnicate"),
+        (("--scenario", "remove-edge", "--analytic-only"), "unrecognized arguments: --analytic-only"),
     ],
-    ids=["format-xml", "trials-1.5", "unknown-scenario", "unknown-flag"],
+    ids=["format-xml", "trials-1.5", "unknown-scenario", "unknown-flag", "analytic-only-flag"],
 )
 def test_usage_error_exits_two_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -367,7 +372,7 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
     monkeypatch.delenv("CVSHAPE_SEED", raising=False)
     assert build_parser() is build_parser()
     first = ("--scenario", "ring-route-check", "--lossless", "--format", "csv")
-    first += ("--analytic-only", "--seed", "3")
+    first += ("--trials", "0", "--seed", "3")
     code, _, _ = run_cli(capsys, *first)
     assert code == 0
     argv = ("--scenario", "shorten-wire", "--trials", "1000", "--seed", "7")

@@ -28,6 +28,7 @@ from cvshape.criteria import NULLIFIER_BOUND, PAIRWISE_BOUND
 from helpers import (
     REPORT_SCALARS,
     check_cluster_criteria_reference,
+    criteria_tree,
     leaf_types,
     nullifier_rows,
     phase_shift,
@@ -75,7 +76,7 @@ def test_nullifier_db_of_an_array_equals_the_scalar_calls():
 def test_criteria_read_graph_structure_from_one_edge_pass(monkeypatch):
     graph = ClusterGraph((1, 2, 3, 4, 5), [(3, 1, -1), (1, 2), (4, 1)])
     st = build_canonical(graph, 5.0)
-    expected = check_cluster_criteria(st, graph).to_dict()
+    expected = criteria_tree(check_cluster_criteria(st, graph))
 
     def no_scan(self, node):
         raise AssertionError("neighbor scan")
@@ -84,7 +85,7 @@ def test_criteria_read_graph_structure_from_one_edge_pass(monkeypatch):
     terms = [(node, q, c) for row, node, q, c in nullifiers_of(graph).entries if row == 0]
     assert terms == [(1, "p", 1.0), (2, "x", -1.0), (3, "x", 1.0), (4, "x", -1.0)]
     report = check_cluster_criteria(st, graph)
-    assert report.to_dict() == expected
+    assert criteria_tree(report) == expected
     assert [r[0] for r in report.residuals] == [5]
 
 
@@ -92,7 +93,7 @@ def test_wire_criteria_pass_at_5db():
     wire = ClusterGraph.linear_wire(4)
     report = check_cluster_criteria(build_canonical(wire, 5.0), wire)
     assert report.all_pass
-    payload = report.to_dict()
+    payload = criteria_tree(report)
     assert len(report.variances) == len(payload["nullifiers"]) == 4
     for variance, check in zip(report.variances, payload["nullifiers"]):
         assert variance == check["variance"] == pytest.approx(SQUEEZED_5DB, abs=1e-12)
@@ -110,7 +111,7 @@ def test_canonical_zero_db_still_entangles():
     wire = ClusterGraph.linear_wire(2)
     report = check_cluster_criteria(build_canonical(wire, 0.0), wire)
     assert report.variances == pytest.approx([0.25, 0.25], abs=1e-12)
-    assert [check["pass"] for check in report.to_dict()["nullifiers"]] == [True, True]
+    assert [check["pass"] for check in criteria_tree(report)["nullifiers"]] == [True, True]
 
 
 def test_product_vacuum_fails_strictly_at_the_bound():
@@ -119,14 +120,14 @@ def test_product_vacuum_fails_strictly_at_the_bound():
     # uncorrelated vacuum gives exactly 0.5 per two-term form: the
     # inequality is strict, so sitting on the bound does not pass
     assert report.variances == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert [check["pass"] for check in report.to_dict()["nullifiers"]] == [False, False]
+    assert [check["pass"] for check in criteria_tree(report)["nullifiers"]] == [False, False]
     assert not report.all_pass
 
 
 def test_pairwise_uses_adjacent_nodes_only():
     graph = ClusterGraph.from_edges([(1, 2), (2, 3)])
     report = check_cluster_criteria(build_canonical(graph, 5.0), graph)
-    pairs = [check["pair"] for check in report.to_dict()["pairwise"]]
+    pairs = [check["pair"] for check in criteria_tree(report)["pairwise"]]
     assert pairs == [[1, 2], [2, 3]]
 
 
@@ -175,7 +176,7 @@ def test_isolated_nodes_get_residual_entries():
 def test_report_dict_shape():
     wire = ClusterGraph.linear_wire(2)
     report = check_cluster_criteria(build_canonical(wire, 5.0), wire)
-    payload = report.to_dict()
+    payload = criteria_tree(report)
     assert set(payload) == {"nullifiers", "pairwise", "residual_squeezing", "all_pass"}
     row = payload["nullifiers"][0]
     assert set(row) == {"node", "form", "variance", "bound", "pass", "db"}
@@ -224,7 +225,7 @@ def test_closed_form_criteria_equal_the_per_form_reference(graph, data):
     report = check_cluster_criteria(state, graph)
     reference = check_cluster_criteria_reference(state, graph)
     assert report == reference  # every column, db included, compared with ==, against a per-term scalar loop
-    assert leaf_types(report.to_dict()) <= REPORT_SCALARS
+    assert leaf_types(criteria_tree(report)) <= REPORT_SCALARS
     # the dense C V C^T sums in another order: the same variances to the last few bits
     dense = quadrature_variances(state, nullifier_rows(nullifiers_of(graph), order))
     np.testing.assert_array_max_ulp(np.array(report.variances), dense, maxulp=4)
@@ -270,7 +271,7 @@ def test_criteria_through_detection_loss_are_the_criteria_of_the_detection_view(
 
 def test_a_graph_of_no_forms_gives_empty_columns():
     report = check_cluster_criteria(vacuum(1), ClusterGraph(()), LossModel({"detection": 0.5}))
-    assert report.to_dict() == {"nullifiers": [], "pairwise": [], "residual_squeezing": [], "all_pass": True}
+    assert criteria_tree(report) == {"nullifiers": [], "pairwise": [], "residual_squeezing": [], "all_pass": True}
 
 
 def test_criteria_read_the_state_nodes_without_checking_them_again(monkeypatch):
@@ -289,10 +290,10 @@ def test_a_numpy_column_fails_the_scalar_type_check():
     # the writer looks each scalar's text up by exact type, so columns hold Python scalars
     graph = ClusterGraph((1, 2, 3, 4), [(1, 2), (2, 3, -1)])  # node 4 isolated
     report = check_cluster_criteria(build_canonical(graph, 5.0), graph)
-    assert report.residuals and leaf_types(report.to_dict()) <= REPORT_SCALARS
+    assert report.residuals and leaf_types(criteria_tree(report)) <= REPORT_SCALARS
     for column in ("variances", "db", "sums", "residuals"):
         as_array = dataclasses.replace(report, **{column: np.asarray(getattr(report, column))})
-        assert not leaf_types(as_array.to_dict()) <= REPORT_SCALARS, column
+        assert not leaf_types(criteria_tree(as_array)) <= REPORT_SCALARS, column
 
 
 def test_cancelled_variance_error_names_the_first_in_node_order():

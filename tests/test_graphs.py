@@ -20,7 +20,6 @@ from cvshape import (
     canonical_transform,
     check_cluster_criteria,
     compile_network,
-    emit,
     nullifiers_of,
     preset_wire_network,
     remove_node,
@@ -32,6 +31,7 @@ from cvshape import (
 from cvshape.decompositions import is_orthogonal, is_symplectic
 from cvshape.graphs import parse_graph_text
 from helpers import (
+    emit_as,
     format_graph_text,
     form_vector,
     gate_chain_state,
@@ -218,9 +218,9 @@ def test_nullifier_table_equals_the_nullifier_objects(graph, data):
         ExperimentConfig(), LossModel({}), graph.nodes, criteria, (), graph.nodes, criteria, None, None, 0.0
     )
     texts = [form.describe() for form in forms]
-    payload = json.loads(emit(report, fmt="json"))
+    payload = json.loads(emit_as(report, "json"))
     assert [row["form"] for row in payload["initial_criteria"]["nullifiers"]] == texts
-    csv_forms = [line.split(",")[1] for line in emit(report, fmt="csv").splitlines()[1:]]
+    csv_forms = [line.split(",")[1] for line in emit_as(report, "csv").splitlines()[1:]]
     assert csv_forms == [text.replace(" ", "") for text in texts] * 2
 
 
