@@ -19,8 +19,6 @@ __all__ = [
     "is_symplectic",
     "is_orthogonal",
     "bloch_messiah",
-    "orthogonal_symplectic_to_unitary",
-    "unitary_to_orthogonal_symplectic",
     "unitary_to_elements",
 ]
 
@@ -127,34 +125,6 @@ def bloch_messiah(matrix: np.ndarray):
     return o2, np.diag(d), o1
 
 
-# ---------------------------------------------------------------------------
-# orthogonal symplectic <-> complex unitary
-# ---------------------------------------------------------------------------
-
-
-def orthogonal_symplectic_to_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Complex N x N unitary equivalent to an orthogonal symplectic matrix.
-
-    With the block form [[X, Y], [-Y, X]] acting on xxpp vectors, the mode
-    operators transform by U = X - i Y.
-    """
-    o = np.asarray(matrix, dtype=float)
-    if not (is_orthogonal(o) and is_symplectic(o)):
-        raise ValueError("matrix must be orthogonal symplectic")
-    n = o.shape[0] // 2
-    return o[:n, :n] - 1j * o[:n, n:]
-
-
-def unitary_to_orthogonal_symplectic(u: np.ndarray) -> np.ndarray:
-    """Inverse of orthogonal_symplectic_to_unitary."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("unitary must be square")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
-        raise ValueError("matrix is not unitary")
-    return np.block([[u.real, -u.imag], [u.imag, u.real]])
-
-
 def _over(z: complex, inv: float) -> complex:
     """z / h for real h > 0 given inv = 1 / h, rounded as numpy's complex-by-real division."""
     return complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv)
@@ -200,14 +170,14 @@ def unitary_to_elements(u: np.ndarray) -> list:
         numpy.linalg.LinAlgError: (a ValueError) the elements' product
             misses u by more than _RECOMPOSE_TOL.
     """
+    u = np.asarray(u, dtype=complex)
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
+        raise ValueError("matrix is not unitary")
     return _reduce(u, range(len(u)))[0]
 
 
 def _reduce(u: np.ndarray, labels) -> tuple[list, np.ndarray]:
-    """unitary_to_elements with mode k named labels[k], also returning the checked element product."""
-    u = np.asarray(u, dtype=complex)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
-        raise ValueError("matrix is not unitary")
+    """unitary_to_elements with mode k named labels[k], u unchecked, also returning the checked element product."""
     elements = _sweep(u, labels)
     recomposed = _elements_to_unitary(elements, labels)
     if np.abs(recomposed - u).max() > _RECOMPOSE_TOL:

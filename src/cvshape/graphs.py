@@ -21,8 +21,6 @@ from .decompositions import (
     _elements_to_unitary,
     _reduce,
     bloch_messiah,
-    orthogonal_symplectic_to_unitary,
-    unitary_to_orthogonal_symplectic,
 )
 from .gaussian import (
     VACUUM_VARIANCE,
@@ -286,6 +284,11 @@ def build_canonical(graph: ClusterGraph, db) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 
+def _real_form(u: np.ndarray) -> np.ndarray:
+    """Orthogonal symplectic [[X, -Y], [Y, X]] on xxpp vectors of the unitary U = X + i Y, taken as unitary."""
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
 @dataclass(frozen=True)
 class NetworkPlan:
     """Table-top recipe: squeeze each mode, then run the interferometer.
@@ -343,7 +346,7 @@ class NetworkPlan:
 
     def interferometer_transform(self) -> np.ndarray:
         """Compose the passive elements into one orthogonal symplectic."""
-        return unitary_to_orthogonal_symplectic(_elements_to_unitary(self.interferometer, self.node_order))
+        return _real_form(_elements_to_unitary(self.interferometer, self.node_order))
 
     def prepare(self) -> GaussianState:
         """Run the plan: squeezed vacua through the interferometer."""
@@ -395,14 +398,16 @@ def compile_network(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState
     # The plan drops O1, which is passive and therefore fixes the vacuum: the produced state, not the
     # full circuit, is the contract.  Each intermediate is dropped once the next one is made.
     o2, d = bloch_messiah(canonical_transform(graph, db))[:2]
-    # x scaled up by 10^(db/20) means p squeezed by db; scaled down means the squeezing sits in x.
-    settings = {node: (abs(20.0 * np.log10(x)), "p" if x >= 1.0 else "x") for node, x in zip(graph.nodes, np.diag(d))}
-    u = orthogonal_symplectic_to_unitary(o2)
+    # x scaled up by 10^(db/20) means p squeezed by db; levels are >= 0, so no x scale of D lies below 1.
+    settings = {node: (20.0 * np.log10(x), "p") for node, x in zip(graph.nodes, np.diag(d))}
+    # bloch_messiah checked O2 = [V | -J V], whose blocks [[X, Y], [-Y, X]] act on the mode operators as U = X - i Y.
+    n = len(graph.nodes)
+    u = o2[:n, :n] - 1j * o2[:n, n:]
     del o2, d
     reduced, recomposed = _reduce(u, graph.nodes)
     del u
     plan = NetworkPlan(settings, reduced, graph.nodes)
-    produced = plan._prepare(unitary_to_orthogonal_symplectic(recomposed))
+    produced = plan._prepare(_real_form(recomposed))
     del recomposed
     # Covariance entries grow as 10^(dB/10) and nullifier variances shrink as 10^(-dB/10), so each is
     # compared on its own scale.  Lossless, each canonical nullifier evaluates to its node's squeezed

@@ -21,6 +21,8 @@ from cvshape import (
     ClusterGraph,
     GaussianState,
     apply,
+    is_orthogonal,
+    is_symplectic,
     squeezed_variance,
     vacuum,
 )
@@ -470,6 +472,30 @@ def unitary_to_elements_reference(u: np.ndarray) -> list:
     for i, g in reversed(rotations):
         elements.extend(_two_mode_elements_reference(g.conj().T, i))
     return [e for e in elements if e[0] != "phase" or abs(e[2]) > 1e-12]
+
+
+def orthogonal_symplectic_to_unitary(matrix: np.ndarray) -> np.ndarray:
+    """Complex N x N unitary equivalent to an orthogonal symplectic matrix, checked.
+
+    With the block form [[X, Y], [-Y, X]] acting on xxpp vectors, the mode
+    operators transform by U = X - i Y: the expression compile_network
+    applies, unchecked, to the O2 that bloch_messiah has checked.
+    """
+    o = np.asarray(matrix, dtype=float)
+    if not (is_orthogonal(o) and is_symplectic(o)):
+        raise ValueError("matrix must be orthogonal symplectic")
+    n = o.shape[0] // 2
+    return o[:n, :n] - 1j * o[:n, n:]
+
+
+def unitary_to_orthogonal_symplectic(u: np.ndarray) -> np.ndarray:
+    """Inverse of orthogonal_symplectic_to_unitary, checked; graphs._real_form is the unchecked expression."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError("unitary must be square")
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
+        raise ValueError("matrix is not unitary")
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
 def symplectic_gap_reference(matrix: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import pytest
 import cvshape
 from cvshape import cli
 from cvshape.cli import build_parser, main
-from helpers import format_graph_text, signed_wire
+from helpers import format_graph_text, signed_wire, star
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +164,12 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
             "scenario = remove-edge\nconstruction = compiled\nsqueezing_db = 5\nsqueezing_db.1 = 80",
             "construct: precision lost: element reduction failed to recompose the unitary",
         ),
+        # singular values 1.2e-7 from 1 leave O2 orthogonal to 1.5e-9: within bloch_messiah's check, not the reduction's
+        (
+            format_graph_text(star(6)),
+            "construction = compiled\nremove_node = 6\nsqueezing_db = 1e-6",
+            "construct: precision lost:",
+        ),
         (
             WIRE_4,
             "scenario = remove-edge\nloss.detecton = 0.5",
@@ -180,7 +186,7 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         "loss-key-too-deep", "format-xml", "preset-wire-on-3-nodes", "preset-wire-non-uniform-db",
         "graph-node-attribute", "graph-edge-attribute", "graph-db-given-twice", "graph-sign-given-twice",
         "remove-only-node", "isolated-node-at-3087-db",
-        "isolated-node-at-3087-db-lossless", "compiled-levels-5-and-80-db",
+        "isolated-node-at-3087-db-lossless", "compiled-levels-5-and-80-db", "compiled-near-unit-star",
         "loss-stage-misspelled",
     ],
 )

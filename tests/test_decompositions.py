@@ -18,9 +18,7 @@ from cvshape import (
 from cvshape.decompositions import (
     _elements_to_unitary,
     _reduce,
-    orthogonal_symplectic_to_unitary,
     unitary_to_elements,
-    unitary_to_orthogonal_symplectic,
 )
 from cvshape.graphs import NetworkPlan, canonical_transform
 from cvshape.gaussian import SYMPLECTIC_TOL
@@ -29,11 +27,13 @@ from helpers import (
     bloch_messiah_reference,
     elements_to_unitary_reference,
     orthogonal_gap_reference,
+    orthogonal_symplectic_to_unitary,
     qnd_gate,
     random_signed_graph,
     star,
     symplectic_gap_reference,
     unitary_to_elements_reference,
+    unitary_to_orthogonal_symplectic,
 )
 
 GOLDEN_RATIO = 1.618033988749895
@@ -274,12 +274,9 @@ def test_symplectic_predicates():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: orthogonal_symplectic_to_unitary(2 * np.eye(4)), "matrix must be orthogonal symplectic"),
-        (lambda: unitary_to_orthogonal_symplectic(np.ones((2, 3))), "unitary must be square"),
-        (lambda: unitary_to_orthogonal_symplectic(2 * np.eye(2)), "matrix is not unitary"),
         (lambda: unitary_to_elements(2 * np.eye(2)), "matrix is not unitary"),
     ],
-    ids=["scaled-identity", "non-square-unitary", "non-unitary", "non-unitary-elements"],
+    ids=["non-unitary-elements"],
 )
 def test_bad_matrix_raises_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:

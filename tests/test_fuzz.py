@@ -1,11 +1,12 @@
 """Standing fuzz test: every input the config and graph grammars can spell ends in exit 0, 1 or 2.
 
 The strategies draw whole config files, and for the custom scenario a
-graph file: every scenario and construction, levels up to 300 dB with
-per-node overrides, uniform and per-node loss stages down to 1e-300,
-feedforward gains up to 1e200 in size, and graphs of 1-7 nodes with
-unsorted, gapped and negative ids, isolated nodes and mixed signs.  A
-node the graph file puts at db=0 must run as an override of 0 dB does.
+graph file: every scenario and construction, levels up to 300 dB (and
+log-uniform from 1e-9 to 1e-3 dB) with per-node overrides, uniform and
+per-node loss stages down to 1e-300, feedforward gains up to 1e200 in
+size, and graphs of 1-7 nodes with unsorted, gapped and negative ids,
+isolated nodes and mixed signs.  A node the graph file puts at db=0
+must run as an override of 0 dB does.
 Reports go to stdout as JSON; the output and format keys are left out.
 """
 
@@ -22,7 +23,8 @@ from cvshape.cli import main
 from cvshape.experiments import _LOSS_STAGES, CONSTRUCTIONS, SCENARIOS
 
 WIRE_NODES = (1, 2, 3, 4)
-LEVELS = st.floats(0.0, 300.0)
+# near 0 dB the canonical symplectic's singular values sit near, not at, 1
+LEVELS = st.floats(0.0, 300.0) | st.floats(-9.0, -3.0).map(lambda e: 10.0**e)
 ETAS = st.floats(1e-300, 1.0)
 GAINS = st.floats(-1e200, 1e200)
 

@@ -16,6 +16,7 @@ from cvshape import (
     LossModel,
     NetworkPlan,
     apply,
+    bloch_messiah,
     build_canonical,
     canonical_transform,
     check_cluster_criteria,
@@ -28,7 +29,7 @@ from cvshape import (
     vacuum,
     wire_to_ring_phases,
 )
-from cvshape.decompositions import is_orthogonal, is_symplectic
+from cvshape.decompositions import _elements_to_unitary, _reduce, is_orthogonal, is_symplectic
 from cvshape.graphs import parse_graph_text
 from helpers import (
     emit_as,
@@ -38,11 +39,13 @@ from helpers import (
     gate_chain_transform,
     nullifier_rows,
     nullifiers_reference,
+    orthogonal_symplectic_to_unitary,
     phase_shift,
     quadrature_variance,
     random_signed_graph,
     signed_wire,
     star,
+    unitary_to_orthogonal_symplectic,
 )
 
 SQUEEZED_5DB = 0.07905694150420949
@@ -451,6 +454,29 @@ def test_compile_checks_the_state_the_plan_prepares(graph, db):
     assert np.array_equal(checked.cov, prepared.cov)
 
 
+#: Level bands: 0 dB, log-uniform in [1e-9, 1e-3] dB (singular values of S near, not at, 1), the working range.
+_BANDS = (st.just(0.0), st.floats(-9.0, -3.0).map(lambda e: 10.0**e), st.floats(0.0, 120.0))
+
+
+@st.composite
+def compile_inputs(draw):
+    """A random signed graph of 2-10 nodes with one level, or one per node, from one band or from all three."""
+    graph = random_signed_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 2, 10)[0]
+    band = draw(st.sampled_from((*_BANDS, st.one_of(*_BANDS))))
+    return graph, draw(band) if draw(st.booleans()) else {node: draw(band) for node in graph.nodes}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(compile_inputs())
+def test_compile_returns_a_plan_or_raises_lost_precision(inputs):
+    # LinAlgError is a ValueError: any other ValueError, as from a re-check of a checked factor, fails the test.
+    try:
+        plan = compile_network(*inputs)[0]
+    except np.linalg.LinAlgError:
+        return
+    assert isinstance(plan, NetworkPlan)
+
+
 def test_compile_relabels_unsorted_node_ids():
     # Node ids neither sorted nor contiguous: mode k is node nodes[k], so a
     # relabel by sorted id or by position would mix the modes up.
@@ -499,6 +525,21 @@ def test_compiled_factors_are_orthogonal_symplectic():
     o = plan.interferometer_transform()
     assert is_orthogonal(o)
     assert is_symplectic(o)
+
+
+@pytest.mark.parametrize(
+    "graph, db",
+    [(ClusterGraph.linear_wire(4), 5.0), (signed_wire(16), 5.0), (star(16), 0.0)],
+    ids=["wire4", "signed16", "star16-0db"],
+)
+def test_unchecked_conversions_give_the_checked_bytes(graph, db):
+    # compile_network reads U off O2's blocks and interferometer_transform writes O from U, neither re-checking:
+    # each gives the bytes of the checked conversion in tests/helpers.py.
+    plan = compile_network(graph, db)[0]
+    u = orthogonal_symplectic_to_unitary(bloch_messiah(canonical_transform(graph, db))[0])
+    assert plan.interferometer == tuple(_reduce(u, graph.nodes)[0])
+    o = unitary_to_orthogonal_symplectic(_elements_to_unitary(plan.interferometer, plan.node_order))
+    assert np.array_equal(plan.interferometer_transform(), o)
 
 
 # ----------------------------------------------------------------- preset plan
