@@ -8,7 +8,6 @@ nullifier-based entanglement criteria, analytically and by Monte Carlo.
 from .gaussian import (
     GaussianState,
     LossModel,
-    ORDERING,
     PHYSICALITY_TOL,
     SYMPLECTIC_TOL,
     VACUUM_VARIANCE,

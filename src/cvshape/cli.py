@@ -2,21 +2,18 @@
 
 Runs one scenario and emits its report.  Exit status: 0 when every
 configured criterion passes on the final state, 1 when any fails, 2 on
-configuration or usage errors.  The CVSHAPE_SEED environment variable
-overrides the configured Monte Carlo seed; an explicit --seed beats both.
+configuration or usage errors.  Each setting comes from the config file
+or its flag, and a flag beats the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from dataclasses import replace
 
-from .experiments import _FIELDS, FORMATS, SCENARIOS, ConfigError, ExperimentConfig, emit, run
-
-SEED_ENV_VAR = "CVSHAPE_SEED"
+from .experiments import FORMATS, SCENARIOS, ConfigError, ExperimentConfig, emit, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,17 +44,9 @@ def _resolve_config(args) -> ExperimentConfig:
     if not (args.config or args.scenario):
         raise ConfigError("give --scenario or --config")
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-
-    updates = {}
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            updates["seed"] = _FIELDS["seed"].metadata["parse"](env_seed)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     flags = {"scenario": args.scenario, "seed": args.seed, "trials": args.trials, "lossless": args.lossless or None}
     flags |= {"output": args.output or None, "format": args.format}
-    updates |= {name: value for name, value in flags.items() if value is not None}  # a flag beats the environment
+    updates = {name: value for name, value in flags.items() if value is not None}  # a flag beats the file
     return replace(config, **updates) if updates else config
 
 

@@ -137,23 +137,22 @@ def _losses(key: str, value) -> dict:
     }
 
 
-def _parse_loss(loss: dict, tail: str, text: str):
-    """Add one loss.<stage> or loss.<stage>.<node> entry; a stage takes one of the two forms."""
+def _parse_loss(loss: dict, tail: str, text: str) -> tuple:
+    """The dict, slot and value of one loss.<stage> or loss.<stage>.<node> entry; a stage takes one of the two forms."""
     stage, per_node, node = tail.partition(".")
     if "." in node:
         raise ConfigError(f"malformed loss key {'loss.' + tail!r}")
     if stage in loss and isinstance(loss[stage], dict) != bool(per_node):
         raise ConfigError(f"stage {stage} mixes uniform and per-node entries")
     if per_node:
-        loss.setdefault(stage, {})[int(node)] = float(text)
-    else:
-        loss[stage] = float(text)
+        return loss.setdefault(stage, {}), int(node), float(text)
+    return loss, stage, float(text)
 
 
 def _field(default, parse, coerce, echo=lambda value: value, key=None):
     """A config field: its parser of file text, its coercer of any Python value to the Python scalar that text
     gives (or a ValueError naming the key), its report echo (None: not echoed), and its file key if not its name;
-    a map's file key ends in the dot its entries' keys continue from, and its parser adds one entry."""
+    a map's file key ends in the dot its entries' keys continue from; its parser gives an entry's dict, slot, value."""
     metadata = {"key": key, "parse": parse, "coerce": coerce, "echo": echo}
     if default is dict:
         return field(default_factory=dict, metadata=metadata)
@@ -199,7 +198,7 @@ class ExperimentConfig:
     seed: int = _field(12345, int, _integer)
     squeezing_overrides: dict = _field(
         dict,
-        lambda levels, node, text: levels.update({int(node): float(text)}),
+        lambda levels, node, text: (levels, int(node), float(text)),
         lambda key, value: _node_map("squeezing_overrides", key, value, _level),
         lambda levels: {str(n): db for n, db in sorted(levels.items())} or None,
         key="squeezing_db.",
@@ -245,10 +244,14 @@ class ExperimentConfig:
         Each key is a field's file key, or a map's key plus an entry:
         squeezing_db.3 overrides node 3, loss.detection sets a stage,
         loss.propagation.2 one node of a stage.  Blank lines and #
-        comments are ignored.
+        comments are ignored; a key, or a map entry's node, given twice is refused.
         """
         values: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:  # a ValueError, not an OSError: main reports ConfigError
+            raise ConfigError(f"{path}: {exc}") from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -261,9 +264,12 @@ class ExperimentConfig:
                 if spec is None:
                     raise ConfigError(f"unknown config key {key!r}")
                 if dot:
-                    spec.metadata["parse"](values.setdefault(spec.name, {}), entry, value)
+                    entries, slot, parsed = spec.metadata["parse"](values.setdefault(spec.name, {}), entry, value)
                 else:
-                    values[spec.name] = spec.metadata["parse"](value)
+                    entries, slot, parsed = values, spec.name, spec.metadata["parse"](value)
+                if slot in entries:
+                    raise ConfigError(f"{key!r} given twice")
+                entries[slot] = parsed
             except (KeyError, TypeError, ValueError) as exc:
                 detail = exc if isinstance(exc, ConfigError) else f"bad value for {key!r}: {value!r}"
                 raise ConfigError(f"config line {lineno}: {detail}") from None

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "VACUUM_VARIANCE",
-    "ORDERING",
     "PHYSICALITY_TOL",
     "SYMPLECTIC_TOL",
     "GaussianState",
@@ -39,9 +38,6 @@ __all__ = [
 
 #: Variance of each quadrature of the vacuum state (hbar = 1/2).
 VACUUM_VARIANCE = 0.25
-
-#: Quadrature ordering used by every vector and matrix in this package.
-ORDERING = "xxpp"
 
 #: Physicality margin: min eigenvalue of cov + (i/4) J must be >= -PHYSICALITY_TOL.
 PHYSICALITY_TOL = 1e-9

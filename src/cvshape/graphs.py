@@ -291,10 +291,11 @@ def _real_form(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkPlan:
-    """Table-top recipe: squeeze each mode, then run the interferometer.
+    """Table-top recipe: squeeze each mode in p, then run the interferometer.
 
     Attributes:
-        squeezer_settings: dict node -> (db, quadrature), an integer and a real (README, value kinds).
+        squeezer_settings: dict node -> p squeezing level in dB, an integer and a real (README, value kinds);
+            an x squeezer is a p squeezer followed by a ("phase", node, pi/2) element.
         interferometer: ("phase", node, theta) and ("splitter", node_a,
             node_b, reflectivity) tuples in application order: the format
             of unitary_to_elements, with node ids for mode indices.
@@ -302,10 +303,10 @@ class NetworkPlan:
 
     Raises:
         ValueError: for a repeated node id, a squeezer or element on a node
-            outside node_order, a quadrature other than "x" or "p", a dB
-            level that is negative or not finite, an element of unknown kind or
-            arity, a splitter coupling a node with itself, a reflectivity
-            outside [0, 1] or NaN, or a non-finite phase.
+            outside node_order, a dB level that is negative or not finite,
+            an element of unknown kind or arity, a splitter coupling a node
+            with itself, a reflectivity outside [0, 1] or NaN, or a
+            non-finite phase.
     """
 
     squeezer_settings: dict
@@ -313,7 +314,7 @@ class NetworkPlan:
     node_order: tuple
 
     def __init__(self, squeezer_settings, interferometer, node_order):
-        settings = {_integer("node id", n): (db, q) for n, (db, q) in squeezer_settings.items()}
+        settings = {_integer("node id", n): db for n, db in squeezer_settings.items()}
         order = _node_order(node_order)
         known = set(order)
         elements = tuple(interferometer)
@@ -336,10 +337,7 @@ class NetworkPlan:
         for node in named:
             if node not in known:
                 raise ValueError(f"node {node} is not in the plan's node order")
-        for node, (db, quad) in settings.items():
-            if quad not in ("x", "p"):
-                raise ValueError(f"node {node}: quadrature must be 'x' or 'p', got {quad!r}")
-            settings[node] = (_db_of(db, node), quad)
+        settings = {node: _real(f"node {node}: squeezing level in dB", db, 0.0) for node, db in settings.items()}
         object.__setattr__(self, "squeezer_settings", settings)
         object.__setattr__(self, "interferometer", elements)
         object.__setattr__(self, "node_order", order)
@@ -357,9 +355,8 @@ class NetworkPlan:
         n = len(self.node_order)
         variances = np.empty(2 * n)
         for k, node in enumerate(self.node_order):
-            db, quad = self.squeezer_settings.get(node, (0.0, "p"))
-            low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
-            variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
+            db = self.squeezer_settings.get(node, 0.0)
+            variances[k], variances[n + k] = VACUUM_VARIANCE * 10.0 ** (db / 10.0), squeezed_variance(db)
         scaled = o * variances
         cov = scaled @ o.T  # BLAS may round mirrored entries apart: average them in scaled's buffer
         np.multiply(0.5, np.add(cov, cov.T, out=scaled), out=cov)
@@ -399,7 +396,7 @@ def compile_network(graph: ClusterGraph, db) -> tuple[NetworkPlan, GaussianState
     # full circuit, is the contract.  Each intermediate is dropped once the next one is made.
     o2, d = bloch_messiah(canonical_transform(graph, db))[:2]
     # x scaled up by 10^(db/20) means p squeezed by db; levels are >= 0, so no x scale of D lies below 1.
-    settings = {node: (20.0 * np.log10(x), "p") for node, x in zip(graph.nodes, np.diag(d))}
+    settings = {node: 20.0 * np.log10(x) for node, x in zip(graph.nodes, np.diag(d))}
     # bloch_messiah checked O2 = [V | -J V], whose blocks [[X, Y], [-Y, X]] act on the mode operators as U = X - i Y.
     n = len(graph.nodes)
     u = o2[:n, :n] - 1j * o2[:n, n:]
@@ -450,7 +447,7 @@ def preset_wire_network(db: float = 5.0) -> NetworkPlan:
     elements = [("phase", node, theta) for node, theta in enumerate(_PRESET_INPUT_PHASES, start=1)]
     elements += [("splitter", a, b, r) for a, b, r in _PRESET_SPLITTERS]
     elements += [("phase", node, theta) for node, theta in enumerate(_PRESET_OUTPUT_PHASES, start=1)]
-    settings = {node: (db, "p") for node in (1, 2, 3, 4)}
+    settings = dict.fromkeys((1, 2, 3, 4), db)
     return NetworkPlan(settings, elements, (1, 2, 3, 4))
 
 

@@ -122,11 +122,6 @@ class ShapingResult:
     outcomes: tuple
     new_edges: tuple
 
-    @property
-    def removed(self) -> tuple:
-        """Measured node ids, in measurement order."""
-        return tuple(step.node for step in self.steps)
-
 
 # ---------------------------------------------------------------------------
 # shaping step construction

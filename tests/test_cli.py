@@ -81,11 +81,14 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, line):
 
 
 def _custom_config(tmp_path, graph_text, line):
-    """A config file of line: a custom run on graph_text, unless line names a stock scenario."""
+    """A config file of line: a custom run on graph_text, unless line names a stock scenario.
+
+    A lone surrogate in line, such as \udce9, is written as the raw byte it escapes (0xe9), which is not UTF-8.
+    """
     (tmp_path / "g.graph").write_text(graph_text)
     cfg = tmp_path / "custom.cfg"
     custom = "" if line.startswith("scenario = ") else f"scenario = custom\ngraph_file = {tmp_path / 'g.graph'}\n"
-    cfg.write_text(f"{custom}{line}\n")
+    cfg.write_bytes(f"{custom}{line}\n".encode("utf-8", "surrogateescape"))
     return str(cfg)
 
 
@@ -176,6 +179,15 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
             "error: unknown loss stage 'detecton'; choose from "
             "('source', 'propagation', 'feedforward_tap', 'detection')\n",
         ),
+        # a key, or a map entry's node, given twice is refused, as the graph file refuses a repeat
+        (WIRE_4, "scenario = remove-edge\ntrials = 0\ntrials = 50", "error: config line 3: 'trials' given twice\n"),
+        (WIRE_4, "scenario = remove-edge\nsqueezing_db.2 = 3\nsqueezing_db.2 = 9", "line 3: 'squeezing_db.2' given"),
+        (WIRE_4, "scenario = remove-edge\nsqueezing_db.2 = 3\nsqueezing_db.02 = 9", "line 3: 'squeezing_db.02' given"),
+        (WIRE_4, "scenario = remove-edge\nloss.detection = 0.9\nloss.detection = 0.5", "'loss.detection' given twice"),
+        (WIRE_4, "scenario = remove-edge\nloss.source.1 = 0.9\nloss.source.01 = 0.5", "'loss.source.01' given twice"),
+        (WIRE_4, "remove_node = 2\nscenario = custom", "config line 4: 'scenario' given twice"),
+        # a config file that is not UTF-8 is named, as a graph file is
+        (WIRE_4, "scenario = remove-edge\n# caf\udce9", "custom.cfg: 'utf-8' codec can't decode byte 0xe9"),
     ],
     ids=[
         "squeezing-1e6-db", "graph-db-1e308", "feedforward-gain-1e300", "graph-without-nodes",
@@ -187,11 +199,13 @@ def test_custom_graph_with_non_finite_db_exits_two(tmp_path, capsys):
         "graph-node-attribute", "graph-edge-attribute", "graph-db-given-twice", "graph-sign-given-twice",
         "remove-only-node", "isolated-node-at-3087-db",
         "isolated-node-at-3087-db-lossless", "compiled-levels-5-and-80-db", "compiled-near-unit-star",
-        "loss-stage-misspelled",
+        "loss-stage-misspelled", "trials-given-twice", "node-override-given-twice",
+        "node-override-given-twice-respelled", "uniform-loss-given-twice", "node-loss-given-twice-respelled",
+        "scenario-given-twice", "config-not-utf-8",
     ],
 )
 def test_defect_input_exits_two_with_one_line(tmp_path, capsys, graph_text, line, message):
-    # a later "scenario =" line overrides custom, so the graph file is read only by custom runs
+    # a line naming a stock scenario replaces the custom header, so the graph file is read only by custom runs
     code, out, err = run_cli(capsys, "--config", _custom_config(tmp_path, graph_text, line))
     assert code == 2
     assert out == ""
@@ -307,25 +321,15 @@ def test_zero_trials_flag_overrides_configured_trials(tmp_path, capsys):
     assert json.loads(out)["config"]["trials"] == 0
 
 
-def test_env_seed_applies(capsys, monkeypatch):
-    monkeypatch.setenv("CVSHAPE_SEED", "777")
-    _, out, _ = run_cli(capsys, "--scenario", "shorten-wire", "--lossless", "--trials", "50")
-    assert json.loads(out)["config"]["seed"] == 777
-
-
-def test_explicit_seed_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CVSHAPE_SEED", "777")
-    _, out, _ = run_cli(
-        capsys, "--scenario", "shorten-wire", "--lossless", "--trials", "50", "--seed", "5"
-    )
-    assert json.loads(out)["config"]["seed"] == 5
-
-
-def test_bad_env_seed_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("CVSHAPE_SEED", "lots")
-    code, _, err = run_cli(capsys, "--scenario", "shorten-wire")
-    assert code == 2
-    assert "CVSHAPE_SEED" in err
+@pytest.mark.parametrize("value", ["777", "lots"])
+def test_seed_comes_from_config_or_flag_only(capsys, monkeypatch, value):
+    # the seed has one source: the seed key or --seed; a CVSHAPE_SEED in the environment changes no byte
+    argv = ("--scenario", "shorten-wire", "--lossless", "--trials", "50")
+    monkeypatch.delenv("CVSHAPE_SEED", raising=False)
+    without = run_cli(capsys, *argv)
+    monkeypatch.setenv("CVSHAPE_SEED", value)
+    assert run_cli(capsys, *argv) == without
+    assert without[0] == 0 and json.loads(without[1])["config"]["seed"] == 12345
 
 
 def test_output_file_routes_report(tmp_path, capsys):
@@ -374,8 +378,7 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: cvshape")
 
 
-def test_shared_parser_leaks_no_state(capsys, monkeypatch):
-    monkeypatch.delenv("CVSHAPE_SEED", raising=False)
+def test_shared_parser_leaks_no_state(capsys):
     assert build_parser() is build_parser()
     first = ("--scenario", "ring-route-check", "--lossless", "--format", "csv")
     first += ("--trials", "0", "--seed", "3")
@@ -383,8 +386,7 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
     assert code == 0
     argv = ("--scenario", "shorten-wire", "--trials", "1000", "--seed", "7")
     code, out, _ = run_cli(capsys, *argv)
-    env = {k: v for k, v in os.environ.items() if k != "CVSHAPE_SEED"}
-    env["PYTHONPATH"] = str(Path(cvshape.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=str(Path(cvshape.__file__).parents[1]))
     fresh = subprocess.run(
         [sys.executable, "-m", "cvshape.cli", *argv], capture_output=True, env=env, check=False
     )

@@ -260,7 +260,7 @@ def test_recomposition_validates_before_multiplying(element, message):
     # when the plan is built.  The bad splitter sits after a negative phase,
     # which sqrt must never see.
     with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
-        NetworkPlan({0: (5.0, "p"), 1: (5.0, "p")}, [("phase", 0, -1.0), element], (0, 1))
+        NetworkPlan({0: 5.0, 1: 5.0}, [("phase", 0, -1.0), element], (0, 1))
 
 
 def test_symplectic_predicates():

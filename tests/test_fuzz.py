@@ -6,7 +6,8 @@ log-uniform from 1e-9 to 1e-3 dB) with per-node overrides, uniform and
 per-node loss stages down to 1e-300, feedforward gains up to 1e200 in
 size, and graphs of 1-7 nodes with unsorted, gapped and negative ids,
 isolated nodes and mixed signs.  A node the graph file puts at db=0
-must run as an override of 0 dB does.
+must run as an override of 0 dB does.  Some config files carry a
+comment byte that is not UTF-8 (0xe9): the whole file is refused, naming it.
 Reports go to stdout as JSON; the output and format keys are left out.
 """
 
@@ -79,6 +80,8 @@ def config_files(draw):
             lines.append(f"remove_node = {draw(st.sampled_from(nodes))}")
         elif operation == "shorten":
             lines.append(f"shorten_inner = {draw(st.sampled_from(nodes))} {draw(st.sampled_from(nodes))}")
+    if draw(st.integers(0, 7)) == 0:
+        lines.append("# caf\udce9")  # written as the raw byte 0xe9
     zeros = [node for node in zeros if node not in overridden]
     return "\n".join(draw(st.permutations(lines))) + "\n", graph_text, zeros
 
@@ -103,9 +106,14 @@ def test_every_config_exits_zero_one_or_two(files):
         if graph_text is not None:
             (Path(tmp) / "fuzz.graph").write_text(graph_text)
             config_text += f"graph_file = {Path(tmp) / 'fuzz.graph'}\n"
-        config_path.write_text(config_text)
+        config_path.write_bytes(config_text.encode("utf-8", "surrogateescape"))
         code, out, err = _run(config_path)
         assert code in (0, 1, 2)
+        if "\udce9" in config_text:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {config_path}: 'utf-8' codec can't decode byte 0xe9")
+            assert err.count("\n") == 1
+            return
         if zeros:  # a file's db=0 is the vacuum: the run matches one with overrides of 0 dB
             zero_path = Path(tmp) / "zero.cfg"
             zero_path.write_text(config_text + "".join(f"squeezing_db.{node} = 0.0\n" for node in zeros))

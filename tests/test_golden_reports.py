@@ -223,7 +223,6 @@ def test_every_stored_report_is_a_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CVSHAPE_SEED", raising=False)
     code, out = report_bytes(CASES[name], capsys)
     assert code == 0
     stored = golden_path(name).read_bytes()

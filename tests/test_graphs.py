@@ -363,7 +363,7 @@ def test_compiled_edgeless_graph_has_no_interferometer():
     graph = ClusterGraph([1, 2])
     plan, _ = compile_network(graph, {1: 5.0, 2: 7.0})
     assert plan.interferometer == ()
-    assert plan.squeezer_settings == {1: (5.0, "p"), 2: (7.0, "p")}
+    assert plan.squeezer_settings == {1: 5.0, 2: 7.0}
 
 
 @pytest.mark.parametrize(
@@ -417,7 +417,7 @@ def test_interferometer_rejects_bad_elements(element, message):
     # Construction itself rejects the element, before any arithmetic: the
     # bad element sits after a negative phase, which sqrt must never see.
     with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
-        NetworkPlan({1: (5.0, "p"), 2: (5.0, "p")}, [("phase", 1, -1.0), element], (1, 2))
+        NetworkPlan({1: 5.0, 2: 5.0}, [("phase", 1, -1.0), element], (1, 2))
 
 
 def _signed_lattice(side: int) -> ClusterGraph:
@@ -492,12 +492,12 @@ def test_compile_relabels_unsorted_node_ids():
 
 def test_plan_rejects_duplicate_node_order():
     with pytest.raises(ValueError, match="node 1 appears twice in the node order"):
-        NetworkPlan({1: (5.0, "p")}, [], (1, 2, 1))
+        NetworkPlan({1: 5.0}, [], (1, 2, 1))
 
 
 def test_plan_rejects_squeezer_on_absent_node():
     with pytest.raises(ValueError, match="node 7 is not in the plan's node order"):
-        NetworkPlan({1: (5.0, "p"), 7: (5.0, "p")}, [("phase", 1, 0.3)], (1, 2))
+        NetworkPlan({1: 5.0, 7: 5.0}, [("phase", 1, 0.3)], (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -505,18 +505,19 @@ def test_plan_rejects_squeezer_on_absent_node():
 )
 def test_plan_rejects_element_on_absent_node(element):
     with pytest.raises(ValueError, match="node 9 is not in the plan's node order"):
-        NetworkPlan({1: (5.0, "p")}, [("phase", 1, 0.3), element], (1, 2))
+        NetworkPlan({1: 5.0}, [("phase", 1, 0.3), element], (1, 2))
 
 
-def test_plan_rejects_unknown_quadrature():
-    with pytest.raises(ValueError, match="node 2: quadrature must be 'x' or 'p', got 'y'"):
-        NetworkPlan({1: (5.0, "p"), 2: (5.0, "y")}, [], (1, 2))
+def test_plan_x_squeezer_is_a_p_squeezer_then_a_quarter_turn():
+    # a plan squeezes in p only; a pi/2 phase after the squeezer moves the squeezing to x
+    cov = NetworkPlan({1: 5.0}, [("phase", 1, np.pi / 2)], (1,)).prepare().cov
+    np.testing.assert_allclose(cov, np.diag([squeezed_variance(5.0), 0.25 * 10.0**0.5]), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("db", [-1.0, float("nan"), float("inf")])
 def test_plan_rejects_negative_db(db):
     with pytest.raises(ValueError, match="node 2: squeezing level in dB must be finite and non-negative, got"):
-        NetworkPlan({1: (5.0, "p"), 2: (db, "x")}, [], (1, 2))
+        NetworkPlan({1: 5.0, 2: db}, [], (1, 2))
 
 
 def test_compiled_factors_are_orthogonal_symplectic():

@@ -221,13 +221,13 @@ def test_quarter_turns_are_the_phase_shift_by_k_pi_over_2(n, data):
 
 
 def _plan_variances(plan) -> np.ndarray:
-    """Each input mode's x and p variance, squeezed in the plan's quadrature, xxpp."""
-    settings_of, n = plan.squeezer_settings, len(plan.node_order)
+    """Each input mode's x and p variance, squeezed in p at the plan's level, xxpp."""
+    levels, n = plan.squeezer_settings, len(plan.node_order)
     variances = np.empty(2 * n)
     for k, node in enumerate(plan.node_order):
-        db, quad = settings_of.get(node, (0.0, "p"))
+        db = levels.get(node, 0.0)
         low, high = squeezed_variance(db), VACUUM_VARIANCE * 10.0 ** (db / 10.0)
-        variances[k], variances[n + k] = (high, low) if quad == "p" else (low, high)
+        variances[k], variances[n + k] = high, low
     return variances
 
 

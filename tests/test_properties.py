@@ -235,9 +235,9 @@ VALUE_SLOTS = {
     "LossModel transmission": lambda v: LossModel({"detection": v}),
     "LossModel node": lambda v: LossModel({"detection": {v: 0.5}}),
     "LossModel node transmission": lambda v: LossModel({"detection": {2: v}}),
-    "NetworkPlan node": lambda v: NetworkPlan({v: (5.0, "p")}, [("phase", 1, 0.3)], (1, 2)),
-    "NetworkPlan level": lambda v: NetworkPlan({1: (v, "p")}, [("phase", 1, 0.3)], (1, 2)).prepare(),
-    "NetworkPlan order": lambda v: NetworkPlan({1: (5.0, "p")}, [("phase", 1, 0.3)], (1, v)),
+    "NetworkPlan node": lambda v: NetworkPlan({v: 5.0}, [("phase", 1, 0.3)], (1, 2)),
+    "NetworkPlan level": lambda v: NetworkPlan({1: v}, [("phase", 1, 0.3)], (1, 2)).prepare(),
+    "NetworkPlan order": lambda v: NetworkPlan({1: 5.0}, [("phase", 1, 0.3)], (1, v)),
     "FeedforwardTarget node": lambda v: FeedforwardTarget(v, "p", 1.0),
     "FeedforwardTarget gain": lambda v: FeedforwardTarget(2, "p", v),
     "MeasurementStep node": lambda v: MeasurementStep(v, 0.0, TARGET2),
@@ -303,8 +303,13 @@ def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, valu
         (lambda: ClusterGraph([True, 2]), "node id must be an integer, got True"),
         (lambda: ClusterGraph([1, 2], [(1.7, 2, True)]), "node id must be an integer, got 1.7"),
         (lambda: WIRE3.with_edge(1, 3, 1.0), "edge sign must be an integer, got 1.0"),
-        (lambda: NetworkPlan({3.7: ("5", "p")}, [], (3,)), "node id must be an integer, got 3.7"),
-        (lambda: NetworkPlan({3: (5.0, "p")}, [], (2.9,)), "node id must be an integer, got 2.9"),
+        (lambda: NetworkPlan({3.7: "5"}, [], (3,)), "node id must be an integer, got 3.7"),
+        (lambda: NetworkPlan({3: 5.0}, [], (2.9,)), "node id must be an integer, got 2.9"),
+        # a level is one real: the (db, quadrature) pair of older plans is refused, naming its node
+        (
+            lambda: NetworkPlan({1: (5.0, "p")}, [], (1,)),
+            "node 1: squeezing level in dB must be a real number, got (5.0, 'p')",
+        ),
         (lambda: GaussianState(np.zeros(2), np.eye(2), nodes=(1.9,)), "node id must be an integer, got 1.9"),
         (lambda: TrajectoryPlan(vacuum(1), (), None, {True: "0.5"}), "node id must be an integer, got True"),
         (
@@ -342,7 +347,7 @@ def test_every_value_runs_as_its_plain_twin_or_raises_one_value_error(slot, valu
     ],
     ids=[
         "float-node", "bool-node", "float-edge-end", "float-sign", "float-plan-node", "float-plan-order",
-        "float-state-node", "bool-readout-node", "huge-loss-node", "str-level", "bool-level",
+        "pair-plan-level", "float-state-node", "bool-readout-node", "huge-loss-node", "str-level", "bool-level",
         "float-target-node", "str-gain", "nan-angle", "nan-forced-outcome", "repeated-state-node",
         "repeated-row-order", "bool-trials", "too-many-trials", "bool-mode-count", "bool-wire-length",
         "str-edge-end", "int-edge", "int-edge-from-edges", "one-end-edge", "four-entry-edge", "bool-removal-gain",

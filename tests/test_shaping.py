@@ -124,7 +124,7 @@ def test_remove_node_preserves_wire_nullifiers():
     st = build_canonical(wire, 5.0)
     result = remove_node(st, wire, 4)
     assert result.graph.nodes == (1, 2, 3)
-    assert result.removed == (4,)
+    assert [step.node for step in result.steps] == [4]
     assert result.steps == tuple(removal_steps(wire, 4))
     assert result.new_edges == ()
     order = result.graph.nodes
@@ -214,7 +214,7 @@ def test_shorten_wire_sign_bookkeeping():
     result = shorten_wire(st, wire, (2, 3))
     assert result.graph.sign(1, 4) == 1
     assert result.new_edges == ((1, 4, 1),)
-    assert result.removed == (2, 3)
+    assert [step.node for step in result.steps] == [2, 3]
     for n in nullifiers_reference(result.graph):
         got = quadrature_variance(result.state, n, result.graph.nodes)
         assert got == pytest.approx(TWO_TERM_5DB, abs=1e-12)
